@@ -52,8 +52,9 @@
 // relative speed factor and slot capacity in the master's registry —
 // the heterogeneity the paper's PVM testbed had in hardware. Every
 // process builds the same Problem from the same inputs; only protocol
-// messages cross the wire, and with half-sync off a fixed-seed
-// distributed run returns exactly the single-process result.
+// messages cross the wire. A distributed run is a real-time run, so it
+// is reproducible per seed only in the 1 TSW x 1 CLW configuration
+// (see the reproducibility contract below).
 //
 // Virtual mode stays single-process by design: it is the deterministic
 // reference the distributed and goroutine transports are checked
@@ -90,8 +91,14 @@
 // Reproducibility contract:
 //
 //   - Adaptive off (the default): fixed-seed virtual-time runs are
-//     bit-identical across releases, and a fixed-seed distributed run
-//     with half-sync off reproduces the single-process result exactly.
+//     bit-identical across releases.
+//   - WithRealTime, in process or distributed, with half-sync off: the
+//     search outcome is deterministic in WithSeed only for 1 TSW x 1
+//     CLW. With two or more TSWs or CLWs it is not: the master keeps
+//     the first-arrived of equal-cost TSW reports and a TSW takes
+//     equal-delta CLW candidates in arrival order, so ties follow
+//     timing (12 of 40 fixed-seed c532 runs with 1 TSW x 2 CLWs gave
+//     differing best costs).
 //   - Adaptive on under WithVirtualTime: still deterministic in
 //     WithSeed — scheduling decisions key off modeled time — but the
 //     trajectory differs from the static partition's and may change
@@ -133,18 +140,6 @@
 //     candidate generation order, float accumulation order and argmin
 //     tie-breaking are preserved, so fixed-seed static runs reproduce
 //     the scalar trajectory exactly (asserted by fuzz and golden tests).
-//   - Strict vs relaxed accumulation: the contract above is the strict
-//     (default) mode, pinned by golden_test.go, and it never changes.
-//     WithRelaxedAccumulation opts batch evaluation into reassociated
-//     kernels — multi-lane weighted-delta accumulation and a
-//     reciprocal-multiply membership fold — that may differ from the
-//     strict path in final-ulp rounding but remain deterministic per
-//     seed; golden_relaxed_test.go pins the relaxed trajectories
-//     separately. WithEvaluationPool shards batches over persistent
-//     per-CLW worker goroutines without changing any candidate's
-//     arithmetic; it is available only in relaxed mode (strict mode
-//     keeps the audited single-threaded path) and both modes stay
-//     allocation-free per trial.
 //   - The scheduling workloads deliberately break the O(1)-per-delta
 //     pattern while keeping every contract above: a flow shop trial
 //     recomputes the critical-path section between the swapped
@@ -152,10 +147,9 @@
 //     and a job shop trial re-decodes the whole operation sequence
 //     (O(jobs x machines), with a same-job-token fast path answering
 //     zero). Both do all schedule arithmetic in exact integers, so
-//     batch and scalar evaluation — and strict and relaxed accumulation
-//     — are bit-identical by construction (fuzzed per package, pinned
-//     by golden_sched_test.go), and both stay allocation-free per
-//     trial once caches are warm.
+//     batch and scalar evaluation are bit-identical by construction
+//     (fuzzed per package, pinned by golden_sched_test.go), and both
+//     stay allocation-free per trial once caches are warm.
 //
 // The implementation lives under internal/ (ARCHITECTURE.md maps the
 // layers and documents every protocol message); cmd/ holds the

@@ -25,11 +25,6 @@ import (
 // perf trajectory. The per-worker trial throughput is what bounds the
 // whole parallel search (Figs. 5–8): every CLW iteration is one batched
 // evaluation of Trials candidates plus one ApplySwap.
-//
-// The batched kernel is measured twice per circuit: once strict (the
-// bit-identity default) and once in relaxed-accumulation mode, so the
-// report carries both columns and the relaxed speedup is a same-host,
-// same-binary ratio.
 
 // hotpathBatch is the candidate-batch size of the headline measurement,
 // matching the compound-move batches the engine hands DeltaSwapBatch.
@@ -52,12 +47,10 @@ const DefaultHotpathWindows = 5
 // per-call SwapDelta instead. ns_per_apply is absent when the apply
 // kernel was not measured — old baselines recorded 0 for circuits the
 // pre-PR2 harness skipped, and 0 there means "not measured", never
-// "free". The *_relaxed fields measure the same batched kernel in
-// relaxed-accumulation mode and are absent in pre-relaxed baselines;
-// relaxed_speedup is strict ns_per_trial over relaxed ns_per_trial on
-// the same host and binary. ns_per_trial_stddev is the sample standard
-// deviation across the measurement windows of the strict batched
-// kernel (the quantity the CI guard compares).
+// "free". ns_per_trial_stddev is the sample standard deviation across
+// the measurement windows of the batched kernel (the quantity the CI
+// guard compares). Older reports may carry *_relaxed fields from a
+// retired accumulation mode; they are ignored on read.
 type HotpathResult struct {
 	Circuit string `json:"circuit"`
 	Cells   int    `json:"cells"`
@@ -71,11 +64,6 @@ type HotpathResult struct {
 	NsPerTrialScalar float64 `json:"ns_per_trial_scalar,omitempty"`
 	AllocsPerTrial   float64 `json:"allocs_per_trial"`
 	NsPerApply       float64 `json:"ns_per_apply,omitempty"`
-
-	NsPerTrialRelaxed     float64 `json:"ns_per_trial_relaxed,omitempty"`
-	TrialsPerSecRelaxed   float64 `json:"trials_per_sec_relaxed,omitempty"`
-	AllocsPerTrialRelaxed float64 `json:"allocs_per_trial_relaxed"`
-	RelaxedSpeedup        float64 `json:"relaxed_speedup,omitempty"`
 }
 
 // HotpathReport is the BENCH_hotpath.json schema. Baseline carries the
@@ -163,7 +151,7 @@ func Hotpath(circuits []string, dur time.Duration, windows int) (*HotpathReport,
 		windows = DefaultHotpathWindows
 	}
 	rep := &HotpathReport{
-		Note:        fmt.Sprintf("trial-evaluation hot path, batched kernel headline (best of %d windows; ns_per_trial_stddev records the cross-window spread, which is large on shared hosts), strict and relaxed-accumulation columns, measured at GOMAXPROCS=%d (the relaxed evaluation pool needs >1 CPU to add throughput on top of the reassociated kernels); regenerate with: ptsbench -hotpath", windows, runtime.GOMAXPROCS(0)),
+		Note:        fmt.Sprintf("trial-evaluation hot path, batched kernel headline (best of %d windows; ns_per_trial_stddev records the cross-window spread, which is large on shared hosts), measured at GOMAXPROCS=%d; regenerate with: ptsbench -hotpath", windows, runtime.GOMAXPROCS(0)),
 		GoVersion:   runtime.Version(),
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Windows:     windows,
@@ -202,11 +190,6 @@ func Hotpath(circuits []string, dur time.Duration, windows int) (*HotpathReport,
 		batchNs, batchAllocs, batchDev := measureBest(dur, windows, func(i int) {
 			ev.DeltaSwapBatch(batches[i%len(batches)], out)
 		})
-		ev.SetRelaxedAccumulation(true)
-		relaxedNs, relaxedAllocs, _ := measureBest(dur, windows, func(i int) {
-			ev.DeltaSwapBatch(batches[i%len(batches)], out)
-		})
-		ev.SetRelaxedAccumulation(false)
 		scalarNs, _, _ := measureBest(dur/2, windows, func(i int) {
 			pr := pairs[i&1023]
 			ev.SwapDelta(pr[0], pr[1])
@@ -216,7 +199,6 @@ func Hotpath(circuits []string, dur time.Duration, windows int) (*HotpathReport,
 			ev.ApplySwap(pr[0], pr[1])
 		})
 		trialNs := batchNs / hotpathBatch
-		relTrialNs := relaxedNs / hotpathBatch
 		rep.Results = append(rep.Results, HotpathResult{
 			Circuit:          name,
 			Cells:            st.Cells,
@@ -229,11 +211,6 @@ func Hotpath(circuits []string, dur time.Duration, windows int) (*HotpathReport,
 			NsPerTrialScalar: scalarNs,
 			AllocsPerTrial:   batchAllocs / hotpathBatch,
 			NsPerApply:       applyNs,
-
-			NsPerTrialRelaxed:     relTrialNs,
-			TrialsPerSecRelaxed:   1e9 / relTrialNs,
-			AllocsPerTrialRelaxed: relaxedAllocs / hotpathBatch,
-			RelaxedSpeedup:        trialNs / relTrialNs,
 		})
 	}
 	return rep, nil
@@ -278,11 +255,10 @@ func ReadHotpath(path string) (*HotpathReport, error) {
 // HotpathGuard checks a freshly regenerated report (whose baseline
 // WriteHotpath filled with the previously committed results) for
 // regressions on the named circuits (comma-separated): for each it
-// fails when the new strict trials/sec falls more than tolerance below
-// the baseline's, when the relaxed column (if the baseline has one)
-// regresses the same way, and when either batched kernel allocates —
-// all asserted from the JSON artifact itself, so the committed numbers
-// and the guarded numbers can never diverge. The CI bench-smoke job
+// fails when the new trials/sec falls more than tolerance below the
+// baseline's and when the batched kernel allocates — both asserted
+// from the JSON artifact itself, so the committed numbers and the
+// guarded numbers can never diverge. The CI bench-smoke job
 // runs it after ptsbench -hotpath so a kernel change that loses more
 // than the tolerance shows up as a red build, not a quietly worse
 // committed number.
@@ -308,9 +284,6 @@ func HotpathGuard(rep *HotpathReport, circuits string, tolerance float64) (strin
 		if cur.AllocsPerTrial != 0 {
 			return "", fmt.Errorf("hotpath guard: %s allocates %.2f/trial, want 0", circuit, cur.AllocsPerTrial)
 		}
-		if cur.AllocsPerTrialRelaxed != 0 {
-			return "", fmt.Errorf("hotpath guard: %s relaxed mode allocates %.2f/trial, want 0", circuit, cur.AllocsPerTrialRelaxed)
-		}
 		base := find(rep.Baseline, circuit)
 		if base == nil {
 			msgs = append(msgs, fmt.Sprintf("%s: no baseline to compare against (first run)", circuit))
@@ -323,15 +296,6 @@ func HotpathGuard(rep *HotpathReport, circuits string, tolerance float64) (strin
 			return "", fmt.Errorf("hotpath guard: %s: REGRESSION", msg)
 		}
 		msgs = append(msgs, msg+": ok")
-		if base.TrialsPerSecRelaxed > 0 {
-			rfloor := base.TrialsPerSecRelaxed * (1 - tolerance)
-			rmsg := fmt.Sprintf("%s relaxed %.0f trials/sec vs baseline %.0f (floor %.0f)",
-				circuit, cur.TrialsPerSecRelaxed, base.TrialsPerSecRelaxed, rfloor)
-			if cur.TrialsPerSecRelaxed < rfloor {
-				return "", fmt.Errorf("hotpath guard: %s: REGRESSION", rmsg)
-			}
-			msgs = append(msgs, rmsg+": ok")
-		}
 	}
 	if len(msgs) == 0 {
 		return "", fmt.Errorf("hotpath guard: no circuits named")
@@ -346,12 +310,11 @@ func RenderHotpath(rep *HotpathReport) string {
 	for _, r := range rep.Baseline {
 		base[r.Circuit] = r
 	}
-	out := fmt.Sprintf("hot path (%s)\n%-10s %8s %6s %10s %14s %12s %14s %8s %10s %12s %10s\n",
-		rep.GoVersion, "circuit", "cells", "batch", "ns/trial", "trials/sec", "ns/relaxed", "relaxed t/s", "rel-x", "ns/scalar", "allocs/trial", "ns/apply")
+	out := fmt.Sprintf("hot path (%s)\n%-10s %8s %6s %10s %14s %10s %12s %10s\n",
+		rep.GoVersion, "circuit", "cells", "batch", "ns/trial", "trials/sec", "ns/scalar", "allocs/trial", "ns/apply")
 	for _, r := range rep.Results {
-		out += fmt.Sprintf("%-10s %8d %6d %10.1f %14.0f %12.1f %14.0f %7.2fx %10.1f %12.2f %10.1f",
+		out += fmt.Sprintf("%-10s %8d %6d %10.1f %14.0f %10.1f %12.2f %10.1f",
 			r.Circuit, r.Cells, r.BatchSize, r.NsPerTrial, r.TrialsPerSec,
-			r.NsPerTrialRelaxed, r.TrialsPerSecRelaxed, r.RelaxedSpeedup,
 			r.NsPerTrialScalar, r.AllocsPerTrial, r.NsPerApply)
 		if b, ok := base[r.Circuit]; ok && r.NsPerTrial > 0 {
 			out += fmt.Sprintf("   (%.2fx trials/sec vs baseline)", b.NsPerTrial/r.NsPerTrial)

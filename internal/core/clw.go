@@ -31,8 +31,6 @@ func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 	init := first.Data.(initMsg)
 	parent := first.From
 	prob := mustState(env, problem, init.Perm)
-	configureEval(prob, cfg, true) // CLWs batch-evaluate: relaxed mode + pool apply here
-	defer tabu.Close(prob)         // release the evaluation pool on any exit
 	r := workerRand(env, cfg, "clw")
 	params := tabu.CompoundParams{
 		Trials:  tune.Trials,

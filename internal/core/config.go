@@ -110,21 +110,6 @@ type Config struct {
 	// Store; Durable alone changes worker behavior but persists
 	// nothing.
 	Durable bool
-	// RelaxedAccumulation opts batch trial evaluation into the
-	// reassociated (multi-lane) accumulation kernels where the state
-	// supports them (tabu.RelaxedAccumulator). Off (the default), batch
-	// evaluation is bit-identical to the scalar path and fixed-seed runs
-	// reproduce the strict goldens. On, runs remain deterministic in the
-	// seed — relaxed kernels are pure functions too — but pin different
-	// (relaxed-mode) goldens. Applied uniformly to every worker via the
-	// job payload so distributed processes score identically.
-	RelaxedAccumulation bool
-	// EvalWorkers, when > 1, sizes the per-CLW evaluation pool: each
-	// CLW's state shards its candidate batches across that many
-	// persistent goroutines (tabu.EvalPooler). Requires
-	// RelaxedAccumulation — strict mode keeps the single-threaded
-	// batch path that its bit-identity contract is audited against.
-	EvalWorkers int
 	// RefreshEvery re-runs timing analysis on a TSW's evaluator every
 	// that many accepted moves (0 = only at global sync).
 	RefreshEvery int
@@ -297,10 +282,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: WorkScale %v < 0", c.WorkScale)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("core: CheckpointEvery %d < 0", c.CheckpointEvery)
-	case c.EvalWorkers < 0:
-		return fmt.Errorf("core: EvalWorkers %d < 0", c.EvalWorkers)
-	case c.EvalWorkers > 1 && !c.RelaxedAccumulation:
-		return fmt.Errorf("core: EvalWorkers %d requires RelaxedAccumulation (the pool reorders accumulation)", c.EvalWorkers)
 	case c.Store != nil && !store.ValidKey(c.runKey()):
 		return fmt.Errorf("core: RunID %q is not a valid store key segment", c.RunID)
 	}

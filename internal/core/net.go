@@ -110,8 +110,6 @@ type wireConfig struct {
 	DisableRespawn          bool
 	CheckpointEvery         int
 	Durable                 bool
-	RelaxedAccumulation     bool
-	EvalWorkers             int
 	RefreshEvery            int
 	Utilization             float64
 	Cost                    cost.Config
@@ -135,18 +133,16 @@ func (c Config) wire() wireConfig {
 		CheckpointEvery: c.CheckpointEvery,
 		// The store itself never crosses the wire; workers only need
 		// the durable discipline flag (checkpoints + barrier reseeds).
-		Durable:             c.durable(),
-		RelaxedAccumulation: c.RelaxedAccumulation,
-		EvalWorkers:         c.EvalWorkers,
-		RefreshEvery:        c.RefreshEvery,
-		Utilization:         c.Utilization,
-		Cost:                c.Cost,
-		WorkPerTrial:        c.WorkPerTrial,
-		Seed:                c.Seed,
-		RecordTrace:         c.RecordTrace,
-		CorrelatedWorkers:   c.CorrelatedWorkers,
-		Assignment:          c.Assignment,
-		PerTSW:              c.PerTSW,
+		Durable:           c.durable(),
+		RefreshEvery:      c.RefreshEvery,
+		Utilization:       c.Utilization,
+		Cost:              c.Cost,
+		WorkPerTrial:      c.WorkPerTrial,
+		Seed:              c.Seed,
+		RecordTrace:       c.RecordTrace,
+		CorrelatedWorkers: c.CorrelatedWorkers,
+		Assignment:        c.Assignment,
+		PerTSW:            c.PerTSW,
 	}
 }
 
@@ -155,22 +151,20 @@ func (w wireConfig) config() Config {
 		TSWs: w.TSWs, CLWs: w.CLWs,
 		GlobalIters: w.GlobalIters, LocalIters: w.LocalIters,
 		Trials: w.Trials, Depth: w.Depth, Tenure: w.Tenure,
-		DiversifyDepth:      w.DiversifyDepth,
-		HalfSync:            w.HalfSync,
-		Adaptive:            w.Adaptive,
-		DisableRespawn:      w.DisableRespawn,
-		CheckpointEvery:     w.CheckpointEvery,
-		Durable:             w.Durable,
-		RelaxedAccumulation: w.RelaxedAccumulation,
-		EvalWorkers:         w.EvalWorkers,
-		RefreshEvery:        w.RefreshEvery,
-		Utilization:         w.Utilization,
-		WorkPerTrial:        w.WorkPerTrial,
-		Seed:                w.Seed,
-		RecordTrace:         w.RecordTrace,
-		CorrelatedWorkers:   w.CorrelatedWorkers,
-		Assignment:          w.Assignment,
-		PerTSW:              w.PerTSW,
+		DiversifyDepth:    w.DiversifyDepth,
+		HalfSync:          w.HalfSync,
+		Adaptive:          w.Adaptive,
+		DisableRespawn:    w.DisableRespawn,
+		CheckpointEvery:   w.CheckpointEvery,
+		Durable:           w.Durable,
+		RefreshEvery:      w.RefreshEvery,
+		Utilization:       w.Utilization,
+		WorkPerTrial:      w.WorkPerTrial,
+		Seed:              w.Seed,
+		RecordTrace:       w.RecordTrace,
+		CorrelatedWorkers: w.CorrelatedWorkers,
+		Assignment:        w.Assignment,
+		PerTSW:            w.PerTSW,
 	}
 	cfg.Cost = w.Cost
 	return cfg

@@ -9,16 +9,20 @@ type State = tabu.Problem
 
 // Problem is the problem-agnostic boundary of the parallel tabu search:
 // anything that can mint independent search states over a shared
-// solution encoding (a permutation of element indices) can be solved by
-// RunProblem. VLSI placement (pts/internal/cost.PlacementProblem) and
-// the quadratic assignment problem implement it; the engine itself
-// never looks past this interface.
+// solution encoding (a snapshot of Size() distinct values) can be
+// solved by RunProblem. VLSI placement
+// (pts/internal/cost.PlacementProblem) and the quadratic assignment
+// problem implement it; the engine itself never looks past this
+// interface.
 type Problem interface {
 	// Name identifies the problem instance in results and progress
 	// reports.
 	Name() string
-	// Size returns the number of swappable elements; snapshots are
-	// permutations of [0, Size()).
+	// Size returns the number of swappable elements; snapshots hold
+	// Size() distinct values in a problem-defined range (a permutation
+	// of [0, Size()) for most problems, slot indices over a grid with
+	// more slots than cells for placement), which NewState and Restore
+	// validate.
 	Size() int32
 	// Initial derives the run's shared initial state deterministically
 	// from seed. It is called exactly once per run, before any worker
@@ -66,24 +70,6 @@ type Snapshot struct {
 	// TSW (summing to 1 over live workers); nil when adaptive
 	// scheduling is off.
 	Shares []float64
-}
-
-// configureEval applies the run's batch-evaluation mode to a freshly
-// built worker state: relaxed accumulation when the run opted in
-// (tabu.RelaxedAccumulator), and — for CLWs, the workers that actually
-// batch-evaluate candidates — the evaluation pool (tabu.EvalPooler).
-// Config.Validate already guarantees the pool only arises in relaxed
-// mode; states without the capabilities search strictly, which is
-// consistent because they then have no relaxed kernels to disagree
-// with. Pool owners must tabu.Close the state when retiring it.
-func configureEval(st State, cfg Config, pool bool) {
-	if !cfg.RelaxedAccumulation {
-		return
-	}
-	tabu.SetRelaxedAccumulation(st, true)
-	if pool && cfg.EvalWorkers > 1 {
-		tabu.SetEvalWorkers(st, cfg.EvalWorkers)
-	}
 }
 
 // refresh resynchronizes a state's cached models (e.g. the placement

@@ -33,8 +33,6 @@ func RunSequential(nl *netlist.Netlist, cfg Config) (*Result, error) {
 	}
 	initCost := ev.Cost()
 	prob := cost.Problem{Ev: ev}
-	configureEval(prob, cfg, true) // the one searcher batch-evaluates, like a CLW
-	defer tabu.Close(prob)
 	s := tabu.NewSearch(prob, tabu.Params{
 		Tenure:       cfg.Tenure,
 		Trials:       cfg.Trials,

@@ -61,7 +61,6 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	if resume == nil {
 		init := env.Recv(TagInit).Data.(initMsg)
 		prob = mustState(env, problem, init.Perm)
-		configureEval(prob, cfg, false) // no pool: TSWs never batch-evaluate
 		tune = cfg.tuningFor(init.WorkerIdx)
 		freq = tabu.NewFrequency(prob.Size())
 		tswRand = workerRand(env, cfg, "tsw")
@@ -86,7 +85,6 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	} else {
 		ck := resume
 		prob = mustState(env, problem, ck.Perm)
-		configureEval(prob, cfg, false)
 		tune = cfg.tuningFor(ck.WorkerIdx)
 		freq = tabu.NewFrequency(prob.Size())
 		freq.Import(ck.Freq)

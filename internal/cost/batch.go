@@ -12,28 +12,11 @@ import (
 // data-parallel hot path. The placement kernel produces the three raw
 // objective deltas for the whole batch in one fused pass
 // (placement.SwapObjectivesBatch), and the fold below turns them into
-// fuzzy cost deltas with the membership and OWA arithmetic inlined.
-//
-// Two folds exist, mirroring the placement kernels:
-//
-//   - Strict (the default): written term for term like
-//     fuzzy.Membership.Eval and OWA.Combine — the same piecewise-linear
-//     divisions, the same expression tree — so every out[i] is
-//     bit-for-bit the value SwapDelta would return.
-//   - Relaxed (SetRelaxedAccumulation(true)): the three membership
-//     divisions become multiplications by reciprocals hoisted once per
-//     batch, and the OWA's sum/3 folds into a precomputed (1-β)/3
-//     factor — legal only because relaxed mode gives up final-ulp
-//     identity with the scalar path (x/y and x·(1/y) can differ by one
-//     ulp). Like the relaxed placement kernel, the result is still a
-//     deterministic, reproducible function of the inputs.
-//
-// Relaxed mode may additionally shard a batch across the evaluation
-// pool (SetEvalWorkers): every candidate is a trial against the same
-// frozen placement, so candidates are evaluated independently by
-// construction and shards over disjoint index ranges write disjoint
-// output ranges. Strict mode never uses the pool — it keeps the
-// single-threaded serial path bit-identical.
+// fuzzy cost deltas with the membership and OWA arithmetic inlined. The
+// fold is written term for term like fuzzy.Membership.Eval and
+// OWA.Combine — the same piecewise-linear divisions, the same
+// expression tree — so every out[i] is bit-for-bit the value SwapDelta
+// would return.
 
 // batchScratch holds one evaluator's reusable batch buffers; sized to
 // the largest batch seen, so steady-state evaluation allocates nothing.
@@ -56,10 +39,9 @@ func (sc *batchScratch) grow(n int) {
 
 // DeltaSwapBatch writes, for every candidate i, the cost change
 // SwapDelta(cands[i].A, cands[i].B) would return — in one data-parallel
-// pass instead of len(cands) scalar calls, bit-exactly so in strict
-// mode. It implements the tabu engine's batch boundary
-// (tabu.BatchEvaluator, via Problem); out must have at least
-// len(cands) elements.
+// pass instead of len(cands) scalar calls, bit-exactly. It implements
+// the tabu engine's batch boundary (tabu.BatchEvaluator, via Problem);
+// out must have at least len(cands) elements.
 func (e *Evaluator) DeltaSwapBatch(cands []tabu.SwapCand, out []float64) {
 	n := len(cands)
 	if n == 0 {
@@ -72,34 +54,15 @@ func (e *Evaluator) DeltaSwapBatch(cands []tabu.SwapCand, out []float64) {
 		pc = append(pc, placement.SwapCand{A: netlist.CellID(c.A), B: netlist.CellID(c.B)})
 	}
 	dLen, dW, area := sc.dLen[:n], sc.dW[:n], sc.area[:n]
-
-	if e.relaxed {
-		if e.pool != nil && n >= poolMinBatch {
-			e.pool.run(cands, pc, e.t.Criticalities(), dLen, dW, area, out)
-			return
-		}
-		e.p.SwapObjectivesBatch(pc, e.t.Criticalities(), dLen, dW, area)
-		e.foldRelaxed(cands, dLen, dW, area, out, 0, n)
-		return
-	}
 	e.p.SwapObjectivesBatch(pc, e.t.Criticalities(), dLen, dW, area)
-	e.foldStrict(cands, dLen, dW, area, out)
+	e.fold(cands, dLen, dW, area, out)
 }
 
-// evalRange evaluates one shard [lo, hi) end to end — placement kernel
-// plus relaxed fold — against read-only evaluator state; the pool's
-// per-worker unit. Shards are at most placement.MaxConcurrentBatch
-// candidates so the placement call is race-free (see that constant).
-func (e *Evaluator) evalRange(cands []tabu.SwapCand, pc []placement.SwapCand, crit, dLen, dW, area, out []float64, lo, hi int) {
-	e.p.SwapObjectivesBatch(pc[lo:hi], crit, dLen[lo:hi], dW[lo:hi], area[lo:hi])
-	e.foldRelaxed(cands, dLen, dW, area, out, lo, hi)
-}
-
-// foldStrict folds raw objective deltas into fuzzy cost deltas with the
+// fold folds raw objective deltas into fuzzy cost deltas with the
 // arithmetic mirroring CostOf exactly: membership is the same
 // piecewise-linear division, the OWA combine the same min/sum
 // expression tree, so every out[i] is bit-for-bit SwapDelta's value.
-func (e *Evaluator) foldStrict(cands []tabu.SwapCand, dLen, dW, area, out []float64) {
+func (e *Evaluator) fold(cands []tabu.SwapCand, dLen, dW, area, out []float64) {
 	// All evaluator state is hoisted once per batch.
 	wl0, dl0 := e.cur.Wirelength, e.cur.Delay
 	wireDelay := e.t.Config().WireDelayPerUnit
@@ -159,38 +122,6 @@ func (e *Evaluator) foldStrict(cands []tabu.SwapCand, dLen, dW, area, out []floa
 		}
 		sum := muW + muD + muA
 		mu := beta*mn + omb*sum/3
-		out[i] = (1 - mu) - cost0
-	}
-}
-
-// foldRelaxed is the reassociated fold over [lo, hi): the three
-// membership divisions become one reciprocal multiply each (reciprocals
-// hoisted per call), the memberships clamp with branch-light min/max
-// instead of the three-way switch, and the OWA sum multiplies a
-// precomputed (1-β)/3. Safe to run concurrently over disjoint ranges —
-// it reads only immutable evaluator state.
-func (e *Evaluator) foldRelaxed(cands []tabu.SwapCand, dLen, dW, area, out []float64, lo, hi int) {
-	wl0, dl0 := e.cur.Wirelength, e.cur.Delay
-	wireDelay := e.t.Config().WireDelayPerUnit
-	cost0 := e.cost
-	cWL := e.memWL.Ceiling
-	cDL := e.memDelay.Ceiling
-	cAR := e.memArea.Ceiling
-	invWL := 1 / (cWL - e.memWL.Goal)
-	invDL := 1 / (cDL - e.memDelay.Goal)
-	invAR := 1 / (cAR - e.memArea.Goal)
-	beta := e.owa.Beta
-	ombThird := (1 - beta) / 3
-	for i := lo; i < hi; i++ {
-		if cands[i].A == cands[i].B {
-			out[i] = 0 // SwapDelta's self-swap short circuit
-			continue
-		}
-		muW := min(1, max(0, (cWL-(wl0+dLen[i]))*invWL))
-		muD := min(1, max(0, (cDL-(dl0+wireDelay*dW[i]))*invDL))
-		muA := min(1, max(0, (cAR-area[i])*invAR))
-		mn := min(muW, min(muD, muA))
-		mu := beta*mn + ombThird*(muW+muD+muA)
 		out[i] = (1 - mu) - cost0
 	}
 }

@@ -64,25 +64,6 @@ func TestDeltaSwapBatchAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("DeltaSwapBatch allocates %.1f per batch, want 0", allocs)
 	}
-
-	// The relaxed kernels and the evaluation pool hold the same
-	// contract: lanes are locals, the pool's goroutines are persistent
-	// and its spans are value sends on a buffered channel.
-	ev.SetRelaxedAccumulation(true)
-	ev.DeltaSwapBatch(cands, out)
-	if allocs := testing.AllocsPerRun(200, func() {
-		ev.DeltaSwapBatch(cands, out)
-	}); allocs != 0 {
-		t.Errorf("relaxed DeltaSwapBatch allocates %.1f per batch, want 0", allocs)
-	}
-	ev.SetEvalWorkers(3)
-	defer ev.Close()
-	ev.DeltaSwapBatch(cands, out)
-	if allocs := testing.AllocsPerRun(200, func() {
-		ev.DeltaSwapBatch(cands, out)
-	}); allocs != 0 {
-		t.Errorf("pooled DeltaSwapBatch allocates %.1f per batch, want 0", allocs)
-	}
 }
 
 // BenchmarkDeltaSwapBatch measures the batched trial kernel at the
@@ -98,37 +79,6 @@ func BenchmarkDeltaSwapBatch(b *testing.B) {
 			// Pre-built rotating batches: the same 1024-pair workload the
 			// scalar benchmark draws from, grouped 64 at a time, so the
 			// timer sees only the kernel.
-			batches := make([][]tabu.SwapCand, len(pairs)/batch)
-			for bi := range batches {
-				cands := make([]tabu.SwapCand, batch)
-				for i := range cands {
-					pr := pairs[bi*batch+i]
-					cands[i] = tabu.SwapCand{A: int32(pr[0]), B: int32(pr[1])}
-				}
-				batches[bi] = cands
-			}
-			out := make([]float64, batch)
-			ev.DeltaSwapBatch(batches[0], out)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.DeltaSwapBatch(batches[i%len(batches)], out)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/trial")
-		})
-	}
-}
-
-// BenchmarkDeltaSwapBatchRelaxed is BenchmarkDeltaSwapBatch through the
-// relaxed-accumulation kernels (reassociated placement walk +
-// reciprocal-multiply fold); the side-by-side for the strict column.
-func BenchmarkDeltaSwapBatchRelaxed(b *testing.B) {
-	const batch = 64
-	for _, circuit := range []string{"c532", "c1355"} {
-		b.Run(circuit, func(b *testing.B) {
-			ev := benchEvaluator(b, circuit)
-			ev.SetRelaxedAccumulation(true)
-			pairs := benchCellPairs(1024, int(ev.NumCells()))
 			batches := make([][]tabu.SwapCand, len(pairs)/batch)
 			for bi := range batches {
 				cands := make([]tabu.SwapCand, batch)

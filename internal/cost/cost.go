@@ -100,56 +100,7 @@ type Evaluator struct {
 	// the evaluator it is per-worker state (clones start with fresh,
 	// empty scratch).
 	batch batchScratch
-
-	// relaxed selects the reassociated batch kernels (placement walk and
-	// cost fold); scalar evaluation is strict in either mode. pool, when
-	// non-nil and relaxed, shards batches across persistent workers.
-	relaxed bool
-	pool    *evalPool
 }
-
-// SetRelaxedAccumulation switches batch evaluation (DeltaSwapBatch and
-// the placement batch kernel under it) between the strict
-// bit-identity contract and the relaxed reassociated kernels. Relaxed
-// results remain deterministic — same inputs, same outputs — but may
-// differ from the scalar path in final-ulp rounding. Scalar SwapDelta /
-// ApplySwap always stay strict, so committed trajectories evaluate
-// moves the same way on every worker regardless of who scored them.
-func (e *Evaluator) SetRelaxedAccumulation(on bool) {
-	e.relaxed = on
-	e.p.SetRelaxedAccumulation(on)
-}
-
-// RelaxedAccumulation reports the batch accumulation mode.
-func (e *Evaluator) RelaxedAccumulation() bool { return e.relaxed }
-
-// SetEvalWorkers sets the size of the batch evaluation pool: workers > 1
-// starts that many persistent goroutines sharding each DeltaSwapBatch
-// call, anything lower tears the pool down. The pool only engages in
-// relaxed mode (see pool.go); callers owning a pooled evaluator must
-// Close it when done.
-func (e *Evaluator) SetEvalWorkers(workers int) {
-	if e.pool != nil {
-		e.pool.close()
-		e.pool = nil
-	}
-	if workers > 1 {
-		e.pool = newEvalPool(e, workers)
-	}
-}
-
-// EvalWorkers returns the configured evaluation pool size (0 when the
-// pool is off).
-func (e *Evaluator) EvalWorkers() int {
-	if e.pool == nil {
-		return 0
-	}
-	return e.pool.workers
-}
-
-// Close releases the evaluation pool's goroutines, if any. Safe to call
-// multiple times and on evaluators that never had a pool.
-func (e *Evaluator) Close() { e.SetEvalWorkers(0) }
 
 // NewEvaluator builds an evaluator over p, deriving goals and ceilings
 // from p's current (initial) objective values. It runs one full timing
@@ -361,7 +312,6 @@ func (e *Evaluator) Clone() *Evaluator {
 		memArea:  e.memArea,
 		cur:      e.cur,
 		cost:     e.cost,
-		relaxed:  e.relaxed, // mode travels with the clone; pools do not
 	}
 }
 

@@ -30,17 +30,6 @@ func (p Problem) DeltaSwapBatch(cands []tabu.SwapCand, out []float64) {
 	p.Ev.DeltaSwapBatch(cands, out)
 }
 
-// SetRelaxedAccumulation switches the evaluator's batch accumulation
-// mode. Implements tabu.RelaxedAccumulator.
-func (p Problem) SetRelaxedAccumulation(on bool) { p.Ev.SetRelaxedAccumulation(on) }
-
-// SetEvalWorkers sizes the evaluator's batch evaluation pool.
-// Implements tabu.EvalPooler.
-func (p Problem) SetEvalWorkers(workers int) { p.Ev.SetEvalWorkers(workers) }
-
-// Close releases the evaluation pool, if any. Implements tabu.Closer.
-func (p Problem) Close() { p.Ev.Close() }
-
 // ApplySwap swaps cells a and b.
 func (p Problem) ApplySwap(a, b int32) {
 	p.Ev.ApplySwap(netlist.CellID(a), netlist.CellID(b))

@@ -17,24 +17,12 @@ import (
 // fall out of cache are additionally visited in ascending first-cell
 // order so neighboring candidates share net-box and row-cache loads.
 //
-// Determinism contract, strict mode (the default): for every candidate i
-// the three outputs are bit-for-bit the values the scalar calls would
-// produce — the merge walk visits affected nets in globally ascending
-// net id exactly like SwapDeltaWeighted, so the float accumulation order
-// is identical, and results land at the candidate's own index regardless
-// of the internal visit order. This holds in both box layouts: per-net
-// deltas are exact small integers either way (see box.go).
-//
-// Relaxed mode (SetRelaxedAccumulation(true)) reassociates the
-// weighted-delta sum: each candidate's dWeighted is accumulated in
-// independent lanes (one per merge-walk side, two-way unrolled tails)
-// and summed pairwise at the end, breaking the serial FP-add dependency
-// chain that bounds the strict kernel's throughput. The result can
-// differ from the scalar path in final-ulp rounding, but the lane
-// assignment is a pure function of the candidate's net visitation
-// sequence, so relaxed results are themselves deterministic and
-// reproducible (the relaxed goldens pin them). dLen and area are exact
-// in both modes.
+// Determinism contract: for every candidate i the three outputs are
+// bit-for-bit the values the scalar calls would produce — the merge walk
+// visits affected nets in globally ascending net id exactly like
+// SwapDeltaWeighted, so the float accumulation order is identical, and
+// results land at the candidate's own index regardless of the internal
+// visit order.
 
 // SwapCand is one candidate pairwise exchange of a data-parallel
 // evaluation batch, in cell-id terms.
@@ -48,17 +36,7 @@ type SwapCand struct {
 // of benchmark-scale circuits are cache-resident anyway (profiling shows
 // the sort at ~20% of batch time with no offsetting hit-rate gain), so
 // sorting only pays once batches are large enough to thrash cache.
-//
-// The evaluation pool's shard size is capped below this constant so
-// concurrent shards never touch the shared p.batchKeys scratch.
 const batchSortMin = 512
-
-// MaxConcurrentBatch is the largest candidate batch a concurrent caller
-// (the cost evaluation pool) may pass to SwapObjectivesBatch with a
-// non-nil w: at or below this size the call reads placement state only
-// and touches no per-placement scratch, so shards over disjoint
-// candidate (and output) ranges are race-free.
-const MaxConcurrentBatch = batchSortMin - 1
 
 // SwapObjectivesBatch evaluates every candidate swap's trial
 // objectives against the current placement, without modifying it and
@@ -71,11 +49,6 @@ const MaxConcurrentBatch = batchSortMin - 1
 // w is indexed by net id (pass nil to skip the weighted sum, as in
 // SwapDeltaWeighted); its entries must be finite. The three output
 // slices must each have at least len(cands) elements.
-//
-// Concurrency: the call only reads placement state, but batches of
-// batchSortMin or more candidates (and nil-w calls) use per-placement
-// scratch — concurrent callers (the evaluation pool) must keep batches
-// below batchSortMin and pass a non-nil w.
 func (p *Placement) SwapObjectivesBatch(cands []SwapCand, w []float64, dLen, dWeighted, area []float64) {
 	n := len(cands)
 	if n == 0 {
@@ -112,30 +85,20 @@ func (p *Placement) SwapObjectivesBatch(cands []SwapCand, w []float64, dLen, dWe
 		keys = nil
 	}
 
-	switch {
-	case p.boxes16 != nil && p.relaxed:
-		swapBatchRelaxed(p, p.boxes16, cands, keys, w, dLen, dWeighted, area)
-	case p.boxes16 != nil:
-		swapBatchStrict(p, p.boxes16, cands, keys, w, dLen, dWeighted, area)
-	case p.relaxed:
-		swapBatchRelaxed(p, p.boxes, cands, keys, w, dLen, dWeighted, area)
-	default:
-		swapBatchStrict(p, p.boxes, cands, keys, w, dLen, dWeighted, area)
-	}
+	p.swapBatch(cands, keys, w, dLen, dWeighted, area)
 }
 
-// swapBatchStrict is the bit-identity batch kernel, generic over the box
-// layout: the merge walk, arithmetic and serial accumulation order are
-// exactly SwapDeltaWeighted's. keys is nil for unsorted (small) batches.
+// swapBatch is the batch kernel: the merge walk, arithmetic and serial
+// accumulation order are exactly SwapDeltaWeighted's. keys is nil for
+// unsorted (small) batches.
 //
 // The per-net delta is trialDelta's arithmetic written out in the loop
-// (axisExtent inlines; the composed trialDelta exceeds the inliner's
-// budget inside the stenciled kernel and would cost a call per net), and
-// the candidate's coordinates are converted to the box width C once, not
-// per net.
-func swapBatchStrict[C coord](p *Placement, boxes []netBoxT[C], cands []SwapCand, keys []int64, w []float64, dLen, dWeighted, area []float64) {
+// (axisExtent inlines; the composed trialDelta would cost a call per
+// net).
+func (p *Placement) swapBatch(cands []SwapCand, keys []int64, w []float64, dLen, dWeighted, area []float64) {
 	// Batch-wide hoists: one load each instead of one per trial.
 	pos := p.pos
+	boxes := p.boxes
 	off, flat := p.nl.CellNetsCSR()
 	widths := p.cellWidth
 	rowW := p.rowWidth
@@ -149,8 +112,8 @@ func swapBatchStrict[C coord](p *Placement, boxes []netBoxT[C], cands []SwapCand
 		}
 		a, b := cands[idx].A, cands[idx].B
 		pa, pb := pos[a], pos[b]
-		paCol, paRow := C(pa.Col), C(pa.Row)
-		pbCol, pbRow := C(pb.Col), C(pb.Row)
+		paCol, paRow := pa.Col, pa.Row
+		pbCol, pbRow := pb.Col, pb.Row
 		var di int32
 		var dW float64
 		if pa != pb {
@@ -177,8 +140,8 @@ func swapBatchStrict[C coord](p *Placement, boxes []netBoxT[C], cands []SwapCand
 					i++
 				}
 				bx := &boxes[nid]
-				d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, fc, tc)-(bx.maxX-bx.minX)) +
-					int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, fr, tr)-(bx.maxY-bx.minY))
+				d := axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, fc, tc) - (bx.maxX - bx.minX) +
+					axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, fr, tr) - (bx.maxY - bx.minY)
 				if d != 0 {
 					di += d
 					dW += w[nid] * float64(d)
@@ -187,8 +150,8 @@ func swapBatchStrict[C coord](p *Placement, boxes []netBoxT[C], cands []SwapCand
 			for ; i < len(an); i++ {
 				nid := an[i]
 				bx := &boxes[nid]
-				d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, paCol, pbCol)-(bx.maxX-bx.minX)) +
-					int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, paRow, pbRow)-(bx.maxY-bx.minY))
+				d := axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, paCol, pbCol) - (bx.maxX - bx.minX) +
+					axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, paRow, pbRow) - (bx.maxY - bx.minY)
 				if d != 0 {
 					di += d
 					dW += w[nid] * float64(d)
@@ -197,8 +160,8 @@ func swapBatchStrict[C coord](p *Placement, boxes []netBoxT[C], cands []SwapCand
 			for ; j < len(bn); j++ {
 				nid := bn[j]
 				bx := &boxes[nid]
-				d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pbCol, paCol)-(bx.maxX-bx.minX)) +
-					int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pbRow, paRow)-(bx.maxY-bx.minY))
+				d := axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pbCol, paCol) - (bx.maxX - bx.minX) +
+					axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pbRow, paRow) - (bx.maxY - bx.minY)
 				if d != 0 {
 					di += d
 					dW += w[nid] * float64(d)
@@ -207,128 +170,6 @@ func swapBatchStrict[C coord](p *Placement, boxes []netBoxT[C], cands []SwapCand
 		}
 		dLen[idx] = float64(di)
 		dWeighted[idx] = dW
-
-		// Area via the top-two row cache, inlined MaxRowWidthAfterSwap.
-		m := top1W
-		if ra, rb := pa.Row, pb.Row; ra != rb {
-			wa, wb := widths[a], widths[b]
-			if wa != wb {
-				na := rowW[ra] + int(wb-wa)
-				nb := rowW[rb] + int(wa-wb)
-				// topExcluding(ra, rb), inlined.
-				m = 0
-				if top1Row != ra && top1Row != rb {
-					m = top1W
-				} else if top2Row >= 0 && top2Row != ra && top2Row != rb {
-					m = top2W
-				}
-				if na > m {
-					m = na
-				}
-				if nb > m {
-					m = nb
-				}
-			}
-		}
-		area[idx] = float64(m)
-	}
-}
-
-// swapBatchRelaxed is the reassociated batch kernel: dWeighted
-// accumulates in independent lanes (one per merge-walk side; two-way
-// unrolled one-sided tails) summed pairwise at the end, and the d != 0
-// accumulation guard is dropped (a zero delta contributes an exact +0.0
-// product), so consecutive FP adds are independent and the core can
-// overlap them. Lane assignment depends only on the candidate's net
-// visitation sequence — relaxed results are deterministic, just not
-// bit-identical to the scalar path.
-func swapBatchRelaxed[C coord](p *Placement, boxes []netBoxT[C], cands []SwapCand, keys []int64, w []float64, dLen, dWeighted, area []float64) {
-	pos := p.pos
-	off, flat := p.nl.CellNetsCSR()
-	widths := p.cellWidth
-	rowW := p.rowWidth
-	top1W, top2W := p.top1W, p.top2W
-	top1Row, top2Row := p.top1Row, p.top2Row
-
-	for t := 0; t < len(cands); t++ {
-		idx := t
-		if keys != nil {
-			idx = int(uint32(keys[t]))
-		}
-		a, b := cands[idx].A, cands[idx].B
-		pa, pb := pos[a], pos[b]
-		paCol, paRow := C(pa.Col), C(pa.Row)
-		pbCol, pbRow := C(pb.Col), C(pb.Row)
-		var di int32
-		var dW0, dW1 float64
-		if pa != pb {
-			an := flat[off[a]:off[a+1]]
-			bn := flat[off[b]:off[b+1]]
-			i, j := 0, 0
-			for i < len(an) && j < len(bn) {
-				na, nb := an[i], bn[j]
-				if na == nb { // shared net: box unchanged
-					i++
-					j++
-					continue
-				}
-				if na < nb {
-					bx := &boxes[na]
-					d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, paCol, pbCol)-(bx.maxX-bx.minX)) +
-						int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, paRow, pbRow)-(bx.maxY-bx.minY))
-					di += d
-					dW0 += w[na] * float64(d)
-					i++
-				} else {
-					bx := &boxes[nb]
-					d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pbCol, paCol)-(bx.maxX-bx.minX)) +
-						int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pbRow, paRow)-(bx.maxY-bx.minY))
-					di += d
-					dW1 += w[nb] * float64(d)
-					j++
-				}
-			}
-			for ; i+1 < len(an); i += 2 {
-				n0, n1 := an[i], an[i+1]
-				b0, b1 := &boxes[n0], &boxes[n1]
-				d0 := int32(axisExtent(b0.minX, b0.minX2, b0.maxX2, b0.maxX, paCol, pbCol)-(b0.maxX-b0.minX)) +
-					int32(axisExtent(b0.minY, b0.minY2, b0.maxY2, b0.maxY, paRow, pbRow)-(b0.maxY-b0.minY))
-				d1 := int32(axisExtent(b1.minX, b1.minX2, b1.maxX2, b1.maxX, paCol, pbCol)-(b1.maxX-b1.minX)) +
-					int32(axisExtent(b1.minY, b1.minY2, b1.maxY2, b1.maxY, paRow, pbRow)-(b1.maxY-b1.minY))
-				di += d0 + d1
-				dW0 += w[n0] * float64(d0)
-				dW1 += w[n1] * float64(d1)
-			}
-			if i < len(an) {
-				nid := an[i]
-				bx := &boxes[nid]
-				d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, paCol, pbCol)-(bx.maxX-bx.minX)) +
-					int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, paRow, pbRow)-(bx.maxY-bx.minY))
-				di += d
-				dW0 += w[nid] * float64(d)
-			}
-			for ; j+1 < len(bn); j += 2 {
-				n0, n1 := bn[j], bn[j+1]
-				b0, b1 := &boxes[n0], &boxes[n1]
-				d0 := int32(axisExtent(b0.minX, b0.minX2, b0.maxX2, b0.maxX, pbCol, paCol)-(b0.maxX-b0.minX)) +
-					int32(axisExtent(b0.minY, b0.minY2, b0.maxY2, b0.maxY, pbRow, paRow)-(b0.maxY-b0.minY))
-				d1 := int32(axisExtent(b1.minX, b1.minX2, b1.maxX2, b1.maxX, pbCol, paCol)-(b1.maxX-b1.minX)) +
-					int32(axisExtent(b1.minY, b1.minY2, b1.maxY2, b1.maxY, pbRow, paRow)-(b1.maxY-b1.minY))
-				di += d0 + d1
-				dW0 += w[n0] * float64(d0)
-				dW1 += w[n1] * float64(d1)
-			}
-			if j < len(bn) {
-				nid := bn[j]
-				bx := &boxes[nid]
-				d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pbCol, paCol)-(bx.maxX-bx.minX)) +
-					int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pbRow, paRow)-(bx.maxY-bx.minY))
-				di += d
-				dW1 += w[nid] * float64(d)
-			}
-		}
-		dLen[idx] = float64(di)
-		dWeighted[idx] = dW0 + dW1
 
 		// Area via the top-two row cache, inlined MaxRowWidthAfterSwap.
 		m := top1W

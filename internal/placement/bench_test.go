@@ -90,42 +90,6 @@ func BenchmarkSwapObjectivesBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSwapObjectivesBatchRelaxed measures the reassociated
-// (multi-lane) batch kernel for side-by-side comparison with the strict
-// kernel above.
-func BenchmarkSwapObjectivesBatchRelaxed(b *testing.B) {
-	const batch = 64
-	for _, circuit := range []string{"c532", "c1355"} {
-		b.Run(circuit, func(b *testing.B) {
-			p := benchPlacement(b, circuit)
-			p.SetRelaxedAccumulation(true)
-			pairs := benchPairs(1024, p.Netlist().NumCells())
-			w := make([]float64, p.Netlist().NumNets())
-			for i := range w {
-				w[i] = 1 / float64(i+1)
-			}
-			batches := make([][]SwapCand, len(pairs)/batch)
-			for bi := range batches {
-				cands := make([]SwapCand, batch)
-				for i := range cands {
-					pr := pairs[bi*batch+i]
-					cands[i] = SwapCand{A: pr[0], B: pr[1]}
-				}
-				batches[bi] = cands
-			}
-			dLen := make([]float64, batch)
-			dW := make([]float64, batch)
-			area := make([]float64, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.SwapObjectivesBatch(batches[i%len(batches)], w, dLen, dW, area)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/trial")
-		})
-	}
-}
-
 func BenchmarkApplySwap(b *testing.B) {
 	p := benchPlacement(b, "c532")
 	pairs := benchPairs(1024, p.Netlist().NumCells())

@@ -1,22 +1,6 @@
 package placement
 
-// L1-compact net boxes: the box array is the trial kernel's hottest
-// data structure (every candidate loads one box per affected net), and
-// at c1355 scale the int32 layout is ~45 KB — past a 32 KB L1d. Grid
-// coordinates are tiny (a few thousand slots per axis at most), so the
-// boxes are stored as int16 whenever the layout fits, halving the array
-// to ~22 KB and doubling the boxes per cache line; layouts whose
-// dimensions could overflow int16 keep the int32 layout. The two
-// layouts share one generic implementation and produce bit-identical
-// results: every per-net delta is an exact small integer computed the
-// same way in either width, and the float accumulation that consumes
-// the deltas never sees the storage type.
-
-// coord is a net-box coordinate type: int16 in the compact layout,
-// int32 in the wide fallback.
-type coord interface{ ~int16 | ~int32 }
-
-// netBoxT is a net's bounding box over its terminals' slot coordinates,
+// netBox is a net's bounding box over its terminals' slot coordinates,
 // augmented per axis with the runner-up order statistics: minX2 is the
 // second-smallest pin column (equal to minX when several pins share the
 // boundary — the boundary-multiplicity encoding), maxX2 the second
@@ -27,57 +11,22 @@ type coord interface{ ~int16 | ~int32 }
 // outward — the classic HPWL bookkeeping of timing-driven placers.
 // Nets always have ≥ 2 pins (netlist.Finish enforces a driver plus at
 // least one sink), so both statistics exist.
-type netBoxT[C coord] struct {
-	minX, minX2, maxX2, maxX C
-	minY, minY2, maxY2, maxY C
-}
-
-// netBox is the wide (int32) layout, also the scan/rebuild currency:
-// boxes are always computed wide and narrowed on store when compact.
-type netBox = netBoxT[int32]
-
-// compactMaxDim is the largest per-axis layout dimension the compact
-// int16 box layout accepts: coordinates then span [0, compactMaxDim-1],
-// strictly inside int16 range. Anything larger falls back to the int32
-// layout (see Placement.boxes16 == nil).
-const compactMaxDim = 1 << 15 // 32768; max coordinate 32767 = MaxInt16
-
-// compactFits reports whether a layout's coordinates fit the int16 box
-// layout.
-func compactFits(l Layout) bool {
-	return l.Rows <= compactMaxDim && l.Cols <= compactMaxDim
+type netBox struct {
+	minX, minX2, maxX2, maxX int32
+	minY, minY2, maxY2, maxY int32
 }
 
 // length returns the half-perimeter of the box.
-func boxLength[C coord](b *netBoxT[C]) float64 {
+func (b *netBox) length() float64 {
 	return float64(b.maxX-b.minX) + float64(b.maxY-b.minY)
-}
-
-// narrowBox converts a wide box to the compact layout; callers
-// guarantee the coordinates fit (compactFits held at construction).
-func narrowBox(b netBox) netBoxT[int16] {
-	return netBoxT[int16]{
-		minX: int16(b.minX), minX2: int16(b.minX2), maxX2: int16(b.maxX2), maxX: int16(b.maxX),
-		minY: int16(b.minY), minY2: int16(b.minY2), maxY2: int16(b.maxY2), maxY: int16(b.maxY),
-	}
-}
-
-// widenBox converts a compact box back to the wide currency (cold
-// paths: invariant checks, density maps, per-net HPWL queries).
-func widenBox(b netBoxT[int16]) netBox {
-	return netBox{
-		minX: int32(b.minX), minX2: int32(b.minX2), maxX2: int32(b.maxX2), maxX: int32(b.maxX),
-		minY: int32(b.minY), minY2: int32(b.minY2), maxY2: int32(b.maxY2), maxY: int32(b.maxY),
-	}
 }
 
 // axisExtent returns one axis' extent after removing a pin at `from`
 // and adding one at `to`, given the (m1 ≤ m2 … M2 ≤ M1) order
 // statistics: the runner-up takes over when the boundary pin leaves,
 // and the new pin can only push a boundary outward. Small enough to
-// inline, and every conditional compiles to a CMOV; instantiated per
-// coordinate width with identical integer results.
-func axisExtent[C coord](m1, m2, M2, M1, from, to C) C {
+// inline, and every conditional compiles to a CMOV.
+func axisExtent(m1, m2, M2, M1, from, to int32) int32 {
 	lo, hi := m1, M1
 	if from == lo {
 		lo = m2
@@ -96,11 +45,9 @@ func axisExtent[C coord](m1, m2, M2, M1, from, to C) C {
 
 // trialDelta returns the integer change of the net's half-perimeter if
 // one pin relocated from `from` to `to`, in O(1) with no pin access.
-// Extents are non-negative and bounded by the axis dimension, so they
-// widen to int32 exactly in either layout.
-func trialDelta[C coord](b *netBoxT[C], from, to Pos) int32 {
-	return int32(axisExtent(b.minX, b.minX2, b.maxX2, b.maxX, C(from.Col), C(to.Col))) - int32(b.maxX-b.minX) +
-		int32(axisExtent(b.minY, b.minY2, b.maxY2, b.maxY, C(from.Row), C(to.Row))) - int32(b.maxY-b.minY)
+func (b *netBox) trialDelta(from, to Pos) int32 {
+	return axisExtent(b.minX, b.minX2, b.maxX2, b.maxX, from.Col, to.Col) - (b.maxX - b.minX) +
+		axisExtent(b.minY, b.minY2, b.maxY2, b.maxY, from.Row, to.Row) - (b.maxY - b.minY)
 }
 
 // commitAxis resolves one axis of a committed single-pin move against
@@ -108,7 +55,7 @@ func trialDelta[C coord](b *netBoxT[C], from, to Pos) int32 {
 // one of the four tracked statistics would expose an untracked third
 // statistic, so ok=false demands a rescan; otherwise the removal leaves
 // the statistics alone and the addition updates them exactly.
-func commitAxis[C coord](m1, m2, M2, M1, from, to C) (C, C, C, C, bool) {
+func commitAxis(m1, m2, M2, M1, from, to int32) (int32, int32, int32, int32, bool) {
 	if from == to {
 		return m1, m2, M2, M1, true
 	}

@@ -22,10 +22,10 @@ func checkConsistency(p *Placement) error {
 	hpwl := 0.0
 	for n := 0; n < p.nl.NumNets(); n++ {
 		ref := p.scanBox(netlist.NetID(n))
-		if got := p.boxAt(netlist.NetID(n)); got != ref {
+		if got := p.boxes[n]; got != ref {
 			return fmt.Errorf("net %d box drifted: have %+v want %+v", n, got, ref)
 		}
-		hpwl += boxLength(&ref)
+		hpwl += ref.length()
 	}
 	if math.Abs(hpwl-p.hpwl) > 1e-6*(1+math.Abs(hpwl)) {
 		return fmt.Errorf("hpwl drifted: have %v want %v", p.hpwl, hpwl)
@@ -65,6 +65,50 @@ func checkConsistency(p *Placement) error {
 	return nil
 }
 
+// boundaryNetlist is a small random circuit for the wide-layout inputs:
+// enough cells and shared nets that batch merge walks hit the two-sided,
+// one-sided and shared-net cases.
+func boundaryNetlist(t *testing.T) *netlist.Netlist {
+	t.Helper()
+	r := rand.New(rand.NewSource(99))
+	const gates = 48
+	nl := &netlist.Netlist{Name: "boundary"}
+	nl.Cells = append(nl.Cells, netlist.Cell{Name: "pi", Width: 2, Kind: netlist.Input})
+	for i := 0; i < gates; i++ {
+		nl.Cells = append(nl.Cells, netlist.Cell{
+			Name:  "g" + string(rune('a'+i%26)) + string(rune('0'+i/26)),
+			Width: 1 + r.Intn(4), Delay: 0.1, Kind: netlist.Gate,
+		})
+	}
+	nl.Cells = append(nl.Cells, netlist.Cell{Name: "po", Width: 2, Kind: netlist.Output})
+	// One net per gate, driven by an earlier cell so the circuit stays
+	// acyclic, with 1-4 random later sinks (the last net feeds po).
+	for i := 0; i < gates; i++ {
+		drv := netlist.CellID(r.Intn(i + 1)) // 0 = pi or an earlier gate
+		sinks := []netlist.CellID{netlist.CellID(i + 1)}
+		for s := r.Intn(4); s > 0; s-- {
+			sk := netlist.CellID(i + 1 + r.Intn(gates+1-i))
+			dup := sk == drv
+			for _, have := range sinks {
+				dup = dup || sk == have
+			}
+			if !dup {
+				sinks = append(sinks, sk)
+			}
+		}
+		nl.Nets = append(nl.Nets, netlist.Net{Name: "n", Driver: drv, Sinks: sinks})
+	}
+	if err := nl.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return nl
+}
+
+// wideLayout's column indices run to 32768, one past what int16 can
+// hold, so the large-coordinate end of the int32 box layout stays
+// covered.
+var wideLayout = Layout{Rows: 2, Cols: 32769}
+
 // randomPair returns two distinct random cells.
 func randomPair(r *rand.Rand, cells int) (netlist.CellID, netlist.CellID) {
 	a := netlist.CellID(r.Intn(cells))
@@ -76,24 +120,28 @@ func randomPair(r *rand.Rand, cells int) (netlist.CellID, netlist.CellID) {
 }
 
 func TestIncrementalMatchesRecomputeUnderRandomOps(t *testing.T) {
+	nl := testNetlist(t, 120, 7)
+	boundary := boundaryNetlist(t)
 	for _, tc := range []struct {
-		name string
-		util float64
+		name  string
+		nl    *netlist.Netlist
+		l     Layout
+		moves bool
 	}{
-		{"full-grid", 1.0},   // swaps only (no empty slots)
-		{"spare-slots", 0.8}, // swaps + relocations
+		{"full-grid", nl, AutoLayout(nl, 1.0), false},  // swaps only (no empty slots)
+		{"spare-slots", nl, AutoLayout(nl, 0.8), true}, // swaps + relocations
+		{"wide-grid", boundary, wideLayout, true},      // coordinates past int16
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			nl := testNetlist(t, 120, 7)
-			p, err := New(nl, AutoLayout(nl, tc.util))
+			p, err := New(tc.nl, tc.l)
 			if err != nil {
 				t.Fatal(err)
 			}
 			r := rand.New(rand.NewSource(11))
 			p.Randomize(r)
-			cells := nl.NumCells()
+			cells := tc.nl.NumCells()
 			for step := 0; step < 4000; step++ {
-				if tc.util < 1 && r.Intn(3) == 0 {
+				if tc.moves && r.Intn(3) == 0 {
 					c := netlist.CellID(r.Intn(cells))
 					slot := p.RandomEmptySlot(r)
 					if slot < 0 {
@@ -177,50 +225,63 @@ func TestSwapDeltaWeightedMatchesVisit(t *testing.T) {
 // MaxRowWidthAfterSwap. Batch sizes straddle the internal sort threshold
 // so both the generation-order and sorted visit paths are exercised, the
 // placement mutates between batches, candidates include degenerate a==b
-// pairs, and every fifth batch runs unweighted (nil w).
+// pairs, and every fifth batch runs unweighted (nil w). The wide-grid
+// input repeats the fuzz with coordinates past the int16 range.
 func TestSwapObjectivesBatchMatchesScalar(t *testing.T) {
 	nl := testNetlist(t, 120, 7)
-	p, err := New(nl, AutoLayout(nl, 0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(23))
-	p.Randomize(r)
-	w := make([]float64, nl.NumNets())
-	for n := range w {
-		w[n] = r.Float64()
-	}
-	cells := nl.NumCells()
-	const maxBatch = 64
-	cands := make([]SwapCand, 0, maxBatch)
-	dLen := make([]float64, maxBatch)
-	dW := make([]float64, maxBatch)
-	area := make([]float64, maxBatch)
-	for batch := 0; batch < 2500; batch++ {
-		n := 1 + r.Intn(maxBatch) // straddles batchSortMin
-		cands = cands[:0]
-		for i := 0; i < n; i++ {
-			a := netlist.CellID(r.Intn(cells))
-			b := netlist.CellID(r.Intn(cells)) // a == b allowed
-			cands = append(cands, SwapCand{A: a, B: b})
-		}
-		wv := w
-		if batch%5 == 0 {
-			wv = nil
-		}
-		p.SwapObjectivesBatch(cands, wv, dLen, dW, area)
-		for i, c := range cands {
-			wantL, wantW := p.SwapDeltaWeighted(c.A, c.B, wv)
-			wantA := float64(p.MaxRowWidthAfterSwap(c.A, c.B))
-			if math.Float64bits(dLen[i]) != math.Float64bits(wantL) ||
-				math.Float64bits(dW[i]) != math.Float64bits(wantW) ||
-				math.Float64bits(area[i]) != math.Float64bits(wantA) {
-				t.Fatalf("batch %d cand %d (%d,%d): batch=(%v,%v,%v) scalar=(%v,%v,%v)",
-					batch, i, c.A, c.B, dLen[i], dW[i], area[i], wantL, wantW, wantA)
+	boundary := boundaryNetlist(t)
+	for _, tc := range []struct {
+		name string
+		nl   *netlist.Netlist
+		l    Layout
+	}{
+		{"auto-layout", nl, AutoLayout(nl, 0.9)},
+		{"wide-grid", boundary, wideLayout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := New(tc.nl, tc.l)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		a, b := randomPair(r, cells)
-		p.SwapCells(a, b) // batches must agree on every placement, not just one
+			r := rand.New(rand.NewSource(23))
+			p.Randomize(r)
+			w := make([]float64, tc.nl.NumNets())
+			for n := range w {
+				w[n] = r.Float64()
+			}
+			cells := tc.nl.NumCells()
+			const maxBatch = 64
+			cands := make([]SwapCand, 0, maxBatch)
+			dLen := make([]float64, maxBatch)
+			dW := make([]float64, maxBatch)
+			area := make([]float64, maxBatch)
+			for batch := 0; batch < 2500; batch++ {
+				n := 1 + r.Intn(maxBatch) // straddles batchSortMin
+				cands = cands[:0]
+				for i := 0; i < n; i++ {
+					a := netlist.CellID(r.Intn(cells))
+					b := netlist.CellID(r.Intn(cells)) // a == b allowed
+					cands = append(cands, SwapCand{A: a, B: b})
+				}
+				wv := w
+				if batch%5 == 0 {
+					wv = nil
+				}
+				p.SwapObjectivesBatch(cands, wv, dLen, dW, area)
+				for i, c := range cands {
+					wantL, wantW := p.SwapDeltaWeighted(c.A, c.B, wv)
+					wantA := float64(p.MaxRowWidthAfterSwap(c.A, c.B))
+					if math.Float64bits(dLen[i]) != math.Float64bits(wantL) ||
+						math.Float64bits(dW[i]) != math.Float64bits(wantW) ||
+						math.Float64bits(area[i]) != math.Float64bits(wantA) {
+						t.Fatalf("batch %d cand %d (%d,%d): batch=(%v,%v,%v) scalar=(%v,%v,%v)",
+							batch, i, c.A, c.B, dLen[i], dW[i], area[i], wantL, wantW, wantA)
+					}
+				}
+				a, b := randomPair(r, cells)
+				p.SwapCells(a, b) // batches must agree on every placement, not just one
+			}
+		})
 	}
 }
 

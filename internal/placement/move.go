@@ -45,22 +45,13 @@ func (p *Placement) RandomEmptySlot(r *rand.Rand) int {
 // placement and without allocating. Pass w == nil to skip the weighted
 // sum. O(1) per net of c (see netBox.trialDelta).
 func (p *Placement) MoveDeltaWeighted(c netlist.CellID, to Pos, w []float64) (dLen, dWeighted float64) {
-	if p.boxes16 != nil {
-		return moveDeltaWeighted(p, p.boxes16, c, to, w)
-	}
-	return moveDeltaWeighted(p, p.boxes, c, to, w)
-}
-
-// moveDeltaWeighted is MoveDeltaWeighted's generic body over one box
-// layout.
-func moveDeltaWeighted[C coord](p *Placement, boxes []netBoxT[C], c netlist.CellID, to Pos, w []float64) (dLen, dWeighted float64) {
 	from := p.pos[c]
 	if from == to {
 		return 0, 0
 	}
 	var di int32
 	for _, n := range p.nl.CellNets(c) {
-		if d := trialDelta(&boxes[n], from, to); d != 0 {
+		if d := p.boxes[n].trialDelta(from, to); d != 0 {
 			di += d
 			if w != nil {
 				dWeighted += w[n] * float64(d)
@@ -89,9 +80,9 @@ func (p *Placement) VisitMoveDeltas(c netlist.CellID, to Pos, fn func(n netlist.
 		return
 	}
 	for _, n := range p.nl.CellNets(c) {
-		b := p.boxAt(n)
-		if d := trialDelta(&b, from, to); d != 0 {
-			old := boxLength(&b)
+		b := &p.boxes[n]
+		if d := b.trialDelta(from, to); d != 0 {
+			old := b.length()
 			fn(n, old, old+float64(d))
 		}
 	}
@@ -128,14 +119,8 @@ func (p *Placement) MoveToSlot(c netlist.CellID, to Pos) error {
 	if from == to {
 		return nil
 	}
-	if p.boxes16 != nil {
-		for _, n := range p.nl.CellNets(c) {
-			commitPinMove(p, p.boxes16, n, from, to)
-		}
-	} else {
-		for _, n := range p.nl.CellNets(c) {
-			commitPinMove(p, p.boxes, n, from, to)
-		}
+	for _, n := range p.nl.CellNets(c) {
+		p.commitPinMove(n, from, to)
 	}
 	if from.Row != to.Row {
 		w := p.nl.Cells[c].Width
@@ -158,7 +143,7 @@ func (p *Placement) PinDensity() [][]float64 {
 		grid[r] = make([]float64, p.L.Cols)
 	}
 	for n := 0; n < p.nl.NumNets(); n++ {
-		b := p.boxAt(netlist.NetID(n))
+		b := p.boxes[n]
 		area := float64((b.maxX - b.minX + 1) * (b.maxY - b.minY + 1))
 		weight := float64(p.nl.Nets[n].Degree()) / area
 		for r := b.minY; r <= b.maxY; r++ {

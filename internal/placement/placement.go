@@ -27,13 +27,7 @@ type Placement struct {
 	pos  []Pos            // cell -> slot position
 	slot []netlist.CellID // linear slot index -> cell (None if empty)
 
-	// Per-net counted bounding boxes, in exactly one of two layouts:
-	// boxes16 (the compact int16 layout, chosen when compactFits(L) so
-	// benchmark-scale box arrays stay L1-resident) or boxes (the wide
-	// int32 fallback for oversized layouts). The unused slice is nil;
-	// both layouts produce bit-identical deltas (see box.go).
-	boxes   []netBox
-	boxes16 []netBoxT[int16]
+	boxes []netBox // per-net counted bounding boxes
 
 	hpwl float64 // total half-perimeter wirelength
 
@@ -51,10 +45,6 @@ type Placement struct {
 	// through them drags whole cache lines per cell); built once in New
 	// and shared by clones like the netlist itself.
 	cellWidth []int32
-
-	// relaxed selects the reassociated batch-accumulation kernel for
-	// SwapObjectivesBatch (see batch.go); scalar kernels are unaffected.
-	relaxed bool
 
 	// Scratch: rescan queues nets whose box needs a full recompute after
 	// a commit, importSeen backs Import validation, batchKeys holds the
@@ -80,13 +70,9 @@ func New(nl *netlist.Netlist, l Layout) (*Placement, error) {
 		L:         l,
 		pos:       make([]Pos, nl.NumCells()),
 		slot:      make([]netlist.CellID, l.Slots()),
+		boxes:     make([]netBox, nl.NumNets()),
 		rowWidth:  make([]int, l.Rows),
 		cellWidth: make([]int32, nl.NumCells()),
-	}
-	if compactFits(l) {
-		p.boxes16 = make([]netBoxT[int16], nl.NumNets())
-	} else {
-		p.boxes = make([]netBox, nl.NumNets())
 	}
 	for c := range p.cellWidth {
 		p.cellWidth[c] = int32(nl.Cells[c].Width)
@@ -124,10 +110,7 @@ func (p *Placement) CellAt(at Pos) netlist.CellID { return p.slot[p.L.SlotIndex(
 func (p *Placement) HPWL() float64 { return p.hpwl }
 
 // NetHPWL returns the maintained half-perimeter of one net.
-func (p *Placement) NetHPWL(n netlist.NetID) float64 {
-	b := p.boxAt(n)
-	return boxLength(&b)
-}
+func (p *Placement) NetHPWL(n netlist.NetID) float64 { return p.boxes[n].length() }
 
 // MaxRowWidth returns the width of the widest row, the area objective.
 func (p *Placement) MaxRowWidth() int { return p.top1W }
@@ -135,63 +118,13 @@ func (p *Placement) MaxRowWidth() int { return p.top1W }
 // RowWidth returns the occupied width of one row.
 func (p *Placement) RowWidth(row int) int { return p.rowWidth[row] }
 
-// Compact reports whether this placement stores its net boxes in the
-// L1-compact int16 layout (chosen automatically when the layout's
-// dimensions fit; see box.go).
-func (p *Placement) Compact() bool { return p.boxes16 != nil }
-
-// SetRelaxedAccumulation selects the reassociated batch-accumulation
-// kernel for SwapObjectivesBatch: the weighted-delta sum is accumulated
-// in independent lanes instead of the strictly ascending-net-id serial
-// order, so results may differ from the scalar path in final-ulp
-// rounding (deterministically — the relaxed order is fixed too). Off
-// (the default), batch evaluation is bit-identical to the scalar
-// kernels. Scalar trial and commit paths are unaffected either way.
-func (p *Placement) SetRelaxedAccumulation(on bool) { p.relaxed = on }
-
-// RelaxedAccumulation reports the current batch-accumulation mode.
-func (p *Placement) RelaxedAccumulation() bool { return p.relaxed }
-
-// boxAt returns net n's box in the wide currency regardless of layout;
-// cold paths (per-net queries, invariant checks, density maps) use it.
-func (p *Placement) boxAt(n netlist.NetID) netBox {
-	if p.boxes16 != nil {
-		return widenBox(p.boxes16[n])
-	}
-	return p.boxes[n]
-}
-
-// setBox stores a freshly scanned wide box into the active layout.
-func (p *Placement) setBox(n netlist.NetID, b netBox) {
-	if p.boxes16 != nil {
-		p.boxes16[n] = narrowBox(b)
-	} else {
-		p.boxes[n] = b
-	}
-}
-
-// forceWideBoxes rebuilds the box store in the wide int32 layout even
-// when the compact one fits — the test hook that lets the compaction
-// boundary be fuzzed by running both layouts on one placement.
-func (p *Placement) forceWideBoxes() {
-	if p.boxes16 == nil {
-		return
-	}
-	p.boxes = make([]netBox, len(p.boxes16))
-	for n, b := range p.boxes16 {
-		p.boxes[n] = widenBox(b)
-	}
-	p.boxes16 = nil
-}
-
 // recomputeAll rebuilds every net box, the total HPWL, the row widths
 // and the top-two cache from scratch. O(pins + rows).
 func (p *Placement) recomputeAll() {
 	p.hpwl = 0
 	for n := 0; n < p.nl.NumNets(); n++ {
-		b := p.scanBox(netlist.NetID(n))
-		p.setBox(netlist.NetID(n), b)
-		p.hpwl += boxLength(&b)
+		p.boxes[n] = p.scanBox(netlist.NetID(n))
+		p.hpwl += p.boxes[n].length()
 	}
 	for r := range p.rowWidth {
 		p.rowWidth[r] = 0
@@ -203,9 +136,8 @@ func (p *Placement) recomputeAll() {
 }
 
 // scanBox computes net n's bounding box with runner-up statistics from
-// the current positions by scanning its pins, in the wide currency
-// (setBox narrows it when the compact layout is active). O(degree);
-// recomputeAll and the commit fallback use it. The running
+// the current positions by scanning its pins. O(degree); recomputeAll
+// and the commit fallback use it. The running
 // two-smallest/two-largest updates are phrased as min/max pairs so they
 // compile to conditional moves instead of data-dependent branches.
 func (p *Placement) scanBox(n netlist.NetID) netBox {
@@ -237,26 +169,16 @@ func (p *Placement) scanBox(n netlist.NetID) netBox {
 // by a merge walk over the two sorted CSR net lists and skipped
 // outright: exchanging two of a net's pins leaves its pin multiset, and
 // hence its box, unchanged.
+//
+// Like the batch kernel, the per-net delta is trialDelta's arithmetic
+// written out in the loop: axisExtent inlines where the composed
+// trialDelta would cost a call per net.
 func (p *Placement) SwapDeltaWeighted(a, b netlist.CellID, w []float64) (dLen, dWeighted float64) {
-	if p.boxes16 != nil {
-		return swapDeltaWeighted(p, p.boxes16, a, b, w)
-	}
-	return swapDeltaWeighted(p, p.boxes, a, b, w)
-}
-
-// swapDeltaWeighted is SwapDeltaWeighted's generic body over one box
-// layout; the accumulation order (globally ascending net id, serial) is
-// identical in both instantiations. Like the batch kernels, the per-net
-// delta is trialDelta's arithmetic written out in the loop (axisExtent
-// inlines where the composed trialDelta would cost a call per net), with
-// the positions converted to the box width C once.
-func swapDeltaWeighted[C coord](p *Placement, boxes []netBoxT[C], a, b netlist.CellID, w []float64) (dLen, dWeighted float64) {
 	pa, pb := p.pos[a], p.pos[b]
 	if pa == pb {
 		return 0, 0
 	}
-	paCol, paRow := C(pa.Col), C(pa.Row)
-	pbCol, pbRow := C(pb.Col), C(pb.Row)
+	boxes := p.boxes
 	an, bn := p.nl.CellNets(a), p.nl.CellNets(b)
 	var di int32
 	i, j := 0, 0
@@ -267,8 +189,8 @@ func swapDeltaWeighted[C coord](p *Placement, boxes []netBoxT[C], a, b netlist.C
 			j++
 		case na < nb:
 			bx := &boxes[na]
-			d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, paCol, pbCol)-(bx.maxX-bx.minX)) +
-				int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, paRow, pbRow)-(bx.maxY-bx.minY))
+			d := axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pa.Col, pb.Col) - (bx.maxX - bx.minX) +
+				axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pa.Row, pb.Row) - (bx.maxY - bx.minY)
 			if d != 0 {
 				di += d
 				if w != nil {
@@ -278,8 +200,8 @@ func swapDeltaWeighted[C coord](p *Placement, boxes []netBoxT[C], a, b netlist.C
 			i++
 		default:
 			bx := &boxes[nb]
-			d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pbCol, paCol)-(bx.maxX-bx.minX)) +
-				int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pbRow, paRow)-(bx.maxY-bx.minY))
+			d := axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pb.Col, pa.Col) - (bx.maxX - bx.minX) +
+				axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pb.Row, pa.Row) - (bx.maxY - bx.minY)
 			if d != 0 {
 				di += d
 				if w != nil {
@@ -291,8 +213,8 @@ func swapDeltaWeighted[C coord](p *Placement, boxes []netBoxT[C], a, b netlist.C
 	}
 	for ; i < len(an); i++ {
 		bx := &boxes[an[i]]
-		d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, paCol, pbCol)-(bx.maxX-bx.minX)) +
-			int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, paRow, pbRow)-(bx.maxY-bx.minY))
+		d := axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pa.Col, pb.Col) - (bx.maxX - bx.minX) +
+			axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pa.Row, pb.Row) - (bx.maxY - bx.minY)
 		if d != 0 {
 			di += d
 			if w != nil {
@@ -302,8 +224,8 @@ func swapDeltaWeighted[C coord](p *Placement, boxes []netBoxT[C], a, b netlist.C
 	}
 	for ; j < len(bn); j++ {
 		bx := &boxes[bn[j]]
-		d := int32(axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pbCol, paCol)-(bx.maxX-bx.minX)) +
-			int32(axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pbRow, paRow)-(bx.maxY-bx.minY))
+		d := axisExtent(bx.minX, bx.minX2, bx.maxX2, bx.maxX, pb.Col, pa.Col) - (bx.maxX - bx.minX) +
+			axisExtent(bx.minY, bx.minY2, bx.maxY2, bx.maxY, pb.Row, pa.Row) - (bx.maxY - bx.minY)
 		if d != 0 {
 			di += d
 			if w != nil {
@@ -325,9 +247,9 @@ func (p *Placement) VisitSwapDeltas(a, b netlist.CellID, fn func(n netlist.NetID
 		return
 	}
 	visit := func(n netlist.NetID, from, to Pos) {
-		b := p.boxAt(n)
-		if d := trialDelta(&b, from, to); d != 0 {
-			old := boxLength(&b)
+		b := &p.boxes[n]
+		if d := b.trialDelta(from, to); d != 0 {
+			old := b.length()
 			fn(n, old, old+float64(d))
 		}
 	}
@@ -455,20 +377,20 @@ func (p *Placement) refreshTopRows() {
 // p.rescan for a stats rebuild after the caller updates the position
 // arrays. Trials never rescan (see trialDelta); this amortized
 // fallback runs only on the rare committed moves.
-func commitPinMove[C coord](p *Placement, boxes []netBoxT[C], n netlist.NetID, from, to Pos) {
-	b := &boxes[n]
-	p.hpwl += float64(trialDelta(b, from, to))
+func (p *Placement) commitPinMove(n netlist.NetID, from, to Pos) {
+	b := &p.boxes[n]
+	p.hpwl += float64(b.trialDelta(from, to))
 	if len(p.nl.Pins(n)) <= 3 {
 		// Every pin of a 2- or 3-pin net is one of the four tracked
 		// statistics on each axis, so the O(1) update can never apply.
 		p.rescan = append(p.rescan, n)
 		return
 	}
-	loX, loX2, hiX2, hiX, okX := commitAxis(b.minX, b.minX2, b.maxX2, b.maxX, C(from.Col), C(to.Col))
+	loX, loX2, hiX2, hiX, okX := commitAxis(b.minX, b.minX2, b.maxX2, b.maxX, from.Col, to.Col)
 	if okX {
-		loY, loY2, hiY2, hiY, okY := commitAxis(b.minY, b.minY2, b.maxY2, b.maxY, C(from.Row), C(to.Row))
+		loY, loY2, hiY2, hiY, okY := commitAxis(b.minY, b.minY2, b.maxY2, b.maxY, from.Row, to.Row)
 		if okY {
-			*b = netBoxT[C]{
+			*b = netBox{
 				minX: loX, minX2: loX2, maxX2: hiX2, maxX: hiX,
 				minY: loY, minY2: loY2, maxY2: hiY2, maxY: hiY,
 			}
@@ -483,7 +405,7 @@ func commitPinMove[C coord](p *Placement, boxes []netBoxT[C], n netlist.NetID, f
 // time.
 func (p *Placement) flushRescans() {
 	for _, n := range p.rescan {
-		p.setBox(n, p.scanBox(n))
+		p.boxes[n] = p.scanBox(n)
 	}
 	p.rescan = p.rescan[:0]
 }
@@ -499,10 +421,26 @@ func (p *Placement) SwapCells(a, b netlist.CellID) {
 
 	// Net boxes and total HPWL; nets carrying both cells keep their box
 	// (merge walk over the sorted CSR net lists, as in SwapDeltaWeighted).
-	if p.boxes16 != nil {
-		swapCommitBoxes(p, p.boxes16, a, b, pa, pb)
-	} else {
-		swapCommitBoxes(p, p.boxes, a, b, pa, pb)
+	an, bn := p.nl.CellNets(a), p.nl.CellNets(b)
+	i, j := 0, 0
+	for i < len(an) && j < len(bn) {
+		switch na, nb := an[i], bn[j]; {
+		case na == nb:
+			i++
+			j++
+		case na < nb:
+			p.commitPinMove(na, pa, pb)
+			i++
+		default:
+			p.commitPinMove(nb, pb, pa)
+			j++
+		}
+	}
+	for ; i < len(an); i++ {
+		p.commitPinMove(an[i], pa, pb)
+	}
+	for ; j < len(bn); j++ {
+		p.commitPinMove(bn[j], pb, pa)
 	}
 
 	// Row widths and the top-two cache.
@@ -519,33 +457,6 @@ func (p *Placement) SwapCells(a, b netlist.CellID) {
 	p.slot[p.L.SlotIndex(pa)] = b
 	p.slot[p.L.SlotIndex(pb)] = a
 	p.flushRescans()
-}
-
-// swapCommitBoxes commits the per-net box updates of a swap over one
-// box layout: the same merge walk as swapDeltaWeighted, with
-// commitPinMove at every non-shared net.
-func swapCommitBoxes[C coord](p *Placement, boxes []netBoxT[C], a, b netlist.CellID, pa, pb Pos) {
-	an, bn := p.nl.CellNets(a), p.nl.CellNets(b)
-	i, j := 0, 0
-	for i < len(an) && j < len(bn) {
-		switch na, nb := an[i], bn[j]; {
-		case na == nb:
-			i++
-			j++
-		case na < nb:
-			commitPinMove(p, boxes, na, pa, pb)
-			i++
-		default:
-			commitPinMove(p, boxes, nb, pb, pa)
-			j++
-		}
-	}
-	for ; i < len(an); i++ {
-		commitPinMove(p, boxes, an[i], pa, pb)
-	}
-	for ; j < len(bn); j++ {
-		commitPinMove(p, boxes, bn[j], pb, pa)
-	}
 }
 
 // Randomize shuffles all cells across all slots using r.
@@ -628,7 +539,6 @@ func (p *Placement) Clone() *Placement {
 		pos:       append([]Pos(nil), p.pos...),
 		slot:      append([]netlist.CellID(nil), p.slot...),
 		boxes:     append([]netBox(nil), p.boxes...),
-		boxes16:   append([]netBoxT[int16](nil), p.boxes16...),
 		hpwl:      p.hpwl,
 		rowWidth:  append([]int(nil), p.rowWidth...),
 		top1W:     p.top1W,
@@ -636,7 +546,6 @@ func (p *Placement) Clone() *Placement {
 		top1Row:   p.top1Row,
 		top2Row:   p.top2Row,
 		cellWidth: p.cellWidth, // immutable, shared like the netlist
-		relaxed:   p.relaxed,
 	}
 	return q
 }

@@ -31,62 +31,6 @@ type BatchEvaluator interface {
 	DeltaSwapBatch(cands []SwapCand, out []float64)
 }
 
-// RelaxedAccumulator is the optional capability a Problem implements to
-// offer a relaxed-accumulation batch mode: with it on, DeltaSwapBatch
-// may reassociate its internal floating-point sums (multi-lane or
-// vector-width accumulation) instead of reproducing the scalar path's
-// serial order, trading the bit-identity clause of BatchEvaluator's
-// contract for throughput. Relaxed results must still be deterministic
-// — the same inputs always produce the same outputs — just not
-// necessarily the scalar bits. Off is the mandatory default.
-type RelaxedAccumulator interface {
-	SetRelaxedAccumulation(on bool)
-}
-
-// SetRelaxedAccumulation switches prob's batch accumulation mode when
-// it has one, reporting whether it did; problems without the capability
-// are always strict.
-func SetRelaxedAccumulation(prob Problem, on bool) bool {
-	ra, ok := prob.(RelaxedAccumulator)
-	if ok {
-		ra.SetRelaxedAccumulation(on)
-	}
-	return ok
-}
-
-// EvalPooler is the optional capability a Problem implements to shard
-// batch evaluation across a pool of persistent worker goroutines.
-// Implementations may ignore the setting outside relaxed-accumulation
-// mode. A problem with a pool must also implement Closer; owners call
-// Close when retiring the state.
-type EvalPooler interface {
-	SetEvalWorkers(workers int)
-}
-
-// SetEvalWorkers sizes prob's evaluation pool when it has one,
-// reporting whether it did.
-func SetEvalWorkers(prob Problem, workers int) bool {
-	ep, ok := prob.(EvalPooler)
-	if ok {
-		ep.SetEvalWorkers(workers)
-	}
-	return ok
-}
-
-// Closer is the optional capability of states holding resources beyond
-// memory (the evaluation pool's goroutines); Close releases them and
-// must be idempotent.
-type Closer interface {
-	Close()
-}
-
-// Close releases prob's resources when it has any.
-func Close(prob Problem) {
-	if c, ok := prob.(Closer); ok {
-		c.Close()
-	}
-}
-
 // EvalDeltaBatch evaluates a candidate batch through the problem's
 // batch kernel when it implements BatchEvaluator, and falls back to
 // per-candidate DeltaSwap otherwise. out must have at least len(cands)

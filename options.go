@@ -205,8 +205,11 @@ func WithVirtualTime() Option {
 // executing genuinely in parallel, on in-process goroutines by default
 // or across OS processes with WithListen/WithTransport. The modeled
 // per-trial work charge does not apply unless WithWorkScale asks for
-// speed emulation, and results are not deterministic in time (with
-// half-sync off, the search outcome still is).
+// speed emulation, and results are not deterministic in time. With
+// half-sync off the search outcome is deterministic in the seed only
+// for 1 TSW x 1 CLW: with two or more TSWs or CLWs the master keeps the
+// first-arrived of equal-cost reports and CLW ties follow arrival
+// order, so real-time runs are not reproducible per seed.
 func WithRealTime() Option {
 	return func(s *settings) { s.mode, s.modeSet = core.Real, true }
 }
@@ -252,32 +255,4 @@ func WithTabu(tenure, trials, depth int) Option {
 // 0 disables diversification.
 func WithDiversification(depth int) Option {
 	return func(s *settings) { s.cfg.DiversifyDepth = depth }
-}
-
-// WithRelaxedAccumulation opts batch trial evaluation into the relaxed
-// (reassociated) accumulation kernels: weighted-delta sums accumulate
-// in independent lanes and the fuzzy-cost fold multiplies by hoisted
-// reciprocals instead of dividing, which is measurably faster but may
-// differ from the strict path in final-ulp rounding.
-//
-// Off (the default), batch evaluation is bit-for-bit identical to
-// scalar evaluation and fixed-seed runs reproduce the strict goldens.
-// On, fixed-seed runs are still exactly reproducible — the relaxed
-// kernels are deterministic, and the flag travels in the job payload so
-// every worker of a distributed run scores identically — they just pin
-// a different (relaxed-mode) golden trajectory. Problems without a
-// relaxed kernel (e.g. QAP) are unaffected.
-func WithRelaxedAccumulation(on bool) Option {
-	return func(s *settings) { s.cfg.RelaxedAccumulation = on }
-}
-
-// WithEvaluationPool sizes the per-CLW evaluation pool: each
-// candidate-list worker shards its trial batches across `workers`
-// persistent goroutines, overlapping the evaluation of independent
-// candidates on multi-core nodes. Requires WithRelaxedAccumulation —
-// strict mode keeps the single-threaded batch path its bit-identity
-// contract is audited against, and Solve rejects the combination.
-// 0 or 1 (the default) disables the pool.
-func WithEvaluationPool(workers int) Option {
-	return func(s *settings) { s.cfg.EvalWorkers = workers }
 }

@@ -4,8 +4,9 @@ import "pts/internal/core"
 
 // State is the mutable search state one worker drives: a solution over
 // elements 0..Size()-1 whose neighborhood is pairwise swaps, encoded
-// compactly as a permutation. Implementations need not be safe for
-// concurrent use — every worker owns its own State.
+// compactly as a snapshot of Size() distinct int32 values.
+// Implementations need not be safe for concurrent use — every worker
+// owns its own State.
 //
 // A State may additionally implement `Refresh()` to resynchronize
 // cached models (the placement evaluator re-runs timing analysis
@@ -21,7 +22,10 @@ type State interface {
 	// ApplySwap swaps elements a and b and updates the cost. A swap is
 	// its own inverse.
 	ApplySwap(a, b int32)
-	// Snapshot captures the current solution as a permutation.
+	// Snapshot captures the current solution as Size() distinct values
+	// whose range is problem-defined: a permutation of [0, Size()) for
+	// QAP and the scheduling workloads, slot indices over a grid with
+	// more slots than cells for placement.
 	Snapshot() []int32
 	// Restore replaces the current solution with a prior snapshot,
 	// leaving the state fully consistent (cached costs recomputed).
@@ -38,8 +42,9 @@ type Problem interface {
 	// Name identifies the problem instance in results and progress
 	// snapshots.
 	Name() string
-	// Size returns the number of swappable elements; snapshots are
-	// permutations of [0, Size()).
+	// Size returns the number of swappable elements; snapshots hold
+	// Size() distinct values in a problem-defined range (see
+	// State.Snapshot), which NewState and Restore validate.
 	Size() int32
 	// Initial derives the run's shared initial State deterministically
 	// from seed. It is called exactly once per run, before any worker

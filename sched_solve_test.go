@@ -93,6 +93,37 @@ func TestFT06ReachesOptimum(t *testing.T) {
 	}
 }
 
+// TestFT10NeverBelowOptimum is the integrity direction of the ft10
+// gate: 930 is ft10's proven optimal makespan, so no search may go
+// below it. On the published data these fixed-seed solves end at
+// 937–990; a drifted instance row shows up as a makespan under 930
+// (with the last job's machine routing wrong, seed 52 reaches 912).
+func TestFT10NeverBelowOptimum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ft10 solves take about half a second each")
+	}
+	prob, err := JobShopBenchmark("ft10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{3, 21, 52} {
+		res, err := Solve(context.Background(), prob,
+			WithWorkers(4, 1),
+			WithIterations(25, 120),
+			WithTabu(10, 12, 4),
+			WithDiversification(12),
+			WithSeed(seed),
+			WithCluster(Testbed12(12)),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BestCost < 930 {
+			t.Fatalf("seed %d: ft10 makespan %.0f beats the proven optimum 930: embedded instance data or engine is wrong", seed, res.BestCost)
+		}
+	}
+}
+
 // TestTa001ReachesOptimum is the flow shop acceptance gate: ta001's
 // proven optimal makespan is 1278 (the Taillard header's upper bound),
 // and at this fixed seed a moderately sized search reaches it exactly.
