@@ -157,10 +157,11 @@ func TestAdaptiveWorkerLossDegradesGracefully(t *testing.T) {
 	}
 	defer master.Close()
 
-	// Join order fixes the slot ring: with 1 TSW x 3 CLWs over
-	// (master + 3 workers), the TSW lands on the first worker and CLWs
-	// on the second, third and the master process — so killing the
-	// third worker kills exactly one CLW.
+	// Join order fixes the slot ring: with 1 TSW x 3 CLWs over 3
+	// workers, machine indices wrap over the worker slots only, so the
+	// TSW lands on the first worker, CLWs 0 and 1 on the second and
+	// third, and CLW 2 back on the first — so killing the third worker
+	// kills exactly one CLW.
 	waitJoined := func(want int) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)

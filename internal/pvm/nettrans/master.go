@@ -385,7 +385,9 @@ func (m *Master) Run(opts pvm.Options, root pvm.TaskFunc) (float64, error) {
 }
 
 // buildJob lays out one run over the claimed nodes: slot 0 is this
-// process, each worker contributes capacity slots. The slot table must
+// process, each worker contributes capacity slots, and machine indices
+// from 1 up wrap over the worker slots alone (ringSlot), so only the
+// root stays here when the run has workers. The slot table must
 // be complete before the job is published: once a node's job pointer is
 // set, frames from (possibly misbehaving) claimed workers are
 // dispatched into j and must never observe totalSlots == 0.
@@ -584,7 +586,8 @@ var ErrNoCapacity = fmt.Errorf("nettrans: not enough idle workers")
 // Lease is a claimed slice of the fleet: the workers it holds belong to
 // exactly one run for the lease's lifetime, so concurrent leases never
 // share a machine slot. A Lease is a pvm.Transport (Run hosts one run
-// on the leased workers, with slot 0 in the master process) and a
+// on the leased workers: machine 0, the root, runs in the master
+// process and every other machine index on a leased worker) and a
 // pvm.Finisher (Finish delivers the final summary and returns the
 // surviving workers — connections intact — to the lobby). Release is
 // the idempotent cleanup for every other path: a lease abandoned before
@@ -601,7 +604,8 @@ type Lease struct {
 // Lease claims workers idle workers for one run, in join (FIFO) order.
 // It never blocks: when fewer than workers are idle it fails with
 // ErrNoCapacity and claims nothing. workers may be 0 — the run then
-// executes entirely in the master process (slot 0 only).
+// executes entirely in the master process (every machine index maps
+// to slot 0).
 func (m *Master) Lease(workers int) (*Lease, error) {
 	if workers < 0 {
 		return nil, fmt.Errorf("nettrans: lease of %d workers", workers)
@@ -748,6 +752,7 @@ type job struct {
 	cancelled  bool
 	spawns     int64
 	localSends int64
+	routed     int64 // message frames workers sent through this process
 }
 
 // nodeList snapshots the job's node set; callers iterate the snapshot
@@ -799,11 +804,27 @@ func (j *job) slotOwnerLocked(slot int) *node {
 	return nil
 }
 
-// wrapSlotLocked normalizes a machine index onto the slot ring, exactly
-// like the in-process transports wrap onto the cluster size. Callers
-// hold j.mu (elastic absorption grows the ring mid-run).
+// wrapSlotLocked normalizes a machine index onto the slot ring (see
+// ringSlot). Callers hold j.mu (elastic absorption grows the ring
+// mid-run).
 func (j *job) wrapSlotLocked(machine int) int {
-	return ((machine % j.totalSlots) + j.totalSlots) % j.totalSlots
+	return ringSlot(machine, j.totalSlots)
+}
+
+// ringSlot maps a machine index onto a run's slot ring of total slots,
+// where slot 0 is the master process and slots 1..total-1 belong to
+// the workers. Machine 0 is the master's; every other index wraps over
+// the worker slots only, so a run's tasks stay on the workers it was
+// given (a TSW and its CLWs share a worker instead of exchanging
+// frames through the master). Without worker slots everything lands
+// on slot 0. Master and worker both resolve indices through this one
+// function, so they cannot disagree on a slot or its speed.
+func ringSlot(machine, total int) int {
+	workers := total - 1
+	if machine == 0 || workers <= 0 {
+		return 0
+	}
+	return 1 + ((machine-1)%workers+workers)%workers
 }
 
 // place resolves a machine index to its slot and owning node.
@@ -1063,6 +1084,7 @@ func (j *job) send(from, to pvm.TaskID, tag pvm.Tag, data any) {
 // route forwards or delivers a message frame arriving from a worker.
 func (j *job) route(src *node, f *frame) {
 	j.mu.Lock()
+	j.routed++
 	if int(f.To) < 0 || int(f.To) >= len(j.owners) {
 		j.mu.Unlock()
 		j.abortFrom(src, fmt.Errorf("message to unknown task %d", f.To))

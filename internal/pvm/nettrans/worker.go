@@ -495,7 +495,7 @@ func (t *wTask) MachineSpeed(machine int) float64 {
 	if slots <= 0 {
 		return 1.0
 	}
-	slot := ((machine % slots) + slots) % slots
+	slot := ringSlot(machine, slots)
 	if slot < len(speeds) && speeds[slot] > 0 {
 		return speeds[slot]
 	}

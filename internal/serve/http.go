@@ -242,7 +242,7 @@ func (a *API) listJobs(w http.ResponseWriter, r *http.Request) {
 	jobs := a.s.Jobs()
 	if after != "" {
 		i := 0
-		for i < len(jobs) && jobs[i].ID() != after {
+		for i < len(jobs) && jobs[i].ID != after {
 			i++
 		}
 		if i == len(jobs) {
@@ -252,8 +252,7 @@ func (a *API) listJobs(w http.ResponseWriter, r *http.Request) {
 		jobs = jobs[i+1:]
 	}
 	views := make([]View, 0, len(jobs))
-	for _, j := range jobs {
-		v := j.View(false)
+	for _, v := range jobs {
 		if statusFilter != "" && v.Status != statusFilter {
 			continue
 		}
@@ -374,7 +373,7 @@ func (a *API) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"uptime":  time.Since(a.start).Round(time.Second).String(),
-		"jobs":    len(a.s.Jobs()),
+		"jobs":    a.s.Count(),
 		"queued":  a.s.Queued(),
 		"workers": a.s.Fleet().TotalWorkers(),
 	})

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,13 +22,17 @@ import (
 // persisted under "runs/<id>" in the same store, so the work done
 // before the crash is not repeated.
 //
-// The journal is the job ledger, not the event log: per-round progress
-// events live in memory only, and a recovered job starts a fresh log.
-// Writes are best-effort — a failing store degrades durability, never
-// the job in flight — and the at-least-once discipline applies: a
-// daemon killed between a run's completion and the journal write
-// re-admits the job and re-runs it (finding no snapshot, from the
-// start) rather than losing it.
+// A job's event log is journaled with its terminal record: once that
+// write succeeds the scheduler drops the job from memory, keeping only
+// its View summary, and Get rebuilds the full job — result and event
+// log — from the record, exactly as recovery does. A live job's log is
+// in memory only; a job re-admitted after a restart starts a fresh
+// one. Writes are best-effort — a failing store degrades durability,
+// never the job in flight, and a job whose terminal write failed stays
+// in memory — and the at-least-once discipline applies: a daemon
+// killed between a run's completion and the journal write re-admits
+// the job and re-runs it (finding no snapshot, from the start) rather
+// than losing it.
 
 // jobRecord is the journaled form of one job.
 type jobRecord struct {
@@ -41,6 +46,8 @@ type jobRecord struct {
 	Started  *time.Time       `json:"started,omitempty"`
 	Finished *time.Time       `json:"finished,omitempty"`
 	Result   *core.Result     `json:"result,omitempty"`
+	// Events is the job's full event log, on terminal records only.
+	Events []Event `json:"events,omitempty"`
 }
 
 // jobKey is the store key of a job's journal entry.
@@ -50,11 +57,12 @@ func jobKey(id string) string { return "jobs/" + id }
 // layer prefixes it to "runs/<id>".
 func runID(id string) string { return id }
 
-// persistJob journals the job's current state. Best-effort: failures
-// are logged and the job carries on in memory.
-func (s *Scheduler) persistJob(j *Job) {
+// persistJob journals the job's current state, with its event log
+// once it is terminal. Best-effort: failures are logged (and returned)
+// and the job carries on in memory.
+func (s *Scheduler) persistJob(j *Job) error {
 	if s.cfg.Store == nil {
-		return
+		return nil
 	}
 	j.mu.Lock()
 	rec := jobRecord{
@@ -75,16 +83,101 @@ func (s *Scheduler) persistJob(j *Job) {
 		t := j.finished
 		rec.Finished = &t
 	}
+	if j.status.Terminal() {
+		rec.Events = j.events // complete: a terminal log is never appended to
+	}
 	j.mu.Unlock()
 
 	b, err := json.Marshal(rec)
 	if err != nil {
 		s.logf("serve: journal %s: marshal: %v", j.id, err)
-		return
+		return err
 	}
 	if err := s.cfg.Store.Put(jobKey(j.id), b); err != nil {
 		s.logf("serve: journal %s: %v", j.id, err)
+		return err
 	}
+	return nil
+}
+
+// settle journals a job that just reached a terminal status and
+// deletes its run snapshot. Once the journal holds the terminal record
+// the job leaves memory, its View summary standing in for it.
+func (s *Scheduler) settle(j *Job) {
+	err := s.persistJob(j)
+	s.cleanupRun(j)
+	if s.cfg.Store == nil || err != nil {
+		return
+	}
+	v := j.View(false)
+	s.mu.Lock()
+	if s.jobs[j.id] == j {
+		delete(s.jobs, j.id)
+		s.retired[j.id] = v
+	}
+	s.mu.Unlock()
+}
+
+// readRecord reads and decodes one journal record.
+func (s *Scheduler) readRecord(key string) (jobRecord, error) {
+	var rec jobRecord
+	b, ok, err := s.cfg.Store.Get(key)
+	if err == nil && !ok {
+		err = fmt.Errorf("no record")
+	}
+	if err == nil {
+		err = json.Unmarshal(b, &rec)
+	}
+	return rec, err
+}
+
+// jobFromRecord rebuilds a job from its journal record: identity,
+// request and timestamps, and for a terminal status also the final
+// state, result and event log. A terminal record without events (one
+// written before event logs were journaled, or rebuilt from a summary)
+// restarts the log at the terminal marker.
+func jobFromRecord(rec jobRecord, status Status) *Job {
+	j := &Job{
+		id:      rec.ID,
+		req:     Request{Spec: rec.Spec, Workers: rec.Workers, Cfg: rec.Cfg},
+		created: rec.Created,
+		changed: make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+	if rec.Started != nil {
+		j.started = *rec.Started
+	}
+	if rec.Finished != nil {
+		j.finished = *rec.Finished
+	}
+	if status.Terminal() {
+		j.status = status
+		j.errMsg = rec.Error
+		j.result = rec.Result
+		j.events = rec.Events
+		if len(j.events) == 0 {
+			j.append(status.String(), nil, rec.Error)
+		}
+		close(j.done)
+	}
+	return j
+}
+
+// loadJob rebuilds a finished job that left memory from its journal
+// record. Should the record have become unreadable, the job is rebuilt
+// from its summary v instead: status, error and timestamps, without
+// the result or the progress events.
+func (s *Scheduler) loadJob(v View) *Job {
+	rec, err := s.readRecord(jobKey(v.ID))
+	if st, ok := statusFromWire(rec.Status); err == nil && ok && st.Terminal() {
+		return jobFromRecord(rec, st)
+	}
+	s.logf("serve: reload %s from the journal: %v (status %q); serving its summary", v.ID, err, rec.Status)
+	st, _ := statusFromWire(v.Status)
+	return jobFromRecord(jobRecord{
+		ID: v.ID, Spec: v.Spec, Workers: v.Workers, Error: v.Error,
+		Created: v.Created, Started: v.Started, Finished: v.Finished,
+	}, st)
 }
 
 // cleanupRun deletes a terminal job's run snapshot: the core layer
@@ -131,14 +224,9 @@ func (s *Scheduler) recoverJobs() {
 	}
 	var recs []jobRecord
 	for _, k := range keys {
-		b, ok, err := s.cfg.Store.Get(k)
-		if err != nil || !ok {
+		rec, err := s.readRecord(k)
+		if err != nil {
 			s.logf("serve: recover: read %s: %v", k, err)
-			continue
-		}
-		var rec jobRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			s.logf("serve: recover: decode %s: %v", k, err)
 			continue
 		}
 		if rec.ID == "" {
@@ -158,55 +246,34 @@ func (s *Scheduler) recoverJobs() {
 		if n := jobSeq(rec.ID); n > s.seq {
 			s.seq = n
 		}
-		j := &Job{
-			id:      rec.ID,
-			req:     Request{Spec: rec.Spec, Workers: rec.Workers, Cfg: rec.Cfg},
-			created: rec.Created,
-			changed: make(chan struct{}),
-			done:    make(chan struct{}),
-		}
-		if rec.Started != nil {
-			j.started = *rec.Started
-		}
-		if rec.Finished != nil {
-			j.finished = *rec.Finished
-		}
+		s.order = append(s.order, rec.ID)
+		j := jobFromRecord(rec, status)
 		if status.Terminal() {
-			// History: the final state (and result) stays queryable; the
-			// event log restarts at the terminal marker.
-			j.status = status
-			j.errMsg = rec.Error
-			j.result = rec.Result
-			j.append(status.String(), nil, rec.Error)
-			close(j.done)
+			// History: the summary stays listed, and Get rebuilds the
+			// final state, result and event log from the record.
+			s.retired[j.id] = j.View(false)
 			restored++
-		} else {
-			// Queued and running jobs alike re-enter the queue: the old
-			// daemon's leases died with it, and a re-admitted run resumes
-			// from its master snapshot when one was persisted.
-			prob, err := s.cfg.Resolve(rec.Spec)
-			if err != nil {
-				j.status = Failed
-				j.errMsg = "recover: resolve problem: " + err.Error()
-				j.append("failed", nil, j.errMsg)
-				close(j.done)
-				s.jobs[j.id] = j
-				s.order = append(s.order, j.id)
-				s.persistJob(j)
-				continue
-			}
-			j.prob = prob
-			j.ctx, j.cancel = context.WithCancel(context.Background())
-			j.status = Queued
-			j.append("queued", nil, "")
-			s.queue = append(s.queue, j)
-			requeued++
-			if status == Running {
-				s.persistJob(j) // journal the running->queued demotion
-			}
+			continue
 		}
 		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		// Queued and running jobs alike re-enter the queue: the old
+		// daemon's leases died with it, and a re-admitted run resumes
+		// from its master snapshot when one was persisted.
+		prob, err := s.cfg.Resolve(rec.Spec)
+		if err != nil {
+			j.finish(Failed, nil, "recover: resolve problem: "+err.Error())
+			s.settle(j)
+			continue
+		}
+		j.prob = prob
+		j.ctx, j.cancel = context.WithCancel(context.Background())
+		j.status = Queued
+		j.append("queued", nil, "")
+		s.queue = append(s.queue, j)
+		requeued++
+		if status == Running {
+			s.persistJob(j) // journal the running->queued demotion
+		}
 	}
 	if requeued > 0 || restored > 0 {
 		s.logf("serve: recovered %d terminal job(s), re-admitted %d", restored, requeued)

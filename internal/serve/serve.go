@@ -106,7 +106,10 @@ type Config struct {
 	// spec and lifecycle state is journaled under "jobs/<id>", each run
 	// persists its master snapshots under "runs/<id>" in the same store,
 	// and a restarted scheduler (New over the same store) re-admits
-	// queued and mid-run jobs and still serves terminal results. Nil
+	// queued and mid-run jobs and still serves terminal results. It also
+	// keeps the daemon's memory flat in the number of finished jobs: a
+	// job whose terminal record (result and event log included) is in
+	// the journal leaves memory, and Get rebuilds it from there. Nil
 	// keeps everything in memory — a restart forgets all jobs.
 	Store store.Store
 	// Logf, when non-nil, receives scheduler lifecycle lines.
@@ -336,8 +339,9 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	queue    []*Job          // strictly FIFO; queue[0] is next to admit
-	jobs     map[string]*Job // every job ever submitted, by id
-	order    []string        // submission order, for listing
+	jobs     map[string]*Job // jobs held in memory, by id: live ones, and finished ones without a journal
+	retired  map[string]View // finished jobs held in the journal: their summary only
+	order    []string        // submission order of every job, for listing
 	seq      int
 	draining bool
 	wg       sync.WaitGroup // one count per running job
@@ -366,9 +370,10 @@ func New(cfg Config) (*Scheduler, error) {
 		return nil, fmt.Errorf("serve: QueueDepth %d < 0", cfg.QueueDepth)
 	}
 	s := &Scheduler{
-		cfg:    cfg,
-		ledger: sched.NewLedger(cfg.Fleet.TotalWorkers()),
-		jobs:   make(map[string]*Job),
+		cfg:     cfg,
+		ledger:  sched.NewLedger(cfg.Fleet.TotalWorkers()),
+		jobs:    make(map[string]*Job),
+		retired: make(map[string]View),
 	}
 	s.runJob = s.solve
 	if cfg.Store != nil {
@@ -464,23 +469,41 @@ func describeSpec(spec core.ProblemSpec) string {
 	return fmt.Sprintf("%s %s", spec.Kind, spec.Circuit)
 }
 
-// Get returns a job by id.
+// Get returns a job by id. A finished job that has left memory is
+// rebuilt from its journal record, result and event log included.
 func (s *Scheduler) Get(id string) (*Job, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	return j, ok
+	v, retired := s.retired[id]
+	s.mu.Unlock()
+	if ok || !retired {
+		return j, ok
+	}
+	return s.loadJob(v), true
 }
 
-// Jobs lists every job in submission order.
-func (s *Scheduler) Jobs() []*Job {
+// Jobs lists every job's summary (without its result) in submission
+// order.
+func (s *Scheduler) Jobs() []View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, len(s.order))
+	out := make([]View, len(s.order))
 	for i, id := range s.order {
-		out[i] = s.jobs[id]
+		if j, ok := s.jobs[id]; ok {
+			out[i] = j.View(false)
+		} else {
+			out[i] = s.retired[id]
+		}
 	}
 	return out
+}
+
+// Count returns how many jobs the scheduler knows, finished ones
+// included.
+func (s *Scheduler) Count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.order)
 }
 
 // Queued returns how many jobs wait in the queue.
@@ -501,7 +524,11 @@ func (s *Scheduler) Cancel(id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
+		v, retired := s.retired[id]
 		s.mu.Unlock()
+		if retired {
+			return fmt.Errorf("%w: %s is %s", ErrTerminal, id, v.Status)
+		}
 		return fmt.Errorf("serve: no job %q", id)
 	}
 	for i, q := range s.queue {
@@ -509,8 +536,7 @@ func (s *Scheduler) Cancel(id string) error {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			s.mu.Unlock()
 			j.finish(Cancelled, nil, "")
-			s.persistJob(j)
-			s.cleanupRun(j)
+			s.settle(j)
 			s.logf("serve: %s cancelled while queued", id)
 			s.pump() // queue shifted: a smaller job may now be at the head
 			return nil
@@ -565,7 +591,7 @@ func (s *Scheduler) pump() {
 			}
 			s.dropHead(j)
 			j.finish(Failed, nil, fmt.Sprintf("lease workers: %v", err))
-			s.persistJob(j)
+			s.settle(j)
 			s.logf("serve: %s failed to lease: %v", j.id, err)
 			continue
 		}
@@ -623,8 +649,7 @@ func (s *Scheduler) run(j *Job, lease Lease) {
 		j.finish(Done, res, "")
 		s.logf("serve: %s done: best %.6g in %d round(s)", j.id, res.BestCost, res.Rounds)
 	}
-	s.persistJob(j)
-	s.cleanupRun(j)
+	s.settle(j)
 	s.pump()
 }
 
@@ -658,8 +683,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	s.queue = nil
 	var running []*Job
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.Status() == Running {
+		if j, ok := s.jobs[id]; ok && j.Status() == Running {
 			running = append(running, j)
 		}
 	}
@@ -667,8 +691,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 
 	for _, j := range queued {
 		j.finish(Cancelled, nil, "")
-		s.persistJob(j)
-		s.cleanupRun(j)
+		s.settle(j)
 	}
 	for _, j := range running {
 		j.mu.Lock()

@@ -285,9 +285,9 @@ func TestFIFOFairnessConcurrentSubmitters(t *testing.T) {
 	// Submission order is the id-assignment order under the scheduler's
 	// lock; jobs must start in exactly that order.
 	var wantOrder []string
-	for _, j := range s.Jobs() {
-		if j.ID() != first {
-			wantOrder = append(wantOrder, j.ID())
+	for _, v := range s.Jobs() {
+		if v.ID != first {
+			wantOrder = append(wantOrder, v.ID)
 		}
 	}
 	var gotOrder []string

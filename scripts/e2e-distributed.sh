@@ -144,8 +144,9 @@ echo "PASS: distributed job shop run reproduces the golden optimum makespan $JGO
 # from the TSW's current solution (WorkersLost:1 AND WorkersRespawned:1
 # in the master's stats — the post-recovery CLW count equals the
 # pre-kill count). Join order fixes the slot ring: with 1 TSW x 3 CLWs
-# the first worker hosts the TSW and the second/third host one CLW each
-# (the third CLW lands on the master process).
+# the first worker hosts the TSW, the second/third host one CLW each,
+# and the third CLW wraps back onto the first worker (machine indices
+# wrap over the worker slots only, never onto the master process).
 echo "== adaptive distributed run: kill one slow CLW-hosting worker mid-run"
 ADDR2="127.0.0.1:$((PORT + 1))"
 AFLAGS=(-circuit c532 -seed 7 -het=false -adaptive -tsws 1 -clws 3 -global 10 -local 25 -workscale 8)
@@ -212,10 +213,11 @@ echo "PASS: adaptive run survived the worker kill with parallelism restored (Wor
 
 # ---------------------------------------------------------------------------
 # TSW-kill variant: same topology, but the FIRST worker — the one
-# hosting the TSW itself — is killed -9 mid-run. The master must
-# resurrect the TSW from its piggybacked checkpoint on surviving
-# capacity, re-attach the three surviving CLWs, and still complete the
-# full budget un-Interrupted.
+# hosting the TSW itself, and with it the third CLW — is killed -9
+# mid-run. The master must resurrect the TSW from its piggybacked
+# checkpoint on surviving capacity, re-attach the two surviving CLWs,
+# replace the CLW that died with the TSW, and still complete the full
+# budget un-Interrupted.
 echo "== adaptive distributed run: kill the TSW-hosting worker mid-run"
 ADDR3="127.0.0.1:$((PORT + 2))"
 

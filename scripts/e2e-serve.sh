@@ -14,7 +14,10 @@
 #     A ta001 flow shop job then proves the same identity for the
 #     scheduling workloads: the `-any` workers resolve the instance
 #     from its embedded name and the daemon's makespan must equal the
-#     single-process `pts -flowshop ta001` run bit for bit.
+#     single-process `pts -flowshop ta001` run bit for bit. It runs at
+#     1 TSW x 1 CLW, the one real-time regime reproducible per seed:
+#     with two CLWs, tied integer makespans follow message arrival
+#     order, so the comparison would be flaky.
 #  2. While the long adaptive QAP job is still running, its leased
 #     worker — found via GET /v1/fleet busy flags — is killed -9. The
 #     job must still complete un-Interrupted (TSW resurrected from its
@@ -60,7 +63,7 @@ STATIC=(-mode real -het=false -tsws 1 -clws 2 -global 3 -local 8
 echo "== single-process baselines (durable, like the daemon's jobs)"
 "$PTS" -circuit highway "${STATIC[@]}" -state-dir "$OUT/base-state-hw" -json "$OUT/base-highway.json" > /dev/null
 "$PTS" -circuit c532 "${STATIC[@]}" -state-dir "$OUT/base-state-c532" -json "$OUT/base-c532.json" > /dev/null
-"$PTS" -flowshop ta001 "${STATIC[@]}" -state-dir "$OUT/base-state-fs" -json "$OUT/base-flowshop.json" > /dev/null
+"$PTS" -flowshop ta001 "${STATIC[@]}" -clws 1 -state-dir "$OUT/base-state-fs" -json "$OUT/base-flowshop.json" > /dev/null
 
 echo "== start ptsd on $FLEET (http $BASE) + 3 any-workload workers"
 "$PTSD" -fleet "$FLEET" -http "$HTTP" -state-dir "$OUT/state" > "$OUT/ptsd.log" 2>&1 &
@@ -88,6 +91,8 @@ submit() {
 }
 
 CFG='"tsws":1,"clws":2,"global_iters":3,"local_iters":8,"trials":6,"depth":3,"tenure":10,"diversify_depth":12,"seed":5,"half_sync":false'
+# The flow shop job's knobs: CFG at one CLW, like its baseline's -clws 1.
+FSCFG='"tsws":1,"clws":1,"global_iters":3,"local_iters":8,"trials":6,"depth":3,"tenure":10,"diversify_depth":12,"seed":5,"half_sync":false'
 echo "== submit 3 concurrent jobs (2 placement + 1 QAP)"
 J1=$(submit "{\"problem\":{\"kind\":\"placement\",\"circuit\":\"highway\"},\"workers\":1,\"config\":{$CFG}}")
 J2=$(submit "{\"problem\":{\"kind\":\"placement\",\"circuit\":\"c532\"},\"workers\":1,\"config\":{$CFG}}")
@@ -143,7 +148,7 @@ done
 echo "PASS: both placement jobs reproduce their single-process costs exactly"
 
 echo "== flow shop job through the daemon must match its baseline exactly"
-J6=$(submit "{\"problem\":{\"kind\":\"flowshop\",\"instance\":\"ta001\"},\"workers\":1,\"config\":{$CFG}}")
+J6=$(submit "{\"problem\":{\"kind\":\"flowshop\",\"instance\":\"ta001\"},\"workers\":1,\"config\":{$FSCFG}}")
 [ -n "$J6" ] && [ "$J6" != null ] || { echo "FAIL: flow shop submit failed"; cat "$OUT/ptsd.log"; exit 1; }
 V6=$(wait_done "$J6" 60)
 st=$(echo "$V6" | jq -r '.status')
