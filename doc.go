@@ -144,12 +144,14 @@
 //     pattern while keeping every contract above: a flow shop trial
 //     recomputes the critical-path section between the swapped
 //     positions against cached head/tail matrices (O(machines x span)),
-//     and a job shop trial re-decodes the whole operation sequence
-//     (O(jobs x machines), with a same-job-token fast path answering
-//     zero). Both do all schedule arithmetic in exact integers, so
-//     batch and scalar evaluation are bit-identical by construction
-//     (fuzzed per package, pinned by golden_sched_test.go), and both
-//     stay allocation-free per trial once caches are warm.
+//     and a job shop trial re-decodes the operation sequence from the
+//     stored checkpoint at or below the first swapped position, stopping
+//     once the schedule re-converges past the second (O(jobs x machines)
+//     at worst, with a same-job-token fast path answering zero). Both do
+//     all schedule arithmetic in exact integers, so batch and scalar
+//     evaluation are bit-identical by construction (fuzzed per package,
+//     pinned by golden_sched_test.go), and both stay allocation-free per
+//     trial once caches are warm.
 //
 // The implementation lives under internal/ (ARCHITECTURE.md maps the
 // layers and documents every protocol message); cmd/ holds the

@@ -10,8 +10,8 @@ import (
 // per family, captured when the workloads landed. Unlike the placement
 // and QAP goldens these pin searches whose delta evaluation is not
 // O(1) — the flow shop recomputes critical-path sections and the job
-// shop re-decodes whole schedules inside DeltaSwapBatch — so they
-// additionally guard the batch kernels' bit-identity to the scalar
+// shop re-decodes schedules from checkpoints inside DeltaSwapBatch — so
+// they additionally guard the batch kernels' bit-identity to the scalar
 // path under the engine's real candidate streams. Costs are integral
 // makespans widened to float64, so any drift is a whole unit, never
 // rounding.

@@ -87,8 +87,12 @@ func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 
 		case TagSync:
 			chosen := m.Data.(syncMsg).Chosen
-			tentative.Undo(prob)
-			chosen.Apply(prob)
+			if !tentative.SameSwaps(&chosen) {
+				// Another worker's move won: trade ours for it. When ours
+				// won, the state is already where the TSW's is.
+				tentative.Undo(prob)
+				chosen.Apply(prob)
+			}
 			tentative = tabu.CompoundMove{}
 			env.Work(float64(len(chosen.Swaps)) * cfg.WorkPerTrial)
 

@@ -15,7 +15,8 @@ const (
 	// TagCandidate returns a CLW's compound move (CLW→TSW).
 	TagCandidate
 	// TagSync tells CLWs which move won this iteration so they undo
-	// their tentative move and apply the winner (TSW→CLW).
+	// their tentative move and apply the winner; a CLW whose own move
+	// won keeps it as it is (TSW→CLW).
 	TagSync
 	// TagNewState replaces a CLW's whole solution at a global
 	// synchronization (TSW→CLW).

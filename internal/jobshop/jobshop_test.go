@@ -2,6 +2,7 @@ package jobshop
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pts/internal/rng"
@@ -40,30 +41,150 @@ func jobSeq(s *State) []int32 {
 	return out
 }
 
-// TestDecodeMatchesOracle drives the state through random swaps and
-// requires the incremental cost to match the from-scratch dispatch
-// oracle at every step.
+// oracleDelta is the makespan change of exchanging positions a and b,
+// computed by MakespanSeq on the explicitly swapped job sequence.
+func oracleDelta(t *testing.T, s *State, a, b int32) float64 {
+	t.Helper()
+	seq := jobSeq(s)
+	seq[a], seq[b] = seq[b], seq[a]
+	mk, err := MakespanSeq(s.ins, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(mk - s.Makespan())
+}
+
+// forcedPairs returns the swap positions the checkpointed decoder is
+// most likely to get wrong on a sequence of size positions: both in one
+// block, in adjacent blocks, the two ends, and block boundaries.
+func forcedPairs(size int32) []tabu.SwapCand {
+	last := size - 1
+	pairs := []tabu.SwapCand{
+		{A: 0, B: last}, {A: last, B: 0},
+		{A: 1, B: ckEvery - 2},              // one block
+		{A: ckEvery - 1, B: ckEvery},        // adjacent blocks, across the boundary
+		{A: 2, B: ckEvery + 3},              // adjacent blocks
+		{A: ckEvery, B: 2*ckEvery + 1},      // a on a boundary
+		{A: ckEvery + 2, B: 3 * ckEvery},    // b on a boundary
+		{A: 2 * ckEvery, B: 3 * ckEvery},    // both on boundaries
+		{A: last - 1, B: last},              // inside the last (short) block
+		{A: last / ckEvery * ckEvery, B: 0}, // the last block's boundary
+	}
+	out := pairs[:0]
+	for _, p := range pairs {
+		if p.A >= 0 && p.B >= 0 && p.A < size && p.B < size {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// zeroHeavy is a random instance where half the operations take no
+// time, so ready times often coincide even where the dispatch order
+// differs — the case that tells a real re-convergence from a false one.
+func zeroHeavy(t *testing.T, jobs, machines int, seed uint64) *schedinst.JobShop {
+	t.Helper()
+	r := rng.New(seed)
+	machine := make([][]int, jobs)
+	dur := make([][]int, jobs)
+	for j := range machine {
+		machine[j] = r.Perm(machines)
+		dur[j] = make([]int, machines)
+		for o := range dur[j] {
+			if r.Intn(2) == 0 {
+				dur[j][o] = r.Intn(4)
+			}
+		}
+	}
+	ins, err := New("zero-heavy", machine, dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
+}
+
+// TestDecodeMatchesOracle fuzzes the checkpointed, early-stopping
+// decoder against MakespanSeq: every DeltaSwap and DeltaSwapBatch
+// result against the explicitly swapped sequence, every ApplySwap and
+// Restore makespan against the new sequence, and the checkpoints after
+// every mutation against a fresh rebuild. The instances are published
+// ones, random ones with (6×4) and without (7×5) a whole number of
+// checkpoint blocks, and one where half the operations take no time.
+// Both decode exits must occur: the stop at re-convergence and the run
+// to the end.
 func TestDecodeMatchesOracle(t *testing.T) {
-	ins := Random(6, 4, 7)
-	s := NewState(ins, 3)
-	r := rng.New(9)
-	size := int(s.Size())
-	for i := 0; i < 1000; i++ {
-		a := int32(r.Intn(size))
-		b := int32(r.Intn(size))
-		predicted := s.DeltaSwap(a, b)
-		before := s.Cost()
-		s.ApplySwap(a, b)
-		want, err := MakespanSeq(ins, jobSeq(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Makespan() != want {
-			t.Fatalf("step %d: state makespan %d != oracle %d", i, s.Makespan(), want)
-		}
-		if got := s.Cost() - before; got != predicted {
-			t.Fatalf("step %d: delta %v != predicted %v", i, got, predicted)
-		}
+	ft10, err := schedinst.JobShopByName("ft10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	la01, err := schedinst.JobShopByName("la01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ins := range []*schedinst.JobShop{ft10, la01, Random(6, 4, 7), Random(7, 5, 3), zeroHeavy(t, 5, 3, 4)} {
+		size := int32(ins.Jobs * ins.Machines)
+		t.Run(ins.Name, func(t *testing.T) {
+			s := NewState(ins, 5)
+			r := rng.New(17)
+			cands := make([]tabu.SwapCand, 0, 64)
+			out := make([]float64, 64)
+			converged, ranToEnd := 0, 0
+			for step := 0; step < 300; step++ {
+				cands = append(cands[:0], forcedPairs(size)...)
+				for len(cands) < cap(cands) {
+					cands = append(cands, tabu.SwapCand{A: int32(r.Intn(int(size))), B: int32(r.Intn(int(size)))})
+				}
+				s.DeltaSwapBatch(cands, out)
+				for i, c := range cands {
+					want := oracleDelta(t, s, c.A, c.B)
+					if got := s.DeltaSwap(c.A, c.B); got != want {
+						t.Fatalf("step %d: DeltaSwap(%d,%d) = %v, oracle %v", step, c.A, c.B, got, want)
+					}
+					if out[i] != want {
+						t.Fatalf("step %d: batch (%d,%d) = %v, oracle %v", step, c.A, c.B, out[i], want)
+					}
+					if c.A == c.B || s.seq[c.A] == s.seq[c.B] {
+						continue
+					}
+					if _, stop := s.trial(c.A, c.B); stop < size {
+						converged++
+						if stop <= max(c.A, c.B) || stop%ckEvery != 0 {
+							t.Fatalf("step %d: (%d,%d) stopped at %d", step, c.A, c.B, stop)
+						}
+					} else {
+						ranToEnd++
+					}
+				}
+				mv := cands[r.Intn(len(cands))]
+				s.ApplySwap(mv.A, mv.B)
+				if step%50 == 49 {
+					perm := make([]int32, size)
+					for i, v := range r.Perm(int(size)) {
+						perm[i] = int32(v)
+					}
+					if err := s.Restore(perm); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := MakespanSeq(ins, jobSeq(s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Makespan() != want {
+					t.Fatalf("step %d: makespan %d, oracle %d", step, s.Makespan(), want)
+				}
+				fresh, err := NewStateAt(ins, s.perm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(s.ck, fresh.ck) || !slices.Equal(s.seq, fresh.seq) {
+					t.Fatalf("step %d: checkpoints drifted from a fresh rebuild", step)
+				}
+			}
+			if converged == 0 || ranToEnd == 0 {
+				t.Fatalf("exits not both covered: %d stopped at re-convergence, %d ran to the end", converged, ranToEnd)
+			}
+		})
 	}
 }
 
@@ -216,9 +337,9 @@ func TestEmbeddedInstanceIntegrity(t *testing.T) {
 	}
 }
 
-// TestDeltaSwapBatchAllocFree asserts the batched path allocates
-// nothing per call — the same 0 allocs/trial contract the other
-// workloads' kernels are held to in CI.
+// TestDeltaSwapBatchAllocFree asserts the batched path, ApplySwap and
+// Restore allocate nothing per call — the same 0 allocs/trial contract
+// the other workloads' kernels are held to in CI.
 func TestDeltaSwapBatchAllocFree(t *testing.T) {
 	ins := Random(10, 6, 1)
 	s := NewState(ins, 2)
@@ -240,20 +361,40 @@ func TestDeltaSwapBatchAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("ApplySwap allocates %.1f per call, want 0", n)
 	}
+	snap := s.Snapshot()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Restore allocates %.1f per call, want 0", n)
+	}
 }
 
+// BenchmarkDeltaSwapBatch times a 64-candidate batch on a random
+// 10×10 instance and on ft10. Pairs are drawn the way a candidate-list
+// worker whose range is the whole space draws them (one CLW per TSW):
+// the first element from its range, the second from the whole space.
 func BenchmarkDeltaSwapBatch(b *testing.B) {
-	ins := Random(10, 10, 1)
-	s := NewState(ins, 2)
-	r := rng.New(3)
-	size := int(s.Size())
-	cands := make([]tabu.SwapCand, 64)
-	for i := range cands {
-		cands[i] = tabu.SwapCand{A: int32(r.Intn(size)), B: int32(r.Intn(size))}
+	ft10, err := schedinst.JobShopByName("ft10")
+	if err != nil {
+		b.Fatal(err)
 	}
-	out := make([]float64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.DeltaSwapBatch(cands, out)
+	for _, ins := range []*schedinst.JobShop{Random(10, 10, 1), ft10} {
+		b.Run(ins.Name, func(b *testing.B) {
+			s := NewState(ins, 2)
+			r := rng.New(3)
+			size := int(s.Size())
+			cands := make([]tabu.SwapCand, 64)
+			for i := range cands {
+				cands[i] = tabu.SwapCand{A: int32(r.Intn(size)), B: int32(r.Intn(size))}
+			}
+			out := make([]float64, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.DeltaSwapBatch(cands, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/cand")
+		})
 	}
 }

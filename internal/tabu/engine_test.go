@@ -366,3 +366,24 @@ func BenchmarkSearchStepPlacementC532(b *testing.B) {
 		s.Step()
 	}
 }
+
+func TestCompoundMoveSameSwaps(t *testing.T) {
+	m := tabu.CompoundMove{Swaps: []tabu.Swap{{A: 1, B: 2}, {A: 3, B: 4}}, Delta: -1}
+	for _, tc := range []struct {
+		o    tabu.CompoundMove
+		want bool
+	}{
+		{tabu.CompoundMove{Swaps: []tabu.Swap{{A: 1, B: 2}, {A: 3, B: 4}}, Delta: 5}, true},
+		{tabu.CompoundMove{Swaps: []tabu.Swap{{A: 3, B: 4}, {A: 1, B: 2}}}, false},
+		{tabu.CompoundMove{Swaps: []tabu.Swap{{A: 1, B: 2}}}, false},
+		{tabu.CompoundMove{}, false},
+	} {
+		if got := m.SameSwaps(&tc.o); got != tc.want {
+			t.Errorf("SameSwaps(%v) = %v, want %v", tc.o.Swaps, got, tc.want)
+		}
+	}
+	var empty tabu.CompoundMove
+	if !empty.SameSwaps(&tabu.CompoundMove{Swaps: []tabu.Swap{}}) {
+		t.Error("two empty moves differ")
+	}
+}

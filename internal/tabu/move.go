@@ -12,7 +12,10 @@
 // cumulative cost improves.
 package tabu
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Problem is the mutable optimization state the engine searches. Element
 // indices are 0..Size()-1 (cells for placement, facilities for QAP).
@@ -79,6 +82,10 @@ func (m *CompoundMove) Attributes() []Attribute {
 
 // Empty reports whether the move contains no swaps.
 func (m *CompoundMove) Empty() bool { return len(m.Swaps) == 0 }
+
+// SameSwaps reports whether m and o hold the same swaps in the same
+// order, so applying either one to a state gives the same result.
+func (m *CompoundMove) SameSwaps(o *CompoundMove) bool { return slices.Equal(m.Swaps, o.Swaps) }
 
 // Apply applies the move's swaps in order to prob.
 func (m *CompoundMove) Apply(prob Problem) {

@@ -16,9 +16,11 @@ import (
 // t/m, decoded by semi-active dispatch in token order. Every
 // permutation decodes to a feasible schedule, so the engine's swap
 // moves, snapshots and element partitioning all apply unchanged.
-// Deltas are honest full re-decodes (O(nm)), the worst-case Evaluator
-// shape the batch boundary amortizes; swapping two tokens of the same
-// job is recognized as cost-neutral without decoding.
+// A delta re-decodes the schedule from a stored checkpoint just before
+// the first swapped position and stops once it re-converges with the
+// current schedule past the second (O(nm) in the worst case); swapping
+// two tokens of the same job is recognized as cost-neutral without
+// decoding.
 type JobShopProblem struct {
 	ins *schedinst.JobShop
 }
