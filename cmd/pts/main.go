@@ -60,7 +60,6 @@ func main() {
 		het      = flag.Bool("het", true, "half-sync heterogeneous collection")
 		adaptive = flag.Bool("adaptive", false, "throughput-proportional adaptive scheduling (speed-seeded shares, loss-tolerant distributed runs)")
 		respawn  = flag.Bool("respawn", true, "adaptive mode: recover lost workers (respawn CLWs onto live capacity, resurrect TSWs from checkpoints); false = fold-only degradation")
-		ckEvery  = flag.Int("checkpoint-every", 1, "adaptive mode: reports between TSW recovery checkpoints")
 		mode     = flag.String("mode", "virtual", "runtime: virtual or real")
 		stateDir = flag.String("state-dir", "", "directory for durable run state; re-running the same command resumes an interrupted run from it")
 		seed     = flag.Uint64("seed", 1, "run seed")
@@ -172,7 +171,6 @@ func main() {
 		pts.WithHalfSync(*het),
 		pts.WithAdaptive(*adaptive),
 		pts.WithRespawn(*respawn),
-		pts.WithCheckpointEvery(*ckEvery),
 		pts.WithSeed(*seed),
 		pts.WithCluster(pts.Testbed12(*loadSeed)),
 		pts.WithWorkScale(*workScale),

@@ -77,21 +77,29 @@
 // into the survivors, the owning TSW requests a replacement, and the
 // master spawns it onto live capacity (absorbed elastic spare slots
 // first, else the least-loaded surviving node), re-seeded from the
-// TSW's current solution at the next synchronization barrier. Each TSW
-// also piggybacks a recovery checkpoint (incumbent solution, tabu
-// memory, iteration counters, random-stream seed, CLW attachment
-// table) on its reports — WithCheckpointEvery sets the cadence — so a
-// lost TSW is resurrected from its last checkpoint with its surviving
-// CLWs re-attached. No single worker process is fatal to a run;
+// TSW's current solution at the next synchronization barrier. A lost
+// TSW is resurrected from its last checkpoint with its surviving CLWs
+// re-attached. No single worker process is fatal to a run;
 // Result.Stats reports WorkersLost and WorkersRespawned.
 // WithRespawn(false) restores the fold-only degradation (and makes a
 // TSW loss abort again); static runs abort on any loss, the paper's
 // behavior. See ARCHITECTURE.md for the full protocol.
 //
+// Every run, whatever its mode, follows one checkpoint protocol: each
+// TSW sends a recovery checkpoint (incumbent solution, tabu memory,
+// iteration counters, random-stream seed, CLW attachment table) at
+// spawn and with every report, continues its random stream from the
+// seed it published, and reseeds its CLWs from that stream at every
+// synchronization barrier. Respawn resurrects TSWs from these
+// checkpoints, and WithStore persists them so a restarted Solve
+// resumes the run. A store only adds persistence: a fixed-seed run
+// with one is bit-identical to the same run without.
+//
 // Reproducibility contract:
 //
 //   - Adaptive off (the default): fixed-seed virtual-time runs are
-//     bit-identical across releases.
+//     bit-identical across runs and hosts, with or without WithStore
+//     (the golden tests pin them).
 //   - WithRealTime, in process or distributed, with half-sync off: the
 //     search outcome is deterministic in WithSeed only for 1 TSW x 1
 //     CLW. With two or more TSWs or CLWs it is not: the master keeps

@@ -23,6 +23,11 @@ import (
 // arriving before any TagInit retires a surplus replacement that was
 // never seeded — it exits without a stats report, since no parent
 // ever accounted for it.
+//
+// The worker's random stream is whatever its parent last dealt it:
+// the Reseed of a TagInit or TagNewState. Every round's search starts
+// after a barrier reseed, so each stream is a pure function of the
+// parent TSW's checkpointed state (see tswRun).
 func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 	first := env.Recv(TagInit, TagStop)
 	if first.Tag == TagStop {
@@ -31,7 +36,7 @@ func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 	init := first.Data.(initMsg)
 	parent := first.From
 	prob := mustState(env, problem, init.Perm)
-	r := workerRand(env, cfg, "clw")
+	r := rng.New(init.Reseed)
 	params := tabu.CompoundParams{
 		Trials:  tune.Trials,
 		Depth:   tune.Depth,
@@ -101,13 +106,7 @@ func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 			if err := prob.Restore(sm.Perm); err != nil {
 				panic(fmt.Sprintf("core: clw %s: %v", env.Name(), err))
 			}
-			if sm.HasReseed {
-				// Durable runs: the barrier reseed makes this worker's
-				// stream a function of the TSW's persisted state, so a run
-				// resumed from a snapshot draws the same numbers as the
-				// uninterrupted one.
-				r = rng.New(sm.Reseed)
-			}
+			r = rng.New(sm.Reseed)
 			tentative = tabu.CompoundMove{}
 			env.Work(staWork)
 
@@ -125,9 +124,7 @@ func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 				params.Trials = in.Trials
 				stepWork = float64(params.Trials) * cfg.WorkPerTrial
 			}
-			if in.HasReseed {
-				r = rng.New(in.Reseed)
-			}
+			r = rng.New(in.Reseed)
 			tentative = tabu.CompoundMove{}
 			env.Work(staWork)
 
@@ -141,12 +138,14 @@ func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 	}
 }
 
-// workerRand returns the worker's random stream: independent per task
-// by default, or shared among siblings of the same class when
+// spawnRand returns a TSW's spawn-time random stream: independent per
+// task by default, or shared among sibling TSWs when
 // Config.CorrelatedWorkers emulates identically-seeded processes.
-func workerRand(env pvm.Env, cfg Config, class string) *rand.Rand {
+// CLWs have no spawn-time stream of their own; their parent deals them
+// one at every barrier.
+func spawnRand(env pvm.Env, cfg Config) *rand.Rand {
 	if cfg.CorrelatedWorkers {
-		return rng.NewChild(cfg.Seed, "core.correlated", class)
+		return rng.NewChild(cfg.Seed, "core.correlated", "tsw")
 	}
 	return env.Rand()
 }

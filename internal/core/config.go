@@ -70,46 +70,33 @@ type Config struct {
 	// late-joining workers are absorbed as spare capacity.
 	//
 	// Off (the default), partitioning is the paper's static equal
-	// split; fixed-seed virtual-time runs are bit-identical to earlier
-	// releases. On, virtual-time runs remain deterministic in the seed
+	// split. On, virtual-time runs remain deterministic in the seed
 	// (scheduling decisions key off modeled time), but differ from
 	// static runs.
 	Adaptive bool
 	// DisableRespawn turns off worker recovery in adaptive runs: a
 	// lost CLW's range still folds into the survivors (the pre-respawn
-	// graceful degradation) but no replacement is requested, TSWs take
-	// no checkpoints, and a lost TSW aborts the run. The zero value —
-	// recovery on — is the default whenever Adaptive is set; static
-	// runs never lose workers tolerably in the first place.
+	// graceful degradation) but no replacement is requested and a lost
+	// TSW aborts the run. The zero value — recovery on — is the default
+	// whenever Adaptive is set; static runs never lose workers
+	// tolerably in the first place. TSWs checkpoint either way: the
+	// checkpoints are part of every run's trajectory.
 	DisableRespawn bool
-	// CheckpointEvery is how many reports a TSW lets pass between
-	// piggybacked recovery checkpoints in adaptive runs: 1 (the
-	// normalized default for 0) checkpoints on every report, larger
-	// values trade recovery freshness for report size. Ignored when
-	// respawn is disabled.
-	CheckpointEvery int
-	// Store, when non-nil, makes the run durable: the master persists a
-	// run snapshot (round index, incumbent best, the TSW checkpoint
+	// Store, when non-nil, makes the run persistent: the master writes
+	// a run snapshot (round index, incumbent best, the TSW checkpoint
 	// ledger) under "runs/<RunID>" at every resync barrier, and a fresh
 	// run that finds a snapshot there resumes it instead of starting
-	// over. A store implies checkpointing — TSWs take checkpoints even
-	// in static runs — and turns on the durable reseed discipline that
-	// makes a resumed static fixed-seed run reproduce the uninterrupted
-	// store-enabled run (with CheckpointEvery 1, the default). The
-	// snapshot is deleted when the run completes uninterrupted.
+	// over. Every run checkpoints and reseeds its workers the same way
+	// (see tswRun), so a store changes nothing about the search: a
+	// store-backed run is bit-identical to the same run without one,
+	// and a resumed fixed-seed run reproduces the uninterrupted one.
+	// The snapshot is deleted when the run completes uninterrupted.
 	// Process-local (master only), never serialized.
 	Store store.Store `json:"-"`
 	// RunID names the snapshot key within the store ("runs/<RunID>");
 	// empty means "run". Give concurrent runs sharing one store
 	// distinct IDs.
 	RunID string
-	// Durable is the wire twin of Store for worker processes: a
-	// distributed master sets it from Store != nil so TSWs and CLWs on
-	// other nodes follow the durable checkpoint/reseed discipline
-	// without holding the (process-local) store themselves. Callers use
-	// Store; Durable alone changes worker behavior but persists
-	// nothing.
-	Durable bool
 	// RefreshEvery re-runs timing analysis on a TSW's evaluator every
 	// that many accepted moves (0 = only at global sync).
 	RefreshEvery int
@@ -148,12 +135,14 @@ type Config struct {
 	// heterogeneity on nodes that declared different speed factors; 0
 	// (the default) makes Work free in real time.
 	WorkScale float64
-	// CorrelatedWorkers gives all sibling workers the same random
-	// stream instead of independent ones. This emulates the classic
-	// unseeded-PRNG deployment of the paper's era, where every PVM
-	// process drew the same numbers: without diversification the TSWs
-	// then perform identical redundant searches, which is precisely the
-	// situation the paper's diversification step (Fig. 9) repairs.
+	// CorrelatedWorkers gives all sibling TSWs the same random stream
+	// instead of independent ones — and through the barrier reseeds
+	// they deal, CLW j of every TSW the same stream. This emulates the
+	// classic unseeded-PRNG deployment of the paper's era, where every
+	// PVM process drew the same numbers: without diversification the
+	// TSWs then perform identical redundant searches, which is
+	// precisely the situation the paper's diversification step (Fig. 9)
+	// repairs.
 	CorrelatedWorkers bool
 	// Assignment selects how tasks map onto cluster machines.
 	Assignment Assignment
@@ -280,8 +269,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: WorkPerTrial %v < 0", c.WorkPerTrial)
 	case c.WorkScale < 0:
 		return fmt.Errorf("core: WorkScale %v < 0", c.WorkScale)
-	case c.CheckpointEvery < 0:
-		return fmt.Errorf("core: CheckpointEvery %d < 0", c.CheckpointEvery)
 	case c.Store != nil && !store.ValidKey(c.runKey()):
 		return fmt.Errorf("core: RunID %q is not a valid store key segment", c.RunID)
 	}
@@ -293,18 +280,6 @@ func (c Config) Validate() error {
 // recovery not explicitly disabled.
 func (c Config) respawn() bool { return c.Adaptive && !c.DisableRespawn }
 
-// durable reports whether this run follows the durable discipline:
-// TSWs checkpoint regardless of Adaptive, and workers reseed their
-// random streams at every resync barrier so a run resumed from a
-// master snapshot reproduces the uninterrupted one. True on the
-// master when a Store is attached, and on worker processes through
-// the wire flag.
-func (c Config) durable() bool { return c.Store != nil || c.Durable }
-
-// checkpoints reports whether TSWs take recovery checkpoints at all:
-// for respawn, for durability, or both.
-func (c Config) checkpoints() bool { return c.respawn() || c.durable() }
-
 // runKey is the store key of this run's master snapshot.
 func (c Config) runKey() string {
 	id := c.RunID
@@ -312,14 +287,6 @@ func (c Config) runKey() string {
 		id = "run"
 	}
 	return "runs/" + id
-}
-
-// checkpointEvery normalizes the checkpoint cadence.
-func (c Config) checkpointEvery() int {
-	if c.CheckpointEvery < 1 {
-		return 1
-	}
-	return c.CheckpointEvery
 }
 
 // ranges partitions [0, n) into k nearly equal half-open ranges, the

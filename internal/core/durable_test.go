@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,9 +12,8 @@ import (
 	"pts/internal/store"
 )
 
-// durableCfg is quickCfg with a store attached: durable discipline on,
-// checkpoint every report (the default cadence, required for bit-exact
-// resume).
+// durableCfg is quickCfg with a store attached, so the run persists a
+// snapshot at every barrier and resumes from one it finds.
 func durableCfg(st store.Store) Config {
 	cfg := quickCfg()
 	cfg.GlobalIters = 6
@@ -151,26 +151,32 @@ func TestDurableSnapshotFingerprint(t *testing.T) {
 	}
 }
 
-// TestDurableNoStoreUnchanged: without a store, runs stay bit-identical
-// to the non-durable baseline — the durability fields never enter the
-// message streams.
-func TestDurableNoStoreUnchanged(t *testing.T) {
+// TestStorelessMatchesStoreBacked: every run follows one checkpoint
+// and reseed protocol, so a store only adds persistence — a fixed-seed
+// run with a store is bit-identical to the same run without one, in
+// static and adaptive mode alike.
+func TestStorelessMatchesStoreBacked(t *testing.T) {
 	clus := cluster.Testbed12(5)
-	cfg := quickCfg()
-	nl := netlist.MustBenchmark("highway")
-	a, err := Run(nl, clus, cfg, Virtual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgD := cfg
-	cfgD.Durable = false // explicit: the wire flag defaults off
-	b, err := Run(nl, clus, cfgD, Virtual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestCost != b.BestCost || a.Elapsed != b.Elapsed {
-		t.Fatalf("no-store runs diverged: (%v,%v) vs (%v,%v)",
-			a.BestCost, a.Elapsed, b.BestCost, b.Elapsed)
+	for _, adaptive := range []bool{false, true} {
+		cfg := quickCfg()
+		cfg.Adaptive = adaptive
+		plain, err := RunProblem(context.Background(), placementProblem(cfg), clus, cfg, Virtual)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withStore := cfg
+		withStore.Store = store.NewMem()
+		stored, err := RunProblem(context.Background(), placementProblem(withStore), clus, withStore, Virtual)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.BestCost != stored.BestCost || plain.Elapsed != stored.Elapsed {
+			t.Fatalf("adaptive=%v: storeless (%v, %v) != store-backed (%v, %v)",
+				adaptive, plain.BestCost, plain.Elapsed, stored.BestCost, stored.Elapsed)
+		}
+		if !slices.Equal(plain.BestPerm, stored.BestPerm) {
+			t.Fatalf("adaptive=%v: best permutations differ", adaptive)
+		}
 	}
 }
 

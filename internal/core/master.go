@@ -26,10 +26,9 @@ type masterState struct {
 // restarted master needs to resume the run where the dead one left
 // off. It is persisted (gob under "runs/<RunID>") at every resync
 // barrier: the point where the TSW checkpoint ledger is freshest (one
-// piggybacked checkpoint per report with the default cadence) and the
-// incumbent best was just re-selected. Problem/Size/Seed fingerprint
-// the run so a stale snapshot from different inputs is refused rather
-// than resumed.
+// piggybacked checkpoint per report) and the incumbent best was just
+// re-selected. Problem/Size/Seed fingerprint the run so a stale
+// snapshot from different inputs is refused rather than resumed.
 type masterSnapshot struct {
 	Problem string
 	Size    int32
@@ -85,23 +84,22 @@ func persistSnapshot(prob Problem, cfg Config, ts *tswSet, out *masterState, bes
 		return
 	}
 	snap := &masterSnapshot{
-		Problem:  prob.Name(),
-		Size:     prob.Size(),
-		Seed:     cfg.Seed,
-		Round:    out.rounds,
-		BestCost: out.bestCost,
-		BestPerm: out.bestPerm,
-		BestTabu: bestTabu,
-		Latest:   make([]WorkerStats, cfg.TSWs),
+		Problem:     prob.Name(),
+		Size:        prob.Size(),
+		Seed:        cfg.Seed,
+		Round:       out.rounds,
+		BestCost:    out.bestCost,
+		BestPerm:    out.bestPerm,
+		BestTabu:    bestTabu,
+		Latest:      make([]WorkerStats, cfg.TSWs),
+		Checkpoints: make([]snapCheckpoint, len(ts.rec.cks)),
+		Lost:        ts.rec.lost,
+		Respawned:   ts.rec.respawned,
 	}
-	if ts.rec != nil {
-		snap.Checkpoints = make([]snapCheckpoint, len(ts.rec.cks))
-		for i, ck := range ts.rec.cks {
-			if ck != nil {
-				snap.Checkpoints[i] = snapCheckpoint{OK: true, CK: *ck}
-			}
+	for i, ck := range ts.rec.cks {
+		if ck != nil {
+			snap.Checkpoints[i] = snapCheckpoint{OK: true, CK: *ck}
 		}
-		snap.Lost, snap.Respawned = ts.rec.lost, ts.rec.respawned
 	}
 	for id, i := range ts.idx {
 		if i < len(snap.Latest) {
@@ -123,13 +121,14 @@ func persistSnapshot(prob Problem, cfg Config, ts *tswSet, out *masterState, bes
 // to the shutdown handshake, so every worker drains cleanly and the
 // best-so-far is preserved.
 //
-// With recovery enabled (adaptive runs, Config.respawn) the master is
-// also the cluster's undertaker: it spawns replacement CLWs on live
-// capacity when a TSW reports a loss (TagRespawn), remembers every
-// TSW's latest checkpoint (piggybacked on TagBest, plus the spawn-time
-// TagCheckpoint), watches the TSWs themselves, and resurrects a lost
-// TSW from its checkpoint — re-attaching its surviving CLWs — so no
-// single worker process is fatal to the run.
+// The master remembers every TSW's latest checkpoint (piggybacked on
+// TagBest, plus the spawn-time TagCheckpoint) in every run; that
+// ledger is what a Store persists. With recovery enabled (adaptive
+// runs, Config.respawn) the master is also the cluster's undertaker:
+// it spawns replacement CLWs on live capacity when a TSW reports a
+// loss (TagRespawn), watches the TSWs themselves, and resurrects a
+// lost TSW from its checkpoint — re-attaching its surviving CLWs — so
+// no single worker process is fatal to the run.
 func masterRun(env pvm.Env, prob Problem, cfg Config,
 	initPerm []int32, initCost float64, snap *masterSnapshot, out *masterState) {
 
@@ -161,24 +160,22 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		ids:    make([]pvm.TaskID, cfg.TSWs),
 		idx:    make(map[pvm.TaskID]int, cfg.TSWs),
 		latest: make(map[pvm.TaskID]WorkerStats, cfg.TSWs),
+		rec:    newRecovery(env, prob, cfg),
 	}
-	if cfg.respawn() || cfg.durable() {
-		ts.rec = newRecovery(env, prob, cfg)
-		if snap != nil {
-			// Seed the recovery ledger from the snapshot — marked Restart,
-			// because the checkpointed CLW task IDs died with the old run: a
-			// resumed TSW dying again before its first fresh checkpoint is
-			// resurrected onto a fresh CLW set, never onto stale IDs.
-			for i := range snap.Checkpoints {
-				if i < len(ts.rec.cks) && snap.Checkpoints[i].OK {
-					c := snap.Checkpoints[i].CK
-					c.Restart = true
-					ts.rec.cks[i] = &c
-				}
+	if snap != nil {
+		// Seed the recovery ledger from the snapshot — marked Restart,
+		// because the checkpointed CLW task IDs died with the old run: a
+		// resumed TSW dying again before its first fresh checkpoint is
+		// resurrected onto a fresh CLW set, never onto stale IDs.
+		for i := range snap.Checkpoints {
+			if i < len(ts.rec.cks) && snap.Checkpoints[i].OK {
+				c := snap.Checkpoints[i].CK
+				c.Restart = true
+				ts.rec.cks[i] = &c
 			}
-			ts.rec.lost = snap.Lost
-			ts.rec.respawned = snap.Respawned
 		}
+		ts.rec.lost = snap.Lost
+		ts.rec.respawned = snap.Respawned
 	}
 	resumed := make([]bool, cfg.TSWs)
 	for i := 0; i < cfg.TSWs; i++ {
@@ -204,9 +201,9 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		})
 		// Recovery: watch the TSWs themselves, so a lost one can be
 		// resurrected from its checkpoint instead of aborting the run.
-		// (Durable-only runs — static with a store — keep the static
-		// loss semantics: no watch, a lost worker aborts the run; the
-		// persisted snapshot is then what makes the abort recoverable.)
+		// (Static runs keep the static loss semantics: no watch, a lost
+		// worker aborts the run; with a store, the persisted snapshot is
+		// then what makes the abort recoverable.)
 		if cfg.respawn() {
 			pvm.NotifyExit(env, ts.ids[i])
 		}
@@ -284,13 +281,13 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		// The round-end observation keeps the trace's time axis spanning
 		// the full run even when no TSW improved this round.
 		raw = append(raw, improvement{Time: env.Now(), Cost: out.bestCost})
-		// Durable runs snapshot here — the barrier, where the checkpoint
-		// ledger is freshest and the incumbent was just re-selected. A
-		// round collected after cancellation fired is never persisted:
-		// its reports may come from cancel-truncated local searches,
-		// and resuming from it would fork off the uninterrupted
-		// trajectory. The previous snapshot stays, and a restart
-		// re-runs this round at full length instead.
+		// Store-backed runs snapshot here — the barrier, where the
+		// checkpoint ledger is freshest and the incumbent was just
+		// re-selected. A round collected after cancellation fired is
+		// never persisted: its reports may come from cancel-truncated
+		// local searches, and resuming from it would fork off the
+		// uninterrupted trajectory. The previous snapshot stays, and a
+		// restart re-runs this round at full length instead.
 		if !env.Cancelled() {
 			persistSnapshot(prob, cfg, ts, out, bestTabu)
 		}
@@ -312,10 +309,8 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 			for _, ws := range ts.latest {
 				snap.Stats.add(ws)
 			}
-			if ts.rec != nil {
-				snap.Stats.WorkersLost += ts.rec.lost
-				snap.Stats.WorkersRespawned += ts.rec.respawned
-			}
+			snap.Stats.WorkersLost += ts.rec.lost
+			snap.Stats.WorkersRespawned += ts.rec.respawned
 			cfg.Progress(snap)
 		}
 
@@ -350,9 +345,7 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 
 	// Shut down and gather counters. From here on replacement requests
 	// are declined: a worker lost during the handshake stays lost.
-	if ts.rec != nil {
-		ts.rec.declining = true
-	}
+	ts.rec.declining = true
 	for _, id := range ts.ids {
 		env.Send(id, TagStop, nil)
 	}
@@ -386,10 +379,8 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 			}
 		}
 	}
-	if ts.rec != nil {
-		out.stats.WorkersLost += ts.rec.lost
-		out.stats.WorkersRespawned += ts.rec.respawned
-	}
+	out.stats.WorkersLost += ts.rec.lost
+	out.stats.WorkersRespawned += ts.rec.respawned
 
 	if cfg.RecordTrace {
 		out.trace = envelope(raw)
@@ -431,8 +422,8 @@ type bestReports struct {
 }
 
 // tswSet is the master's view of its TSWs: identity, each worker's
-// latest cumulative counters, and (with recovery on) the respawn
-// bookkeeping.
+// latest cumulative counters, and the checkpoint ledger with its
+// respawn bookkeeping.
 type tswSet struct {
 	env    pvm.Env
 	cfg    Config
@@ -472,10 +463,8 @@ func (ts *tswSet) collect(halfSync bool) bestReports {
 			}
 			reported[m.From] = true
 			b := m.Data.(bestMsg)
-			if b.Checkpoint != nil {
-				if i, ok := ts.idx[m.From]; ok && ts.rec != nil {
-					ts.rec.noteCheckpoint(i, b.Checkpoint)
-				}
+			if i, ok := ts.idx[m.From]; ok {
+				ts.rec.noteCheckpoint(i, &b.Checkpoint)
 			}
 			out.msgs = append(out.msgs, b)
 			out.from = append(out.from, m.From)

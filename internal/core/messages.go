@@ -60,31 +60,32 @@ const (
 
 // initMsg is the TagInit payload. Trials, when positive, overrides the
 // worker's per-step trial budget (the adaptive scheduler's
-// share-proportional budget); 0 keeps the tuned default. Reseed (with
-// HasReseed set) replaces the receiving CLW's random stream — durable
-// runs seed a replacement attached after the barrier's TagNewState
-// went out with the same per-slot barrier draw it would have received
-// there, so a resumed run's streams match the uninterrupted one's.
+// share-proportional budget); 0 keeps the tuned default. Reseed
+// replaces the receiving CLW's random stream: a replacement attached
+// after the barrier's TagNewState went out gets the same per-slot
+// barrier draw it would have received there. At spawn and on adoption
+// by a resurrected TSW it is 0 and never drawn from — the next barrier
+// reseeds the worker before it searches. TSWs ignore it.
 type initMsg struct {
 	Perm             []int32
 	RangeLo, RangeHi int32
 	WorkerIdx        int
 	Trials           int
 	Reseed           uint64
-	HasReseed        bool
 }
 
 // PVMItems models the message size for latency purposes.
 //
-// Note on the size model: the adaptive-scheduling and durability
-// piggyback fields (initMsg.Trials/Reseed, candMsg.CumTrials/At,
-// stateMsg.Reseed, globalMsg range updates, bestMsg/WorkerStats
-// scheduler counters, tswCheckpoint restart flags) are deliberately
+// Note on the size model: the adaptive-scheduling and recovery fields
+// (initMsg.Trials/Reseed, candMsg.CumTrials/At, stateMsg.Reseed,
+// globalMsg range updates, bestMsg/WorkerStats scheduler counters, and
+// the tswCheckpoint on bestMsg and TagCheckpoint) are deliberately
 // excluded from every PVMItems formula. The formulas calibrate the
-// virtual runtime against the paper's 2003-era message costs, and
-// keeping them untouched keeps fixed-seed static-mode runs
-// bit-identical across releases — the few extra words are far below
-// the model's resolution.
+// virtual runtime against the paper's 2003-era message costs, for a
+// protocol that carried none of this state. The small fields are far
+// below the model's resolution; the checkpoint is not (it copies the
+// solution, tabu list and frequency table), so modelled communication
+// undercounts what a run actually sends by that much.
 func (m initMsg) PVMItems() int { return len(m.Perm) + 4 }
 
 // candMsg is the TagCandidate payload. CumTrials and At piggyback the
@@ -165,14 +166,13 @@ type respawnEntry struct {
 
 // tswCheckpoint is a TSW's recovery state: everything a replacement
 // TSW needs to continue the search where the dead one left off. It
-// rides on bestMsg (every Config.CheckpointEvery-th report) and once,
-// at spawn, as a bare TagCheckpoint — so the master can always
-// resurrect a lost TSW that had live CLWs.
+// rides on every bestMsg and once, at spawn, as a bare TagCheckpoint —
+// so the master can always resurrect a lost TSW that had live CLWs.
 //
-// RandSeed is a fresh draw from the checkpointing TSW's own stream:
-// the resumed TSW derives its generator from it rather than from its
-// (necessarily different) spawn path, so recovery does not reset the
-// diversification trajectory to a replay of the beginning.
+// RandSeed is a fresh draw from the checkpointing TSW's own stream,
+// which the TSW then continues from itself: a resumed TSW deriving its
+// generator from it draws exactly the numbers the uninterrupted one
+// does.
 type tswCheckpoint struct {
 	WorkerIdx int
 	Iter      int64
@@ -186,16 +186,12 @@ type tswCheckpoint struct {
 	DivLo     int32
 	DivHi     int32
 	CLWs      []clwSlot
-	// Reports is how many rounds the TSW had reported when the
-	// checkpoint was taken; a successor continues the count so the
-	// CheckpointEvery cadence survives a resume.
-	Reports int
 	// AcceptedRefresh is the accepted-move count toward the next
 	// RefreshEvery evaluator refresh. It carries across rounds, so a
 	// successor must continue it mid-cycle — resetting it would shift
 	// every later refresh point and (because a refresh flushes the
-	// incremental evaluator's float accumulation) fork a durable
-	// resume off the uninterrupted trajectory.
+	// incremental evaluator's float accumulation) fork a resume off
+	// the uninterrupted trajectory.
 	AcceptedRefresh int
 	// Extra lists replacements the master spawned for this TSW whose
 	// acks are not reflected in the checkpoint (set only by the master
@@ -218,10 +214,10 @@ type tswCheckpoint struct {
 	SkipRound bool
 }
 
-// PVMItems: checkpoints exist only in adaptive and durable runs and
-// are excluded from the calibrated latency model like every adaptive
-// piggyback (see the note on initMsg.PVMItems); the bare TagCheckpoint
-// message counts as the minimum one item.
+// PVMItems: checkpoints are recovery state the paper's protocol does
+// not carry, so they are excluded from the calibrated latency model
+// like every recovery piggyback (see the note on initMsg.PVMItems);
+// the bare TagCheckpoint message counts as the minimum one item.
 func (c tswCheckpoint) PVMItems() int { return 1 }
 
 // syncMsg is the TagSync payload: the winning move of the iteration
@@ -232,23 +228,21 @@ type syncMsg struct {
 
 func (m syncMsg) PVMItems() int { return 2*len(m.Chosen.Swaps) + 3 }
 
-// stateMsg is the TagNewState payload. Reseed (with HasReseed set)
-// replaces the receiving CLW's random stream: durable runs draw one
-// reseed per CLW slot from the TSW's own stream at every resync
-// barrier — exactly Config.CLWs draws in slot order, regardless of
-// slot liveness, so the TSW's stream consumption is independent of
-// losses — making every CLW stream a pure function of the persisted
-// TSW state rather than of the spawn path. That is what lets a run
-// resumed from a master snapshot reproduce the uninterrupted
-// store-enabled run bit-for-bit.
+// stateMsg is the TagNewState payload. Reseed replaces the receiving
+// CLW's random stream: the TSW draws one reseed per CLW slot from its
+// own stream at every resync barrier — exactly Config.CLWs draws in
+// slot order, regardless of slot liveness, so the TSW's stream
+// consumption is independent of losses — making every CLW stream a
+// pure function of the checkpointed TSW state rather than of the
+// spawn path. That is what lets a run resumed from a master snapshot
+// reproduce the uninterrupted run bit-for-bit.
 type stateMsg struct {
-	Perm      []int32
-	Reseed    uint64
-	HasReseed bool
+	Perm   []int32
+	Reseed uint64
 }
 
-// PVMItems excludes the durable reseed like every piggyback field (see
-// the note on initMsg.PVMItems).
+// PVMItems excludes the reseed like every piggyback field (see the
+// note on initMsg.PVMItems).
 func (m stateMsg) PVMItems() int { return len(m.Perm) }
 
 // improvement is one incumbent improvement a TSW observed locally:
@@ -270,10 +264,9 @@ type bestMsg struct {
 	Points []improvement
 	Forced bool
 	Stats  WorkerStats
-	// Checkpoint, when non-nil, is the TSW's piggybacked recovery
-	// state (adaptive runs with respawn enabled, and every durable
-	// run; excluded from the latency model like every adaptive field).
-	Checkpoint *tswCheckpoint
+	// Checkpoint is the TSW's piggybacked recovery state (excluded
+	// from the latency model like every recovery field).
+	Checkpoint tswCheckpoint
 }
 
 func (m bestMsg) PVMItems() int {

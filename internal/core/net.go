@@ -108,8 +108,6 @@ type wireConfig struct {
 	HalfSync                bool
 	Adaptive                bool
 	DisableRespawn          bool
-	CheckpointEvery         int
-	Durable                 bool
 	RefreshEvery            int
 	Utilization             float64
 	Cost                    cost.Config
@@ -126,14 +124,10 @@ func (c Config) wire() wireConfig {
 		TSWs: c.TSWs, CLWs: c.CLWs,
 		GlobalIters: c.GlobalIters, LocalIters: c.LocalIters,
 		Trials: c.Trials, Depth: c.Depth, Tenure: c.Tenure,
-		DiversifyDepth:  c.DiversifyDepth,
-		HalfSync:        c.HalfSync,
-		Adaptive:        c.Adaptive,
-		DisableRespawn:  c.DisableRespawn,
-		CheckpointEvery: c.CheckpointEvery,
-		// The store itself never crosses the wire; workers only need
-		// the durable discipline flag (checkpoints + barrier reseeds).
-		Durable:           c.durable(),
+		DiversifyDepth:    c.DiversifyDepth,
+		HalfSync:          c.HalfSync,
+		Adaptive:          c.Adaptive,
+		DisableRespawn:    c.DisableRespawn,
 		RefreshEvery:      c.RefreshEvery,
 		Utilization:       c.Utilization,
 		Cost:              c.Cost,
@@ -155,8 +149,6 @@ func (w wireConfig) config() Config {
 		HalfSync:          w.HalfSync,
 		Adaptive:          w.Adaptive,
 		DisableRespawn:    w.DisableRespawn,
-		CheckpointEvery:   w.CheckpointEvery,
-		Durable:           w.Durable,
 		RefreshEvery:      w.RefreshEvery,
 		Utilization:       w.Utilization,
 		WorkPerTrial:      w.WorkPerTrial,

@@ -159,7 +159,7 @@ func TestRespawnedCLWInheritsExactPartition(t *testing.T) {
 		t.Fatal("rebalance after a revival was not adopted")
 	}
 	perm := make([]int32, 30)
-	cs.attach(env, newly, perm, nil)
+	cs.attach(env, newly, perm, make([]uint64, len(cs.ids)))
 	if cs.alive != 3 || !cs.live[1] || cs.ids[1] != 42 {
 		t.Fatalf("replacement not attached: alive %d, live %v, ids %v", cs.alive, cs.live, cs.ids)
 	}
@@ -219,7 +219,7 @@ func TestCheckpointRoundTripAdoptsSurvivors(t *testing.T) {
 	freq.BumpSwap(3, 4)
 	var stats WorkerStats
 	stats.LocalIters = 123
-	ck := buildCheckpoint(0, prob, list, freq, rng.New(9), 80, stats, prob.Cost(), prob.Snapshot(), 5, 25, 4, 0, cs)
+	ck := buildCheckpoint(0, prob, list, freq, rng.New(9), 80, stats, prob.Cost(), prob.Snapshot(), 5, 25, 0, cs)
 
 	if len(ck.CLWs) != 3 {
 		t.Fatalf("checkpoint slots = %d, want 3", len(ck.CLWs))
@@ -261,7 +261,7 @@ func TestCheckpointRoundTripAdoptsSurvivors(t *testing.T) {
 	// space exactly.
 	newly := cs2.revivePending()
 	cs2.rebalance(env2)
-	cs2.attach(env2, newly, ck.Perm, nil)
+	cs2.attach(env2, newly, ck.Perm, make([]uint64, len(cs2.ids)))
 	assertExactPartition(t, cs2)
 
 	// Memory round-trip.

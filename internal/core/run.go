@@ -102,9 +102,9 @@ func RunProblem(ctx context.Context, prob Problem, clus cluster.Cluster, cfg Con
 		return finalize(prob, res)
 	}
 
-	// Durable runs: a snapshot left behind by a dead master resumes the
-	// run where it stopped. A snapshot whose fingerprint (problem, size,
-	// seed) does not match this run's inputs is stale state from a
+	// Store-backed runs: a snapshot left behind by a dead master resumes
+	// the run where it stopped. A snapshot whose fingerprint (problem,
+	// size, seed) does not match this run's inputs is stale state from a
 	// different run under the same RunID — ignored, then overwritten by
 	// the first barrier of the fresh run.
 	snap := loadSnapshot(prob, cfg, initPerm)

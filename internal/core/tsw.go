@@ -27,9 +27,16 @@ import (
 // survivors instead of stalling the protocol. With respawn enabled
 // (the adaptive default) the TSW additionally asks the master for a
 // replacement, which it seeds with its current solution at the next
-// resync barrier — restoring the lost parallelism — and piggybacks a
-// recovery checkpoint on its reports so the master can resurrect the
-// TSW itself if its hosting process dies.
+// resync barrier, restoring the lost parallelism.
+//
+// Every TSW follows one checkpoint-relative random protocol. It sends
+// a recovery checkpoint at spawn and piggybacks one on every report,
+// and after each it continues from the very seed the checkpoint
+// publishes. At every resync barrier it deals one reseed per CLW slot
+// from that stream. Every random stream of the run is therefore a
+// pure function of the latest checkpoints, which is what lets the
+// master resurrect a lost TSW (respawn) or resume a whole run from a
+// persisted snapshot (Config.Store) onto the uninterrupted trajectory.
 //
 // resume, when non-nil, is the checkpoint this TSW continues from: it
 // skips the TagInit handshake, restores the dead predecessor's search
@@ -55,15 +62,24 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	)
 	var divLo, divHi int32 // diversification range (master rebalances it)
 	var pending []improvement
-	reports := 0
 	acceptedSinceRefresh := 0
+
+	// checkpoint captures this TSW's recovery state and continues the
+	// random stream from the very seed it publishes: a successor
+	// restoring rng.New(RandSeed) then carries exactly this stream, so
+	// resumed and uninterrupted runs draw identical numbers from here on.
+	checkpoint := func() tswCheckpoint {
+		ck := buildCheckpoint(cs.widx, prob, list, freq, tswRand, iter, stats, best, bestPerm, divLo, divHi, acceptedSinceRefresh, cs)
+		tswRand = rng.New(ck.RandSeed)
+		return ck
+	}
 
 	if resume == nil {
 		init := env.Recv(TagInit).Data.(initMsg)
 		prob = mustState(env, problem, init.Perm)
 		tune = cfg.tuningFor(init.WorkerIdx)
 		freq = tabu.NewFrequency(prob.Size())
-		tswRand = workerRand(env, cfg, "tsw")
+		tswRand = spawnRand(env, cfg)
 		best = prob.Cost()
 		bestPerm = prob.Snapshot()
 		divLo, divHi = init.RangeLo, init.RangeHi
@@ -71,17 +87,11 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 		// Spawn this worker's CLWs once; they live for the whole run and
 		// sit on the machines the assignment policy dictates.
 		cs = newCLWSet(env, problem, cfg, tune, init, prob.Size(), master)
-		if cfg.checkpoints() {
-			// The spawn-time checkpoint closes the recovery gap before the
-			// first report: the master can resurrect this TSW (and find its
-			// CLWs) from the instant they exist. Sent on the same channel
-			// the CLW spawns went through, so it can never trail them.
-			ck := buildCheckpoint(init.WorkerIdx, prob, list, freq, tswRand, iter, stats, best, bestPerm, divLo, divHi, reports, acceptedSinceRefresh, cs)
-			env.Send(master, TagCheckpoint, ck)
-			if cfg.durable() {
-				tswRand = selfReseed(ck.RandSeed)
-			}
-		}
+		// The spawn-time checkpoint closes the recovery gap before the
+		// first report: the master can resurrect this TSW (and find its
+		// CLWs) from the instant they exist. Sent on the same channel
+		// the CLW spawns went through, so it can never trail them.
+		env.Send(master, TagCheckpoint, checkpoint())
 	} else {
 		ck := resume
 		prob = mustState(env, problem, ck.Perm)
@@ -94,13 +104,10 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 		best = ck.Best
 		bestPerm = append([]int32(nil), ck.BestPerm...)
 		divLo, divHi = ck.DivLo, ck.DivHi
-		reports = ck.Reports
 		acceptedSinceRefresh = ck.AcceptedRefresh
 		// The predecessor drew RandSeed from its own stream at checkpoint
-		// time, so recovery continues the sampling trajectory instead of
-		// replaying the run's beginning under a new spawn-path stream.
-		// (In durable runs the predecessor reseeded itself from the same
-		// value, which is what makes the two trajectories identical.)
+		// time and reseeded itself from the same value, so the successor
+		// continues the very stream the predecessor carried forward.
 		tswRand = rng.New(ck.RandSeed)
 		if ck.Restart {
 			// Master restart: the transport aborted every worker task with
@@ -121,11 +128,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 			// checkpoint: the master's ledger of handed-over replacements is
 			// pruned by it, and a successor dying straight away resumes from
 			// this attachment table instead of the predecessor's stale one.
-			ack := buildCheckpoint(ck.WorkerIdx, prob, list, freq, tswRand, iter, stats, best, bestPerm, divLo, divHi, reports, acceptedSinceRefresh, cs)
-			env.Send(master, TagCheckpoint, ack)
-			if cfg.durable() {
-				tswRand = selfReseed(ack.RandSeed)
-			}
+			env.Send(master, TagCheckpoint, checkpoint())
 		}
 	}
 	staWork := workSTA(cfg, prob.Size())
@@ -186,25 +189,18 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 				if (!firstRound || len(newly) > 0) && cs.rebalance(env) {
 					stats.Rebalances++
 				}
-				// Durable runs reseed every CLW at the barrier: exactly
-				// Config.CLWs draws in slot order, liveness notwithstanding, so
-				// this stream's consumption — and with it every CLW's stream —
-				// is a pure function of the checkpointed state.
-				var reseeds []uint64
-				if cfg.durable() {
-					reseeds = make([]uint64, cfg.CLWs)
-					for j := range reseeds {
-						reseeds[j] = tswRand.Uint64()
-					}
+				// Reseed every CLW at the barrier: exactly Config.CLWs draws
+				// in slot order, liveness notwithstanding, so this stream's
+				// consumption — and with it every CLW's stream — is a pure
+				// function of the checkpointed state.
+				reseeds := make([]uint64, cfg.CLWs)
+				for j := range reseeds {
+					reseeds[j] = tswRand.Uint64()
 				}
 				perm := prob.Snapshot()
 				for j, id := range cs.ids {
 					if cs.live[j] {
-						sm := stateMsg{Perm: perm}
-						if reseeds != nil {
-							sm.Reseed, sm.HasReseed = reseeds[j], true
-						}
-						env.Send(id, TagNewState, sm)
+						env.Send(id, TagNewState, stateMsg{Perm: perm, Reseed: reseeds[j]})
 					}
 				}
 				cs.attach(env, newly, perm, reseeds)
@@ -272,31 +268,19 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 			}
 			firstRound = false
 
-			// Report the best to the master (solution + tabu list, §4.1). The
-			// permutation is copied because bestPerm is a reused buffer the
-			// next round keeps writing into. Every checkpointEvery-th report
-			// piggybacks the recovery checkpoint.
-			reports++
-			msg := bestMsg{
-				Cost:   best,
-				Perm:   append([]int32(nil), bestPerm...),
-				Tabu:   list.Export(iter),
-				Points: pending,
-				Forced: forcedByMaster,
-				Stats:  stats,
-			}
-			if cfg.checkpoints() && reports%cfg.checkpointEvery() == 0 {
-				ck := buildCheckpoint(cs.widx, prob, list, freq, tswRand, iter, stats, best, bestPerm, divLo, divHi, reports, acceptedSinceRefresh, cs)
-				msg.Checkpoint = &ck
-				if cfg.durable() {
-					// Continue from the seed just published: a successor
-					// restoring rng.New(RandSeed) then carries exactly this
-					// stream, which is what makes a resumed durable run
-					// reproduce the uninterrupted one.
-					tswRand = selfReseed(ck.RandSeed)
-				}
-			}
-			env.Send(master, TagBest, msg)
+			// Report the best to the master (solution + tabu list, §4.1) with
+			// the recovery checkpoint piggybacked. The permutation is copied
+			// because bestPerm is a reused buffer the next round keeps
+			// writing into.
+			env.Send(master, TagBest, bestMsg{
+				Cost:       best,
+				Perm:       append([]int32(nil), bestPerm...),
+				Tabu:       list.Export(iter),
+				Points:     pending,
+				Forced:     forcedByMaster,
+				Stats:      stats,
+				Checkpoint: checkpoint(),
+			})
 			pending = nil
 		}
 
@@ -342,7 +326,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 // must stay valid after the TSW keeps mutating its buffers.
 func buildCheckpoint(widx int, prob State, list *tabu.List, freq *tabu.Frequency,
 	r *rand.Rand, iter int64, stats WorkerStats, best float64, bestPerm []int32,
-	divLo, divHi int32, reports, acceptedRefresh int, cs *clwSet) tswCheckpoint {
+	divLo, divHi int32, acceptedRefresh int, cs *clwSet) tswCheckpoint {
 	return tswCheckpoint{
 		WorkerIdx:       widx,
 		Iter:            iter,
@@ -355,18 +339,10 @@ func buildCheckpoint(widx int, prob State, list *tabu.List, freq *tabu.Frequency
 		Stats:           stats,
 		DivLo:           divLo,
 		DivHi:           divHi,
-		Reports:         reports,
 		AcceptedRefresh: acceptedRefresh,
 		CLWs:            cs.slots(),
 	}
 }
-
-// selfReseed is the durable TSW's half of the checkpoint contract:
-// after publishing a checkpoint it continues from the very seed it
-// published, so the stream a successor restores with rng.New(RandSeed)
-// is the stream this TSW carries forward — resumed and uninterrupted
-// runs draw identical numbers from here on.
-func selfReseed(seed uint64) *rand.Rand { return rng.New(seed) }
 
 // clwSet is a TSW's view of its candidate-list workers: identity,
 // liveness, current element ranges and per-step trial budgets, plus
@@ -697,10 +673,10 @@ func (cs *clwSet) revivePending() []int {
 // attach is the second half: the revived slots go live and each
 // replacement is seeded with a TagInit carrying the current solution,
 // its range from the just-adopted partition, and its budget — after
-// which it participates in the round like any other CLW. In durable
-// runs the TagInit also carries the slot's barrier reseed (the
-// replacement attaches after the barrier's TagNewState went out, so
-// this is where it receives the draw its slot was dealt).
+// which it participates in the round like any other CLW. The TagInit
+// also carries the slot's barrier reseed (the replacement attaches
+// after the barrier's TagNewState went out, so this is where it
+// receives the draw its slot was dealt).
 func (cs *clwSet) attach(env pvm.Env, newly []int, perm []int32, reseeds []uint64) {
 	for _, j := range newly {
 		id := cs.pend[j]
@@ -708,17 +684,14 @@ func (cs *clwSet) attach(env pvm.Env, newly []int, perm []int32, reseeds []uint6
 		cs.ids[j] = id
 		cs.live[j] = true
 		cs.alive++
-		im := initMsg{
+		env.Send(id, TagInit, initMsg{
 			Perm:      perm,
 			RangeLo:   cs.rng[j][0],
 			RangeHi:   cs.rng[j][1],
 			WorkerIdx: j,
 			Trials:    cs.trialsFor(j),
-		}
-		if reseeds != nil {
-			im.Reseed, im.HasReseed = reseeds[j], true
-		}
-		env.Send(id, TagInit, im)
+			Reseed:    reseeds[j],
+		})
 	}
 }
 

@@ -406,11 +406,10 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	req.Cfg.Transport = nil
 	req.Cfg.Progress = nil
 	req.Cfg.ProblemSpec = nil
-	// Durability is the scheduler's, not the submitter's: the store (and
+	// Persistence is the scheduler's, not the submitter's: the store (and
 	// the run's snapshot namespace) is attached at solve time.
 	req.Cfg.Store = nil
 	req.Cfg.RunID = ""
-	req.Cfg.Durable = false
 	if err := req.Cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -664,8 +663,8 @@ func (s *Scheduler) solve(ctx context.Context, j *Job, lease Lease) (*core.Resul
 	cfg.ProblemSpec = &spec
 	cfg.Progress = j.progress
 	if s.cfg.Store != nil {
-		// Durable run: snapshots under "runs/<job id>", so a daemon
-		// restart resumes this job where its last barrier left it.
+		// Snapshots under "runs/<job id>", so a daemon restart resumes
+		// this job where its last barrier left it.
 		cfg.Store = s.cfg.Store
 		cfg.RunID = runID(j.id)
 	}

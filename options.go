@@ -21,11 +21,6 @@ type settings struct {
 	// to real) from "requested virtual" (a configuration error).
 	modeSet bool
 
-	// checkpointSet records an explicit WithCheckpointEvery, so Solve
-	// can refuse the contradictory WithCheckpointEvery(0)+WithStore
-	// combination up front instead of running without resume points.
-	checkpointSet bool
-
 	// Distributed execution (net.go options).
 	transport pvm.Transport
 	listen    *listenConfig
@@ -102,11 +97,10 @@ func WithHalfSync(on bool) Option {
 // Result.Interrupted), and worker processes joining late are absorbed
 // as spare capacity.
 //
-// Off (the default), partitioning is the paper's fixed equal split and
-// fixed-seed virtual-time results are bit-identical to earlier
-// releases. Adaptive virtual-time runs are still deterministic in
-// WithSeed — scheduling decisions key off modeled time, not the wall
-// clock — but explore a different (speed-weighted) trajectory.
+// Off (the default), partitioning is the paper's fixed equal split.
+// Adaptive virtual-time runs are still deterministic in WithSeed —
+// scheduling decisions key off modeled time, not the wall clock — but
+// explore a different (speed-weighted) trajectory.
 func WithAdaptive(on bool) Option {
 	return func(s *settings) { s.cfg.Adaptive = on }
 }
@@ -120,11 +114,11 @@ func WithAdaptive(on bool) Option {
 // capacity — absorbed elastic spare slots first, else the least-loaded
 // surviving node — and the TSW re-seeds it from its current solution
 // at the next synchronization barrier, restoring the lost parallelism.
-// Each TSW also piggybacks a recovery checkpoint (incumbent solution,
-// tabu memory, iteration counters, random-stream seed, CLW attachment
-// table) on its periodic reports, so a lost TSW is resurrected from
-// its last checkpoint with its surviving CLWs re-attached — no single
-// worker process is fatal. Result.Stats counts both sides as
+// Every TSW piggybacks a recovery checkpoint (incumbent solution, tabu
+// memory, iteration counters, random-stream seed, CLW attachment
+// table) on each report, so a lost TSW is resurrected from its last
+// checkpoint with its surviving CLWs re-attached — no single worker
+// process is fatal. Result.Stats counts both sides as
 // WorkersLost and WorkersRespawned.
 //
 // WithRespawn(false) restores the fold-only degradation: CLW losses
@@ -135,48 +129,24 @@ func WithRespawn(on bool) Option {
 	return func(s *settings) { s.cfg.DisableRespawn = !on }
 }
 
-// WithCheckpointEvery sets how many reports a TSW lets pass between
-// piggybacked recovery checkpoints: 1 (the default) checkpoints on
-// every report; larger values shrink report payloads at the price of
-// resurrecting a lost TSW from a staler state. An explicit 0 keeps
-// the default cadence in runs that checkpoint (respawn or store) and
-// is a no-op otherwise — except combined with WithStore, where asking
-// for no checkpoints contradicts the store's resume contract and
-// Solve refuses the configuration up front.
-//
-// Meaningful in adaptive runs with respawn enabled and in durable
-// (WithStore) runs; other runs carry no checkpoints at all. Note that
-// a WithStore run resumed from its snapshot is bit-equal to the
-// uninterrupted run only at the default cadence of 1 — a sparser
-// cadence still resumes correctly, from the staler checkpointed
-// state.
-func WithCheckpointEvery(reports int) Option {
-	return func(s *settings) {
-		s.cfg.CheckpointEvery = reports
-		s.checkpointSet = true
-	}
-}
-
 // WithStore makes the run crash-only durable: the master persists a
 // run snapshot (round index, incumbent best, every TSW's latest
 // checkpoint) to st at each synchronization barrier, and a later
 // Solve with the same store, problem, seed and parameters finds the
 // snapshot and resumes the run where it stopped — the snapshot is
 // deleted only on clean completion. A fixed-seed virtual-time run
-// resumed this way finishes bit-identical to the same store-enabled
-// run left uninterrupted (static workers, full sync, checkpoint
-// cadence 1). Snapshots live under "runs/run" in the store, so one
-// store tracks one run at a time; the serving daemon namespaces per
-// job instead.
+// resumed this way finishes bit-identical to the same run left
+// uninterrupted (static workers, full sync). Snapshots live under
+// "runs/run" in the store, so one store tracks one run at a time; the
+// serving daemon namespaces per job instead.
 //
-// WithStore implies checkpointing but is independent of WithRespawn:
-// respawn recovers worker losses within a live run, the store
-// recovers the master process itself. A static store-enabled run
-// still aborts when a worker process dies — the snapshot is then what
-// makes the abort recoverable by the next Solve.
-//
-// Without a store, runs are bit-identical to earlier releases; the
-// durability machinery stays out of every message. A nil st is a
+// The store only adds persistence: every run checkpoints and reseeds
+// its workers the same way, so a fixed-seed run with a store is
+// bit-identical to the same run without one. It is independent of
+// WithRespawn: respawn recovers worker losses within a live run, the
+// store recovers the master process itself. A static store-enabled
+// run still aborts when a worker process dies — the snapshot is then
+// what makes the abort recoverable by the next Solve. A nil st is a
 // no-op.
 func WithStore(st Store) Option {
 	return func(s *settings) { s.cfg.Store = st }

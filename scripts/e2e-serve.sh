@@ -8,9 +8,10 @@
 #     single-process `pts -mode real` best costs exactly (with
 #     half-sync off the outcome depends only on the seed, so "the
 #     daemon does not distort the search" is provable as "identical").
-#     Both sides run with a state dir: a durable run uses the
-#     checkpoint-relative RNG protocol, a deliberately different (but
-#     equally deterministic) trajectory than a storeless run.
+#     The baselines run without a state dir while the daemon's jobs are
+#     store-backed: every run follows one checkpoint-relative RNG
+#     protocol, so a store only adds persistence and both sides must
+#     still agree bit for bit.
 #     A ta001 flow shop job then proves the same identity for the
 #     scheduling workloads: the `-any` workers resolve the instance
 #     from its embedded name and the daemon's makespan must equal the
@@ -60,10 +61,10 @@ trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$OUT"' EXIT
 STATIC=(-mode real -het=false -tsws 1 -clws 2 -global 3 -local 8
         -trials 6 -depth 3 -tenure 10 -diversify 12 -seed 5)
 
-echo "== single-process baselines (durable, like the daemon's jobs)"
-"$PTS" -circuit highway "${STATIC[@]}" -state-dir "$OUT/base-state-hw" -json "$OUT/base-highway.json" > /dev/null
-"$PTS" -circuit c532 "${STATIC[@]}" -state-dir "$OUT/base-state-c532" -json "$OUT/base-c532.json" > /dev/null
-"$PTS" -flowshop ta001 "${STATIC[@]}" -clws 1 -state-dir "$OUT/base-state-fs" -json "$OUT/base-flowshop.json" > /dev/null
+echo "== single-process baselines (no store; the daemon's jobs are store-backed)"
+"$PTS" -circuit highway "${STATIC[@]}" -json "$OUT/base-highway.json" > /dev/null
+"$PTS" -circuit c532 "${STATIC[@]}" -json "$OUT/base-c532.json" > /dev/null
+"$PTS" -flowshop ta001 "${STATIC[@]}" -clws 1 -json "$OUT/base-flowshop.json" > /dev/null
 
 echo "== start ptsd on $FLEET (http $BASE) + 3 any-workload workers"
 "$PTSD" -fleet "$FLEET" -http "$HTTP" -state-dir "$OUT/state" > "$OUT/ptsd.log" 2>&1 &

@@ -189,13 +189,6 @@ func (s *Solver) Solve(ctx context.Context, p Problem, opts ...Option) (*Result,
 	all = append(all, opts...)
 	st := apply(all)
 
-	// A store-backed run resumes from checkpoints; explicitly disabling
-	// them is a contradiction better refused here than discovered after
-	// a crash with nothing to resume from.
-	if st.cfg.Store != nil && st.checkpointSet && st.cfg.CheckpointEvery == 0 {
-		return nil, fmt.Errorf("pts: WithCheckpointEvery(0) disables the checkpoints a WithStore run resumes from; drop one of the two")
-	}
-
 	// Distributed execution: a joining call serves the master's run and
 	// returns its outcome; a listening or transport-equipped call is the
 	// master and must run in real time.
