@@ -133,12 +133,17 @@
 //     cells' sorted CSR net lists.
 //   - The area objective (maximum row width) answers trial queries in
 //     O(1) from a top-two row-width cache.
-//   - Committing a move updates the total wirelength exactly in O(1) per
-//     net; a net's runner-up statistics are rebuilt by an O(degree) pin
-//     rescan only when the moved pin was at (or tied with) one of the
-//     four tracked statistics on some axis — amortized away by the
-//     Trials-per-commit ratio of the search. Row-width commits rescan
-//     rows only when a top-two row shrinks below the runner-up.
+//   - Committing a swap is one walk over the affected nets in ascending
+//     id: each net is scored exactly as the trial scored it, so the
+//     maintained objectives are bit-identical to the trial's, and its
+//     box is updated in the same step. A net of up to 4 pins updates
+//     in place in O(1), since its four statistics per axis hold its
+//     whole coordinate multiset. A larger net is rebuilt by an
+//     O(degree) pin rescan only when the moved pin was at (or tied
+//     with) one of the four tracked statistics on some axis — amortized
+//     away by the Trials-per-commit ratio of the search. Row-width
+//     commits rescan rows only when a top-two row shrinks below the
+//     runner-up.
 //   - Trials are evaluated in candidate batches (one batch per compound
 //     move, the engine's Trials parameter wide): a batch costs one
 //     evaluator-state hoist plus the per-trial O(1) work above, so

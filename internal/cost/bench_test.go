@@ -34,16 +34,16 @@ func benchCellPairs(n, cells int) [][2]netlist.CellID {
 }
 
 // TestTrialEvaluationAllocFree asserts the full evaluator trial —
-// wirelength + weighted delay + area + fuzzy combine — allocates
-// nothing; this is the assertion the CI bench-smoke job enforces.
+// wirelength + weighted delay + area + fuzzy combine — its commit and
+// the full refresh at synchronization points allocate nothing; this is
+// the assertion the CI bench-smoke job enforces.
 func TestTrialEvaluationAllocFree(t *testing.T) {
 	ev := benchEvaluator(t, "c532")
 	a, c := netlist.CellID(3), netlist.CellID(251)
-	ev.ApplySwap(a, c) // warm scratch buffers to steady-state capacity
-	ev.ApplySwap(a, c)
 	for name, fn := range map[string]func(){
 		"SwapDelta": func() { ev.SwapDelta(a, c) },
 		"ApplySwap": func() { ev.ApplySwap(a, c) },
+		"Refresh":   ev.Refresh,
 	} {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f per op, want 0", name, allocs)

@@ -252,15 +252,22 @@ func (e *Evaluator) ApplyMove(c netlist.CellID, to placement.Pos) error {
 // ApplySwap commits the swap of cells a and b and updates the maintained
 // objectives and cost incrementally. Swaps are involutions: applying the
 // same pair again restores the previous solution (and, bar float
-// round-off that Refresh clears, the previous cost).
+// round-off that Refresh clears, the previous cost). The commit walks
+// the affected nets once: SwapCellsWeighted returns the same deltas
+// swapObjectives would have, so the maintained objectives are exactly
+// the ones SwapDelta scored.
 func (e *Evaluator) ApplySwap(a, b netlist.CellID) {
 	if a == b {
 		return
 	}
-	o := e.swapObjectives(a, b)
-	e.p.SwapCells(a, b)
-	e.cur = o
-	e.cost = e.CostOf(o)
+	area := e.p.MaxRowWidthAfterSwap(a, b)
+	dWL, dCrit := e.p.SwapCellsWeighted(a, b, e.t.Criticalities())
+	e.cur = Objectives{
+		Wirelength: e.cur.Wirelength + dWL,
+		Delay:      e.cur.Delay + e.t.Config().WireDelayPerUnit*dCrit,
+		Area:       float64(area),
+	}
+	e.cost = e.CostOf(e.cur)
 }
 
 // Refresh reruns full timing analysis (updating net criticalities) and

@@ -61,10 +61,14 @@ func TestSwapDeltaMatchesApply(t *testing.T) {
 		b := netlist.CellID(r.Intn(n))
 		before := e.Cost()
 		predicted := e.SwapDelta(a, b)
+		want := e.swapObjectives(a, b)
 		e.ApplySwap(a, b)
-		got := e.Cost() - before
-		if math.Abs(got-predicted) > 1e-9 {
+		// The one-walk commit maintains exactly what the trial scored.
+		if got := e.Cost() - before; got != predicted {
 			t.Fatalf("step %d: applied delta %v != predicted %v", i, got, predicted)
+		}
+		if a != b && e.Objectives() != want {
+			t.Fatalf("step %d: applied objectives %+v != trial %+v", i, e.Objectives(), want)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func Random(jobs, machines int, seed uint64) *schedinst.FlowShop {
 // completion-time DP — the independent exact oracle the incremental
 // state is tested against.
 func Makespan(ins *schedinst.FlowShop, seq []int32) (int, error) {
-	if err := checkPerm(seq, ins.Jobs); err != nil {
+	if err := checkPerm(seq, make([]bool, ins.Jobs)); err != nil {
 		return 0, err
 	}
 	c := make([]int, ins.Machines)
@@ -190,8 +190,11 @@ type State struct {
 	// sequence change — a whole candidate batch shares one rebuild.
 	head, tail []int32
 	cachesOK   bool
-	// col is the m-length DP column scratch of the section recompute.
-	col []int32
+	// col is the m-length DP column scratch of the section recompute,
+	// seen Restore's permutation check: scratch reused so a barrier
+	// resync stays allocation-free.
+	col  []int32
+	seen []bool
 }
 
 // NewState creates a state with a random sequence drawn from seed.
@@ -224,6 +227,7 @@ func newState(ins *schedinst.FlowShop) *State {
 		head: make([]int32, int(n)*int(m)),
 		tail: make([]int32, int(n+1)*int(m)),
 		col:  make([]int32, m),
+		seen: make([]bool, n),
 	}
 	for i := 0; i < ins.Machines; i++ {
 		for j := 0; j < ins.Jobs; j++ {
@@ -412,7 +416,7 @@ func (s *State) SnapshotInto(dst []int32) []int32 {
 // Restore replaces the sequence with a snapshot and recomputes the
 // makespan exactly.
 func (s *State) Restore(snap []int32) error {
-	if err := checkPerm(snap, s.ins.Jobs); err != nil {
+	if err := checkPerm(snap, s.seen); err != nil {
 		return err
 	}
 	copy(s.seq, snap)
@@ -420,12 +424,14 @@ func (s *State) Restore(snap []int32) error {
 	return nil
 }
 
-// checkPerm validates that snap is a permutation of [0, n).
-func checkPerm(snap []int32, n int) error {
+// checkPerm validates that snap is a permutation of [0, n), where n =
+// len(seen); seen is scratch it clears first.
+func checkPerm(snap []int32, seen []bool) error {
+	n := len(seen)
 	if len(snap) != n {
 		return fmt.Errorf("flowshop: snapshot length %d != %d", len(snap), n)
 	}
-	seen := make([]bool, n)
+	clear(seen)
 	for _, v := range snap {
 		if v < 0 || int(v) >= n || seen[v] {
 			return fmt.Errorf("flowshop: snapshot is not a permutation")

@@ -194,9 +194,10 @@ func TestTa001DataIntegrity(t *testing.T) {
 	}
 }
 
-// TestDeltaSwapBatchAllocFree asserts the batched path allocates
-// nothing per call once the state is warm — the same 0 allocs/trial
-// contract the placement and cost kernels are held to in CI.
+// TestDeltaSwapBatchAllocFree asserts the batched path, ApplySwap and
+// Restore allocate nothing per call once the state is warm — the same
+// 0 allocs/trial contract the placement and cost kernels are held to
+// in CI.
 func TestDeltaSwapBatchAllocFree(t *testing.T) {
 	ins := Random(40, 8, 1)
 	s := NewState(ins, 2)
@@ -220,6 +221,14 @@ func TestDeltaSwapBatchAllocFree(t *testing.T) {
 		_ = s.DeltaSwap(cands[1].A, cands[1].B) // forces the lazy rebuild
 	}); n != 0 {
 		t.Fatalf("ApplySwap+DeltaSwap allocates %.1f per call, want 0", n)
+	}
+	snap := s.Snapshot()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Restore allocates %.1f per call, want 0", n)
 	}
 }
 

@@ -74,3 +74,38 @@ func commitAxis(m1, m2, M2, M1, from, to int32) (int32, int32, int32, int32, boo
 	}
 	return m1, m2, M2, M1, true
 }
+
+// smallNetPins is the largest net degree whose box statistics hold the
+// net's whole coordinate multiset on each axis: with k ≤ 4 pins every
+// pin is one of (m1, m2, M2, M1), so a committed move updates the box
+// in place (smallAxis) and never rescans.
+const smallNetPins = 4
+
+// smallAxis commits a single-pin move from→to on one axis of a net with
+// k pins, 2 ≤ k ≤ smallNetPins. The axis' sorted coordinates are
+// [m1 M1] for k = 2 (where m2 = M1 and M2 = m1), [m1 m2 M1] for k = 3
+// (m2 = M2) and [m1 m2 M2 M1] for k = 4. One copy of `from` leaves,
+// which keeps the others sorted as x ≤ y ≤ z, and `to` is merged in
+// with min/max pairs that compile to conditional moves.
+func smallAxis(k int, m1, m2, M2, M1, from, to int32) (int32, int32, int32, int32) {
+	x, z := m1, M1
+	if from == m1 {
+		x = m2
+	}
+	if from == M1 {
+		z = M2
+	}
+	switch k {
+	case 2: // x is the one pin left
+		lo, hi := min(x, to), max(x, to)
+		return lo, hi, lo, hi
+	case 3: // x ≤ z are left
+		mid := max(x, min(to, z))
+		return min(x, to), mid, mid, max(z, to)
+	}
+	y := M2
+	if from > m2 {
+		y = m2
+	}
+	return min(x, to), max(x, min(to, y)), max(y, min(to, z)), max(z, to)
+}

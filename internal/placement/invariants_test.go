@@ -219,6 +219,101 @@ func TestSwapDeltaWeightedMatchesVisit(t *testing.T) {
 	}
 }
 
+// TestSwapCellsWeightedMatchesDelta holds the one-walk commit to the
+// trial it replays: over long random swap and move sequences,
+// SwapCellsWeighted must return bit for bit what SwapDeltaWeighted
+// returned just before the commit, a relocation must change the HPWL by
+// exactly MoveDeltaWeighted's figure, and every maintained quantity
+// must match a from-scratch recompute after every commit. The circuits
+// cover in-place commits of 2-, 3- and 4-pin nets, the commitAxis path
+// and rescan fallback of larger nets, and shared nets; the test counts
+// each case so a circuit change cannot quietly drop one.
+func TestSwapCellsWeightedMatchesDelta(t *testing.T) {
+	boundary := boundaryNetlist(t)
+	for _, tc := range []struct {
+		name  string
+		nl    *netlist.Netlist
+		l     Layout
+		steps int
+	}{
+		{"c532", netlist.MustBenchmark("c532"), Layout{}, 3000},
+		{"c1355", netlist.MustBenchmark("c1355"), Layout{}, 1500},
+		{"boundary", boundary, Layout{}, 3000},
+		{"boundary-wide", boundary, wideLayout, 3000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.l
+			if l.Rows == 0 {
+				l = AutoLayout(tc.nl, 0.9)
+			}
+			p, err := New(tc.nl, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(31))
+			p.Randomize(r)
+			w := make([]float64, tc.nl.NumNets())
+			for n := range w {
+				w[n] = r.Float64()
+			}
+			cells := tc.nl.NumCells()
+			var byDegree [6]int // committed nets by pin count, 5 = 5+
+			shared := 0
+			for step := 0; step < tc.steps; step++ {
+				if r.Intn(4) == 0 {
+					c := netlist.CellID(r.Intn(cells))
+					to := p.L.SlotPos(p.RandomEmptySlot(r))
+					wantL, _ := p.MoveDeltaWeighted(c, to, w)
+					before := p.HPWL()
+					if err := p.MoveToSlot(c, to); err != nil {
+						t.Fatal(err)
+					}
+					if got := p.HPWL() - before; got != wantL {
+						t.Fatalf("step %d: move of %d changed HPWL by %v, trial said %v", step, c, got, wantL)
+					}
+				} else {
+					a, b := randomPair(r, cells)
+					wv := w
+					if step%5 == 0 {
+						wv = nil
+					}
+					for _, n := range tc.nl.CellNets(a) {
+						k := min(len(tc.nl.Pins(n)), 5)
+						byDegree[k]++
+						for _, m := range tc.nl.CellNets(b) {
+							if m == n {
+								shared++
+							}
+						}
+					}
+					wantL, wantW := p.SwapDeltaWeighted(a, b, wv)
+					before := p.HPWL()
+					gotL, gotW := p.SwapCellsWeighted(a, b, wv)
+					if math.Float64bits(gotL) != math.Float64bits(wantL) ||
+						math.Float64bits(gotW) != math.Float64bits(wantW) {
+						t.Fatalf("step %d swap (%d,%d): commit returned (%v,%v), trial (%v,%v)",
+							step, a, b, gotL, gotW, wantL, wantW)
+					}
+					if got := p.HPWL() - before; got != wantL {
+						t.Fatalf("step %d swap (%d,%d): HPWL changed by %v, trial said %v", step, a, b, got, wantL)
+					}
+				}
+				if err := checkConsistency(p); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			for k := 2; k <= 5; k++ {
+				if byDegree[k] == 0 {
+					t.Errorf("no swap touched a net of %d pins", k)
+				}
+			}
+			if shared == 0 {
+				t.Error("no swap touched a shared net")
+			}
+		})
+	}
+}
+
 // TestSwapObjectivesBatchMatchesScalar fuzzes the batched trial kernel
 // against its scalar oracle: thousands of random candidate batches, each
 // compared bit-for-bit against per-candidate SwapDeltaWeighted +
@@ -324,13 +419,11 @@ func TestTrialEvaluationAllocFree(t *testing.T) {
 	p.Randomize(rand.New(rand.NewSource(1)))
 	w := make([]float64, nl.NumNets())
 	a, b := netlist.CellID(3), netlist.CellID(251)
-	p.SwapCells(a, b) // warm the rescan scratch buffer to steady-state capacity
-	p.SwapCells(a, b)
 	for name, fn := range map[string]func(){
 		"SwapDeltaWeighted":    func() { p.SwapDeltaWeighted(a, b, w) },
 		"HPWLDeltaSwap":        func() { p.HPWLDeltaSwap(a, b) },
 		"MaxRowWidthAfterSwap": func() { p.MaxRowWidthAfterSwap(a, b) },
-		"SwapCells":            func() { p.SwapCells(a, b) },
+		"SwapCellsWeighted":    func() { p.SwapCellsWeighted(a, b, w) },
 	} {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f per op, want 0", name, allocs)

@@ -119,18 +119,19 @@ func (p *Placement) MoveToSlot(c netlist.CellID, to Pos) error {
 	if from == to {
 		return nil
 	}
-	for _, n := range p.nl.CellNets(c) {
-		p.commitPinMove(n, from, to)
-	}
+	p.pos[c] = to
+	p.slot[p.L.SlotIndex(from)] = netlist.None
+	p.slot[p.L.SlotIndex(to)] = c
 	if from.Row != to.Row {
 		w := p.nl.Cells[c].Width
 		p.updateRowWidth(from.Row, -w)
 		p.updateRowWidth(to.Row, w)
 	}
-	p.pos[c] = to
-	p.slot[p.L.SlotIndex(from)] = netlist.None
-	p.slot[p.L.SlotIndex(to)] = c
-	p.flushRescans()
+	var di int32
+	for _, n := range p.nl.CellNets(c) {
+		di += p.commitNet(n, from, to)
+	}
+	p.hpwl += float64(di)
 	return nil
 }
 

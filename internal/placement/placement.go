@@ -46,11 +46,9 @@ type Placement struct {
 	// and shared by clones like the netlist itself.
 	cellWidth []int32
 
-	// Scratch: rescan queues nets whose box needs a full recompute after
-	// a commit, importSeen backs Import validation, batchKeys holds the
+	// Scratch: importSeen backs Import validation, batchKeys holds the
 	// batch evaluator's candidate sort keys, batchZeroW the all-zero
 	// weight vector substituted for a nil w in batch evaluation.
-	rescan     []netlist.NetID
 	importSeen []bool
 	batchKeys  []int64
 	batchZeroW []float64
@@ -137,7 +135,7 @@ func (p *Placement) recomputeAll() {
 
 // scanBox computes net n's bounding box with runner-up statistics from
 // the current positions by scanning its pins. O(degree); recomputeAll
-// and the commit fallback use it. The running
+// and the large-net commit fallback use it. The running
 // two-smallest/two-largest updates are phrased as min/max pairs so they
 // compile to conditional moves instead of data-dependent branches.
 func (p *Placement) scanBox(n netlist.NetID) netBox {
@@ -370,21 +368,20 @@ func (p *Placement) refreshTopRows() {
 	p.top2W, p.top2Row = t2w, t2r
 }
 
-// commitPinMove updates net n's box for the committed single-pin move
-// from→to. The HPWL delta is always exact and O(1) via trialDelta; the
-// box statistics update in place when the moved pin sits strictly
-// between the runner-up statistics, and otherwise the net is queued on
-// p.rescan for a stats rebuild after the caller updates the position
-// arrays. Trials never rescan (see trialDelta); this amortized
-// fallback runs only on the rare committed moves.
-func (p *Placement) commitPinMove(n netlist.NetID, from, to Pos) {
+// commitNet moves one of net n's pins from `from` to `to` in the net's
+// box and returns the net's half-perimeter change, trialDelta's value
+// against the box before the move. Nets of up to smallNetPins pins
+// update their statistics in place (smallAxis). Larger nets update in
+// place when the moved pin sits strictly between the runner-up
+// statistics (commitAxis) and otherwise fall back to an O(degree) pin
+// rescan, which reads p.pos: callers commit the positions first.
+func (p *Placement) commitNet(n netlist.NetID, from, to Pos) int32 {
 	b := &p.boxes[n]
-	p.hpwl += float64(b.trialDelta(from, to))
-	if len(p.nl.Pins(n)) <= 3 {
-		// Every pin of a 2- or 3-pin net is one of the four tracked
-		// statistics on each axis, so the O(1) update can never apply.
-		p.rescan = append(p.rescan, n)
-		return
+	d := b.trialDelta(from, to)
+	if k := len(p.nl.Pins(n)); k <= smallNetPins {
+		b.minX, b.minX2, b.maxX2, b.maxX = smallAxis(k, b.minX, b.minX2, b.maxX2, b.maxX, from.Col, to.Col)
+		b.minY, b.minY2, b.maxY2, b.maxY = smallAxis(k, b.minY, b.minY2, b.maxY2, b.maxY, from.Row, to.Row)
+		return d
 	}
 	loX, loX2, hiX2, hiX, okX := commitAxis(b.minX, b.minX2, b.maxX2, b.maxX, from.Col, to.Col)
 	if okX {
@@ -394,54 +391,37 @@ func (p *Placement) commitPinMove(n netlist.NetID, from, to Pos) {
 				minX: loX, minX2: loX2, maxX2: hiX2, maxX: hiX,
 				minY: loY, minY2: loY2, maxY2: hiY2, maxY: hiY,
 			}
-			return
+			return d
 		}
 	}
-	p.rescan = append(p.rescan, n)
-}
-
-// flushRescans rebuilds the queued nets' box statistics from the (now
-// current) positions; the HPWL was already adjusted exactly at commit
-// time.
-func (p *Placement) flushRescans() {
-	for _, n := range p.rescan {
-		p.boxes[n] = p.scanBox(n)
-	}
-	p.rescan = p.rescan[:0]
+	*b = p.scanBox(n)
+	return d
 }
 
 // SwapCells exchanges the positions of two cells and updates all
 // maintained quantities incrementally. Swapping a cell with itself is a
 // no-op.
 func (p *Placement) SwapCells(a, b netlist.CellID) {
+	p.SwapCellsWeighted(a, b, nil)
+}
+
+// SwapCellsWeighted exchanges the positions of two cells, like
+// SwapCells, and returns what SwapDeltaWeighted(a, b, w) returned just
+// before the swap, bit for bit. One merge walk in ascending net id
+// scores each net exactly as SwapDeltaWeighted does and commits its box
+// in the same step (commitNet), so a committed move costs one delta
+// walk rather than a delta walk plus a commit walk. Pass w == nil to
+// skip the weighted sum. Swapping a cell with itself is a no-op.
+func (p *Placement) SwapCellsWeighted(a, b netlist.CellID, w []float64) (dLen, dWeighted float64) {
 	if a == b {
-		return
+		return 0, 0
 	}
 	pa, pb := p.pos[a], p.pos[b]
 
-	// Net boxes and total HPWL; nets carrying both cells keep their box
-	// (merge walk over the sorted CSR net lists, as in SwapDeltaWeighted).
-	an, bn := p.nl.CellNets(a), p.nl.CellNets(b)
-	i, j := 0, 0
-	for i < len(an) && j < len(bn) {
-		switch na, nb := an[i], bn[j]; {
-		case na == nb:
-			i++
-			j++
-		case na < nb:
-			p.commitPinMove(na, pa, pb)
-			i++
-		default:
-			p.commitPinMove(nb, pb, pa)
-			j++
-		}
-	}
-	for ; i < len(an); i++ {
-		p.commitPinMove(an[i], pa, pb)
-	}
-	for ; j < len(bn); j++ {
-		p.commitPinMove(bn[j], pb, pa)
-	}
+	// Positions first: a large net's rescan fallback reads them.
+	p.pos[a], p.pos[b] = pb, pa
+	p.slot[p.L.SlotIndex(pa)] = b
+	p.slot[p.L.SlotIndex(pb)] = a
 
 	// Row widths and the top-two cache.
 	if pa.Row != pb.Row {
@@ -452,11 +432,34 @@ func (p *Placement) SwapCells(a, b netlist.CellID) {
 		}
 	}
 
-	// Positions, then deferred box rescans against the new positions.
-	p.pos[a], p.pos[b] = pb, pa
-	p.slot[p.L.SlotIndex(pa)] = b
-	p.slot[p.L.SlotIndex(pb)] = a
-	p.flushRescans()
+	// Net boxes and total HPWL; nets carrying both cells keep their box.
+	an, bn := p.nl.CellNets(a), p.nl.CellNets(b)
+	var di int32
+	i, j := 0, 0
+	for i < len(an) || j < len(bn) {
+		var n netlist.NetID
+		var from, to Pos
+		switch {
+		case j == len(bn) || i < len(an) && an[i] < bn[j]:
+			n, from, to = an[i], pa, pb
+			i++
+		case i == len(an) || bn[j] < an[i]:
+			n, from, to = bn[j], pb, pa
+			j++
+		default: // shared net: box unchanged
+			i++
+			j++
+			continue
+		}
+		if d := p.commitNet(n, from, to); d != 0 {
+			di += d
+			if w != nil {
+				dWeighted += w[n] * float64(d)
+			}
+		}
+	}
+	p.hpwl += float64(di)
+	return float64(di), dWeighted
 }
 
 // Randomize shuffles all cells across all slots using r.

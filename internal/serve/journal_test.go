@@ -28,6 +28,7 @@ func newStoredScheduler(t *testing.T, fleet *fakeFleet, st store.Store,
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	drainOnCleanup(t, s)
 	fleet.mu.Lock()
 	fleet.notify = s.Notify
 	fleet.mu.Unlock()
@@ -144,6 +145,7 @@ func TestSchedulerRestartDropsRejectedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	drainOnCleanup(t, sA)
 	sA.runJob = runner
 
 	j1 := submitStored(t, sA) // running
@@ -195,6 +197,7 @@ func TestSchedulerCancelledJobNotResumed(t *testing.T) {
 	waitStatus(t, j2, Cancelled)
 	step()
 	waitStatus(t, j1, Done)
+	drain(t, sA) // j1's runner journals it after the status flips
 
 	sB := newStoredScheduler(t, newFakeFleet(1), st, func(ctx context.Context, j *Job, lease Lease) (*core.Result, error) {
 		t.Errorf("recovered scheduler ran %s, which was terminal", j.ID())

@@ -143,6 +143,7 @@ func newTestScheduler(t *testing.T, fleet *fakeFleet, queueDepth int, runJob fun
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	drainOnCleanup(t, s)
 	fleet.mu.Lock()
 	fleet.notify = s.Notify
 	fleet.mu.Unlock()
@@ -150,6 +151,25 @@ func newTestScheduler(t *testing.T, fleet *fakeFleet, queueDepth int, runJob fun
 		s.runJob = runJob
 	}
 	return s
+}
+
+// drain shuts s down and waits for every runner goroutine. A runner
+// publishes its job's terminal status before it journals the job, logs
+// the outcome and pumps the queue, so a waiter released by the status
+// can run ahead of all three.
+func drain(t *testing.T, s *Scheduler) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Errorf("drain: %v", err)
+	}
+}
+
+// drainOnCleanup drains s before the test ends, so no runner logs
+// through t.Logf once the test has finished.
+func drainOnCleanup(t *testing.T, s *Scheduler) {
+	t.Cleanup(func() { drain(t, s) })
 }
 
 func submitReq(workers int) Request {

@@ -14,6 +14,12 @@
 // criticality-weighted net delays — and refreshes criticalities with a
 // full Analyze periodically (the classic net-weighting scheme of
 // timing-driven placement).
+//
+// Gate delays do not depend on the placement, so New computes each
+// cell's once; Analyze computes each net's wire delay once per pass and
+// reads both arrays in the forward pass, the backward pass and the
+// criticality pass, with the float operations of the per-pin
+// formulation in the same order.
 package timing
 
 import (
@@ -47,6 +53,8 @@ type Analyzer struct {
 	nl  *netlist.Netlist
 	cfg Config
 
+	gate     []float64 // per cell: switching delay incl. fanout load
+	wire     []float64 // per net: interconnect delay of the last Analyze
 	arrival  []float64 // per cell: departure time at the cell output
 	required []float64 // per cell: latest allowed departure
 	crit     []float64 // per net: criticality in [0,1]
@@ -60,9 +68,14 @@ func New(nl *netlist.Netlist, cfg Config) *Analyzer {
 	a := &Analyzer{
 		nl:       nl,
 		cfg:      cfg,
+		gate:     make([]float64, nl.NumCells()),
+		wire:     make([]float64, nl.NumNets()),
 		arrival:  make([]float64, nl.NumCells()),
 		required: make([]float64, nl.NumCells()),
 		crit:     make([]float64, nl.NumNets()),
+	}
+	for c := range a.gate {
+		a.gate[c] = a.cellDelay(netlist.CellID(c))
 	}
 	for i := range a.crit {
 		a.crit[i] = 1
@@ -73,7 +86,8 @@ func New(nl *netlist.Netlist, cfg Config) *Analyzer {
 // Config returns the analyzer's delay model parameters.
 func (a *Analyzer) Config() Config { return a.cfg }
 
-// cellDelay returns the switching delay of c including fanout load.
+// cellDelay returns the switching delay of c including fanout load; New
+// tabulates it per cell.
 func (a *Analyzer) cellDelay(c netlist.CellID) float64 {
 	d := a.nl.Cells[c].Delay
 	for _, n := range a.nl.Drives(c) {
@@ -93,18 +107,21 @@ func (a *Analyzer) netDelay(p *placement.Placement, n netlist.NetID) float64 {
 func (a *Analyzer) Analyze(p *placement.Placement) float64 {
 	nl := a.nl
 	order := nl.TopoOrder()
+	gate, wire := a.gate, a.wire
+	for n := range wire {
+		wire[n] = a.netDelay(p, netlist.NetID(n))
+	}
 
 	// Forward: departure time per cell.
 	for _, c := range order {
 		in := 0.0
 		for _, n := range nl.SinkNets(c) {
-			net := &nl.Nets[n]
-			t := a.arrival[net.Driver] + a.netDelay(p, n)
+			t := a.arrival[nl.Nets[n].Driver] + wire[n]
 			if t > in {
 				in = t
 			}
 		}
-		a.arrival[c] = in + a.cellDelay(c)
+		a.arrival[c] = in + gate[c]
 	}
 	cpd := 0.0
 	for c := range a.arrival {
@@ -122,12 +139,11 @@ func (a *Analyzer) Analyze(p *placement.Placement) float64 {
 		c := order[i]
 		req := cpd
 		for _, n := range nl.Drives(c) {
-			net := &nl.Nets[n]
-			nd := a.netDelay(p, n)
-			for _, s := range net.Sinks {
+			nd := wire[n]
+			for _, s := range nl.Nets[n].Sinks {
 				// Latest departure of c so that sink s still meets its
 				// own required departure.
-				t := a.required[s] - a.cellDelay(s) - nd
+				t := a.required[s] - gate[s] - nd
 				if t < req {
 					req = t
 				}
@@ -138,24 +154,24 @@ func (a *Analyzer) Analyze(p *placement.Placement) float64 {
 
 	// Net criticalities from slack.
 	for n := range a.crit {
-		a.crit[n] = a.netCriticality(p, netlist.NetID(n))
+		a.crit[n] = a.netCriticality(netlist.NetID(n))
 	}
 	a.analyzed = true
 	return cpd
 }
 
 // netCriticality derives the criticality of net n from the current
-// arrival/required times: 1 on the critical path, falling linearly to 0
-// at slack == cpd.
-func (a *Analyzer) netCriticality(p *placement.Placement, n netlist.NetID) float64 {
+// arrival/required times and wire delays: 1 on the critical path,
+// falling linearly to 0 at slack == cpd.
+func (a *Analyzer) netCriticality(n netlist.NetID) float64 {
 	if a.cpd <= 0 {
 		return 1
 	}
 	net := &a.nl.Nets[n]
-	nd := a.netDelay(p, n)
+	nd := a.wire[n]
 	slack := math.Inf(1)
 	for _, s := range net.Sinks {
-		sl := (a.required[s] - a.cellDelay(s)) - (a.arrival[net.Driver] + nd)
+		sl := (a.required[s] - a.gate[s]) - (a.arrival[net.Driver] + nd)
 		if sl < slack {
 			slack = sl
 		}

@@ -214,14 +214,149 @@ func TestFreshAnalyzerDefaultsCriticalityOne(t *testing.T) {
 	}
 }
 
-func BenchmarkAnalyzeC1355(b *testing.B) {
-	nl := netlist.MustBenchmark("c1355")
+// oracle is the per-pin formulation of Analyze: every gate delay and
+// every wire delay is recomputed at each pin that reads it. Analyze
+// tabulates both instead and must match it bit for bit.
+type oracle struct {
+	nl                      *netlist.Netlist
+	cfg                     Config
+	arrival, required, crit []float64
+	cpd                     float64
+}
+
+func (o *oracle) cellDelay(c netlist.CellID) float64 {
+	d := o.nl.Cells[c].Delay
+	for _, n := range o.nl.Drives(c) {
+		d += o.cfg.LoadFactor * float64(len(o.nl.Nets[n].Sinks))
+	}
+	return d
+}
+
+func (o *oracle) netDelay(p *placement.Placement, n netlist.NetID) float64 {
+	return o.cfg.WireDelayPerUnit * p.NetHPWL(n)
+}
+
+func (o *oracle) analyze(p *placement.Placement) {
+	nl := o.nl
+	o.arrival = make([]float64, nl.NumCells())
+	o.required = make([]float64, nl.NumCells())
+	o.crit = make([]float64, nl.NumNets())
+	order := nl.TopoOrder()
+	for _, c := range order {
+		in := 0.0
+		for _, n := range nl.SinkNets(c) {
+			if t := o.arrival[nl.Nets[n].Driver] + o.netDelay(p, n); t > in {
+				in = t
+			}
+		}
+		o.arrival[c] = in + o.cellDelay(c)
+	}
+	o.cpd = 0
+	for _, t := range o.arrival {
+		if t > o.cpd {
+			o.cpd = t
+		}
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		c := order[i]
+		req := o.cpd
+		for _, n := range nl.Drives(c) {
+			nd := o.netDelay(p, n)
+			for _, s := range nl.Nets[n].Sinks {
+				if t := o.required[s] - o.cellDelay(s) - nd; t < req {
+					req = t
+				}
+			}
+		}
+		o.required[c] = req
+	}
+	for n := range o.crit {
+		net := &nl.Nets[n]
+		nd := o.netDelay(p, netlist.NetID(n))
+		slack := math.Inf(1)
+		for _, s := range net.Sinks {
+			if sl := (o.required[s] - o.cellDelay(s)) - (o.arrival[net.Driver] + nd); sl < slack {
+				slack = sl
+			}
+		}
+		switch c := 1 - slack/o.cpd; {
+		case o.cpd <= 0:
+			o.crit[n] = 1
+		case c < 0:
+			o.crit[n] = 0
+		case c > 1:
+			o.crit[n] = 1
+		default:
+			o.crit[n] = c
+		}
+	}
+}
+
+// TestAnalyzeMatchesPerPinOracle asserts that tabulating gate and wire
+// delays changes no bit of the analysis: arrival times, required
+// times, criticalities and the CPD on random placements of c532 and
+// c1355, with one analyzer reused across placements.
+func TestAnalyzeMatchesPerPinOracle(t *testing.T) {
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, oracle %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, circuit := range []string{"c532", "c1355"} {
+		nl := netlist.MustBenchmark(circuit)
+		p, err := placement.New(nl, placement.AutoLayout(nl, 0.9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(17)
+		a := New(nl, DefaultConfig())
+		o := &oracle{nl: nl, cfg: DefaultConfig()}
+		for round := 0; round < 8; round++ {
+			p.Randomize(r)
+			for i := 0; i < 50; i++ { // and some incremental commits
+				x, y := netlist.CellID(r.Intn(nl.NumCells())), netlist.CellID(r.Intn(nl.NumCells()))
+				p.SwapCells(x, y)
+			}
+			cpd := a.Analyze(p)
+			o.analyze(p)
+			if math.Float64bits(cpd) != math.Float64bits(o.cpd) {
+				t.Fatalf("%s round %d: CPD %v, oracle %v", circuit, round, cpd, o.cpd)
+			}
+			same(circuit+" arrival", a.arrival, o.arrival)
+			same(circuit+" required", a.required, o.required)
+			same(circuit+" criticality", a.crit, o.crit)
+		}
+	}
+}
+
+// TestAnalyzeAllocFree asserts a full timing analysis allocates
+// nothing; CI runs it with the trial-kernel alloc assertions.
+func TestAnalyzeAllocFree(t *testing.T) {
+	nl := netlist.MustBenchmark("c532")
 	p, _ := placement.New(nl, placement.AutoLayout(nl, 0.9))
 	p.Randomize(rng.New(1))
 	a := New(nl, DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Analyze(p)
+	if allocs := testing.AllocsPerRun(50, func() { a.Analyze(p) }); allocs != 0 {
+		t.Errorf("Analyze allocates %.1f per op, want 0", allocs)
+	}
+}
+
+func BenchmarkAnalyze(b *testing.B) {
+	for _, circuit := range []string{"c532", "c1355"} {
+		b.Run(circuit, func(b *testing.B) {
+			nl := netlist.MustBenchmark(circuit)
+			p, _ := placement.New(nl, placement.AutoLayout(nl, 0.9))
+			p.Randomize(rng.New(1))
+			a := New(nl, DefaultConfig())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Analyze(p)
+			}
+		})
 	}
 }
 
