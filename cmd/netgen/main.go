@@ -33,7 +33,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("benchmark circuits (synthetic stand-ins, see DESIGN.md §4):")
+		fmt.Println("benchmark circuits (synthetic stand-ins with the paper's cell counts):")
 		for _, n := range netlist.BenchmarkNames() {
 			fmt.Printf("  %-8s %5d cells\n", n, netlist.BenchmarkCells(n))
 		}

@@ -15,7 +15,8 @@ import (
 
 func main() {
 	// One of the paper's four circuits (a synthetic stand-in with the
-	// same size and connectivity statistics; see DESIGN.md §4).
+	// same size and connectivity statistics; the paper's netlists were
+	// never published).
 	p, err := pts.PlacementBenchmark("c532")
 	if err != nil {
 		log.Fatal(err)

@@ -4,7 +4,7 @@
 // runtime, so results are deterministic in the seeds and independent of
 // the host machine.
 //
-// Figure inventory (see DESIGN.md §3 for the full index):
+// Figure inventory (`go run ./cmd/ptsbench -fig N` regenerates one):
 //
 //	Fig5  — best solution quality vs number of CLWs (TSWs=4)
 //	Fig6  — speedup to reach quality x vs number of CLWs

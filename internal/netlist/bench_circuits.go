@@ -15,8 +15,8 @@ import (
 //
 // The original converted netlists were never published, so the named
 // instances below are synthetic circuits with identical cell counts and
-// realistic connectivity (see DESIGN.md §4). Seeds are fixed: the
-// instances are stable across runs and machines.
+// realistic connectivity (see the Workloads section of the README).
+// Seeds are fixed: the instances are stable across runs and machines.
 
 // benchSpecs maps benchmark names to their generator configurations.
 var benchSpecs = map[string]GenConfig{

@@ -9,7 +9,8 @@
 //
 // The real evaluation circuits of the paper are ISCAS-89 derivatives that
 // are not redistributable; Generate builds synthetic instances with the
-// same cell counts and realistic connectivity statistics (see DESIGN.md §4).
+// same cell counts and realistic connectivity statistics (see the
+// Workloads section of the README).
 package netlist
 
 import (

@@ -1,5 +1,5 @@
 // Package vtime is a deterministic discrete-event kernel with processes
-// as goroutines.
+// as coroutines.
 //
 // The paper's runtime and speedup figures depend on *when* heterogeneous
 // machines finish work relative to each other; measuring that with wall
@@ -10,46 +10,95 @@
 // scheduled events, so a whole parallel run is a deterministic function
 // of its seed.
 //
-// Exactly one process runs at any instant; the kernel and the running
-// process hand control back and forth over unbuffered channels, so no
-// shared state needs locking. Events at equal times fire in schedule
-// order.
+// Exactly one process runs at any instant. Each process body is a
+// coroutine made with iter.Pull: the kernel switches to it by calling its
+// next function, and the process switches back by calling yield when it
+// blocks, so control passes directly between the two without going
+// through the Go scheduler and no shared state needs locking. Events at
+// equal times fire in schedule order.
 package vtime
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // Time is virtual seconds since Run started.
 type Time float64
 
-// event is a scheduled closure.
+// eventKind says what an event does when it fires.
+type eventKind uint8
+
+const (
+	callFn eventKind = iota // After: call fn
+	start                   // Spawn: start p
+	timer                   // Sleep: resume p if it is still in the sleep numbered gen
+	wake                    // Wake: resume p if it is suspended
+)
+
+// event is one scheduled action, stored by value in the queue.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	kind eventKind
+	p    *Proc
+	gen  uint64
+	fn   func()
 }
 
-// eventHeap orders events by (time, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (time, seq).
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+// eventQueue is a binary min-heap of events under before.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	*q = h
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	ev := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
 	return ev
 }
 
@@ -62,19 +111,18 @@ const (
 	suspended              // in Suspend: any Wake may (spuriously) wake it
 )
 
-// killed is the panic sentinel that unwinds abandoned processes when the
-// kernel shuts down.
+// killedSentinel is the panic value that unwinds abandoned processes
+// when the kernel shuts down.
 var killedSentinel = errors.New("vtime: process killed at shutdown")
 
 // Proc is one process. Its methods must only be called from within its
 // own body function while it is the running process.
 type Proc struct {
 	k         *Kernel
-	id        int
 	name      string
 	fn        func(*Proc)
-	wake      chan struct{}
-	started   bool
+	next      func() (struct{}, bool) // switches to the coroutine; nil until started
+	yield     func(struct{}) bool     // switches back to the kernel
 	done      bool
 	completed bool // body returned normally (not killed)
 	reason    blockReason
@@ -91,9 +139,8 @@ func (p *Proc) Name() string { return p.name }
 type Kernel struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   eventQueue
 	procs   []*Proc
-	yield   chan struct{}
 	running bool
 	events  uint64
 
@@ -104,7 +151,7 @@ type Kernel struct {
 
 // NewKernel creates an empty kernel.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time. Safe to call from the running
@@ -114,13 +161,32 @@ func (k *Kernel) Now() Time { return k.now }
 // Events returns the number of events processed so far.
 func (k *Kernel) Events() uint64 { return k.events }
 
-// schedule enqueues fn at absolute time at (clamped to now).
-func (k *Kernel) schedule(at Time, fn func()) {
-	if at < k.now {
-		at = k.now
+// schedule enqueues ev at its time (clamped to now).
+func (k *Kernel) schedule(ev event) {
+	if ev.at < k.now {
+		ev.at = k.now
 	}
 	k.seq++
-	heap.Push(&k.queue, &event{at: at, seq: k.seq, fn: fn})
+	ev.seq = k.seq
+	k.queue.push(ev)
+}
+
+// fire runs ev in kernel context.
+func (k *Kernel) fire(ev *event) {
+	switch p := ev.p; ev.kind {
+	case callFn:
+		ev.fn()
+	case start:
+		k.resume(p)
+	case timer:
+		if p.reason == sleeping && p.gen == ev.gen {
+			k.resume(p)
+		}
+	case wake:
+		if p.reason == suspended {
+			k.resume(p)
+		}
+	}
 }
 
 // After schedules fn to run d from now. fn runs in kernel context: it
@@ -130,65 +196,64 @@ func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	k.schedule(k.now+d, fn)
+	k.schedule(event{at: k.now + d, kind: callFn, fn: fn})
 }
 
 // Spawn registers a new process whose body starts at the current virtual
 // time (after already-scheduled same-time events). Callable before Run
 // or from a running process.
+//
+// The body runs as a coroutine of the goroutine that called Run. A panic
+// in the body propagates out of Run, wrapped with the process name. A
+// runtime.Goexit in the body (what t.FailNow does) ends the goroutine
+// that called Run, as if the body had run on it: Run does not return,
+// but deferred calls up that goroutine's stack run. Either way, Run
+// first kills every other blocked process.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
 		k:    k,
-		id:   len(k.procs),
 		name: name,
 		fn:   fn,
-		wake: make(chan struct{}),
 	}
 	k.procs = append(k.procs, p)
-	k.schedule(k.now, func() { k.resume(p) })
+	k.schedule(event{at: k.now, kind: start, p: p})
 	return p
 }
 
-// resume hands control to p until it blocks or finishes.
+// resume switches to p until it blocks or finishes.
 func (k *Kernel) resume(p *Proc) {
 	if p.done {
 		return
 	}
 	p.reason = notBlocked
-	if !p.started {
-		p.started = true
-		go func() {
-			defer func() {
-				p.done = true
-				switch r := recover(); r {
-				case nil:
-					p.completed = true
-				case killedSentinel:
-					// Deliberate shutdown unwind; not a failure.
-				default:
-					// A process bug: capture it so the kernel re-raises
-					// it in Run's goroutine, where callers can see it.
-					p.panicked = fmt.Sprintf("vtime: process %q panicked: %v", p.name, r)
-				}
-				k.yield <- struct{}{}
-			}()
-			p.fn(p)
-		}()
-	} else {
-		p.wake <- struct{}{}
+	if p.next == nil {
+		p.next, _ = iter.Pull(p.body)
 	}
-	<-k.yield
+	p.next()
 	if p.panicked != nil {
 		panic(p.panicked)
 	}
+}
+
+// body is the coroutine around the process function. A panic is captured
+// so resume re-raises it in Run's goroutine, where callers can see it.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		p.done = true
+		if r := recover(); r != nil && r != killedSentinel {
+			p.panicked = fmt.Sprintf("vtime: process %q panicked: %v", p.name, r)
+		}
+	}()
+	p.fn(p)
+	p.completed = true
 }
 
 // block parks the running process with the given reason until resumed.
 func (p *Proc) block(reason blockReason) {
 	p.gen++
 	p.reason = reason
-	p.k.yield <- struct{}{}
-	<-p.wake
+	p.yield(struct{}{})
 	if p.kill {
 		panic(killedSentinel)
 	}
@@ -200,13 +265,8 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	k := p.k
-	gen := p.gen + 1 // generation the upcoming block will have
-	k.schedule(k.now+d, func() {
-		if !p.done && p.reason == sleeping && p.gen == gen {
-			k.resume(p)
-		}
-	})
+	// The timer carries the generation the upcoming block will have.
+	p.k.schedule(event{at: p.k.now + d, kind: timer, p: p, gen: p.gen + 1})
 	p.block(sleeping)
 }
 
@@ -222,11 +282,7 @@ func (p *Proc) Suspend() {
 // process is harmless. Must be called from kernel context (an After
 // closure) or from the running process.
 func (k *Kernel) Wake(p *Proc) {
-	k.schedule(k.now, func() {
-		if !p.done && p.reason == suspended {
-			k.resume(p)
-		}
-	})
+	k.schedule(event{at: k.now, kind: wake, p: p})
 }
 
 // Now returns the current virtual time.
@@ -235,37 +291,54 @@ func (p *Proc) Now() Time { return p.k.now }
 // ErrEventLimit reports that Run aborted because MaxEvents fired.
 var ErrEventLimit = errors.New("vtime: event limit exceeded")
 
-// Run processes events until the queue drains, then kills any process
-// still blocked (their goroutines unwind via the kill sentinel) and
-// returns. It returns ErrEventLimit if MaxEvents was hit.
+// Run processes events until the queue drains and returns. It returns
+// ErrEventLimit if MaxEvents was hit.
+//
+// However Run ends, it first kills every started process that is still
+// blocked: the process resumes with the kill sentinel pending, which
+// unwinds its body (deferred calls run) and ends its coroutine. That
+// holds when the queue drains, when MaxEvents fires, and when a process
+// panic or runtime.Goexit leaves Run early.
 func (k *Kernel) Run() error {
 	if k.running {
 		return errors.New("vtime: kernel already running")
 	}
 	k.running = true
-	defer func() { k.running = false }()
+	defer func() {
+		k.queue = nil
+		k.running = false
+	}()
+	defer k.killBlocked()
 
-	var limitErr error
 	for len(k.queue) > 0 {
 		if k.MaxEvents > 0 && k.events >= k.MaxEvents {
-			limitErr = ErrEventLimit
-			break
+			return ErrEventLimit
 		}
 		k.events++
-		ev := heap.Pop(&k.queue).(*event)
+		ev := k.queue.pop()
 		k.now = ev.at
-		ev.fn()
+		k.fire(&ev)
 	}
+	return nil
+}
 
-	// Abandoned processes: unwind their goroutines deterministically.
+// killBlocked unwinds every started, unfinished process in spawn order.
+// It re-raises the first panic a process raises while unwinding, after
+// every process has been unwound.
+func (k *Kernel) killBlocked() {
+	var panicked any
 	for _, p := range k.procs {
-		if p.started && !p.done {
+		if p.next != nil && !p.done {
 			p.kill = true
-			k.resume(p)
+			p.next()
+			if panicked == nil {
+				panicked = p.panicked
+			}
 		}
 	}
-	k.queue = nil
-	return limitErr
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // Stalled returns the names of processes whose bodies never returned

@@ -1,8 +1,26 @@
 package vtime
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
+
+// checkNoLeak fails t if there are more goroutines than before: a
+// process coroutine the kernel started has not ended. Fewer is fine, a
+// goroutine left by an earlier test may have exited meanwhile.
+func checkNoLeak(t *testing.T, before int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for i := 0; n > before && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after Run, %d before: a process was left parked", n, before)
+	}
+}
 
 func TestSleepAdvancesClock(t *testing.T) {
 	k := NewKernel()
@@ -155,11 +173,12 @@ func TestSpawnFromProcess(t *testing.T) {
 }
 
 func TestAbandonedProcessKilled(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := NewKernel()
-	cleanup := false
+	unwound := false
 	k.Spawn("stuck", func(p *Proc) {
-		defer func() { cleanup = false }() // must NOT run user-visible logic... but defers do run
-		p.Suspend()                        // nobody wakes us
+		defer func() { unwound = true }()
+		p.Suspend() // nobody wakes us
 	})
 	k.Spawn("done", func(p *Proc) {
 		p.Sleep(1.0)
@@ -171,10 +190,14 @@ func TestAbandonedProcessKilled(t *testing.T) {
 	if len(stalled) != 1 || stalled[0] != "stuck" {
 		t.Fatalf("stalled = %v, want [stuck]", stalled)
 	}
-	_ = cleanup
+	if !unwound {
+		t.Fatal("killed process did not run its deferred calls")
+	}
+	checkNoLeak(t, before)
 }
 
 func TestMaxEvents(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := NewKernel()
 	k.MaxEvents = 100
 	k.Spawn("loop", func(p *Proc) {
@@ -185,20 +208,114 @@ func TestMaxEvents(t *testing.T) {
 	if err := k.Run(); err != ErrEventLimit {
 		t.Fatalf("want ErrEventLimit, got %v", err)
 	}
+	checkNoLeak(t, before)
 }
 
 func TestProcessPanicPropagates(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := NewKernel()
+	var unwound []string
+	k.Spawn("sleeper", func(p *Proc) {
+		defer func() { unwound = append(unwound, p.Name()) }()
+		p.Sleep(10.0)
+	})
+	k.Spawn("suspended", func(p *Proc) {
+		defer func() { unwound = append(unwound, p.Name()) }()
+		p.Suspend()
+	})
 	k.Spawn("bomb", func(p *Proc) {
 		p.Sleep(1.0)
 		panic("boom")
 	})
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("process panic did not propagate")
-		}
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("process panic did not propagate")
+			}
+			if msg, _ := r.(string); !strings.Contains(msg, `"bomb"`) || !strings.Contains(msg, "boom") {
+				t.Fatalf("panic value %v does not name the process and its panic", r)
+			}
+		}()
+		_ = k.Run()
 	}()
-	_ = k.Run()
+	if len(unwound) != 2 || unwound[0] != "sleeper" || unwound[1] != "suspended" {
+		t.Fatalf("unwound %v, want [sleeper suspended]", unwound)
+	}
+	checkNoLeak(t, before)
+}
+
+// A panic raised while a blocked process is killed at shutdown still
+// propagates, and the processes after it are unwound first.
+func TestPanicWhileKilledPropagates(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	unwound := false
+	k.Spawn("bad", func(p *Proc) {
+		defer func() { panic("cleanup failed") }()
+		p.Suspend()
+	})
+	k.Spawn("good", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Suspend()
+	})
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "cleanup failed") {
+				t.Fatalf("panic value %q, want the unwinding panic", msg)
+			}
+		}()
+		_ = k.Run()
+	}()
+	if !unwound {
+		t.Fatal("process after the panicking one was not unwound")
+	}
+	checkNoLeak(t, before)
+}
+
+// runtime.Goexit in a process body (what t.FailNow does) ends the
+// goroutine that called Run, as if the body had run on it, once every
+// other started process has been unwound. Run does not return.
+func TestProcessGoexitEndsRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	var unwound []string
+	k.Spawn("sleeper", func(p *Proc) {
+		defer func() { unwound = append(unwound, p.Name()) }()
+		p.Sleep(10.0)
+	})
+	k.Spawn("quitter", func(p *Proc) {
+		defer func() { unwound = append(unwound, p.Name()) }()
+		p.Sleep(1.0)
+		runtime.Goexit()
+	})
+	k.Spawn("suspended", func(p *Proc) {
+		defer func() { unwound = append(unwound, p.Name()) }()
+		p.Suspend()
+	})
+	returned := false
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		_ = k.Run()
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Fatal("Run returned after a process called runtime.Goexit")
+	}
+	want := []string{"quitter", "sleeper", "suspended"}
+	if strings.Join(unwound, " ") != strings.Join(want, " ") {
+		t.Fatalf("unwound %v, want %v", unwound, want)
+	}
+	if got := strings.Join(k.Stalled(), " "); got != "sleeper quitter suspended" {
+		t.Fatalf("stalled = %q, want every process", got)
+	}
+	checkNoLeak(t, before)
+	// The kernel is usable again: a drained Run is a no-op.
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNegativeDurationsClamp(t *testing.T) {
@@ -248,15 +365,55 @@ func TestManyProcesses(t *testing.T) {
 	}
 }
 
-func BenchmarkSleepWakeCycle(b *testing.B) {
-	k := NewKernel()
-	k.Spawn("w", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(0.001)
+// BenchmarkHandoff measures the kernel's own cost per process switch:
+// "pingpong" hands control between two processes through Suspend and
+// Kernel.Wake, "sleep" is one process charging compute time with Sleep.
+// One op is one switch (an event that resumes a process until it blocks
+// again); allocs/event counts every allocation over the run.
+func BenchmarkHandoff(b *testing.B) {
+	b.Run("pingpong", func(b *testing.B) {
+		k := NewKernel()
+		var procs [2]*Proc
+		turn, left := 0, b.N
+		for me := range procs {
+			procs[me] = k.Spawn("p", func(p *Proc) {
+				for {
+					for turn != me {
+						p.Suspend()
+					}
+					turn = 1 - me
+					k.Wake(procs[turn])
+					if left == 0 {
+						return
+					}
+					left--
+				}
+			})
 		}
+		runHandoff(b, k)
 	})
+	b.Run("sleep", func(b *testing.B) {
+		k := NewKernel()
+		k.Spawn("w", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Sleep(0.001)
+			}
+		})
+		runHandoff(b, k)
+	})
+}
+
+func runHandoff(b *testing.B, k *Kernel) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(k.Events()), "allocs/event")
+	if len(k.Stalled()) != 0 {
+		b.Fatalf("stalled: %v", k.Stalled())
 	}
 }
