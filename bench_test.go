@@ -1,9 +1,11 @@
 package pts
 
-// One benchmark per data figure of the paper (5–11), plus the ablation
-// benches DESIGN.md §6 calls out. The figure benches run their driver
-// at a reduced scale so `go test -bench=.` stays tractable; the full
-// paper-scale figures are regenerated with `go run ./cmd/ptsbench`.
+// One benchmark per data figure of the paper (5–11), plus two
+// ablations: half-sync on versus off on the loaded testbed, and
+// incremental swap evaluation versus a full cost refresh per move. The
+// figure benches run their driver at a reduced scale so
+// `go test -bench=.` stays tractable; the full paper-scale figures are
+// regenerated with `go run ./cmd/ptsbench`.
 
 import (
 	"testing"
@@ -49,7 +51,7 @@ func BenchmarkFig09Diversification(b *testing.B) { runFigure(b, bench.Fig9) }
 func BenchmarkFig10LocalVsGlobal(b *testing.B)   { runFigure(b, bench.Fig10) }
 func BenchmarkFig11Heterogeneity(b *testing.B)   { runFigure(b, bench.Fig11) }
 
-// --- Ablations (DESIGN.md §6) ---
+// --- Ablations ---
 
 // BenchmarkAblationHalfSyncOn/Off quantify what the heterogeneity
 // adaptation buys per run on the loaded 12-machine testbed.
@@ -126,54 +128,6 @@ func BenchmarkSequentialTS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Step()
 	}
-}
-
-// BenchmarkAblationAssignment{Interleaved,Blocked} compare the two
-// task-to-machine policies on the idle heterogeneous testbed: blocked
-// groups make whole TSWs fast or slow, the regime where the paper's
-// master-level half-sync matters most.
-func benchAssignment(b *testing.B, asg core.Assignment) {
-	b.Helper()
-	nl := netlist.MustBenchmark("c532")
-	clus := cluster.Testbed12(0)
-	cfg := core.DefaultConfig()
-	cfg.TSWs, cfg.CLWs = 4, 2
-	cfg.GlobalIters, cfg.LocalIters = 4, 16
-	cfg.Assignment = asg
-	virt := 0.0
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		res, err := core.Run(nl, clus, cfg, core.Virtual)
-		if err != nil {
-			b.Fatal(err)
-		}
-		virt += res.Elapsed
-	}
-	b.ReportMetric(virt/float64(b.N), "vsec/run")
-}
-
-func BenchmarkAblationAssignInterleaved(b *testing.B) { benchAssignment(b, core.AssignInterleaved) }
-func BenchmarkAblationAssignBlocked(b *testing.B)     { benchAssignment(b, core.AssignBlocked) }
-
-// BenchmarkAblationCorrelatedWorkers quantifies the redundancy of
-// identically-seeded workers (the Fig. 9 discussion in EXPERIMENTS.md).
-func BenchmarkAblationCorrelatedWorkers(b *testing.B) {
-	nl := netlist.MustBenchmark("highway")
-	clus := cluster.Homogeneous(12, 1)
-	cfg := core.DefaultConfig()
-	cfg.TSWs, cfg.CLWs = 4, 1
-	cfg.GlobalIters, cfg.LocalIters = 4, 16
-	cfg.CorrelatedWorkers = true
-	best := 0.0
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		res, err := core.Run(nl, clus, cfg, core.Virtual)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best += res.BestCost
-	}
-	b.ReportMetric(best/float64(b.N), "cost/run")
 }
 
 // BenchmarkSequentialBaseline runs the no-parallelization reference

@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		fig          = flag.String("fig", "all", "figure to regenerate: 5..11 or 'all'")
+		fig          = flag.String("fig", "all", "figure to regenerate: 5..11 or all")
 		scale        = flag.Float64("scale", 1.0, "iteration budget multiplier (1.0 = paper scale)")
 		repeats      = flag.Int("repeats", 0, "seeds per data point (0 = default)")
 		seed         = flag.Uint64("seed", 0, "master experiment seed (0 = default)")
@@ -204,10 +204,6 @@ func main() {
 	drivers := map[string]func(bench.Opts) (*bench.Figure, error){
 		"5": bench.Fig5, "6": bench.Fig6, "7": bench.Fig7, "8": bench.Fig8,
 		"9": bench.Fig9, "10": bench.Fig10, "11": bench.Fig11,
-		// Ablations beyond the paper (see DESIGN.md §6).
-		"assign": bench.ExtraAssignment,
-		"corr":   bench.ExtraCorrelation,
-		"mpds":   bench.ExtraMPDS,
 	}
 
 	var figs []*bench.Figure
@@ -220,7 +216,7 @@ func main() {
 	} else {
 		d, ok := drivers[*fig]
 		if !ok {
-			fatal(fmt.Errorf("unknown figure %q (want 5..11, assign, corr, mpds, or all)", *fig))
+			fatal(fmt.Errorf("unknown figure %q (want 5..11 or all)", *fig))
 		}
 		f, err := d(opts)
 		if err != nil {

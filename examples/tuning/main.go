@@ -1,6 +1,6 @@
-// Tuning walkthrough: the paper's Figure 10 question — given a fixed
-// iteration budget, how should it be split between global iterations
-// (more diversification) and local iterations (more local
+// Walkthrough of budget tuning: the paper's Figure 10 question —
+// given a fixed iteration budget, how should it be split between global
+// iterations (more diversification) and local iterations (more local
 // investigation)? The answer is instance-dependent; this example makes
 // the trade-off visible on two circuits, entirely through the public
 // API.

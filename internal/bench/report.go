@@ -13,7 +13,7 @@ import (
 )
 
 // RenderASCII renders a figure as a value table followed by a crude
-// multi-series line plot, for terminals and EXPERIMENTS.md.
+// multi-series line plot, for terminals and plain-text reports.
 func RenderASCII(f *Figure) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s: %s ==\n", f.ID, f.Title)

@@ -81,7 +81,6 @@ func TestCLWForcedReportPath(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Trials, cfg.Depth, cfg.Tenure = 4, 8, 5
 	cfg.Seed = 1
-	tune := cfg.tuningFor(0)
 	st0, err := prob.Initial(1)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +92,7 @@ func TestCLWForcedReportPath(t *testing.T) {
 	consistent := true
 	var deltaGap float64
 	root := func(env pvm.Env) {
-		id := env.Spawn("clw0", 1, func(e pvm.Env) { clwRun(e, prob, cfg, tune) })
+		id := env.Spawn("clw0", 1, func(e pvm.Env) { clwRun(e, prob, cfg) })
 		env.Send(id, TagInit, initMsg{Perm: initPerm, RangeLo: 0, RangeHi: prob.Size(), WorkerIdx: 0})
 
 		// Force lands while the compound move is being built: the CLW

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pts/internal/pvm"
 	"pts/internal/rng"
@@ -28,7 +27,7 @@ import (
 // the Reseed of a TagInit or TagNewState. Every round's search starts
 // after a barrier reseed, so each stream is a pure function of the
 // parent TSW's checkpointed state (see tswRun).
-func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
+func clwRun(env pvm.Env, problem Problem, cfg Config) {
 	first := env.Recv(TagInit, TagStop)
 	if first.Tag == TagStop {
 		return
@@ -38,14 +37,14 @@ func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 	prob := mustState(env, problem, init.Perm)
 	r := rng.New(init.Reseed)
 	params := tabu.CompoundParams{
-		Trials:  tune.Trials,
-		Depth:   tune.Depth,
+		Trials:  cfg.Trials,
+		Depth:   cfg.Depth,
 		RangeLo: init.RangeLo,
 		RangeHi: init.RangeHi,
 	}
 	if init.Trials > 0 {
 		// Adaptive scheduling: the per-step trial budget scales with
-		// this worker's range share instead of the tuned constant.
+		// this worker's range share instead of the configured constant.
 		params.Trials = init.Trials
 	}
 	stepWork := float64(params.Trials) * cfg.WorkPerTrial
@@ -136,18 +135,6 @@ func clwRun(env pvm.Env, problem Problem, cfg Config, tune Tuning) {
 			return
 		}
 	}
-}
-
-// spawnRand returns a TSW's spawn-time random stream: independent per
-// task by default, or shared among sibling TSWs when
-// Config.CorrelatedWorkers emulates identically-seeded processes.
-// CLWs have no spawn-time stream of their own; their parent deals them
-// one at every barrier.
-func spawnRand(env pvm.Env, cfg Config) *rand.Rand {
-	if cfg.CorrelatedWorkers {
-		return rng.NewChild(cfg.Seed, "core.correlated", "tsw")
-	}
-	return env.Rand()
 }
 
 // mustState builds a worker state over an imported solution; failures

@@ -48,7 +48,6 @@ func TestCLWKeepsItsOwnWinningMove(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Trials, cfg.Depth = 4, 8
 	cfg.Seed = 1
-	tune := cfg.tuningFor(0)
 	st0, err := prob.Initial(1)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +64,7 @@ func TestCLWKeepsItsOwnWinningMove(t *testing.T) {
 			var calls int
 			var clwPerm []int32
 			root := func(env pvm.Env) {
-				id := env.Spawn("clw0", 1, func(e pvm.Env) { clwRun(e, prob, cfg, tune) })
+				id := env.Spawn("clw0", 1, func(e pvm.Env) { clwRun(e, prob, cfg) })
 				env.Send(id, TagInit, initMsg{Perm: initPerm, RangeLo: 0, RangeHi: prob.Size()})
 				env.Send(id, TagSearch, nil)
 				cand = env.Recv(TagCandidate).Data.(candMsg).Move

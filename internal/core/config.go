@@ -135,90 +135,17 @@ type Config struct {
 	// heterogeneity on nodes that declared different speed factors; 0
 	// (the default) makes Work free in real time.
 	WorkScale float64
-	// CorrelatedWorkers gives all sibling TSWs the same random stream
-	// instead of independent ones — and through the barrier reseeds
-	// they deal, CLW j of every TSW the same stream. This emulates the
-	// classic unseeded-PRNG deployment of the paper's era, where every
-	// PVM process drew the same numbers: without diversification the
-	// TSWs then perform identical redundant searches, which is
-	// precisely the situation the paper's diversification step (Fig. 9)
-	// repairs.
-	CorrelatedWorkers bool
-	// Assignment selects how tasks map onto cluster machines.
-	Assignment Assignment
-	// PerTSW optionally overrides search parameters per TSW, turning
-	// the algorithm from the paper's MPSS (multiple points, single
-	// strategy) into MPDS (multiple points, different strategies) in
-	// the Crainic taxonomy — the natural extension the paper's §4
-	// classification points at. Index i tunes TSW i; missing entries
-	// keep the global parameters.
-	PerTSW []Tuning
 }
 
-// Tuning is a per-TSW strategy override; zero fields inherit the
-// global Config value.
-type Tuning struct {
-	Trials         int
-	Depth          int
-	Tenure         int
-	DiversifyDepth int
-}
+// tswMachine returns the machine index of TSW i. Tasks are placed the
+// way PVM's global round-robin places them: master on machine 0, TSW i
+// on 1+i, CLW j of TSW i on 1+TSWs+i·CLWs+j (all modulo the cluster
+// size), so every TSW group mixes machine speeds.
+func (c Config) tswMachine(i int) int { return 1 + i }
 
-// tuningFor resolves the effective parameters of TSW i.
-func (c Config) tuningFor(i int) Tuning {
-	t := Tuning{
-		Trials:         c.Trials,
-		Depth:          c.Depth,
-		Tenure:         c.Tenure,
-		DiversifyDepth: c.DiversifyDepth,
-	}
-	if i < len(c.PerTSW) {
-		o := c.PerTSW[i]
-		if o.Trials > 0 {
-			t.Trials = o.Trials
-		}
-		if o.Depth > 0 {
-			t.Depth = o.Depth
-		}
-		if o.Tenure > 0 {
-			t.Tenure = o.Tenure
-		}
-		if o.DiversifyDepth > 0 {
-			t.DiversifyDepth = o.DiversifyDepth
-		}
-	}
-	return t
-}
-
-// Assignment is the task-to-machine placement policy.
-type Assignment int
-
-const (
-	// AssignInterleaved emulates PVM's global round-robin: master on
-	// machine 0, TSW i on 1+i, CLW j of TSW i on 1+TSWs+i·CLWs+j (all
-	// modulo the cluster size). Every TSW group mixes machine speeds.
-	AssignInterleaved Assignment = iota
-	// AssignBlocked gives each TSW group (the TSW plus its CLWs) a
-	// contiguous machine window, so whole groups are fast or slow — the
-	// regime where the master-level half-sync matters most.
-	AssignBlocked
-)
-
-// tswMachine returns the machine index of TSW i.
-func (c Config) tswMachine(i int) int {
-	if c.Assignment == AssignBlocked {
-		return 1 + i*(1+c.CLWs)
-	}
-	return 1 + i
-}
-
-// clwMachine returns the machine index of CLW j of TSW i.
-func (c Config) clwMachine(i, j int) int {
-	if c.Assignment == AssignBlocked {
-		return 1 + i*(1+c.CLWs) + 1 + j
-	}
-	return 1 + c.TSWs + i*c.CLWs + j
-}
+// clwMachine returns the machine index of CLW j of TSW i under the
+// same round-robin placement as tswMachine.
+func (c Config) clwMachine(i, j int) int { return 1 + c.TSWs + i*c.CLWs + j }
 
 // DefaultConfig returns the parameter set used by the experiments
 // unless a figure says otherwise.

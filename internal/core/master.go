@@ -152,8 +152,8 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		raw = append(raw, improvement{Time: env.Now(), Cost: snap.BestCost})
 	}
 
-	// The master occupies machine 0; workers go where the assignment
-	// policy says.
+	// The master occupies machine 0; workers go round-robin after it
+	// (cfg.tswMachine, cfg.clwMachine).
 	ts := &tswSet{
 		env:    env,
 		cfg:    cfg,
@@ -555,12 +555,11 @@ func (r *recovery) handleRespawn(from pvm.TaskID, i int, rm respawnMsg) {
 	}
 	r.seq++
 	machine := pvm.RespawnSlotOf(r.env, r.cfg.clwMachine(i, rm.CLWIdx))
-	tune := rm.Tune
 	id := r.env.SpawnSpec(fmt.Sprintf("clw%d-r%d", rm.CLWIdx, r.seq), machine, pvm.Spec{
 		Kind: taskKindCLW,
-		Data: clwSpec{Tune: tune},
+		Data: clwSpec{},
 		Fn: func(e pvm.Env) {
-			clwRun(e, r.prob, r.cfg, tune)
+			clwRun(e, r.prob, r.cfg)
 		},
 	})
 	if i >= 0 && i < len(r.log) {

@@ -60,7 +60,7 @@ const (
 
 // initMsg is the TagInit payload. Trials, when positive, overrides the
 // worker's per-step trial budget (the adaptive scheduler's
-// share-proportional budget); 0 keeps the tuned default. Reseed
+// share-proportional budget); 0 keeps Config.Trials. Reseed
 // replaces the receiving CLW's random stream: a replacement attached
 // after the barrier's TagNewState went out gets the same per-slot
 // barrier draw it would have received there. At spawn and on adoption
@@ -113,13 +113,12 @@ type rebalanceMsg struct {
 func (m rebalanceMsg) PVMItems() int { return 3 }
 
 // respawnMsg is the TagRespawn payload: which of the sending TSW's CLW
-// slots died and the tuning the replacement must run with.
+// slots died.
 type respawnMsg struct {
 	CLWIdx int
-	Tune   Tuning
 }
 
-func (m respawnMsg) PVMItems() int { return 5 }
+func (m respawnMsg) PVMItems() int { return 1 }
 
 // respawnAckMsg is the TagRespawnAck payload: the replacement task for
 // the given CLW slot, or ID < 0 when the master declined (the run is

@@ -37,11 +37,9 @@ type tswSpec struct {
 }
 
 // clwSpec rebuilds a CLW body on whichever process hosts it. The CLW
-// learns its parent from its first TagInit's sender, so the spec
-// carries only the tuning.
-type clwSpec struct {
-	Tune Tuning
-}
+// learns its parent from its first TagInit's sender and its search
+// parameters from the job's Config, so the spec carries nothing.
+type clwSpec struct{}
 
 // ProblemSpec names a built-in workload well enough for any process to
 // construct it deterministically — the serving mode's answer to SPMD
@@ -97,9 +95,11 @@ type runSummary struct {
 	Interrupted bool
 }
 
-// wireConfig mirrors Config's serializable fields for the job payload;
-// process-local fields (Progress, Transport) stay behind. Keep it in
-// sync when Config grows a field workers need.
+// wireConfig mirrors Config's serializable fields for the job payload.
+// Master-local fields (Store, RunID, Progress, Transport, WorkScale)
+// stay behind, and ProblemSpec travels as jobPayload.Spec.
+// TestWireConfigRoundTrip fails when Config grows a field that is
+// neither carried here nor named there as master-local.
 type wireConfig struct {
 	TSWs, CLWs              int
 	GlobalIters, LocalIters int
@@ -114,9 +114,6 @@ type wireConfig struct {
 	WorkPerTrial            float64
 	Seed                    uint64
 	RecordTrace             bool
-	CorrelatedWorkers       bool
-	Assignment              Assignment
-	PerTSW                  []Tuning
 }
 
 func (c Config) wire() wireConfig {
@@ -124,19 +121,16 @@ func (c Config) wire() wireConfig {
 		TSWs: c.TSWs, CLWs: c.CLWs,
 		GlobalIters: c.GlobalIters, LocalIters: c.LocalIters,
 		Trials: c.Trials, Depth: c.Depth, Tenure: c.Tenure,
-		DiversifyDepth:    c.DiversifyDepth,
-		HalfSync:          c.HalfSync,
-		Adaptive:          c.Adaptive,
-		DisableRespawn:    c.DisableRespawn,
-		RefreshEvery:      c.RefreshEvery,
-		Utilization:       c.Utilization,
-		Cost:              c.Cost,
-		WorkPerTrial:      c.WorkPerTrial,
-		Seed:              c.Seed,
-		RecordTrace:       c.RecordTrace,
-		CorrelatedWorkers: c.CorrelatedWorkers,
-		Assignment:        c.Assignment,
-		PerTSW:            c.PerTSW,
+		DiversifyDepth: c.DiversifyDepth,
+		HalfSync:       c.HalfSync,
+		Adaptive:       c.Adaptive,
+		DisableRespawn: c.DisableRespawn,
+		RefreshEvery:   c.RefreshEvery,
+		Utilization:    c.Utilization,
+		Cost:           c.Cost,
+		WorkPerTrial:   c.WorkPerTrial,
+		Seed:           c.Seed,
+		RecordTrace:    c.RecordTrace,
 	}
 }
 
@@ -145,18 +139,15 @@ func (w wireConfig) config() Config {
 		TSWs: w.TSWs, CLWs: w.CLWs,
 		GlobalIters: w.GlobalIters, LocalIters: w.LocalIters,
 		Trials: w.Trials, Depth: w.Depth, Tenure: w.Tenure,
-		DiversifyDepth:    w.DiversifyDepth,
-		HalfSync:          w.HalfSync,
-		Adaptive:          w.Adaptive,
-		DisableRespawn:    w.DisableRespawn,
-		RefreshEvery:      w.RefreshEvery,
-		Utilization:       w.Utilization,
-		WorkPerTrial:      w.WorkPerTrial,
-		Seed:              w.Seed,
-		RecordTrace:       w.RecordTrace,
-		CorrelatedWorkers: w.CorrelatedWorkers,
-		Assignment:        w.Assignment,
-		PerTSW:            w.PerTSW,
+		DiversifyDepth: w.DiversifyDepth,
+		HalfSync:       w.HalfSync,
+		Adaptive:       w.Adaptive,
+		DisableRespawn: w.DisableRespawn,
+		RefreshEvery:   w.RefreshEvery,
+		Utilization:    w.Utilization,
+		WorkPerTrial:   w.WorkPerTrial,
+		Seed:           w.Seed,
+		RecordTrace:    w.RecordTrace,
 	}
 	cfg.Cost = w.Cost
 	return cfg
@@ -197,11 +188,10 @@ func taskFactory(prob Problem, cfg Config) pvm.TaskFactory {
 			}
 			return func(env pvm.Env) { tswRun(env, prob, cfg, spec.Master, spec.Resume) }, nil
 		case taskKindCLW:
-			spec, ok := data.(clwSpec)
-			if !ok {
+			if _, ok := data.(clwSpec); !ok {
 				return nil, fmt.Errorf("core: task kind %q wants clwSpec, got %T", kind, data)
 			}
-			return func(env pvm.Env) { clwRun(env, prob, cfg, spec.Tune) }, nil
+			return func(env pvm.Env) { clwRun(env, prob, cfg) }, nil
 		default:
 			return nil, fmt.Errorf("core: unknown task kind %q", kind)
 		}

@@ -11,6 +11,7 @@ import (
 	"pts/internal/cost"
 	"pts/internal/netlist"
 	"pts/internal/pvm"
+	"pts/internal/store"
 )
 
 // testProblem builds a small placement problem for transport tests.
@@ -67,26 +68,88 @@ func TestVirtualModeIgnoresTransport(t *testing.T) {
 	}
 }
 
+// TestWireConfigRoundTrip sets every exported Config field to a
+// distinct non-zero value and checks that the job payload carries all
+// of them except the master-local ones named here. A Config field added
+// without a wireConfig field fails it until it is carried or named.
 func TestWireConfigRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TSWs, cfg.CLWs = 5, 3
-	cfg.HalfSync = false
-	cfg.Assignment = AssignBlocked
-	cfg.PerTSW = []Tuning{{Trials: 9}, {Depth: 2, Tenure: 7}}
-	cfg.Seed = 42
-	// Process-local fields must not survive the wire...
-	cfg.Progress = func(Snapshot) {}
-	cfg.Transport = &abortingTransport{}
-	cfg.WorkScale = 0.5
+	masterLocal := map[string]bool{
+		"Store":       true, // the master persists its own snapshots
+		"RunID":       true, // names the master's snapshot key
+		"Progress":    true,
+		"Transport":   true,
+		"WorkScale":   true, // travels in the job frame, not the config
+		"ProblemSpec": true, // travels as jobPayload.Spec
+	}
+	var cfg Config
+	v := reflect.ValueOf(&cfg).Elem()
+	for name := range masterLocal {
+		if !v.FieldByName(name).IsValid() {
+			t.Fatalf("master-local field %s is not a Config field", name)
+		}
+	}
+	next := 0
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		switch f.Name {
+		case "Progress":
+			cfg.Progress = func(Snapshot) {}
+		case "Transport":
+			cfg.Transport = &abortingTransport{}
+		case "Store":
+			cfg.Store = store.NewMem()
+		default:
+			if !fillNonZero(v.Field(i), &next) {
+				t.Fatalf("Config.%s (%s): no test value; give it one here and carry it in wireConfig or name it master-local", f.Name, f.Type)
+			}
+		}
+	}
 
 	got := cfg.wire().config()
 	want := cfg
-	want.Progress = nil
-	want.Transport = nil
-	want.WorkScale = 0 // travels in the job frame, not the config
+	w := reflect.ValueOf(&want).Elem()
+	for name := range masterLocal {
+		f := w.FieldByName(name)
+		f.Set(reflect.Zero(f.Type()))
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("wire round trip mangled the config:\ngot  %+v\nwant %+v", got, want)
 	}
+}
+
+// fillNonZero sets v, recursively, to distinct non-zero values drawn
+// from *next, so a field copied into the wrong slot shows. It reports
+// false for kinds it has no value for.
+func fillNonZero(v reflect.Value, next *int) bool {
+	*next++
+	n := *next
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(n) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("v%d", n))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		return fillNonZero(v.Elem(), next)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() && !fillNonZero(v.Field(i), next) {
+				return false
+			}
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 func TestWorkerHandlerRefusesMismatchedProblem(t *testing.T) {

@@ -68,7 +68,6 @@ func stubCLWSet(env pvm.Env, n int32, master pvm.TaskID) *clwSet {
 	cfg.Adaptive = true
 	cs := &clwSet{
 		cfg:     cfg,
-		tune:    cfg.tuningFor(0),
 		n:       n,
 		widx:    0,
 		master:  master,
@@ -233,7 +232,7 @@ func TestCheckpointRoundTripAdoptsSurvivors(t *testing.T) {
 
 	env2 := &stubEnv{}
 	cfg := cs.cfg
-	cs2 := adoptCLWSet(env2, cfg, cs.tune, &ck, master)
+	cs2 := adoptCLWSet(env2, cfg, &ck, master)
 	if cs2.alive != 2 || !cs2.live[0] || !cs2.live[1] || cs2.live[2] {
 		t.Fatalf("adopted liveness wrong: alive %d, live %v", cs2.alive, cs2.live)
 	}

@@ -74,42 +74,11 @@ func TestRunSequentialSharesInitialWithParallel(t *testing.T) {
 	}
 }
 
-func TestAssignmentPolicies(t *testing.T) {
-	// Both policies must produce valid runs; on a heterogeneous cluster
-	// with blocked assignment the TSW groups land on machines of uneven
-	// speed, which the half-sync master absorbs — verify it forces
-	// reports there.
-	nl := netlist.MustBenchmark("highway")
-	clus := cluster.Testbed12(0) // idle machines: pure speed classes
-	for _, asg := range []Assignment{AssignInterleaved, AssignBlocked} {
-		cfg := quickCfg()
-		cfg.TSWs, cfg.CLWs = 4, 2
-		cfg.GlobalIters, cfg.LocalIters = 3, 16
-		cfg.Assignment = asg
-		res, err := Run(nl, clus, cfg, Virtual)
-		if err != nil {
-			t.Fatalf("assignment %d: %v", asg, err)
-		}
-		if res.BestCost >= res.InitialCost {
-			t.Fatalf("assignment %d did not improve", asg)
-		}
-	}
-}
-
-func TestBlockedAssignmentMapping(t *testing.T) {
+func TestAssignmentMapping(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TSWs, cfg.CLWs = 3, 2
-	cfg.Assignment = AssignBlocked
-	// Group i occupies [1+3i, 1+3i+2]: TSW then its two CLWs.
-	if cfg.tswMachine(0) != 1 || cfg.clwMachine(0, 0) != 2 || cfg.clwMachine(0, 1) != 3 {
-		t.Fatalf("group 0 mapping wrong: %d %d %d",
-			cfg.tswMachine(0), cfg.clwMachine(0, 0), cfg.clwMachine(0, 1))
-	}
-	if cfg.tswMachine(1) != 4 || cfg.clwMachine(1, 1) != 6 {
-		t.Fatal("group 1 mapping wrong")
-	}
-	cfg.Assignment = AssignInterleaved
+	// PVM round-robin: TSWs on 1..3, then the CLWs group by group.
 	if cfg.tswMachine(2) != 3 || cfg.clwMachine(2, 1) != 1+3+2*2+1 {
-		t.Fatal("interleaved mapping wrong")
+		t.Fatalf("round-robin mapping wrong: %d %d", cfg.tswMachine(2), cfg.clwMachine(2, 1))
 	}
 }

@@ -51,7 +51,6 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	list := tabu.NewList()
 	var (
 		prob     State
-		tune     Tuning
 		freq     *tabu.Frequency
 		tswRand  *rand.Rand
 		iter     int64
@@ -77,16 +76,15 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	if resume == nil {
 		init := env.Recv(TagInit).Data.(initMsg)
 		prob = mustState(env, problem, init.Perm)
-		tune = cfg.tuningFor(init.WorkerIdx)
 		freq = tabu.NewFrequency(prob.Size())
-		tswRand = spawnRand(env, cfg)
+		tswRand = env.Rand()
 		best = prob.Cost()
 		bestPerm = prob.Snapshot()
 		divLo, divHi = init.RangeLo, init.RangeHi
 
 		// Spawn this worker's CLWs once; they live for the whole run and
-		// sit on the machines the assignment policy dictates.
-		cs = newCLWSet(env, problem, cfg, tune, init, prob.Size(), master)
+		// sit on their round-robin machines (cfg.clwMachine).
+		cs = newCLWSet(env, problem, cfg, init, prob.Size(), master)
 		// The spawn-time checkpoint closes the recovery gap before the
 		// first report: the master can resurrect this TSW (and find its
 		// CLWs) from the instant they exist. Sent on the same channel
@@ -95,7 +93,6 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	} else {
 		ck := resume
 		prob = mustState(env, problem, ck.Perm)
-		tune = cfg.tuningFor(ck.WorkerIdx)
 		freq = tabu.NewFrequency(prob.Size())
 		freq.Import(ck.Freq)
 		iter = ck.Iter
@@ -116,14 +113,14 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 			// re-announce either: the master's ledger was seeded from the
 			// same snapshot this checkpoint came out of, and building one
 			// here would advance the restored random stream.
-			cs = newCLWSet(env, problem, cfg, tune, initMsg{
+			cs = newCLWSet(env, problem, cfg, initMsg{
 				Perm:      ck.Perm,
 				RangeLo:   ck.DivLo,
 				RangeHi:   ck.DivHi,
 				WorkerIdx: ck.WorkerIdx,
 			}, prob.Size(), master)
 		} else {
-			cs = adoptCLWSet(env, cfg, tune, ck, master)
+			cs = adoptCLWSet(env, cfg, ck, master)
 			// Re-announce the adopted state immediately, like the fresh-spawn
 			// checkpoint: the master's ledger of handed-over replacements is
 			// pruned by it, and a successor dying straight away resumes from
@@ -174,8 +171,8 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 				// Diversification w.r.t. this worker's own element range (Kelly
 				// et al. [10]): forced swaps of the least-moved elements of the
 				// range.
-				if tune.DiversifyDepth > 0 {
-					diversify(prob, env, tswRand, freq, list, iter, cfg, tune, divLo, divHi)
+				if cfg.DiversifyDepth > 0 {
+					diversify(prob, env, tswRand, freq, list, iter, cfg, divLo, divHi)
 					stats.Diversifications++
 					refresh(prob)
 					env.Work(staWork)
@@ -242,7 +239,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 						chosen.Apply(prob)
 						env.Work(float64(len(chosen.Swaps)) * cfg.WorkPerTrial)
 						for _, s := range chosen.Swaps {
-							list.Add(s.Attribute(), iter+int64(tune.Tenure))
+							list.Add(s.Attribute(), iter+int64(cfg.Tenure))
 						}
 						freq.BumpMove(&chosen)
 						stats.MovesAccepted++
@@ -350,7 +347,6 @@ func buildCheckpoint(widx int, prob State, list *tabu.List, freq *tabu.Frequency
 // and (with respawn on) the replacements parked for the next barrier.
 type clwSet struct {
 	cfg     Config
-	tune    Tuning
 	n       int32
 	widx    int
 	master  pvm.TaskID
@@ -369,10 +365,9 @@ type clwSet struct {
 // (seeded from the declared machine speeds) in adaptive mode. CLWs
 // whose range is empty — more workers than elements — are not spawned
 // at all.
-func newCLWSet(env pvm.Env, problem Problem, cfg Config, tune Tuning, init initMsg, n int32, master pvm.TaskID) *clwSet {
+func newCLWSet(env pvm.Env, problem Problem, cfg Config, init initMsg, n int32, master pvm.TaskID) *clwSet {
 	cs := &clwSet{
 		cfg:     cfg,
-		tune:    tune,
 		n:       n,
 		widx:    init.WorkerIdx,
 		master:  master,
@@ -398,9 +393,9 @@ func newCLWSet(env pvm.Env, problem Problem, cfg Config, tune Tuning, init initM
 		cs.alive++
 		cs.ids[j] = env.SpawnSpec(fmt.Sprintf("clw%d", j), cfg.clwMachine(init.WorkerIdx, j), pvm.Spec{
 			Kind: taskKindCLW,
-			Data: clwSpec{Tune: tune},
+			Data: clwSpec{},
 			Fn: func(e pvm.Env) {
-				clwRun(e, problem, cfg, tune)
+				clwRun(e, problem, cfg)
 			},
 		})
 		cs.byID[cs.ids[j]] = j
@@ -434,10 +429,9 @@ func newCLWSet(env pvm.Env, problem Problem, cfg Config, tune Tuning, init initM
 // died in the unwatched gap, so none is silently stuck dead), and
 // replacements the master spawned whose acks died with the
 // predecessor (ck.Extra) are re-adopted as pending.
-func adoptCLWSet(env pvm.Env, cfg Config, tune Tuning, ck *tswCheckpoint, master pvm.TaskID) *clwSet {
+func adoptCLWSet(env pvm.Env, cfg Config, ck *tswCheckpoint, master pvm.TaskID) *clwSet {
 	cs := &clwSet{
 		cfg:     cfg,
-		tune:    tune,
 		n:       int32(len(ck.Perm)),
 		widx:    ck.WorkerIdx,
 		master:  master,
@@ -483,7 +477,7 @@ func adoptCLWSet(env pvm.Env, cfg Config, tune Tuning, ck *tswCheckpoint, master
 				// The predecessor's respawn request (or its ack) may have
 				// died with it; ask again. A duplicate replacement is
 				// retired unseeded by onAck.
-				env.Send(master, TagRespawn, respawnMsg{CLWIdx: j, Tune: tune})
+				env.Send(master, TagRespawn, respawnMsg{CLWIdx: j})
 			}
 		}
 	}
@@ -514,20 +508,20 @@ func seededTracker(env pvm.Env, n int32, k int, machineOf func(int) int) *sched.
 	return t
 }
 
-// trialsFor returns CLW j's per-step trial budget: the tuned constant
+// trialsFor returns CLW j's per-step trial budget: Config.Trials
 // in static mode, or a budget proportional to its range share in
 // adaptive mode (total budget conserved at Trials×CLWs per step, every
 // live worker guaranteed at least one trial). Integer arithmetic keeps
 // the result bit-deterministic.
 func (cs *clwSet) trialsFor(j int) int {
 	if cs.track == nil {
-		return 0 // initMsg semantics: keep the tuned default
+		return 0 // initMsg semantics: keep Config.Trials
 	}
 	lo, hi := cs.rng[j][0], cs.rng[j][1]
 	if hi <= lo || cs.n <= 0 {
 		return 1
 	}
-	t := int((int64(cs.tune.Trials)*int64(cs.cfg.CLWs)*int64(hi-lo) + int64(cs.n)/2) / int64(cs.n))
+	t := int((int64(cs.cfg.Trials)*int64(cs.cfg.CLWs)*int64(hi-lo) + int64(cs.n)/2) / int64(cs.n))
 	if t < 1 {
 		t = 1
 	}
@@ -623,7 +617,7 @@ func (cs *clwSet) requestRespawn(env pvm.Env, j int) {
 	if !cs.respawn {
 		return
 	}
-	env.Send(cs.master, TagRespawn, respawnMsg{CLWIdx: j, Tune: cs.tune})
+	env.Send(cs.master, TagRespawn, respawnMsg{CLWIdx: j})
 }
 
 // onAck adopts a replacement the master spawned: it is parked as
@@ -808,15 +802,15 @@ func (cc *candCollector) collect(env pvm.Env, halfSync bool, stats *WorkerStats)
 // greedy partner choice bounds the damage to the incumbent. The applied
 // attributes become tabu so the jump is not immediately undone.
 func diversify(prob tabu.Problem, env pvm.Env, r *rand.Rand, freq *tabu.Frequency, list *tabu.List,
-	iter int64, cfg Config, tune Tuning, lo, hi int32) {
+	iter int64, cfg Config, lo, hi int32) {
 	size := prob.Size()
 	if hi <= lo+1 || size < 2 {
 		return
 	}
-	for i := 0; i < tune.DiversifyDepth; i++ {
+	for i := 0; i < cfg.DiversifyDepth; i++ {
 		a := freq.LeastMoved(r, lo, hi)
 		bestB, bestDelta := int32(-1), 0.0
-		for t := 0; t < tune.Trials; t++ {
+		for t := 0; t < cfg.Trials; t++ {
 			b := lo + int32(r.Intn(int(hi-lo)))
 			if b == a {
 				continue
@@ -826,12 +820,12 @@ func diversify(prob tabu.Problem, env pvm.Env, r *rand.Rand, freq *tabu.Frequenc
 				bestB, bestDelta = b, d
 			}
 		}
-		env.Work(float64(tune.Trials) * cfg.WorkPerTrial)
+		env.Work(float64(cfg.Trials) * cfg.WorkPerTrial)
 		if bestB < 0 {
 			continue
 		}
 		prob.ApplySwap(a, bestB)
 		freq.BumpSwap(a, bestB)
-		list.Add(tabu.Attr(a, bestB), iter+int64(tune.Tenure))
+		list.Add(tabu.Attr(a, bestB), iter+int64(cfg.Tenure))
 	}
 }

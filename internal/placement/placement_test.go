@@ -348,7 +348,8 @@ func BenchmarkHPWLDeltaSwap(b *testing.B) {
 }
 
 // BenchmarkFullRecompute quantifies what the incremental bookkeeping
-// saves (ablation for DESIGN.md §6).
+// saves: compare it with BenchmarkSwapCells and BenchmarkHPWLDeltaSwap
+// on the same circuit.
 func BenchmarkFullRecompute(b *testing.B) {
 	nl := netlist.MustBenchmark("c1355")
 	p, _ := New(nl, AutoLayout(nl, 0.9))

@@ -24,11 +24,6 @@ type Params struct {
 	Seed uint64
 }
 
-// DefaultParams returns the engine defaults used across experiments.
-func DefaultParams() Params {
-	return Params{Tenure: 10, Trials: 8, Depth: 3, RefreshEvery: 64}
-}
-
 // Refresher is implemented by problems that can resynchronize cached
 // models (the placement evaluator's timing criticalities).
 type Refresher interface{ Refresh() }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation drift check (CI-blocking): ARCHITECTURE.md's wire-
 # protocol table and the serving endpoint tables must stay in lockstep
-# with the code.
+# with the code, and cited documents must exist.
 #
 #  1. Every Tag* constant declared in internal/core/messages.go (plus
 #     the reserved pvm.TagExit) must appear as a `| `Tag...` |` table
@@ -13,6 +13,10 @@
 #     ARCHITECTURE.md.
 #  4. Every endpoint named in such a table row must still be a
 #     registered route — removed endpoints cannot linger in the docs.
+#  5. Every NAME.md cited by a *.go file, README.md or ARCHITECTURE.md
+#     must exist: as a path from the repo root or from the citing
+#     file's directory, or, for a bare name, anywhere in the repo.
+#     CHANGES.md and ROADMAP.md describe history and are not scanned.
 #
 # Usage: scripts/check-docs.sh
 set -euo pipefail
@@ -86,3 +90,25 @@ if [ "$fail" -ne 0 ]; then
 fi
 r=$(echo "$code_routes" | wc -l | tr -d ' ')
 echo "PASS: all $r serving endpoints documented in README.md and ARCHITECTURE.md, no stale rows"
+
+# Citations of markdown documents.
+all_md=$(find . -name '*.md' -not -path './.git/*' | sed 's|^\./||')
+cited=0
+while IFS= read -r src; do
+  dir=$(dirname "$src")
+  for name in $(grep -oE '[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b' "$src" | sort -u); do
+    cited=$((cited + 1))
+    [ -f "$name" ] || [ -f "$dir/$name" ] && continue
+    if [[ "$name" != */* ]] && grep -qE "(^|/)${name//./\\.}\$" <<< "$all_md"; then
+      continue
+    fi
+    echo "FAIL: $src cites $name, which does not exist in the repo"
+    fail=1
+  done
+done < <(find . -name '*.go' -not -path './.git/*' | sed 's|^\./||' | sort; echo README.md; echo ARCHITECTURE.md)
+
+if [ "$fail" -ne 0 ]; then
+  echo "State the fact inline or cite a document that exists."
+  exit 1
+fi
+echo "PASS: all $cited markdown citations in *.go, README.md and ARCHITECTURE.md resolve"
