@@ -170,11 +170,13 @@
 // layers and documents every protocol message); cmd/ holds the
 // executables and examples/ runnable walkthroughs, and the Example
 // functions in this package's documentation are runnable as tests.
-// bench_test.go carries the per-figure benchmark harness; cmd/ptsbench
-// -hotpath measures the trial kernel (results/BENCH_hotpath.json),
-// -hetero the adaptive-scheduling payoff (results/BENCH_hetero.json),
-// -recovery the worker-loss recovery payoff
-// (results/BENCH_recovery.json), and -sched the scheduling workloads'
-// search quality and delta-kernel throughput
-// (results/BENCH_sched.json).
+// bench_test.go carries the per-figure benchmark harness. cmd/ptsbench
+// regenerates the figures and runs the scenario benchmarks, each writing
+// one results/BENCH_<name>.json record with its host, inputs and flat
+// records: `ptsbench -hotpath` measures the trial kernel,
+// `ptsbench -hetero` the adaptive-scheduling payoff,
+// `ptsbench -recovery` the worker-loss recovery payoff,
+// `ptsbench -serve` the serving scheduler's jobs/minute and latency, and
+// `ptsbench -sched` the scheduling workloads' search quality and
+// delta-kernel throughput.
 package pts

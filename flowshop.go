@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"pts/internal/flowshop"
-	"pts/internal/rng"
 	"pts/internal/schedinst"
 )
 
@@ -18,7 +17,11 @@ import (
 // is exactly the non-constant-cost Evaluator shape the engine's batch
 // boundary was designed to absorb.
 type FlowShopProblem struct {
-	ins *schedinst.FlowShop
+	p *flowshop.Problem
+}
+
+func newFlowShop(ins *schedinst.FlowShop) *FlowShopProblem {
+	return &FlowShopProblem{p: flowshop.NewProblem(ins)}
 }
 
 // FlowShopBenchmark returns a named embedded benchmark instance
@@ -28,7 +31,7 @@ func FlowShopBenchmark(name string) (*FlowShopProblem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FlowShopProblem{ins: ins}, nil
+	return newFlowShop(ins), nil
 }
 
 // FlowShopInstances lists the embedded flow shop benchmark names.
@@ -45,13 +48,13 @@ func FlowShopFromFile(path string) (*FlowShopProblem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FlowShopProblem{ins: ins}, nil
+	return newFlowShop(ins), nil
 }
 
 // RandomFlowShop generates a random jobs × machines instance with
 // durations in [1, 100), deterministic in seed.
 func RandomFlowShop(jobs, machines int, seed uint64) *FlowShopProblem {
-	return &FlowShopProblem{ins: flowshop.Random(jobs, machines, seed)}
+	return newFlowShop(flowshop.Random(jobs, machines, seed))
 }
 
 // NewFlowShop builds an instance from an explicit processing-time
@@ -61,59 +64,57 @@ func NewFlowShop(name string, proc [][]int) (*FlowShopProblem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FlowShopProblem{ins: ins}, nil
+	return newFlowShop(ins), nil
 }
 
 // Name identifies the instance.
-func (p *FlowShopProblem) Name() string { return "flowshop-" + p.ins.Name }
+func (p *FlowShopProblem) Name() string { return p.p.Name() }
 
 // Size returns the number of jobs (solutions are job sequences).
-func (p *FlowShopProblem) Size() int32 { return int32(p.ins.Jobs) }
+func (p *FlowShopProblem) Size() int32 { return p.p.Size() }
 
 // Describe summarizes the instance dimensions and published bounds.
 func (p *FlowShopProblem) Describe() string {
-	s := fmt.Sprintf("%d jobs x %d machines", p.ins.Jobs, p.ins.Machines)
-	if p.ins.Upper > 0 {
-		s += fmt.Sprintf(", published makespan bounds [%d, %d]", p.ins.Lower, p.ins.Upper)
+	ins := p.Instance()
+	s := fmt.Sprintf("%d jobs x %d machines", ins.Jobs, ins.Machines)
+	if ins.Upper > 0 {
+		s += fmt.Sprintf(", published makespan bounds [%d, %d]", ins.Lower, ins.Upper)
 	}
 	return s
 }
 
 // Instance exposes the parsed instance data.
-func (p *FlowShopProblem) Instance() *schedinst.FlowShop { return p.ins }
+func (p *FlowShopProblem) Instance() *schedinst.FlowShop { return p.p.Instance() }
 
 // Initial derives the run's shared initial sequence from seed.
-func (p *FlowShopProblem) Initial(seed uint64) (State, error) {
-	return flowshop.NewState(p.ins, rng.Derive(seed, "pts.flowshop.initial")), nil
-}
+func (p *FlowShopProblem) Initial(seed uint64) (State, error) { return p.p.Initial(seed) }
 
 // NewState builds an independent sequence state positioned at snap.
-func (p *FlowShopProblem) NewState(snap []int32) (State, error) {
-	return flowshop.NewStateAt(p.ins, snap)
-}
+func (p *FlowShopProblem) NewState(snap []int32) (State, error) { return p.p.NewState(snap) }
 
 // Details recomputes the exact makespan of a solution from scratch and
 // returns a FlowShopDetails.
 func (p *FlowShopProblem) Details(best []int32) (any, error) {
-	ms, err := flowshop.Makespan(p.ins, best)
+	ins := p.Instance()
+	ms, err := flowshop.Makespan(ins, best)
 	if err != nil {
 		return nil, err
 	}
 	return FlowShopDetails{
 		Makespan:   ms,
-		LowerBound: flowshop.LowerBound(p.ins),
-		Optimum:    p.ins.Upper,
+		LowerBound: flowshop.LowerBound(ins),
+		Optimum:    ins.Upper,
 	}, nil
 }
 
 // Makespan evaluates a job sequence exactly with the from-scratch DP.
 func (p *FlowShopProblem) Makespan(seq []int32) (int, error) {
-	return flowshop.Makespan(p.ins, seq)
+	return flowshop.Makespan(p.Instance(), seq)
 }
 
 // BruteForceOptimum exhaustively finds the optimal makespan; limited to
 // tiny instances (jobs <= 8), the test oracle.
-func (p *FlowShopProblem) BruteForceOptimum() int { return flowshop.BruteForceOptimum(p.ins) }
+func (p *FlowShopProblem) BruteForceOptimum() int { return flowshop.BruteForceOptimum(p.Instance()) }
 
 // FlowShopDetails is the exact scoring of a flow shop solution.
 type FlowShopDetails struct {

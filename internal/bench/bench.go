@@ -46,6 +46,10 @@ type Opts struct {
 	ClusterSeed uint64
 	// Circuits restricts the benchmark circuits (default: all four).
 	Circuits []string
+	// WorkScale is the scenario benchmarks' wall-seconds-per-modeled-
+	// second work emulation factor (0 = the scenario's default); the
+	// figure drivers run on virtual time and ignore it.
+	WorkScale float64
 	// Progress, when non-nil, receives one line per completed run.
 	Progress func(string)
 }

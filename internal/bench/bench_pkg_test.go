@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"pts/internal/stats"
 )
@@ -251,73 +255,221 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestHeteroSmoke(t *testing.T) {
-	// Tiny budget with near-free work emulation: exercises both sides of
-	// the comparison and the report plumbing without meaningful sleeps.
-	rep, err := Hetero(HeteroOpts{
-		WorkScale:   1e-6,
-		GlobalIters: 1,
-		LocalIters:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Static.WallSeconds <= 0 || rep.Adaptive.WallSeconds <= 0 {
-		t.Errorf("degenerate wall times: %+v", rep)
-	}
-	if rep.Speedup <= 0 {
-		t.Errorf("speedup = %v", rep.Speedup)
-	}
-	if len(rep.Static.Trace) == 0 || len(rep.Adaptive.Trace) == 0 {
-		t.Error("missing best-cost trajectories")
-	}
-	if len(rep.MachineSpeeds) != 6 {
-		t.Errorf("machine speeds = %v", rep.MachineSpeeds)
-	}
-	dir := t.TempDir()
-	path, err := WriteHetero(rep, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_hetero.json" {
-		t.Errorf("path = %s", path)
+func TestScenarios(t *testing.T) {
+	// Tiny budgets with near-free work emulation: every scenario runs its
+	// whole protocol (loopback TCP for recovery and serve) in well under
+	// a second, and the checks cover the header and the records.
+	for _, tc := range []struct {
+		name string
+		run  func(Opts) (*Report, error)
+		// want lists workload/metric pairs that must be present.
+		want []string
+		// inputs lists input keys that must be present.
+		inputs []string
+		check  func(t *testing.T, rep *Report)
+	}{
+		{
+			name:   "hetero",
+			run:    Hetero,
+			want:   []string{"static/wall_seconds", "static/best_cost", "adaptive/wall_seconds", "adaptive/rebalances", "adaptive/speedup"},
+			inputs: []string{"circuit", "machine_speeds", "work_scale", "local_iters", "seed"},
+			check: func(t *testing.T, rep *Report) {
+				if speeds := rep.Inputs["machine_speeds"].([]float64); len(speeds) != 6 {
+					t.Errorf("machine speeds = %v", speeds)
+				}
+				for _, side := range []string{"static", "adaptive"} {
+					if v := value(t, rep, "engine", side, "wall_seconds"); v <= 0 {
+						t.Errorf("%s wall time %v", side, v)
+					}
+				}
+				if v := value(t, rep, "engine", "adaptive", "speedup"); v <= 0 {
+					t.Errorf("speedup = %v", v)
+				}
+			},
+		},
+		{
+			name:   "recovery",
+			run:    Recovery,
+			want:   []string{"fold_only/wall_seconds", "fold_only/workers_lost", "respawn/workers_respawned", "respawn/rounds", "respawn/speedup"},
+			inputs: []string{"circuit", "kill_round", "work_scale", "local_iters", "seed"},
+			check: func(t *testing.T, rep *Report) {
+				for _, side := range []string{"fold_only", "respawn"} {
+					if v := value(t, rep, "engine", side, "rounds"); v != recoveryGlobalIters {
+						t.Errorf("%s ran %v rounds, want %d", side, v, recoveryGlobalIters)
+					}
+					if v := value(t, rep, "engine", side, "interrupted"); v != 0 {
+						t.Errorf("%s interrupted", side)
+					}
+				}
+				if v := value(t, rep, "engine", "fold_only", "workers_respawned"); v != 0 {
+					t.Errorf("fold-only respawned %v workers", v)
+				}
+			},
+		},
+		{
+			name:   "serve",
+			run:    Serve,
+			want:   []string{"concurrency-1/jobs_per_minute", "concurrency-4/jobs_per_minute", "concurrency-4/throughput_gain"},
+			inputs: []string{"circuit", "fleet_workers", "jobs_per_level", "concurrency", "seed"},
+			check: func(t *testing.T, rep *Report) {
+				for _, level := range []string{"concurrency-1", "concurrency-4"} {
+					p50 := value(t, rep, "serve", level, "p50_latency_seconds")
+					p95 := value(t, rep, "serve", level, "p95_latency_seconds")
+					if p50 <= 0 || p95 < p50 || value(t, rep, "serve", level, "max_latency_seconds") < p95 {
+						t.Errorf("%s latencies p50 %v p95 %v", level, p50, p95)
+					}
+					if v := value(t, rep, "serve", level, "jobs_per_minute"); v <= 0 {
+						t.Errorf("%s jobs/minute = %v", level, v)
+					}
+				}
+				if v := value(t, rep, "serve", "concurrency-4", "throughput_gain"); v <= 0 {
+					t.Errorf("throughput gain = %v", v)
+				}
+			},
+		},
+		{
+			name:   "sched",
+			run:    Sched,
+			want:   []string{"flowshop-ta001/best_makespan", "jobshop-ft06/best_makespan", "jobshop-ft06/lower_bound", "jobshop-ft10/batch_speedup", "jobshop-la01/modeled_seconds"},
+			inputs: []string{"global_iters", "local_iters", "seed", "window_seconds"},
+			check: func(t *testing.T, rep *Report) {
+				for _, ins := range []string{"flowshop-ta001", "jobshop-ft06", "jobshop-ft10", "jobshop-la01"} {
+					best := value(t, rep, "search", ins, "best_makespan")
+					if best < value(t, rep, "instance", ins, "lower_bound") || best > value(t, rep, "search", ins, "initial_makespan") {
+						t.Errorf("%s best makespan %v outside [lower bound, initial]", ins, best)
+					}
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := tc.run(Opts{Scale: 0.1, WorkScale: 1e-6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Scenario != tc.name || rep.GoVersion == "" || rep.GOMAXPROCS < 1 || rep.NumCPU < 1 {
+				t.Errorf("header = %q %q GOMAXPROCS=%d NumCPU=%d", rep.Scenario, rep.GoVersion, rep.GOMAXPROCS, rep.NumCPU)
+			}
+			if _, err := time.Parse(time.RFC3339, rep.GeneratedAt); err != nil {
+				t.Errorf("generated_at: %v", err)
+			}
+			for _, k := range tc.inputs {
+				if _, ok := rep.Inputs[k]; !ok {
+					t.Errorf("input %q missing from %v", k, rep.Inputs)
+				}
+			}
+			for _, r := range rep.Records {
+				if r.Layer == "" || r.Workload == "" || r.Metric == "" || math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
+					t.Errorf("bad record %+v", r)
+				}
+			}
+			for _, w := range tc.want {
+				workload, metric, _ := strings.Cut(w, "/")
+				found := false
+				for _, r := range rep.Records {
+					found = found || (r.Workload == workload && r.Metric == metric)
+				}
+				if !found {
+					t.Errorf("no %s record", w)
+				}
+			}
+			tc.check(t, rep)
+			path, err := Write(rep, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if filepath.Base(path) != "BENCH_"+tc.name+".json" {
+				t.Errorf("path = %s", path)
+			}
+		})
 	}
 }
 
-func TestServeSmoke(t *testing.T) {
-	// Tiny fleet and job budget with near-free work emulation: exercises
-	// the scheduler-over-loopback-fleet plumbing, both concurrency
-	// levels, and both output files without meaningful sleeps.
-	rep, err := Serve(ServeOpts{
-		FleetWorkers: 2,
-		Jobs:         3,
-		GlobalIters:  1,
-		LocalIters:   2,
-		WorkScale:    1e-6,
-	})
-	if err != nil {
-		t.Fatal(err)
+// value returns the value of one record of rep, failing the test when
+// the record is missing.
+func value(t *testing.T, rep *Report, layer, workload, metric string) float64 {
+	t.Helper()
+	r := find(rep.Records, layer, workload, metric)
+	if r == nil {
+		t.Fatalf("no %s/%s/%s record", layer, workload, metric)
 	}
-	if len(rep.Levels) != 2 || rep.Levels[0].Concurrency != 1 || rep.Levels[1].Concurrency != 2 {
-		t.Fatalf("levels = %+v", rep.Levels)
-	}
-	for _, l := range rep.Levels {
-		if l.Jobs != 3 || l.JobsPerMinute <= 0 || l.P50Seconds <= 0 || l.P95Seconds < l.P50Seconds {
-			t.Errorf("degenerate level: %+v", l)
-		}
-	}
-	if rep.ThroughputGain <= 0 {
-		t.Errorf("throughput gain = %v", rep.ThroughputGain)
-	}
+	return r.Value
+}
+
+func TestHotpathBaselineAndGuard(t *testing.T) {
 	dir := t.TempDir()
-	path, err := WriteServe(rep, dir)
+	first, err := Hotpath([]string{"highway"}, 20*time.Millisecond, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(path) != "BENCH_serve.json" {
-		t.Errorf("path = %s", path)
+	if _, err := Write(first, dir); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "bench_serve.md")); err != nil {
-		t.Errorf("bench_serve.md not written: %v", err)
+	if first.Baseline != nil {
+		t.Fatalf("first report has a baseline: %+v", first.Baseline)
+	}
+	if r := find(first.Records, "kernel", "highway", "ns_per_trial"); r == nil || r.Windows != 2 || r.Value <= 0 {
+		t.Fatalf("ns_per_trial record = %+v", r)
+	}
+	second, err := Hotpath([]string{"highway"}, 20*time.Millisecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := Write(second, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second.Baseline, first.Records) || second.BaselineComment == "" {
+		t.Errorf("second baseline = %+v (%q), want the first report's records", second.Baseline, second.BaselineComment)
+	}
+
+	// Read round-trips: the file re-encodes to the report that wrote it.
+	back, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(second)
+	got, _ := json.Marshal(back)
+	if string(got) != string(want) {
+		t.Errorf("round trip:\n got %s\nwant %s", got, want)
+	}
+
+	if _, err := HotpathGuard(back, "highway", 0.99); err != nil {
+		t.Errorf("guard at 99%% tolerance: %v", err)
+	}
+	inflated := *back
+	inflated.Baseline = append([]Record(nil), back.Baseline...)
+	find(inflated.Baseline, "kernel", "highway", "trials_per_sec").Value *= 1000
+	if _, err := HotpathGuard(&inflated, "highway", 0.10); err == nil || !strings.Contains(err.Error(), "REGRESSION") {
+		t.Errorf("guard on an inflated baseline: %v", err)
+	}
+	allocating := *back
+	allocating.Records = append([]Record(nil), back.Records...)
+	find(allocating.Records, "kernel", "highway", "allocs_per_trial").Value = 0.5
+	if _, err := HotpathGuard(&allocating, "highway", 0.99); err == nil || !strings.Contains(err.Error(), "allocates") {
+		t.Errorf("guard on nonzero allocs: %v", err)
+	}
+	if _, err := HotpathGuard(back, "c532", 0.10); err == nil {
+		t.Error("guard passed on a circuit missing from the records")
+	}
+}
+
+func TestPercentile(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		p    float64
+		want float64 // the ceil(p·n)-th smallest of 1..n
+	}{
+		{1, 0.5, 1}, {1, 0.95, 1},
+		{12, 0.5, 6}, {12, 0.95, 12},
+		{20, 0.5, 10}, {20, 0.95, 19},
+	} {
+		sorted := make([]float64, tc.n)
+		for i := range sorted {
+			sorted[i] = float64(i + 1)
+		}
+		if got := percentile(sorted, tc.p); got != tc.want {
+			t.Errorf("percentile(1..%d, %v) = %v, want %v", tc.n, tc.p, got, tc.want)
+		}
 	}
 }

@@ -1,13 +1,7 @@
 package bench
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"time"
 
 	"pts/internal/cluster"
 	"pts/internal/core"
@@ -26,107 +20,42 @@ import (
 // speed-proportional share of the trial budget and rounds finish
 // together.
 
-// HeteroOpts configures the -hetero scenario.
-type HeteroOpts struct {
-	// Context bounds the runs (nil = background).
-	Context context.Context
-	// Circuit names the benchmark circuit (default "highway").
-	Circuit string
-	// WorkScale is the wall-seconds-per-modeled-second emulation factor
-	// (default 150; larger = cleaner ratios — per-step sleeps dwarf the
-	// OS timer quantum — but longer runs).
-	WorkScale float64
-	// GlobalIters and LocalIters set the iteration budget (defaults 3
-	// and 20 — identical for both sides, by construction).
-	GlobalIters, LocalIters int
-	// Scale multiplies the local iteration budget (ptsbench -scale);
-	// <= 0 means 1.0.
-	Scale float64
-	// Seed fixes the run seed (default 7).
-	Seed uint64
-}
+// The hetero scenario's iteration budget (identical for both sides, by
+// construction; Opts.Scale multiplies the local iterations) and its
+// defaults for Opts.Circuits, Seed and WorkScale. A larger WorkScale
+// gives cleaner ratios — per-step sleeps dwarf the OS timer quantum —
+// but longer runs.
+const (
+	heteroGlobalIters = 3
+	heteroLocalIters  = 20
+	heteroCircuit     = "highway"
+	heteroSeed        = 7
+	heteroWorkScale   = 150
+)
 
-func (o HeteroOpts) withDefaults() HeteroOpts {
-	if o.Context == nil {
-		o.Context = context.Background()
-	}
-	if o.Circuit == "" {
-		o.Circuit = "highway"
-	}
-	if o.WorkScale <= 0 {
-		o.WorkScale = 150
-	}
-	if o.GlobalIters <= 0 {
-		o.GlobalIters = 3
-	}
-	if o.LocalIters <= 0 {
-		o.LocalIters = 20
-	}
-	if o.Scale > 0 && o.Scale != 1 {
-		o.LocalIters = int(float64(o.LocalIters)*o.Scale + 0.5)
-		if o.LocalIters < 1 {
-			o.LocalIters = 1
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = 7
-	}
-	return o
-}
+// heteroSpeeds are the emulated platform's machine speeds: machine 0
+// hosts the master, machine 1 the TSW (fast, so coordination is never
+// the bottleneck), and machines 2..5 the four CLWs — one fast (4x),
+// three slow (1x).
+var heteroSpeeds = []float64{1, 4, 4, 1, 1, 1}
 
-// HeteroTracePoint is one best-cost observation on the wall clock.
-type HeteroTracePoint struct {
-	Seconds float64 `json:"seconds"`
-	Cost    float64 `json:"cost"`
-}
-
-// HeteroSide is one side (static or adaptive) of the comparison.
-type HeteroSide struct {
-	WallSeconds   float64            `json:"wall_seconds"`
-	BestCost      float64            `json:"best_cost"`
-	Rebalances    int64              `json:"rebalances"`
-	ForcedReports int64              `json:"forced_reports"`
-	Trace         []HeteroTracePoint `json:"trace,omitempty"`
-}
-
-// HeteroReport is the BENCH_hetero.json schema.
-type HeteroReport struct {
-	Note        string `json:"note"`
-	GoVersion   string `json:"go_version"`
-	GeneratedAt string `json:"generated_at"`
-
-	Circuit       string    `json:"circuit"`
-	MachineSpeeds []float64 `json:"machine_speeds"`
-	WorkScale     float64   `json:"work_scale"`
-	GlobalIters   int       `json:"global_iters"`
-	LocalIters    int       `json:"local_iters"`
-	Seed          uint64    `json:"seed"`
-
-	Static   HeteroSide `json:"static"`
-	Adaptive HeteroSide `json:"adaptive"`
-	// Speedup is static wall time over adaptive wall time at the equal
-	// iteration budget.
-	Speedup float64 `json:"speedup"`
-}
-
-// heteroCluster builds the emulated platform: machine 0 hosts the
-// master, machine 1 the TSW (fast, so coordination is never the
-// bottleneck), and machines 2..5 the four CLWs — one fast (4x), three
-// slow (1x).
+// heteroCluster builds the emulated platform.
 func heteroCluster() cluster.Cluster {
-	speeds := []float64{1, 4, 4, 1, 1, 1}
-	ms := make([]cluster.Machine, len(speeds))
-	for i, s := range speeds {
+	ms := make([]cluster.Machine, len(heteroSpeeds))
+	for i, s := range heteroSpeeds {
 		ms[i] = cluster.Machine{Name: fmt.Sprintf("h%02d", i), Speed: s}
 	}
 	base := cluster.Homogeneous(1, 1)
 	return cluster.Cluster{Machines: ms, SendLatency: base.SendLatency, PerItem: base.PerItem}
 }
 
-// Hetero runs the static-vs-adaptive comparison and returns the report.
-func Hetero(o HeteroOpts) (*HeteroReport, error) {
-	o = o.withDefaults()
-	nl, err := netlist.Benchmark(o.Circuit)
+// Hetero runs the static-vs-adaptive comparison. Each side (workload
+// static or adaptive) yields engine records wall_seconds, best_cost,
+// rebalances and forced_reports; the adaptive side's speedup is static
+// wall time over adaptive wall time at the equal iteration budget.
+func Hetero(o Opts) (*Report, error) {
+	o = o.scenario(heteroCircuit, heteroSeed, heteroWorkScale)
+	nl, err := netlist.Benchmark(o.Circuits[0])
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +63,7 @@ func Hetero(o HeteroOpts) (*HeteroReport, error) {
 
 	cfg := core.DefaultConfig()
 	cfg.TSWs, cfg.CLWs = 1, 4
-	cfg.GlobalIters, cfg.LocalIters = o.GlobalIters, o.LocalIters
+	cfg.GlobalIters, cfg.LocalIters = heteroGlobalIters, o.scaled(heteroLocalIters, 1)
 	cfg.Seed = o.Seed
 	// Full collection: both sides run the identical iteration budget, so
 	// the wall-time ratio isolates the partitioning policy (half-sync
@@ -149,75 +78,26 @@ func Hetero(o HeteroOpts) (*HeteroReport, error) {
 	// m=12/d=4 budget at a quarter of the synchronization points.
 	cfg.Trials, cfg.Depth = 64, 1
 
-	run := func(adaptive bool) (HeteroSide, error) {
+	rep := newReport("hetero", "heterogeneous scheduling: static vs adaptive partitioning at equal iteration budget",
+		map[string]any{"circuit": nl.Name, "machine_speeds": heteroSpeeds, "work_scale": o.WorkScale,
+			"global_iters": cfg.GlobalIters, "local_iters": cfg.LocalIters, "seed": o.Seed})
+	var wall [2]float64
+	for i, side := range []string{"static", "adaptive"} {
 		c := cfg
-		c.Adaptive = adaptive
+		c.Adaptive = i == 1
 		pp := cost.NewPlacementProblem(nl, c.Utilization, c.Cost)
 		res, err := core.RunProblem(o.Context, pp, clus, c, core.Real)
 		if err != nil {
-			return HeteroSide{}, err
+			return nil, err
 		}
-		side := HeteroSide{
-			WallSeconds:   res.Elapsed,
-			BestCost:      res.BestCost,
-			Rebalances:    res.Stats.Rebalances,
-			ForcedReports: res.Stats.ForcedReports,
-		}
-		for _, p := range res.Trace.Points {
-			side.Trace = append(side.Trace, HeteroTracePoint{Seconds: p.Time, Cost: p.Cost})
-		}
-		return side, nil
+		wall[i] = res.Elapsed
+		rep.add("engine", side, "wall_seconds", res.Elapsed)
+		rep.add("engine", side, "best_cost", res.BestCost)
+		rep.add("engine", side, "rebalances", float64(res.Stats.Rebalances))
+		rep.add("engine", side, "forced_reports", float64(res.Stats.ForcedReports))
 	}
-
-	rep := &HeteroReport{
-		Note:        "heterogeneous scheduling: static vs adaptive partitioning at equal iteration budget; regenerate with: ptsbench -hetero",
-		GoVersion:   runtime.Version(),
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Circuit:     o.Circuit,
-		WorkScale:   o.WorkScale,
-		GlobalIters: o.GlobalIters,
-		LocalIters:  o.LocalIters,
-		Seed:        o.Seed,
-	}
-	for _, m := range clus.Machines {
-		rep.MachineSpeeds = append(rep.MachineSpeeds, m.Speed)
-	}
-	if rep.Static, err = run(false); err != nil {
-		return nil, err
-	}
-	if rep.Adaptive, err = run(true); err != nil {
-		return nil, err
-	}
-	if rep.Adaptive.WallSeconds > 0 {
-		rep.Speedup = rep.Static.WallSeconds / rep.Adaptive.WallSeconds
+	if wall[1] > 0 {
+		rep.add("engine", "adaptive", "speedup", wall[0]/wall[1])
 	}
 	return rep, nil
-}
-
-// RenderHetero formats the report for the terminal.
-func RenderHetero(rep *HeteroReport) string {
-	out := fmt.Sprintf("hetero scenario: %s on speeds %v, %dx%d iterations, workscale %.0f\n",
-		rep.Circuit, rep.MachineSpeeds, rep.GlobalIters, rep.LocalIters, rep.WorkScale)
-	out += fmt.Sprintf("  static    %8.3fs wall   best %.4f\n", rep.Static.WallSeconds, rep.Static.BestCost)
-	out += fmt.Sprintf("  adaptive  %8.3fs wall   best %.4f   (%d rebalances)\n",
-		rep.Adaptive.WallSeconds, rep.Adaptive.BestCost, rep.Adaptive.Rebalances)
-	out += fmt.Sprintf("  speedup   %.2fx at equal iteration budget\n", rep.Speedup)
-	return out
-}
-
-// WriteHetero writes the report as <dir>/BENCH_hetero.json.
-func WriteHetero(rep *HeteroReport, dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_hetero.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
 }

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -34,51 +31,10 @@ const hotpathBatch = 64
 // kernel is timed K times and the fastest window is reported. The
 // minimum is the right estimator on shared machines — interference only
 // ever adds time — and it is what the CI regression guard compares. The
-// per-window spread is reported alongside (ns_per_trial_stddev) so the
+// per-window spread is reported alongside (the ns_per_trial stddev) so the
 // guard tolerance is justified by data, not folklore; raise the window
 // count (ptsbench -windows) when the spread approaches the tolerance.
 const DefaultHotpathWindows = 5
-
-// HotpathResult is the measurement for one circuit.
-//
-// Schema notes: ns_per_trial is the batched kernel (batch_size
-// candidates per DeltaSwapBatch call) when batch_size is present;
-// entries without batch_size predate the batched hot path and measured
-// per-call SwapDelta instead. ns_per_apply is absent when the apply
-// kernel was not measured — old baselines recorded 0 for circuits the
-// pre-PR2 harness skipped, and 0 there means "not measured", never
-// "free". ns_per_trial_stddev is the sample standard deviation across
-// the measurement windows of the batched kernel (the quantity the CI
-// guard compares). Older reports may carry *_relaxed fields from a
-// retired accumulation mode; they are ignored on read.
-type HotpathResult struct {
-	Circuit string `json:"circuit"`
-	Cells   int    `json:"cells"`
-	Nets    int    `json:"nets"`
-	Pins    int    `json:"pins"`
-
-	BatchSize        int     `json:"batch_size,omitempty"`
-	NsPerTrial       float64 `json:"ns_per_trial"`
-	TrialsPerSec     float64 `json:"trials_per_sec"`
-	NsPerTrialStddev float64 `json:"ns_per_trial_stddev,omitempty"`
-	NsPerTrialScalar float64 `json:"ns_per_trial_scalar,omitempty"`
-	AllocsPerTrial   float64 `json:"allocs_per_trial"`
-	NsPerApply       float64 `json:"ns_per_apply,omitempty"`
-}
-
-// HotpathReport is the BENCH_hotpath.json schema. Baseline carries the
-// previously committed results for before/after comparison; WriteHotpath
-// fills it from the file being replaced, so regenerating the report
-// always keeps the numbers it superseded.
-type HotpathReport struct {
-	Note            string          `json:"note,omitempty"`
-	GoVersion       string          `json:"go_version"`
-	GeneratedAt     string          `json:"generated_at"`
-	Windows         int             `json:"windows,omitempty"`
-	BaselineComment string          `json:"baseline_comment,omitempty"`
-	Baseline        []HotpathResult `json:"baseline,omitempty"`
-	Results         []HotpathResult `json:"results"`
-}
 
 // measure runs fn in timed batches until targetDur is spent and returns
 // ns/op and allocs/op.
@@ -139,8 +95,12 @@ func measureBest(targetDur time.Duration, windows int, fn func(i int)) (nsPerOp,
 
 // Hotpath measures the trial-evaluation and commit kernels on the named
 // circuits (default: the paper's four) for roughly dur per kernel,
-// best-of-`windows` per kernel (0 means DefaultHotpathWindows).
-func Hotpath(circuits []string, dur time.Duration, windows int) (*HotpathReport, error) {
+// best-of-`windows` per kernel (0 means DefaultHotpathWindows). Each
+// circuit yields instance records (cells, nets, pins) and kernel
+// records: ns_per_trial and trials_per_sec of the batched kernel,
+// ns_per_trial_scalar of per-call SwapDelta, allocs_per_trial (the
+// worst window) and ns_per_apply.
+func Hotpath(circuits []string, dur time.Duration, windows int) (*Report, error) {
 	if len(circuits) == 0 {
 		circuits = netlist.BenchmarkNames()
 	}
@@ -150,12 +110,8 @@ func Hotpath(circuits []string, dur time.Duration, windows int) (*HotpathReport,
 	if windows < 1 {
 		windows = DefaultHotpathWindows
 	}
-	rep := &HotpathReport{
-		Note:        fmt.Sprintf("trial-evaluation hot path, batched kernel headline (best of %d windows; ns_per_trial_stddev records the cross-window spread, which is large on shared hosts), measured at GOMAXPROCS=%d; regenerate with: ptsbench -hotpath", windows, runtime.GOMAXPROCS(0)),
-		GoVersion:   runtime.Version(),
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Windows:     windows,
-	}
+	rep := newReport("hotpath", "trial-evaluation hot path, batched kernel headline (best-of-windows; the ns_per_trial stddev is the cross-window spread, which is large on shared hosts)",
+		map[string]any{"batch_size": hotpathBatch, "windows": windows, "kernel_seconds": dur.Seconds()})
 	for _, name := range circuits {
 		nl, err := netlist.Benchmark(name)
 		if err != nil {
@@ -198,101 +154,57 @@ func Hotpath(circuits []string, dur time.Duration, windows int) (*HotpathReport,
 			pr := pairs[i&1023]
 			ev.ApplySwap(pr[0], pr[1])
 		})
+		rep.add("instance", name, "cells", float64(st.Cells))
+		rep.add("instance", name, "nets", float64(st.Nets))
+		rep.add("instance", name, "pins", float64(st.Pins))
 		trialNs := batchNs / hotpathBatch
-		rep.Results = append(rep.Results, HotpathResult{
-			Circuit:          name,
-			Cells:            st.Cells,
-			Nets:             st.Nets,
-			Pins:             st.Pins,
-			BatchSize:        hotpathBatch,
-			NsPerTrial:       trialNs,
-			TrialsPerSec:     1e9 / trialNs,
-			NsPerTrialStddev: batchDev / hotpathBatch,
-			NsPerTrialScalar: scalarNs,
-			AllocsPerTrial:   batchAllocs / hotpathBatch,
-			NsPerApply:       applyNs,
-		})
+		for _, r := range []Record{
+			{Metric: "ns_per_trial", Value: trialNs, Stddev: batchDev / hotpathBatch},
+			{Metric: "trials_per_sec", Value: 1e9 / trialNs},
+			{Metric: "ns_per_trial_scalar", Value: scalarNs},
+			{Metric: "ns_per_apply", Value: applyNs},
+		} {
+			r.Layer, r.Workload, r.Windows = "kernel", name, windows
+			rep.Records = append(rep.Records, r)
+		}
+		rep.add("kernel", name, "allocs_per_trial", batchAllocs/hotpathBatch)
 	}
 	return rep, nil
 }
 
-// WriteHotpath writes the report as <dir>/BENCH_hotpath.json. When the
-// file already exists, its results become the new file's baseline (with
-// a comment recording their provenance), so the before/after comparison
-// always spans exactly one regeneration.
-func WriteHotpath(rep *HotpathReport, dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_hotpath.json")
-	if prev, err := os.ReadFile(path); err == nil {
-		var old HotpathReport
-		if json.Unmarshal(prev, &old) == nil && len(old.Results) > 0 {
-			rep.Baseline = old.Results
-			rep.BaselineComment = fmt.Sprintf("previous committed results (%s, %s)", old.GeneratedAt, old.GoVersion)
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return path, os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadHotpath loads a BENCH_hotpath.json report.
-func ReadHotpath(path string) (*HotpathReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep HotpathReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
 // HotpathGuard checks a freshly regenerated report (whose baseline
-// WriteHotpath filled with the previously committed results) for
-// regressions on the named circuits (comma-separated): for each it
-// fails when the new trials/sec falls more than tolerance below the
-// baseline's and when the batched kernel allocates — both asserted
-// from the JSON artifact itself, so the committed numbers and the
-// guarded numbers can never diverge. The CI bench-smoke job
-// runs it after ptsbench -hotpath so a kernel change that loses more
-// than the tolerance shows up as a red build, not a quietly worse
-// committed number.
-func HotpathGuard(rep *HotpathReport, circuits string, tolerance float64) (string, error) {
-	find := func(rs []HotpathResult, circuit string) *HotpathResult {
-		for i := range rs {
-			if rs[i].Circuit == circuit {
-				return &rs[i]
-			}
-		}
-		return nil
-	}
+// Write filled with the previously committed records) for regressions
+// on the named circuits (comma-separated): for each it fails when the
+// new trials_per_sec falls more than tolerance below the baseline's and
+// when the batched kernel allocates — both asserted from the JSON
+// artifact itself, so the committed numbers and the guarded numbers can
+// never diverge. The CI bench-smoke job runs it after ptsbench -hotpath
+// so a kernel change that loses more than the tolerance shows up as a
+// red build, not a quietly worse committed number.
+func HotpathGuard(rep *Report, circuits string, tolerance float64) (string, error) {
 	var msgs []string
 	for _, circuit := range strings.Split(circuits, ",") {
 		circuit = strings.TrimSpace(circuit)
 		if circuit == "" {
 			continue
 		}
-		cur := find(rep.Results, circuit)
-		if cur == nil {
+		cur := find(rep.Records, "kernel", circuit, "trials_per_sec")
+		allocs := find(rep.Records, "kernel", circuit, "allocs_per_trial")
+		if cur == nil || allocs == nil {
 			return "", fmt.Errorf("hotpath guard: circuit %q not in results", circuit)
 		}
-		if cur.AllocsPerTrial != 0 {
-			return "", fmt.Errorf("hotpath guard: %s allocates %.2f/trial, want 0", circuit, cur.AllocsPerTrial)
+		if allocs.Value != 0 {
+			return "", fmt.Errorf("hotpath guard: %s allocates %.2f/trial, want 0", circuit, allocs.Value)
 		}
-		base := find(rep.Baseline, circuit)
+		base := find(rep.Baseline, "kernel", circuit, "trials_per_sec")
 		if base == nil {
 			msgs = append(msgs, fmt.Sprintf("%s: no baseline to compare against (first run)", circuit))
 			continue
 		}
-		floor := base.TrialsPerSec * (1 - tolerance)
+		floor := base.Value * (1 - tolerance)
 		msg := fmt.Sprintf("%s %.0f trials/sec vs baseline %.0f (floor %.0f at %.0f%% tolerance)",
-			circuit, cur.TrialsPerSec, base.TrialsPerSec, floor, tolerance*100)
-		if cur.TrialsPerSec < floor {
+			circuit, cur.Value, base.Value, floor, tolerance*100)
+		if cur.Value < floor {
 			return "", fmt.Errorf("hotpath guard: %s: REGRESSION", msg)
 		}
 		msgs = append(msgs, msg+": ok")
@@ -301,25 +213,4 @@ func HotpathGuard(rep *HotpathReport, circuits string, tolerance float64) (strin
 		return "", fmt.Errorf("hotpath guard: no circuits named")
 	}
 	return "hotpath guard: " + strings.Join(msgs, "; "), nil
-}
-
-// RenderHotpath renders the report as an aligned text table, with
-// speedup columns when a baseline is present.
-func RenderHotpath(rep *HotpathReport) string {
-	base := make(map[string]HotpathResult, len(rep.Baseline))
-	for _, r := range rep.Baseline {
-		base[r.Circuit] = r
-	}
-	out := fmt.Sprintf("hot path (%s)\n%-10s %8s %6s %10s %14s %10s %12s %10s\n",
-		rep.GoVersion, "circuit", "cells", "batch", "ns/trial", "trials/sec", "ns/scalar", "allocs/trial", "ns/apply")
-	for _, r := range rep.Results {
-		out += fmt.Sprintf("%-10s %8d %6d %10.1f %14.0f %10.1f %12.2f %10.1f",
-			r.Circuit, r.Cells, r.BatchSize, r.NsPerTrial, r.TrialsPerSec,
-			r.NsPerTrialScalar, r.AllocsPerTrial, r.NsPerApply)
-		if b, ok := base[r.Circuit]; ok && r.NsPerTrial > 0 {
-			out += fmt.Sprintf("   (%.2fx trials/sec vs baseline)", b.NsPerTrial/r.NsPerTrial)
-		}
-		out += "\n"
-	}
-	return out
 }

@@ -2,11 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"time"
 
 	"pts/internal/cluster"
@@ -28,106 +24,39 @@ import (
 // budget on two CLW hosts; recovery respawns a replacement onto
 // surviving capacity and finishes on three.
 
-// RecoveryOpts configures the -recovery scenario.
-type RecoveryOpts struct {
-	// Context bounds the runs (nil = background).
-	Context context.Context
-	// Circuit names the benchmark circuit (default "c532" — large
-	// enough that the fuzzy cost does not bottom out at this budget,
-	// so the final-cost comparison stays informative).
-	Circuit string
-	// WorkScale is the wall-seconds-per-modeled-second emulation factor
-	// (default 30).
-	WorkScale float64
-	// GlobalIters and LocalIters set the iteration budget (defaults 6
-	// and 20 — identical for both sides, by construction).
-	GlobalIters, LocalIters int
-	// KillRound is the progress round whose report triggers the kill
-	// (default 2).
-	KillRound int
-	// Scale multiplies the local iteration budget (ptsbench -scale);
-	// <= 0 means 1.0.
-	Scale float64
-	// Seed fixes the run seed (default 7).
-	Seed uint64
-}
+// The recovery scenario's iteration budget (identical for both sides;
+// Opts.Scale multiplies the local iterations), the round whose progress
+// report triggers the kill, and the defaults for Opts.Circuits, Seed and
+// WorkScale. c532 is large enough that the fuzzy cost does not bottom
+// out at this budget, so the final-cost comparison stays informative.
+const (
+	recoveryGlobalIters = 6
+	recoveryLocalIters  = 20
+	recoveryKillRound   = 2
+	recoveryCircuit     = "c532"
+	recoverySeed        = 7
+	recoveryWorkScale   = 30
+)
 
-func (o RecoveryOpts) withDefaults() RecoveryOpts {
-	if o.Context == nil {
-		o.Context = context.Background()
-	}
-	if o.Circuit == "" {
-		o.Circuit = "c532"
-	}
-	if o.WorkScale <= 0 {
-		o.WorkScale = 30
-	}
-	if o.GlobalIters <= 0 {
-		o.GlobalIters = 6
-	}
-	if o.LocalIters <= 0 {
-		o.LocalIters = 20
-	}
-	if o.KillRound <= 0 {
-		o.KillRound = 2
-	}
-	if o.Scale > 0 && o.Scale != 1 {
-		o.LocalIters = int(float64(o.LocalIters)*o.Scale + 0.5)
-		if o.LocalIters < 1 {
-			o.LocalIters = 1
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = 7
-	}
-	return o
-}
-
-// RecoverySide is one side (fold-only or respawn) of the comparison.
-type RecoverySide struct {
-	WallSeconds      float64 `json:"wall_seconds"`
-	BestCost         float64 `json:"best_cost"`
-	Rounds           int     `json:"rounds"`
-	Interrupted      bool    `json:"interrupted"`
-	WorkersLost      int64   `json:"workers_lost"`
-	WorkersRespawned int64   `json:"workers_respawned"`
-	Rebalances       int64   `json:"rebalances"`
-}
-
-// RecoveryReport is the BENCH_recovery.json schema.
-type RecoveryReport struct {
-	Note        string `json:"note"`
-	GoVersion   string `json:"go_version"`
-	GeneratedAt string `json:"generated_at"`
-
-	Circuit     string  `json:"circuit"`
-	WorkScale   float64 `json:"work_scale"`
-	GlobalIters int     `json:"global_iters"`
-	LocalIters  int     `json:"local_iters"`
-	KillRound   int     `json:"kill_round"`
-	Seed        uint64  `json:"seed"`
-
-	FoldOnly RecoverySide `json:"fold_only"`
-	Respawn  RecoverySide `json:"respawn"`
-	// Speedup is fold-only wall time over respawn wall time at the
-	// equal iteration budget: > 1 means restoring the lost parallelism
-	// beat limping home on the survivors.
-	Speedup float64 `json:"speedup"`
-}
-
-// Recovery runs the fold-only-vs-respawn comparison and returns the
-// report.
-func Recovery(o RecoveryOpts) (*RecoveryReport, error) {
-	o = o.withDefaults()
-	nl, err := netlist.Benchmark(o.Circuit)
+// Recovery runs the fold-only-vs-respawn comparison. Each side
+// (workload fold_only or respawn) yields engine records wall_seconds,
+// best_cost, rounds, interrupted (0 or 1), workers_lost,
+// workers_respawned and rebalances; the respawn side's speedup is
+// fold-only wall time over respawn wall time at the equal iteration
+// budget: > 1 means restoring the lost parallelism beat limping home
+// on the survivors.
+func Recovery(o Opts) (*Report, error) {
+	o = o.scenario(recoveryCircuit, recoverySeed, recoveryWorkScale)
+	nl, err := netlist.Benchmark(o.Circuits[0])
 	if err != nil {
 		return nil, err
 	}
+	localIters := o.scaled(recoveryLocalIters, 1)
 
-	run := func(disableRespawn bool) (RecoverySide, error) {
+	run := func(disableRespawn bool) (*core.Result, error) {
 		cfg := core.DefaultConfig()
 		cfg.TSWs, cfg.CLWs = 1, 3
-		cfg.GlobalIters, cfg.LocalIters = o.GlobalIters, o.LocalIters
+		cfg.GlobalIters, cfg.LocalIters = recoveryGlobalIters, localIters
 		cfg.Seed = o.Seed
 		// Full collection and one wide sampling step per candidate, like
 		// the hetero scenario: each iteration's critical path is the
@@ -140,7 +69,7 @@ func Recovery(o RecoveryOpts) (*RecoveryReport, error) {
 
 		master, err := nettrans.Listen(nettrans.MasterConfig{Addr: "127.0.0.1:0", Workers: 3})
 		if err != nil {
-			return RecoverySide{}, err
+			return nil, err
 		}
 		defer master.Close()
 		cfg.Transport = master
@@ -169,7 +98,7 @@ func Recovery(o RecoveryOpts) (*RecoveryReport, error) {
 			deadline := time.Now().Add(10 * time.Second)
 			for len(master.Nodes()) < i {
 				if time.Now().After(deadline) {
-					return RecoverySide{}, fmt.Errorf("bench: only %d of %d workers joined", len(master.Nodes()), i)
+					return nil, fmt.Errorf("bench: only %d of %d workers joined", len(master.Nodes()), i)
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
@@ -177,7 +106,7 @@ func Recovery(o RecoveryOpts) (*RecoveryReport, error) {
 
 		killed := false
 		cfg.Progress = func(s core.Snapshot) {
-			if s.Round == o.KillRound && !killed {
+			if s.Round == recoveryKillRound && !killed {
 				killed = true
 				kill()
 			}
@@ -185,72 +114,38 @@ func Recovery(o RecoveryOpts) (*RecoveryReport, error) {
 
 		res, err := core.RunProblem(o.Context, newProblem(), cluster.Homogeneous(4, 1), cfg, core.Real)
 		if err != nil {
-			return RecoverySide{}, err
+			return nil, err
 		}
 		for i := 0; i < 3; i++ {
 			<-workerErrs // the doomed worker's error is expected; drain all
 		}
-		return RecoverySide{
-			WallSeconds:      res.Elapsed,
-			BestCost:         res.BestCost,
-			Rounds:           res.Rounds,
-			Interrupted:      res.Interrupted,
-			WorkersLost:      res.Stats.WorkersLost,
-			WorkersRespawned: res.Stats.WorkersRespawned,
-			Rebalances:       res.Stats.Rebalances,
-		}, nil
+		return res, nil
 	}
 
-	rep := &RecoveryReport{
-		Note:        "worker-loss recovery: fold-only (PR 4) vs respawn at equal iteration budget, one CLW host killed mid-run; regenerate with: ptsbench -recovery",
-		GoVersion:   runtime.Version(),
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Circuit:     o.Circuit,
-		WorkScale:   o.WorkScale,
-		GlobalIters: o.GlobalIters,
-		LocalIters:  o.LocalIters,
-		KillRound:   o.KillRound,
-		Seed:        o.Seed,
+	rep := newReport("recovery", "worker-loss recovery: fold-only vs respawn at equal iteration budget, one CLW host killed mid-run",
+		map[string]any{"circuit": nl.Name, "work_scale": o.WorkScale, "global_iters": recoveryGlobalIters,
+			"local_iters": localIters, "kill_round": recoveryKillRound, "seed": o.Seed})
+	var wall [2]float64
+	for i, side := range []string{"fold_only", "respawn"} {
+		res, err := run(i == 0)
+		if err != nil {
+			return nil, err
+		}
+		wall[i] = res.Elapsed
+		rep.add("engine", side, "wall_seconds", res.Elapsed)
+		rep.add("engine", side, "best_cost", res.BestCost)
+		rep.add("engine", side, "rounds", float64(res.Rounds))
+		interrupted := 0.0
+		if res.Interrupted {
+			interrupted = 1
+		}
+		rep.add("engine", side, "interrupted", interrupted)
+		rep.add("engine", side, "workers_lost", float64(res.Stats.WorkersLost))
+		rep.add("engine", side, "workers_respawned", float64(res.Stats.WorkersRespawned))
+		rep.add("engine", side, "rebalances", float64(res.Stats.Rebalances))
 	}
-	if rep.FoldOnly, err = run(true); err != nil {
-		return nil, err
-	}
-	if rep.Respawn, err = run(false); err != nil {
-		return nil, err
-	}
-	if rep.Respawn.WallSeconds > 0 {
-		rep.Speedup = rep.FoldOnly.WallSeconds / rep.Respawn.WallSeconds
+	if wall[1] > 0 {
+		rep.add("engine", "respawn", "speedup", wall[0]/wall[1])
 	}
 	return rep, nil
-}
-
-// RenderRecovery formats the report for the terminal.
-func RenderRecovery(rep *RecoveryReport) string {
-	out := fmt.Sprintf("recovery scenario: %s, 1 TSW x 3 CLW hosts, kill one CLW host at round %d/%d, workscale %.0f\n",
-		rep.Circuit, rep.KillRound, rep.GlobalIters, rep.WorkScale)
-	side := func(name string, s RecoverySide) string {
-		return fmt.Sprintf("  %-9s %8.3fs wall   best %.4f   lost %d respawned %d (%d rebalances)\n",
-			name, s.WallSeconds, s.BestCost, s.WorkersLost, s.WorkersRespawned, s.Rebalances)
-	}
-	out += side("fold-only", rep.FoldOnly)
-	out += side("respawn", rep.Respawn)
-	out += fmt.Sprintf("  speedup   %.2fx wall time from restoring parallelism at equal budget\n", rep.Speedup)
-	return out
-}
-
-// WriteRecovery writes the report as <dir>/BENCH_recovery.json.
-func WriteRecovery(rep *RecoveryReport, dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_recovery.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
 }

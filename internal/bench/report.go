@@ -130,7 +130,7 @@ func renderPlot(f *Figure, w, h int) string {
 	}
 	fmt.Fprintf(&sb, "%10s └%s┘\n", "", strings.Repeat("─", w))
 	fmt.Fprintf(&sb, "%10s  %-10.4g%s%10.4g\n", "", minX,
-		strings.Repeat(" ", maxInt(1, w-20)), maxX)
+		strings.Repeat(" ", max(1, w-20)), maxX)
 	var legend []string
 	for si, s := range f.Series {
 		legend = append(legend, fmt.Sprintf("%c %s", plotMarks[si%len(plotMarks)], s.Name))
@@ -138,13 +138,6 @@ func renderPlot(f *Figure, w, h int) string {
 	sort.Strings(legend)
 	fmt.Fprintf(&sb, "legend: %s\n", strings.Join(legend, "   "))
 	return sb.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WriteSVG renders the figure as a vector line chart at dir/<id>.svg

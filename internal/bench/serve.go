@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,110 +27,29 @@ import (
 // isolates what multiplexing concurrent runs over disjoint worker
 // leases buys (and costs) on a shared fleet.
 
-// ServeOpts configures the -serve scenario.
-type ServeOpts struct {
-	// Context bounds the runs (nil = background).
-	Context context.Context
-	// Circuit names the benchmark circuit every job solves (default
-	// "highway").
-	Circuit string
-	// FleetWorkers is the loopback fleet size (default 4).
-	FleetWorkers int
-	// WorkersPerJob is each job's lease size (default 1, so the fleet
-	// admits FleetWorkers jobs at once).
-	WorkersPerJob int
-	// Jobs is how many jobs each concurrency level pushes through
-	// (default 12).
-	Jobs int
-	// Concurrency lists the in-flight job counts to measure (default
-	// {1, FleetWorkers}).
-	Concurrency []int
-	// GlobalIters and LocalIters set each job's iteration budget
-	// (defaults 3 and 10).
-	GlobalIters, LocalIters int
-	// WorkScale is the wall-seconds-per-modeled-second emulation factor
-	// (default 25). Without it every job finishes in a few milliseconds
-	// of pure protocol overhead and concurrency has nothing to overlap;
-	// with it each job costs real wall time on its leased worker, so the
-	// levels measure genuine fleet sharing.
-	WorkScale float64
-	// Scale multiplies the local iteration budget (ptsbench -scale);
-	// <= 0 means 1.0.
-	Scale float64
-	// Seed fixes every job's run seed (default 7).
-	Seed uint64
-}
+// The serve scenario's fleet and job stream: serveJobs identical jobs
+// per concurrency level, each leasing serveWorkersPerJob of the
+// serveFleet loopback workers and running serveGlobalIters x
+// serveLocalIters iterations (Opts.Scale multiplies the local
+// iterations). serveCircuit, serveSeed and serveWorkScale are the
+// defaults for Opts.Circuits, Seed and WorkScale. Without work
+// emulation every job finishes in a few milliseconds of pure protocol
+// overhead and concurrency has nothing to overlap; with it each job
+// costs real wall time on its leased worker, so the levels measure
+// genuine fleet sharing.
+const (
+	serveFleet         = 4
+	serveWorkersPerJob = 1
+	serveJobs          = 12
+	serveGlobalIters   = 3
+	serveLocalIters    = 10
+	serveCircuit       = "highway"
+	serveSeed          = 7
+	serveWorkScale     = 25
+)
 
-func (o ServeOpts) withDefaults() ServeOpts {
-	if o.Context == nil {
-		o.Context = context.Background()
-	}
-	if o.Circuit == "" {
-		o.Circuit = "highway"
-	}
-	if o.FleetWorkers <= 0 {
-		o.FleetWorkers = 4
-	}
-	if o.WorkersPerJob <= 0 {
-		o.WorkersPerJob = 1
-	}
-	if o.Jobs <= 0 {
-		o.Jobs = 12
-	}
-	if len(o.Concurrency) == 0 {
-		o.Concurrency = []int{1, o.FleetWorkers}
-	}
-	if o.GlobalIters <= 0 {
-		o.GlobalIters = 3
-	}
-	if o.LocalIters <= 0 {
-		o.LocalIters = 10
-	}
-	if o.Scale > 0 && o.Scale != 1 {
-		o.LocalIters = int(float64(o.LocalIters)*o.Scale + 0.5)
-		if o.LocalIters < 1 {
-			o.LocalIters = 1
-		}
-	}
-	if o.WorkScale <= 0 {
-		o.WorkScale = 25
-	}
-	if o.Seed == 0 {
-		o.Seed = 7
-	}
-	return o
-}
-
-// ServeLevel is one concurrency level's service metrics.
-type ServeLevel struct {
-	Concurrency   int     `json:"concurrency"`
-	Jobs          int     `json:"jobs"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	JobsPerMinute float64 `json:"jobs_per_minute"`
-	P50Seconds    float64 `json:"p50_latency_seconds"`
-	P95Seconds    float64 `json:"p95_latency_seconds"`
-	MaxSeconds    float64 `json:"max_latency_seconds"`
-}
-
-// ServeReport is the BENCH_serve.json schema.
-type ServeReport struct {
-	Note        string `json:"note"`
-	GoVersion   string `json:"go_version"`
-	GeneratedAt string `json:"generated_at"`
-
-	Circuit       string  `json:"circuit"`
-	FleetWorkers  int     `json:"fleet_workers"`
-	WorkersPerJob int     `json:"workers_per_job"`
-	GlobalIters   int     `json:"global_iters"`
-	LocalIters    int     `json:"local_iters"`
-	WorkScale     float64 `json:"work_scale"`
-	Seed          uint64  `json:"seed"`
-
-	Levels []ServeLevel `json:"levels"`
-	// ThroughputGain is the last level's jobs/minute over the first's —
-	// what sharing the fleet across concurrent jobs buys.
-	ThroughputGain float64 `json:"throughput_gain"`
-}
+// serveConcurrency lists the in-flight job counts measured.
+var serveConcurrency = []int{1, serveFleet}
 
 // serveResolve is the bench fleet's problem resolver (placement only;
 // the service benchmark measures scheduling, not workload variety).
@@ -148,9 +65,14 @@ func serveResolve(spec core.ProblemSpec) (core.Problem, error) {
 	return cost.NewPlacementProblem(nl, def.Utilization, def.Cost), nil
 }
 
-// Serve measures the multi-job scheduler over a loopback fleet.
-func Serve(o ServeOpts) (*ServeReport, error) {
-	o = o.withDefaults()
+// Serve measures the multi-job scheduler over a loopback fleet. Each
+// concurrency level (workload concurrency-N) yields serve records
+// wall_seconds, jobs_per_minute and the p50, p95 and max submit-to-done
+// latencies; the last level's throughput_gain is its jobs/minute over
+// the first level's — what sharing the fleet across concurrent jobs
+// buys.
+func Serve(o Opts) (*Report, error) {
+	o = o.scenario(serveCircuit, serveSeed, serveWorkScale)
 
 	// One fleet serves every level, as a long-lived daemon would.
 	var sched atomic.Pointer[serve.Scheduler]
@@ -170,7 +92,7 @@ func Serve(o ServeOpts) (*ServeReport, error) {
 		Fleet:      serve.NettransFleet{M: m},
 		Resolve:    serveResolve,
 		Cluster:    cluster.Testbed12(12),
-		QueueDepth: o.Jobs * len(o.Concurrency),
+		QueueDepth: serveJobs * len(serveConcurrency),
 	})
 	if err != nil {
 		return nil, err
@@ -179,8 +101,8 @@ func Serve(o ServeOpts) (*ServeReport, error) {
 
 	drain := make(chan struct{})
 	var wg sync.WaitGroup
-	workerErr := make([]error, o.FleetWorkers)
-	for i := 0; i < o.FleetWorkers; i++ {
+	workerErr := make([]error, serveFleet)
+	for i := range workerErr {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -193,77 +115,86 @@ func Serve(o ServeOpts) (*ServeReport, error) {
 			}, nil)
 		}(i)
 	}
-	defer func() {
-		close(drain)
-		wg.Wait()
-	}()
+	rep, err := serveLevels(o, m, s)
+	// Drain and join the fleet before reading its errors, so an error a
+	// worker returns at drain is seen too.
+	close(drain)
+	wg.Wait()
+	for i, werr := range workerErr {
+		if werr != nil && o.Context.Err() == nil {
+			err = errors.Join(err, fmt.Errorf("bench: fleet worker %d: %w", i, werr))
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// serveLevels waits for the fleet to join, then measures every
+// concurrency level.
+func serveLevels(o Opts, m *nettrans.Master, s *serve.Scheduler) (*Report, error) {
 	joinDeadline := time.Now().Add(10 * time.Second)
-	for m.TotalWorkers() < o.FleetWorkers {
+	for m.TotalWorkers() < serveFleet {
 		if time.Now().After(joinDeadline) {
-			return nil, fmt.Errorf("bench: only %d of %d fleet workers joined", m.TotalWorkers(), o.FleetWorkers)
+			return nil, fmt.Errorf("bench: only %d of %d fleet workers joined", m.TotalWorkers(), serveFleet)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
 	cfg := core.DefaultConfig()
 	cfg.TSWs, cfg.CLWs = 1, 2
-	cfg.GlobalIters, cfg.LocalIters = o.GlobalIters, o.LocalIters
+	cfg.GlobalIters, cfg.LocalIters = serveGlobalIters, o.scaled(serveLocalIters, 1)
 	cfg.Seed = o.Seed
 	cfg.WorkScale = o.WorkScale
 	cfg.HalfSync = false
 	cfg.RecordTrace = false
 	req := serve.Request{
-		Spec:    core.ProblemSpec{Kind: "placement", Circuit: o.Circuit},
-		Workers: o.WorkersPerJob,
+		Spec:    core.ProblemSpec{Kind: "placement", Circuit: o.Circuits[0]},
+		Workers: serveWorkersPerJob,
 		Cfg:     cfg,
 	}
 
-	rep := &ServeReport{
-		Note:          "serving mode: jobs/minute and submit-to-done latency through the multi-job scheduler on a shared loopback fleet; regenerate with: ptsbench -serve",
-		GoVersion:     runtime.Version(),
-		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-		Circuit:       o.Circuit,
-		FleetWorkers:  o.FleetWorkers,
-		WorkersPerJob: o.WorkersPerJob,
-		GlobalIters:   o.GlobalIters,
-		LocalIters:    o.LocalIters,
-		WorkScale:     o.WorkScale,
-		Seed:          o.Seed,
-	}
-
-	for _, conc := range o.Concurrency {
-		level, err := serveLevel(o, s, req, conc)
+	rep := newReport("serve", "serving mode: jobs/minute and submit-to-done latency through the multi-job scheduler on a shared loopback fleet",
+		map[string]any{"circuit": o.Circuits[0], "fleet_workers": serveFleet, "workers_per_job": serveWorkersPerJob,
+			"jobs_per_level": serveJobs, "concurrency": serveConcurrency, "global_iters": cfg.GlobalIters,
+			"local_iters": cfg.LocalIters, "work_scale": o.WorkScale, "seed": o.Seed})
+	var first, last float64
+	for _, conc := range serveConcurrency {
+		latencies, wall, err := serveLevel(o.Context, s, req, conc)
 		if err != nil {
 			return nil, err
 		}
-		rep.Levels = append(rep.Levels, *level)
-	}
-	for i := range workerErr {
-		if workerErr[i] != nil && o.Context.Err() == nil {
-			return nil, fmt.Errorf("bench: fleet worker %d: %w", i, workerErr[i])
+		level := fmt.Sprintf("concurrency-%d", conc)
+		last = float64(serveJobs) / wall * 60
+		if conc == serveConcurrency[0] {
+			first = last
 		}
+		rep.add("serve", level, "wall_seconds", wall)
+		rep.add("serve", level, "jobs_per_minute", last)
+		rep.add("serve", level, "p50_latency_seconds", percentile(latencies, 0.50))
+		rep.add("serve", level, "p95_latency_seconds", percentile(latencies, 0.95))
+		rep.add("serve", level, "max_latency_seconds", latencies[len(latencies)-1])
 	}
-	first, last := rep.Levels[0], rep.Levels[len(rep.Levels)-1]
-	if first.JobsPerMinute > 0 {
-		rep.ThroughputGain = last.JobsPerMinute / first.JobsPerMinute
-	}
+	rep.add("serve", fmt.Sprintf("concurrency-%d", serveConcurrency[len(serveConcurrency)-1]), "throughput_gain", last/first)
 	return rep, nil
 }
 
-// serveLevel pushes o.Jobs identical jobs through the scheduler with at
-// most conc in flight and reports the level's service metrics.
-func serveLevel(o ServeOpts, s *serve.Scheduler, req serve.Request, conc int) (*ServeLevel, error) {
-	latencies := make([]float64, 0, o.Jobs)
+// serveLevel pushes serveJobs identical jobs through the scheduler with
+// at most conc in flight and returns the sorted submit-to-done
+// latencies and the level's wall time, in seconds.
+func serveLevel(ctx context.Context, s *serve.Scheduler, req serve.Request, conc int) ([]float64, float64, error) {
+	latencies := make([]float64, 0, serveJobs)
 	inflight := make(chan *jobTimer, conc)
 	start := time.Now()
 	done := 0
 	submitted := 0
-	for done < o.Jobs {
-		for submitted < o.Jobs && len(inflight) < cap(inflight) {
+	for done < serveJobs {
+		for submitted < serveJobs && len(inflight) < cap(inflight) {
 			t0 := time.Now()
 			j, err := s.Submit(req)
 			if err != nil {
-				return nil, fmt.Errorf("bench: submit job %d at concurrency %d: %w", submitted, conc, err)
+				return nil, 0, fmt.Errorf("bench: submit job %d at concurrency %d: %w", submitted, conc, err)
 			}
 			inflight <- &jobTimer{j: j, t0: t0}
 			submitted++
@@ -271,30 +202,18 @@ func serveLevel(o ServeOpts, s *serve.Scheduler, req serve.Request, conc int) (*
 		t := <-inflight
 		select {
 		case <-t.j.Done():
-		case <-o.Context.Done():
-			return nil, o.Context.Err()
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
 		}
 		if st := t.j.Status(); st != serve.Done {
-			return nil, fmt.Errorf("bench: job %s ended %s (%s)", t.j.ID(), st, t.j.Err())
+			return nil, 0, fmt.Errorf("bench: job %s ended %s (%s)", t.j.ID(), st, t.j.Err())
 		}
 		latencies = append(latencies, time.Since(t.t0).Seconds())
 		done++
 	}
 	wall := time.Since(start).Seconds()
-
 	sort.Float64s(latencies)
-	level := &ServeLevel{
-		Concurrency: conc,
-		Jobs:        o.Jobs,
-		WallSeconds: wall,
-		P50Seconds:  percentile(latencies, 0.50),
-		P95Seconds:  percentile(latencies, 0.95),
-		MaxSeconds:  latencies[len(latencies)-1],
-	}
-	if wall > 0 {
-		level.JobsPerMinute = float64(o.Jobs) / wall * 60
-	}
-	return level, nil
+	return latencies, wall, nil
 }
 
 // jobTimer pairs a submitted job with its submission instant.
@@ -303,82 +222,12 @@ type jobTimer struct {
 	t0 time.Time
 }
 
-// percentile reads the p-quantile from sorted samples (nearest-rank).
+// percentile reads the p-quantile from sorted samples by nearest rank:
+// the ceil(p·n)-th smallest sample.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// RenderServe formats the report for the terminal.
-func RenderServe(rep *ServeReport) string {
-	out := fmt.Sprintf("serve scenario: %s jobs (%dx%d iterations, %d worker(s) each) on a %d-worker fleet\n",
-		rep.Circuit, rep.GlobalIters, rep.LocalIters, rep.WorkersPerJob, rep.FleetWorkers)
-	for _, l := range rep.Levels {
-		out += fmt.Sprintf("  concurrency %d: %5.1f jobs/min   p50 %6.1fms  p95 %6.1fms  (%d jobs in %.2fs)\n",
-			l.Concurrency, l.JobsPerMinute, l.P50Seconds*1e3, l.P95Seconds*1e3, l.Jobs, l.WallSeconds)
-	}
-	out += fmt.Sprintf("  throughput gain %.2fx from sharing the fleet\n", rep.ThroughputGain)
-	return out
-}
-
-// WriteServe writes the report as <dir>/BENCH_serve.json plus the
-// human-readable summary <dir>/bench_serve.md.
-func WriteServe(rep *ServeReport, dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_serve.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-
-	md := fmt.Sprintf(`# Serving-mode throughput and latency
-
-One ptsd-style scheduler over a shared loopback fleet of %d workers;
-every job is the identical fixed-seed %s run (%dx%d iterations,
-TSWs=1, CLWs=2, half-sync off) leasing %d worker(s). %d jobs per
-level; latency is submit-to-done.
-
-| concurrency | jobs/min | p50 | p95 | max | wall |
-|---:|---:|---:|---:|---:|---:|
-`, rep.FleetWorkers, rep.Circuit, rep.GlobalIters, rep.LocalIters,
-		rep.WorkersPerJob, rep.Levels[0].Jobs)
-	for _, l := range rep.Levels {
-		md += fmt.Sprintf("| %d | %.1f | %.1f ms | %.1f ms | %.1f ms | %.2f s |\n",
-			l.Concurrency, l.JobsPerMinute, l.P50Seconds*1e3, l.P95Seconds*1e3,
-			l.MaxSeconds*1e3, l.WallSeconds)
-	}
-	md += fmt.Sprintf(`
-Sharing the fleet across concurrent jobs yields a %.2fx throughput
-gain; per-job p50 latency moves from %.1f ms at concurrency 1 to
-%.1f ms at concurrency %d — concurrent runs pay a little master and
-scheduler contention instead of waiting in line for the whole fleet.
-Work emulation (work_scale %.0f) gives each job real wall-time cost
-on its leased worker. Generated %s with %s; regenerate with
-`+"`ptsbench -serve`"+`.
-`, rep.ThroughputGain,
-		rep.Levels[0].P50Seconds*1e3,
-		rep.Levels[len(rep.Levels)-1].P50Seconds*1e3,
-		rep.Levels[len(rep.Levels)-1].Concurrency,
-		rep.WorkScale,
-		rep.GeneratedAt, rep.GoVersion)
-	mdPath := filepath.Join(dir, "bench_serve.md")
-	if err := os.WriteFile(mdPath, []byte(md), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }

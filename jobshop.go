@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"pts/internal/jobshop"
-	"pts/internal/rng"
 	"pts/internal/schedinst"
 )
 
@@ -22,7 +21,11 @@ import (
 // two tokens of the same job is recognized as cost-neutral without
 // decoding.
 type JobShopProblem struct {
-	ins *schedinst.JobShop
+	p *jobshop.Problem
+}
+
+func newJobShop(ins *schedinst.JobShop) *JobShopProblem {
+	return &JobShopProblem{p: jobshop.NewProblem(ins)}
 }
 
 // JobShopBenchmark returns a named embedded OR-Library benchmark
@@ -32,7 +35,7 @@ func JobShopBenchmark(name string) (*JobShopProblem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &JobShopProblem{ins: ins}, nil
+	return newJobShop(ins), nil
 }
 
 // JobShopInstances lists the embedded job shop benchmark names.
@@ -49,14 +52,14 @@ func JobShopFromFile(path string) (*JobShopProblem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &JobShopProblem{ins: ins}, nil
+	return newJobShop(ins), nil
 }
 
 // RandomJobShop generates a random jobs × machines instance where each
 // job visits every machine once in a random order, deterministic in
 // seed.
 func RandomJobShop(jobs, machines int, seed uint64) *JobShopProblem {
-	return &JobShopProblem{ins: jobshop.Random(jobs, machines, seed)}
+	return newJobShop(jobshop.Random(jobs, machines, seed))
 }
 
 // NewJobShop builds an instance from explicit routing and duration
@@ -67,56 +70,54 @@ func NewJobShop(name string, machine, dur [][]int) (*JobShopProblem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &JobShopProblem{ins: ins}, nil
+	return newJobShop(ins), nil
 }
 
 // Name identifies the instance.
-func (p *JobShopProblem) Name() string { return "jobshop-" + p.ins.Name }
+func (p *JobShopProblem) Name() string { return p.p.Name() }
 
 // Size returns the number of operation tokens (jobs × machines).
-func (p *JobShopProblem) Size() int32 { return int32(p.ins.Jobs * p.ins.Machines) }
+func (p *JobShopProblem) Size() int32 { return p.p.Size() }
 
 // Describe summarizes the instance dimensions and published optimum.
 func (p *JobShopProblem) Describe() string {
+	ins := p.Instance()
 	s := fmt.Sprintf("%d jobs x %d machines (%d operations)",
-		p.ins.Jobs, p.ins.Machines, p.ins.Jobs*p.ins.Machines)
-	if p.ins.Optimum > 0 {
-		s += fmt.Sprintf(", published optimum %d", p.ins.Optimum)
+		ins.Jobs, ins.Machines, ins.Jobs*ins.Machines)
+	if ins.Optimum > 0 {
+		s += fmt.Sprintf(", published optimum %d", ins.Optimum)
 	}
 	return s
 }
 
 // Instance exposes the parsed instance data.
-func (p *JobShopProblem) Instance() *schedinst.JobShop { return p.ins }
+func (p *JobShopProblem) Instance() *schedinst.JobShop { return p.p.Instance() }
 
 // Initial derives the run's shared initial token permutation from seed.
-func (p *JobShopProblem) Initial(seed uint64) (State, error) {
-	return jobshop.NewState(p.ins, rng.Derive(seed, "pts.jobshop.initial")), nil
-}
+func (p *JobShopProblem) Initial(seed uint64) (State, error) { return p.p.Initial(seed) }
 
 // NewState builds an independent state positioned at snap.
-func (p *JobShopProblem) NewState(snap []int32) (State, error) {
-	return jobshop.NewStateAt(p.ins, snap)
-}
+func (p *JobShopProblem) NewState(snap []int32) (State, error) { return p.p.NewState(snap) }
 
 // Details re-decodes a solution from scratch and returns a
 // JobShopDetails.
 func (p *JobShopProblem) Details(best []int32) (any, error) {
+	ins := p.Instance()
 	ms, err := p.Makespan(best)
 	if err != nil {
 		return nil, err
 	}
 	return JobShopDetails{
 		Makespan:   ms,
-		LowerBound: jobshop.LowerBound(p.ins),
-		Optimum:    p.ins.Optimum,
+		LowerBound: jobshop.LowerBound(ins),
+		Optimum:    ins.Optimum,
 	}, nil
 }
 
 // Makespan decodes a token permutation exactly with the from-scratch
 // semi-active dispatcher.
 func (p *JobShopProblem) Makespan(perm []int32) (int, error) {
-	s, err := jobshop.NewStateAt(p.ins, perm)
+	s, err := jobshop.NewStateAt(p.Instance(), perm)
 	if err != nil {
 		return 0, err
 	}
@@ -125,7 +126,7 @@ func (p *JobShopProblem) Makespan(perm []int32) (int, error) {
 
 // BruteForceOptimum exhaustively finds the optimal makespan; limited to
 // tiny instances (jobs × machines <= 12), the test oracle.
-func (p *JobShopProblem) BruteForceOptimum() int { return jobshop.BruteForceOptimum(p.ins) }
+func (p *JobShopProblem) BruteForceOptimum() int { return jobshop.BruteForceOptimum(p.Instance()) }
 
 // JobShopDetails is the exact scoring of a job shop solution.
 type JobShopDetails struct {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Documentation drift check (CI-blocking): ARCHITECTURE.md's wire-
 # protocol table and the serving endpoint tables must stay in lockstep
-# with the code, and cited documents must exist.
+# with the code, cited documents must exist, and cited ptsbench flags
+# must be real.
 #
 #  1. Every Tag* constant declared in internal/core/messages.go (plus
 #     the reserved pvm.TagExit) must appear as a `| `Tag...` |` table
@@ -17,6 +18,10 @@
 #     must exist: as a path from the repo root or from the citing
 #     file's directory, or, for a bare name, anywhere in the repo.
 #     CHANGES.md and ROADMAP.md describe history and are not scanned.
+#  6. Every `ptsbench -<flag>` cited by README.md, ARCHITECTURE.md,
+#     doc.go or results/*.md (the flags that follow "ptsbench" on the
+#     same line, with their arguments) must be listed by
+#     `go run ./cmd/ptsbench -h`.
 #
 # Usage: scripts/check-docs.sh
 set -euo pipefail
@@ -112,3 +117,28 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "PASS: all $cited markdown citations in *.go, README.md and ARCHITECTURE.md resolve"
+
+# ptsbench flags cited in the docs.
+bench_flags=$(go run ./cmd/ptsbench -h 2>&1 | grep -oE '^  -[a-z][a-z0-9-]*' | sed 's/^  //' | sort -u || true)
+if [ -z "$bench_flags" ]; then
+  echo "FAIL: go run ./cmd/ptsbench -h listed no flags"
+  exit 1
+fi
+cited=0
+for src in README.md ARCHITECTURE.md doc.go results/*.md; do
+  for f in $(grep -oE 'ptsbench( +-[a-z][a-z0-9-]*( +[^ `-][^ `]*)?)+' "$src" \
+      | grep -oE ' -[a-z][a-z0-9-]*' | sed 's/^ //' | sort -u); do
+    cited=$((cited + 1))
+    [ "$f" = "-h" ] || [ "$f" = "-help" ] && continue
+    if ! grep -qxF -- "$f" <<< "$bench_flags"; then
+      echo "FAIL: $src cites ptsbench $f, which go run ./cmd/ptsbench -h does not list"
+      fail=1
+    fi
+  done
+done
+
+if [ "$fail" -ne 0 ]; then
+  echo "Cite only flags ptsbench has."
+  exit 1
+fi
+echo "PASS: all $cited ptsbench flag citations in README.md, ARCHITECTURE.md, doc.go and results/*.md exist"
