@@ -14,13 +14,18 @@
 //
 //	makespan' = max_i ( C'[i][b] + tail[i][b+1] )
 //
-// Both matrices depend only on the current sequence, so a whole
-// candidate batch amortizes one O(nm) rebuild across all its
-// evaluations — the incremental structure the batched CLW hot loop is
-// designed to exploit. All schedule arithmetic is integral (int32,
-// guarded by the instance parser), so the batched path is bit-identical
-// to the scalar path by construction, with no floating-point
-// accumulation-order discipline needed.
+// A committed swap of positions lo < hi changes heads only from column
+// lo on and tails only up to column hi. ApplySwap therefore rebuilds
+// head columns lo..n-1 at once, which also yields the new makespan,
+// and raises a watermark over the tail columns it invalidated; the next
+// evaluation rebuilds tails from the watermark down to column 0. A
+// compound move, its undo and the batch that follows thus pay only for
+// the columns they changed.
+//
+// All schedule arithmetic is integral (int32, guarded by the instance
+// parser), so every delta and makespan is exact and the batched path is
+// bit-identical to the scalar path by construction, with no
+// floating-point accumulation-order discipline needed.
 package flowshop
 
 import (
@@ -184,12 +189,13 @@ type State struct {
 	seq      []int32
 	makespan int32
 	// head[i*n+p]: completion time of the op at (machine i, position p)
-	// under seq. tail[i*(n+1)+p]: longest path from the start of that op
-	// to the schedule's end; the extra column p = n is zero so the
-	// boundary fold needs no edge case. Both are rebuilt lazily after a
-	// sequence change — a whole candidate batch shares one rebuild.
+	// under seq, always current. tail[i*(n+1)+p]: longest path from the
+	// start of that op to the schedule's end; the extra column p = n is
+	// zero so the boundary fold needs no edge case. Tail columns
+	// 0..tailDirty are stale (tailDirty = -1: none); ensure rebuilds
+	// them before an evaluation reads them.
 	head, tail []int32
-	cachesOK   bool
+	tailDirty  int32
 	// col is the m-length DP column scratch of the section recompute,
 	// seen Restore's permutation check: scratch reused so a barrier
 	// resync stays allocation-free.
@@ -253,62 +259,79 @@ func (s *State) Size() int32 { return s.n }
 // recompute rebuilds the makespan and both critical-path matrices from
 // the sequence, in O(nm).
 func (s *State) recompute() {
-	n, m := s.n, s.m
-	// Heads: C[i][p] = max(C[i-1][p], C[i][p-1]) + proc[i][seq[p]].
-	for i := int32(0); i < m; i++ {
-		row := s.head[i*n : (i+1)*n]
-		var up []int32
-		if i > 0 {
-			up = s.head[(i-1)*n : i*n]
-		}
-		left := int32(0)
-		for p := int32(0); p < n; p++ {
-			c := left
-			if up != nil && up[p] > c {
-				c = up[p]
-			}
-			c += s.proc[i*n+s.seq[p]]
-			row[p] = c
-			left = c
-		}
-	}
-	s.makespan = s.head[(m-1)*n+n-1]
-	// Tails: Q[i][p] = max(Q[i+1][p], Q[i][p+1]) + proc[i][seq[p]],
-	// with the p = n column fixed at zero.
-	w := n + 1
-	for i := m - 1; i >= 0; i-- {
-		row := s.tail[i*w : (i+1)*w]
-		row[n] = 0
-		var down []int32
-		if i < m-1 {
-			down = s.tail[(i+1)*w : (i+2)*w]
-		}
-		right := int32(0)
-		for p := n - 1; p >= 0; p-- {
-			q := right
-			if down != nil && down[p] > q {
-				q = down[p]
-			}
-			q += s.proc[i*n+s.seq[p]]
-			row[p] = q
-			right = q
-		}
-	}
-	s.cachesOK = true
+	s.rebuildHeads(0)
+	s.tailDirty = s.n - 1
+	s.ensure()
 }
 
-// ensure rebuilds the critical-path matrices if a sequence change
-// invalidated them.
-func (s *State) ensure() {
-	if !s.cachesOK {
-		s.recompute()
+// rebuildHeads recomputes head columns from..n-1 from column from-1,
+// which must be current, and takes the makespan from the last column:
+// C[i][p] = max(C[i-1][p], C[i][p-1]) + proc[i][seq[p]].
+func (s *State) rebuildHeads(from int32) {
+	n, m := s.n, s.m
+	seq := s.seq[from:n]
+	var up []int32
+	for i := int32(0); i < m; i++ {
+		row := s.head[i*n : (i+1)*n]
+		proc := s.proc[i*n : (i+1)*n]
+		left := int32(0)
+		if from > 0 {
+			left = row[from-1]
+		}
+		row = row[from:]
+		if up == nil {
+			for k, job := range seq {
+				left += proc[job]
+				row[k] = left
+			}
+		} else {
+			up = up[from:]
+			for k, job := range seq {
+				left = max(left, up[k]) + proc[job]
+				row[k] = left
+			}
+		}
+		up = s.head[i*n : (i+1)*n]
 	}
+	s.makespan = s.head[(m-1)*n+n-1]
+}
+
+// ensure rebuilds the stale tail columns tailDirty..0 from column
+// tailDirty+1, which no swap since the last rebuild has touched:
+// Q[i][p] = max(Q[i+1][p], Q[i][p+1]) + proc[i][seq[p]], with the
+// p = n column fixed at zero.
+func (s *State) ensure() {
+	to := s.tailDirty
+	if to < 0 {
+		return
+	}
+	n, m, w := s.n, s.m, s.n+1
+	seq := s.seq[:to+1]
+	var down []int32
+	for i := m - 1; i >= 0; i-- {
+		row := s.tail[i*w : (i+1)*w]
+		proc := s.proc[i*n : (i+1)*n]
+		right := row[to+1]
+		if down == nil {
+			for p := to; p >= 0; p-- {
+				right += proc[seq[p]]
+				row[p] = right
+			}
+		} else {
+			for p := to; p >= 0; p-- {
+				right = max(right, down[p]) + proc[seq[p]]
+				row[p] = right
+			}
+		}
+		down = row
+	}
+	s.tailDirty = -1
 }
 
 // makespanSwapped evaluates the makespan of the sequence with positions
 // a < b exchanged: DP over columns a..b seeded from the head column
 // a-1, folded into the unchanged suffix through the tail column b+1.
-// O(m * (b - a + 1)); requires valid caches.
+// O(m * (b - a + 1)); requires current tails (ensure).
 func (s *State) makespanSwapped(lo, hi int32) int32 {
 	n, m, w := s.n, s.m, s.n+1
 	col := s.col
@@ -362,8 +385,8 @@ func (s *State) DeltaSwap(a, b int32) float64 {
 
 // DeltaSwapBatch evaluates a whole candidate batch in one call; out[i]
 // is bit-for-bit what DeltaSwap(cands[i].A, cands[i].B) would return.
-// Implements tabu.BatchEvaluator: one lazy O(nm) head/tail rebuild is
-// amortized over the batch, then each candidate costs only its own
+// Implements tabu.BatchEvaluator: the stale tail columns are rebuilt
+// once for the batch, then each candidate costs only its own
 // O(m * span) section recompute — the incremental structure that makes
 // a non-O(1)-delta workload viable in the batched hot loop.
 func (s *State) DeltaSwapBatch(cands []tabu.SwapCand, out []float64) {
@@ -381,9 +404,10 @@ func (s *State) DeltaSwapBatch(cands []tabu.SwapCand, out []float64) {
 	}
 }
 
-// ApplySwap exchanges the jobs at positions a and b and updates the
-// makespan exactly; the critical-path matrices are rebuilt lazily at
-// the next evaluation.
+// ApplySwap exchanges the jobs at positions a and b and rebuilds the
+// head columns from the lower position on, which yields the exact new
+// makespan in O(m * (n - lo)); the tail columns up to the higher
+// position are left for the next evaluation to rebuild.
 func (s *State) ApplySwap(a, b int32) {
 	if a == b {
 		return
@@ -392,10 +416,9 @@ func (s *State) ApplySwap(a, b int32) {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	s.ensure()
-	s.makespan = s.makespanSwapped(lo, hi)
 	s.seq[a], s.seq[b] = s.seq[b], s.seq[a]
-	s.cachesOK = false
+	s.rebuildHeads(lo)
+	s.tailDirty = max(s.tailDirty, hi)
 }
 
 // Snapshot copies the current sequence.

@@ -2,6 +2,8 @@ package flowshop
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pts/internal/rng"
@@ -48,28 +50,59 @@ func TestRandomDeterministic(t *testing.T) {
 }
 
 // TestIncrementalMatchesOracle drives the state through thousands of
-// random swaps and requires cost, delta prediction and the lazily
-// rebuilt critical-path caches to agree with the from-scratch DP at
-// every step.
+// random swaps, committed 1–4 at a time and some undone again in
+// reverse, and requires cost and delta prediction to agree with the
+// from-scratch DP at every step — and, after each evaluation rebuilt
+// the tails from the watermark the chained swaps raised, both
+// critical-path matrices to equal those of a fresh state on the same
+// sequence.
 func TestIncrementalMatchesOracle(t *testing.T) {
 	ins := Random(14, 5, 7)
 	s := NewState(ins, 3)
 	r := rng.New(9)
+	var swaps [][2]int32
+	check := func(step int) {
+		t.Helper()
+		s.ensure()
+		want, err := Makespan(ins, s.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Makespan() != want {
+			t.Fatalf("step %d: incremental makespan %d != oracle %d", step, s.Makespan(), want)
+		}
+		fresh, err := NewStateAt(ins, s.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(s.head, fresh.head) || !slices.Equal(s.tail, fresh.tail) {
+			t.Fatalf("step %d: critical-path matrices differ from a fresh state's", step)
+		}
+	}
 	for i := 0; i < 2000; i++ {
 		a := int32(r.Intn(ins.Jobs))
 		b := int32(r.Intn(ins.Jobs))
 		predicted := s.DeltaSwap(a, b)
 		before := s.Cost()
 		s.ApplySwap(a, b)
-		want, err := Makespan(ins, s.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Makespan() != want {
-			t.Fatalf("step %d: incremental makespan %d != oracle %d", i, s.Makespan(), want)
-		}
 		if got := s.Cost() - before; got != predicted {
 			t.Fatalf("step %d: delta %v != predicted %v", i, got, predicted)
+		}
+		swaps = append(swaps[:0], [2]int32{a, b})
+		for k := r.Intn(4); k > 0; k-- {
+			a, b := int32(r.Intn(ins.Jobs)), int32(r.Intn(ins.Jobs))
+			s.ApplySwap(a, b)
+			swaps = append(swaps, [2]int32{a, b})
+		}
+		check(i)
+		if r.Intn(2) == 0 {
+			for k := len(swaps) - 1; k >= 0; k-- {
+				s.ApplySwap(swaps[k][0], swaps[k][1])
+			}
+			if s.Cost() != before {
+				t.Fatalf("step %d: undo left makespan %v, want %v", i, s.Cost(), before)
+			}
+			check(i)
 		}
 	}
 }
@@ -229,6 +262,23 @@ func TestDeltaSwapBatchAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Restore allocates %.1f per call, want 0", n)
+	}
+}
+
+// BenchmarkCompoundCycle is one CLW step on a ta001-sized state: build
+// a depth-4 compound move from 12-candidate batches, undo it, then
+// commit it again — the commit traffic the head/tail watermark serves.
+func BenchmarkCompoundCycle(b *testing.B) {
+	s := NewState(Random(20, 5, 1), 2)
+	r := rand.New(rand.NewSource(3))
+	p := tabu.CompoundParams{Trials: 12, Depth: 4}
+	var sc tabu.BatchScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := tabu.BuildCompoundBatch(s, r, p, &sc, nil)
+		m.Undo(s)
+		m.Apply(s)
 	}
 }
 

@@ -357,12 +357,14 @@ func (m *Master) retireIdle(n *node, cause error, drained bool) {
 	delete(m.names, n.name)
 	n.gone = true
 	m.mu.Unlock()
-	n.c.close()
+	// Log before closing: a draining worker returns once it sees the
+	// close, and its owner may then retire the log sink.
 	if drained {
 		m.cfg.Logf("nettrans: worker %q drained and left the registry", n.name)
 	} else {
 		m.cfg.Logf("nettrans: worker %q left the lobby: %v", n.name, cause)
 	}
+	n.c.close()
 	m.notifyRegistry()
 }
 
@@ -376,10 +378,7 @@ func (m *Master) Run(opts pvm.Options, root pvm.TaskFunc) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	j, err := m.buildJob(nodes, opts)
-	if err != nil {
-		return 0, err
-	}
+	j := m.buildJob(nodes, opts)
 	m.launch(j, true)
 	return m.runJob(j, opts, root)
 }
@@ -391,7 +390,7 @@ func (m *Master) Run(opts pvm.Options, root pvm.TaskFunc) (float64, error) {
 // be complete before the job is published: once a node's job pointer is
 // set, frames from (possibly misbehaving) claimed workers are
 // dispatched into j and must never observe totalSlots == 0.
-func (m *Master) buildJob(nodes []*node, opts pvm.Options) (*job, error) {
+func (m *Master) buildJob(nodes []*node, opts pvm.Options) *job {
 	j := &job{
 		m:        m,
 		opts:     opts,
@@ -411,12 +410,7 @@ func (m *Master) buildJob(nodes []*node, opts pvm.Options) (*job, error) {
 		}
 	}
 	j.totalSlots = slot
-	payload, err := encodePayload(opts.JobPayload)
-	if err != nil {
-		return nil, err
-	}
-	j.payload = payload
-	return j, nil
+	return j
 }
 
 // launch publishes the job — binding every claimed node to it and
@@ -447,7 +441,7 @@ func (m *Master) launch(j *job, exclusive bool) {
 		err := n.c.write(&frame{
 			Type: fJob, Seed: j.opts.Seed, WorkScale: j.opts.RealWorkScale,
 			Slot: n.firstSlot, Slots: n.slots, TotalSlots: startSlots,
-			Speeds: startSpeeds, Payload: j.payload,
+			Speeds: startSpeeds, Data: j.opts.JobPayload,
 		})
 		if err != nil {
 			j.nodeLost(n, err)
@@ -475,7 +469,7 @@ func (m *Master) runJob(j *job, opts pvm.Options, root pvm.TaskFunc) (float64, e
 		}()
 	}
 
-	j.spawn("root", 0, pvm.Spec{Fn: root}, nil) //nolint:errcheck // an aborting run closes allDone itself
+	j.spawn("root", 0, pvm.Spec{Fn: root}) //nolint:errcheck // an aborting run closes allDone itself
 	<-j.allDone
 	elapsed := time.Since(j.start).Seconds()
 
@@ -563,16 +557,12 @@ func (m *Master) Finish(summary any) error {
 // deliverResult ships the program's final summary to the job's
 // surviving workers.
 func (j *job) deliverResult(summary any) error {
-	payload, err := encodePayload(summary)
-	if err != nil {
-		return err
-	}
 	var firstErr error
 	for _, n := range j.nodeList() {
 		if !j.ownerAlive(n) {
 			continue
 		}
-		if err := n.c.write(&frame{Type: fResult, Payload: payload}); err != nil && firstErr == nil {
+		if err := n.c.write(&frame{Type: fResult, Data: summary}); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -663,10 +653,7 @@ func (l *Lease) Run(opts pvm.Options, root pvm.TaskFunc) (float64, error) {
 	}
 	m.mu.Unlock()
 
-	j, err := m.buildJob(nodes, opts)
-	if err != nil {
-		return 0, err
-	}
+	j := m.buildJob(nodes, opts)
 	l.mu.Lock()
 	l.j = j
 	l.mu.Unlock()
@@ -739,7 +726,6 @@ type job struct {
 	nodes      []*node    // appended to by elastic absorption; snapshot under mu
 	totalSlots int
 	speeds     []float64                   // slot-indexed declared speeds (slot 0: master, 1.0)
-	payload    []byte                      // encoded job payload, kept for absorbed late joiners
 	owners     []taskOwner                 // indexed by TaskID
 	watchers   map[pvm.TaskID][]pvm.TaskID // watched task -> watcher tasks
 	local      map[pvm.TaskID]*mTask
@@ -919,7 +905,7 @@ func (j *job) absorb(n *node) bool {
 	f := &frame{
 		Type: fJob, Seed: j.opts.Seed, WorkScale: j.opts.RealWorkScale,
 		Slot: first, Slots: n.capacity, TotalSlots: total,
-		Speeds: speeds, Payload: j.payload,
+		Speeds: speeds, Data: j.opts.JobPayload,
 	}
 	others := append([]*node(nil), j.nodes...)
 	j.mu.Unlock()
@@ -958,23 +944,15 @@ func (j *job) absorb(n *node) bool {
 var errAborting = fmt.Errorf("nettrans: run aborting")
 
 // spawn allocates a TaskID and places the task: in this process when
-// its slot is the master's, else on the owning worker. payload, when
-// non-nil, is the already-encoded spec data (forwarded spawn requests);
-// otherwise spec.Data is encoded on demand for remote placement. A
-// non-portable spec aimed at a worker slot is a programming error and
-// panics; an aborting run returns errAborting.
-func (j *job) spawn(fullName string, machine int, spec pvm.Spec, payload []byte) (pvm.TaskID, error) {
+// its slot is the master's, else on the owning worker, which rebuilds
+// it from spec.Kind and spec.Data. A non-portable spec aimed at a
+// worker slot is a programming error and panics; an aborting run
+// returns errAborting.
+func (j *job) spawn(fullName string, machine int, spec pvm.Spec) (pvm.TaskID, error) {
 	slot, owner := j.place(machine)
-	if owner != nil && payload == nil {
-		if spec.Kind == "" {
-			panic(fmt.Sprintf("nettrans: task %q is not portable (no spec kind) but machine %d belongs to worker %q",
-				fullName, machine, owner.name))
-		}
-		var err error
-		payload, err = encodePayload(spec.Data)
-		if err != nil {
-			panic(fmt.Sprintf("nettrans: spawn %q: %v", fullName, err))
-		}
+	if owner != nil && spec.Kind == "" {
+		panic(fmt.Sprintf("nettrans: task %q is not portable (no spec kind) but machine %d belongs to worker %q",
+			fullName, machine, owner.name))
 	}
 
 	j.mu.Lock()
@@ -1000,7 +978,7 @@ func (j *job) spawn(fullName string, machine int, spec pvm.Spec, payload []byte)
 			// task issued no closure, or a worker's request was forwarded
 			// here): rebuild the body like a worker would.
 			var err error
-			fn, err = j.buildTask(spec.Kind, spec.Data, payload)
+			fn, err = j.buildTask(spec.Kind, spec.Data)
 			if err != nil {
 				j.mu.Unlock()
 				j.abort(err)
@@ -1025,7 +1003,7 @@ func (j *job) spawn(fullName string, machine int, spec pvm.Spec, payload []byte)
 	}
 	err := owner.c.write(&frame{
 		Type: fSpawn, Task: id, Name: fullName, Machine: slot,
-		Kind: spec.Kind, Payload: payload,
+		Kind: spec.Kind, Data: spec.Data,
 	})
 	if err != nil {
 		j.nodeLost(owner, err)
@@ -1034,18 +1012,11 @@ func (j *job) spawn(fullName string, machine int, spec pvm.Spec, payload []byte)
 }
 
 // buildTask rebuilds a portable task body via the program's Spawner,
-// from the in-process spec data when the spawner gave one, else from
-// the encoded payload of a forwarded request. Callers hold j.mu.
-func (j *job) buildTask(kind string, data any, payload []byte) (pvm.TaskFunc, error) {
+// from the spec data of a local spawn or of a forwarded request.
+// Callers hold j.mu.
+func (j *job) buildTask(kind string, data any) (pvm.TaskFunc, error) {
 	if j.opts.Spawner == nil {
 		return nil, fmt.Errorf("nettrans: no Spawner configured, cannot host remote-spawned task kind %q", kind)
-	}
-	if data == nil && payload != nil {
-		var err error
-		data, err = decodePayload(payload)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return j.opts.Spawner(kind, data)
 }
@@ -1072,16 +1043,14 @@ func (j *job) send(from, to pvm.TaskID, tag pvm.Tag, data any) {
 	if owner.node == nil || owner.done {
 		return // task of a lost worker: the run is aborting anyway
 	}
-	payload, err := encodePayload(data)
-	if err != nil {
-		panic(fmt.Sprintf("nettrans: send tag %d to task %d: %v", tag, to, err))
-	}
-	if err := owner.node.c.write(&frame{Type: fMsg, From: from, To: to, Tag: tag, Payload: payload}); err != nil {
+	if err := owner.node.c.write(&frame{Type: fMsg, From: from, To: to, Tag: tag, Data: data}); err != nil {
 		j.nodeLost(owner.node, err)
 	}
 }
 
-// route forwards or delivers a message frame arriving from a worker.
+// route delivers a message frame arriving from a worker to a task in
+// this process, or relays it: the decoded frame is written to the
+// destination's connection, whose encoder re-encodes the data.
 func (j *job) route(src *node, f *frame) {
 	j.mu.Lock()
 	j.routed++
@@ -1098,12 +1067,7 @@ func (j *job) route(src *node, f *frame) {
 	j.mu.Unlock()
 
 	if dst != nil {
-		data, err := decodePayload(f.Payload)
-		if err != nil {
-			j.abortFrom(src, err)
-			return
-		}
-		dst.box.deliver(pvm.Message{From: f.From, Tag: f.Tag, Data: data})
+		dst.box.deliver(pvm.Message{From: f.From, Tag: f.Tag, Data: f.Data})
 		return
 	}
 	if owner.node == nil || !j.ownerAlive(owner.node) {
@@ -1125,7 +1089,13 @@ func (j *job) ownerAlive(n *node) bool {
 func (j *job) handleFrame(n *node, f *frame) bool {
 	switch f.Type {
 	case fSpawnReq:
-		id, err := j.spawn(f.Name, f.Machine, pvm.Spec{Kind: f.Kind}, f.Payload)
+		if f.Kind == "" {
+			// Workers only forward portable specs; a kindless request
+			// could not be placed anywhere.
+			j.abortFrom(n, fmt.Errorf("spawn request %q without a task kind", f.Name))
+			return true
+		}
+		id, err := j.spawn(f.Name, f.Machine, pvm.Spec{Kind: f.Kind, Data: f.Data})
 		if err != nil {
 			// The run is aborting; the requester unwinds via fAbort.
 			return true
@@ -1490,7 +1460,7 @@ func (t *mTask) Spawn(name string, machine int, fn pvm.TaskFunc) pvm.TaskID {
 }
 
 func (t *mTask) SpawnSpec(name string, machine int, spec pvm.Spec) pvm.TaskID {
-	id, err := t.j.spawn(t.name+"/"+name, machine, spec, nil)
+	id, err := t.j.spawn(t.name+"/"+name, machine, spec)
 	if err != nil {
 		pvm.AbortTask()
 	}

@@ -1,6 +1,7 @@
 package nettrans
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/gob"
@@ -296,6 +297,15 @@ func TestMalformedFrameRejected(t *testing.T) {
 		t.Error("oversized frame: connection not dropped")
 	}
 
+	// A well-framed join whose data names a type this process never
+	// registered: gob cannot decode it, so the frame is malformed.
+	nc = rawDial(t, m.Addr())
+	ghost := encodeStream(t, &frame{Type: fJoin, Worker: "ghost", Speed: 1, Capacity: 1, Data: ghostData{N: 1}})
+	nc.Write(bytes.Replace(ghost, []byte("ghost-A"), []byte("ghost-B"), 1))
+	if !connClosedByPeer(nc) {
+		t.Error("data of an unregistered type: connection not dropped")
+	}
+
 	// The master must still be healthy: a well-formed join succeeds.
 	c := newConn(rawDial(t, m.Addr()))
 	if err := c.write(&frame{Type: fJoin, Worker: "ok", Speed: 1, Capacity: 1}); err != nil {
@@ -307,6 +317,12 @@ func TestMalformedFrameRejected(t *testing.T) {
 	}
 	c.close()
 }
+
+// ghostData is registered under a name that a byte patch turns into
+// one nobody registered.
+type ghostData struct{ N int }
+
+func init() { gob.RegisterName("nettrans.test.ghost-A", ghostData{}) }
 
 // connClosedByPeer reports whether the peer closes nc (or stops
 // talking) within the admission window.

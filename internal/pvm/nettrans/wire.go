@@ -13,12 +13,20 @@
 // pvm.Spec the program provides.
 //
 // Frames are length-prefixed gob: a 4-byte big-endian length followed
-// by one gob-encoded frame struct, whose message payloads are in turn
-// gob-encoded bytes so the master can route them without decoding.
-// Oversized or undecodable frames are rejected and the offending
-// connection dropped. Workers reconnect with exponential backoff; a
-// worker lost mid-run aborts the run (pvm.ErrAborted) after draining
-// what can be drained, so the master still reports its best-so-far.
+// by one gob-encoded frame struct. Each connection carries one
+// self-describing gob stream per direction, and message data rides
+// inside the frame as a gob interface value, so a type descriptor
+// crosses each connection once, not once per message. The master
+// decodes every frame it receives; it relays a worker-to-worker message
+// by writing the decoded frame to the destination's connection, whose
+// encoder re-encodes the data. Oversized or undecodable frames are
+// rejected and the offending connection dropped — including a frame
+// whose data names a type this process never registered with gob. A
+// frame that fails to encode drops its connection too: the failed
+// Encode leaves the stream's type state out of step with the peer.
+// Workers reconnect with exponential backoff; a worker lost mid-run
+// aborts the run (pvm.ErrAborted) after draining what can be drained,
+// so the master still reports its best-so-far.
 package nettrans
 
 import (
@@ -30,6 +38,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"pts/internal/pvm"
 )
@@ -130,10 +139,10 @@ type frame struct {
 	To   pvm.TaskID
 	Tag  pvm.Tag
 
-	// Payload carries the gob-encoded message data (fMsg), spec data
-	// (fSpawn/fSpawnReq), program payload (fJob) or final summary
-	// (fResult).
-	Payload []byte
+	// Data is the message data (fMsg), spec data (fSpawn/fSpawnReq),
+	// program payload (fJob) or final summary (fResult). Its concrete
+	// type must be gob-registered on both sides.
+	Data any
 
 	// Bye.
 	Sends int64
@@ -148,31 +157,25 @@ const maxFrame = 64 << 20
 // goroutine may send.
 //
 // Both directions keep one persistent gob codec for the connection's
-// lifetime, so the frame type descriptor crosses the wire once, not
-// per message — while every Encode is still framed by a 4-byte length
-// prefix, which is what lets the reader bound and reject malformed or
-// oversized frames before gob ever parses them.
+// lifetime, so the frame type and every data type cross the wire once,
+// not per message — while every Encode is still framed by a 4-byte
+// length prefix, which is what lets the reader bound and reject
+// malformed or oversized frames before gob ever parses them.
 type conn struct {
 	nc net.Conn
 
 	r       *bufio.Reader
 	dec     *gob.Decoder
-	decSrc  swapReader
-	readBuf []byte
+	decSrc  bytes.Reader // the frame being decoded
+	readBuf bytes.Buffer
+	readLim io.LimitedReader // kept here so a read allocates nothing
 
 	mu     sync.Mutex
 	w      *bufio.Writer
 	enc    *gob.Encoder
 	encBuf bytes.Buffer
+	broken atomic.Pointer[error] // the Encode failure that retired the connection
 }
-
-// swapReader is the persistent decoder's source: each frame's bytes
-// are slotted in before Decode and must be fully consumed by it.
-type swapReader struct {
-	r bytes.Reader
-}
-
-func (s *swapReader) Read(p []byte) (int, error) { return s.r.Read(p) }
 
 func newConn(nc net.Conn) *conn {
 	c := &conn{nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
@@ -181,13 +184,23 @@ func newConn(nc net.Conn) *conn {
 	return c
 }
 
-// write encodes f as one length-prefixed gob frame.
+// write encodes f as one length-prefixed gob frame. An Encode failure
+// (data of an unregistered or unencodable type) may already have
+// marked type descriptors as sent that the peer never receives, so it
+// closes the connection and fails every later write with the same
+// error.
 func (c *conn) write(f *frame) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.broken.Load(); err != nil {
+		return *err
+	}
 	c.encBuf.Reset()
 	if err := c.enc.Encode(f); err != nil {
-		return fmt.Errorf("nettrans: encode frame: %w", err)
+		err = fmt.Errorf("nettrans: encode frame: %w", err)
+		c.broken.Store(&err)
+		c.nc.Close()
+		return err
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(c.encBuf.Len()))
@@ -201,33 +214,45 @@ func (c *conn) write(f *frame) error {
 }
 
 // read decodes the next frame, rejecting malformed input: a length
-// outside (0, maxFrame] or a gob stream that does not decode to a frame
-// fails the connection.
+// outside (0, maxFrame], a gob stream that does not decode to a frame
+// (data of an unregistered type included) or trailing bytes fail the
+// connection. The frame buffer grows with the bytes that actually
+// arrive, so a length prefix alone allocates nothing.
 func (c *conn) read() (*frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return nil, err
+		return nil, c.readErr(err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("nettrans: malformed frame: length %d", n)
 	}
-	if cap(c.readBuf) < int(n) {
-		c.readBuf = make([]byte, n)
+	c.readBuf.Reset()
+	c.readLim = io.LimitedReader{R: c.r, N: int64(n)}
+	if _, err := c.readBuf.ReadFrom(&c.readLim); err != nil {
+		return nil, c.readErr(err)
 	}
-	buf := c.readBuf[:n]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return nil, err
+	if c.readLim.N != 0 {
+		return nil, io.ErrUnexpectedEOF
 	}
-	c.decSrc.r.Reset(buf)
+	c.decSrc.Reset(c.readBuf.Bytes())
 	var f frame
 	if err := c.dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("nettrans: malformed frame: %w", err)
 	}
-	if c.decSrc.r.Len() != 0 {
-		return nil, fmt.Errorf("nettrans: malformed frame: %d trailing bytes", c.decSrc.r.Len())
+	if c.decSrc.Len() != 0 {
+		return nil, fmt.Errorf("nettrans: malformed frame: %d trailing bytes", c.decSrc.Len())
 	}
 	return &f, nil
+}
+
+// readErr reports the Encode failure that closed the connection, if
+// there was one, in place of the read error the close caused.
+func (c *conn) readErr(err error) error {
+	if broken := c.broken.Load(); broken != nil {
+		return *broken
+	}
+	return err
 }
 
 func (c *conn) close() error { return c.nc.Close() }
@@ -277,29 +302,4 @@ func (b *mailbox) tryRecv(tags []pvm.Tag) (pvm.Message, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return pvm.ScanInbox(&b.inbox, tags)
-}
-
-// encodePayload gob-encodes a message payload; the concrete type must
-// be gob-registered on both sides. nil encodes as an empty payload.
-func encodePayload(data any) ([]byte, error) {
-	if data == nil {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&data); err != nil {
-		return nil, fmt.Errorf("nettrans: encode payload %T: %w", data, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodePayload reverses encodePayload.
-func decodePayload(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var data any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&data); err != nil {
-		return nil, fmt.Errorf("nettrans: decode payload: %w", err)
-	}
-	return data, nil
 }

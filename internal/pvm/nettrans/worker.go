@@ -269,12 +269,7 @@ type wjob struct {
 // result was delivered; any error means the job died under us (abort,
 // refusal, or a broken connection).
 func serveJob(ctx context.Context, cfg WorkerConfig, c *conn, h Handler, f *frame) error {
-	payload, err := decodePayload(f.Payload)
-	if err != nil {
-		c.write(&frame{Type: fJobErr, Err: err.Error()})
-		return err
-	}
-	factory, err := h.Start(payload)
+	factory, err := h.Start(f.Data)
 	if err != nil {
 		c.write(&frame{Type: fJobErr, Err: err.Error()})
 		return fmt.Errorf("nettrans: job refused: %w", err)
@@ -351,11 +346,7 @@ func serveJob(ctx context.Context, cfg WorkerConfig, c *conn, h Handler, f *fram
 				return err
 			}
 		case fResult:
-			summary, err := decodePayload(f.Payload)
-			if err != nil {
-				return err
-			}
-			h.Done(summary)
+			h.Done(f.Data)
 			return nil
 		default:
 			j.abort()
@@ -367,11 +358,7 @@ func serveJob(ctx context.Context, cfg WorkerConfig, c *conn, h Handler, f *fram
 
 // host starts one task assigned to this node.
 func (j *wjob) host(f *frame) error {
-	data, err := decodePayload(f.Payload)
-	if err != nil {
-		return err
-	}
-	fn, err := j.factory(f.Kind, data)
+	fn, err := j.factory(f.Kind, f.Data)
 	if err != nil {
 		return fmt.Errorf("nettrans: build task %q (kind %q): %w", f.Name, f.Kind, err)
 	}
@@ -394,11 +381,7 @@ func (j *wjob) deliver(f *frame) error {
 	if t == nil {
 		return fmt.Errorf("nettrans: message for task %d not hosted here", f.To)
 	}
-	data, err := decodePayload(f.Payload)
-	if err != nil {
-		return err
-	}
-	t.box.deliver(pvm.Message{From: f.From, Tag: f.Tag, Data: data})
+	t.box.deliver(pvm.Message{From: f.From, Tag: f.Tag, Data: f.Data})
 	return nil
 }
 
@@ -521,10 +504,6 @@ func (t *wTask) SpawnSpec(name string, machine int, spec pvm.Spec) pvm.TaskID {
 	if spec.Kind == "" {
 		panic(fmt.Sprintf("nettrans: task %q spawned a non-portable task %q from a worker node", t.name, name))
 	}
-	payload, err := encodePayload(spec.Data)
-	if err != nil {
-		panic(fmt.Sprintf("nettrans: spawn %q: %v", name, err))
-	}
 	j := t.j
 	ch := make(chan pvm.TaskID, 1)
 	j.mu.Lock()
@@ -536,9 +515,9 @@ func (t *wTask) SpawnSpec(name string, machine int, spec pvm.Spec) pvm.TaskID {
 	seq := j.seq
 	j.spawnAcks[seq] = ch
 	j.mu.Unlock()
-	err = j.c.write(&frame{
+	err := j.c.write(&frame{
 		Type: fSpawnReq, Seq: seq, Name: t.name + "/" + name,
-		Machine: machine, Kind: spec.Kind, Payload: payload,
+		Machine: machine, Kind: spec.Kind, Data: spec.Data,
 	})
 	if err != nil {
 		pvm.AbortTask() // connection gone: the session is tearing down
@@ -560,11 +539,7 @@ func (t *wTask) Send(to pvm.TaskID, tag pvm.Tag, data any) {
 		dst.box.deliver(pvm.Message{From: t.id, Tag: tag, Data: data})
 		return
 	}
-	payload, err := encodePayload(data)
-	if err != nil {
-		panic(fmt.Sprintf("nettrans: send tag %d to task %d: %v", tag, to, err))
-	}
-	if err := j.c.write(&frame{Type: fMsg, From: t.id, To: to, Tag: tag, Payload: payload}); err != nil {
+	if err := j.c.write(&frame{Type: fMsg, From: t.id, To: to, Tag: tag, Data: data}); err != nil {
 		pvm.AbortTask()
 	}
 }
