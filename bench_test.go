@@ -17,7 +17,6 @@ import (
 	"pts/internal/netlist"
 	"pts/internal/placement"
 	"pts/internal/rng"
-	"pts/internal/tabu"
 )
 
 // benchOpts is the reduced-scale configuration of the figure benches.
@@ -115,33 +114,6 @@ func newBenchEvaluator(b *testing.B) *cost.Evaluator {
 		b.Fatal(err)
 	}
 	return ev
-}
-
-// BenchmarkSequentialTS is the single-threaded engine reference point
-// the parallel speedups are judged against.
-func BenchmarkSequentialTS(b *testing.B) {
-	ev := newBenchEvaluator(b)
-	s := tabu.NewSearch(cost.Problem{Ev: ev}, tabu.Params{
-		Tenure: 10, Trials: 12, Depth: 4, RefreshEvery: 64, Seed: 1,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// BenchmarkSequentialBaseline runs the no-parallelization reference
-// (core.RunSequential) at the same budget as the runtime benches.
-func BenchmarkSequentialBaseline(b *testing.B) {
-	nl := netlist.MustBenchmark("highway")
-	cfg := core.DefaultConfig()
-	cfg.GlobalIters, cfg.LocalIters = 3, 10
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := core.RunSequential(nl, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkVirtualRuntime and BenchmarkRealRuntime time one identical

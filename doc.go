@@ -121,9 +121,9 @@
 // The search's throughput rests on the placement evaluator's trial
 // kernel, which maintains these bounds:
 //
-//   - A trial swap or relocation (cost deltas for wirelength, weighted
-//     delay and area together) is O(1) per affected net and performs no
-//     heap allocation. Each net's bounding box stores, per axis, the
+//   - A trial swap (cost deltas for wirelength, weighted delay and area
+//     together) is O(1) per affected net and performs no heap
+//     allocation. Each net's bounding box stores, per axis, the
 //     boundary coordinates plus their runner-up order statistics, so
 //     removing a boundary pin exposes the runner-up and adding a pin can
 //     only push a boundary outward — no pin rescan, ever, on the trial

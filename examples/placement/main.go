@@ -1,7 +1,8 @@
 // Placement walkthrough: the full VLSI flow underneath the parallel
 // search — build a circuit, place it, inspect the three objectives and
-// the fuzzy cost, improve it with the sequential tabu engine, and show
-// the before/after layout.
+// the fuzzy cost, improve it with the smallest configuration of the
+// parallel search (one tabu search worker driving one candidate-list
+// worker), and show the before/after layout.
 //
 //	go run ./examples/placement
 package main
@@ -15,24 +16,35 @@ import (
 	"pts/internal/cost"
 	"pts/internal/netlist"
 	"pts/internal/placement"
-	"pts/internal/rng"
-	"pts/internal/tabu"
 )
 
 func main() {
-	// A small custom circuit so the layout fits on screen.
+	const seed = 7
+	// A small custom circuit so the layout fits on screen, and the
+	// solver's placement problem over the same generated circuit.
 	nl, err := netlist.Generate(netlist.GenConfig{Name: "demo", Cells: 48, Seed: 9})
+	if err != nil {
+		log.Fatal(err)
+	}
+	prob, err := pts.GeneratePlacement("demo", 48, 9)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("circuit: %s\n\n", nl.ComputeStats())
 
-	// Random initial placement on an auto-sized slot grid.
+	// The random initial placement a run with this seed starts from, on
+	// the problem's auto-sized slot grid.
+	start, err := prob.Initial(seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	p, err := placement.New(nl, placement.AutoLayout(nl, 0.9))
 	if err != nil {
 		log.Fatal(err)
 	}
-	p.Randomize(rng.New(42))
+	if err := p.Import(start.Snapshot()); err != nil {
+		log.Fatal(err)
+	}
 
 	// The fuzzy evaluator derives goals from this initial solution:
 	// reach half the initial wirelength, 60% of the weighted delay, 85%
@@ -51,39 +63,31 @@ func main() {
 	fmt.Println(p.ASCII(12))
 	report("initial")
 
-	// Sequential tabu search over the same evaluator: this is exactly
-	// what one TSW with one CLW computes inside the parallel algorithm.
-	s := tabu.NewSearch(cost.Problem{Ev: ev}, tabu.Params{
-		Tenure:       8,
-		Trials:       10,
-		Depth:        3,
-		RefreshEvery: 32,
-		Seed:         7,
-	})
-	s.Run(400)
-
-	// Adopt the best solution found and rescore it exactly.
-	if err := ev.ImportPerm(s.BestSnapshot()); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nafter 400 tabu iterations:")
-	fmt.Println(p.ASCII(12))
-	report("final")
-	fmt.Printf("\nsearch stats: %+v\n", s.Stats)
-
-	// Everything above is what one worker computes inside the parallel
-	// algorithm; the public API runs the whole two-level search in one
-	// call on the same kind of generated circuit.
-	prob, err := pts.GeneratePlacement("demo", 48, 9)
+	// One tabu search worker driving one candidate-list worker from that
+	// initial placement, on the default virtual-time testbed.
+	res, err := pts.Solve(context.Background(), prob,
+		pts.WithWorkers(1, 1), pts.WithIterations(10, 40), pts.WithSeed(seed))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := pts.Solve(context.Background(), prob,
-		pts.WithWorkers(2, 2), pts.WithIterations(6, 40), pts.WithSeed(7))
+
+	// Adopt the best solution found and rescore it exactly.
+	if err := ev.ImportPerm(res.Best); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nafter %d tabu iterations:\n", res.Stats.LocalIters)
+	fmt.Println(p.ASCII(12))
+	report("final")
+	fmt.Printf("\nsearch stats: %+v\n", res.Stats)
+
+	// The full two-level search on the same circuit: two tabu search
+	// workers, each driving two candidate-list workers.
+	res, err = pts.Solve(context.Background(), prob,
+		pts.WithWorkers(2, 2), pts.WithIterations(6, 40), pts.WithSeed(seed))
 	if err != nil {
 		log.Fatal(err)
 	}
 	d := res.Details.(pts.PlacementDetails)
-	fmt.Printf("\npts.Solve on the same circuit: cost %.4f -> %.4f, wirelength %.0f, CPD %.2f ns\n",
+	fmt.Printf("\n2 TSWs x 2 CLWs on the same circuit: cost %.4f -> %.4f, wirelength %.0f, CPD %.2f ns\n",
 		res.InitialCost, res.BestCost, d.Wirelength, d.CriticalPath)
 }

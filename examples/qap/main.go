@@ -4,9 +4,11 @@
 // was originally studied — and verifies against a brute-force optimum
 // on a tiny instance.
 //
-// Part 3 runs the full two-level parallel search on QAP through the
-// public API — the same Solve call the placement examples use, proving
-// the solver boundary is problem-agnostic.
+// Parts 1 and 2 run the smallest configuration of the parallel search,
+// one tabu search worker driving one candidate-list worker; part 3 runs
+// the full two-level search. All three are the same Solve call the
+// placement examples use, proving the solver boundary is
+// problem-agnostic.
 //
 //	go run ./examples/qap
 package main
@@ -17,48 +19,52 @@ import (
 	"log"
 
 	"pts"
-	"pts/internal/qap"
-	"pts/internal/tabu"
 )
 
 func main() {
+	ctx := context.Background()
+
 	// Part 1: exactness check on a tiny instance.
-	tiny := qap.Random(8, 4)
-	opt := qap.BruteForceOptimum(tiny)
-	st := qap.NewState(tiny, 1)
-	s := tabu.NewSearch(st, tabu.Params{Tenure: 6, Trials: 12, Depth: 2, Seed: 2})
-	s.Run(500)
-	fmt.Printf("n=8 instance: brute-force optimum %.1f, tabu search found %.1f\n", opt, s.BestCost())
-	if s.BestCost() <= opt+1e-9 {
+	tiny := pts.RandomQAP(8, 4)
+	opt := tiny.BruteForceOptimum()
+	res, err := pts.Solve(ctx, tiny,
+		pts.WithWorkers(1, 1),
+		pts.WithIterations(10, 50),
+		pts.WithTabu(6, 12, 2),
+		pts.WithSeed(2),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("n=8 instance: brute-force optimum %.1f, tabu search found %.1f\n", opt, res.BestCost)
+	if res.BestCost <= opt+1e-9 {
 		fmt.Println("=> optimum reached")
 	}
 
-	// Part 2: a larger instance, with and without diversification.
-	ins := qap.Random(60, 9)
-	run := func(diversify bool) float64 {
-		st := qap.NewState(ins, 3)
-		s := tabu.NewSearch(st, tabu.Params{Tenure: 12, Trials: 16, Depth: 3, Seed: 7})
-		for round := 0; round < 10; round++ {
-			if diversify {
-				// Kelly-style kick within a rotating range, as the
-				// paper's TSWs do at every global iteration.
-				lo := int32(round % 6 * 10)
-				s.Diversify(6, lo, lo+10)
-			}
-			s.Run(150)
+	// Part 2: a larger instance, with and without the Kelly-style
+	// diversification each worker runs at every global iteration.
+	ins := pts.RandomQAP(60, 9)
+	run := func(depth int) *pts.Result {
+		res, err := pts.Solve(ctx, ins,
+			pts.WithWorkers(1, 1),
+			pts.WithIterations(10, 150),
+			pts.WithTabu(12, 16, 3),
+			pts.WithDiversification(depth),
+			pts.WithSeed(7),
+		)
+		if err != nil {
+			log.Fatal(err)
 		}
-		return s.BestCost()
+		return res
 	}
-	start := qap.NewState(ins, 3).Cost()
-	plain := run(false)
-	div := run(true)
-	fmt.Printf("\nn=60 instance: initial %.0f\n", start)
-	fmt.Printf("  without diversification: %.0f (%.1f%% better)\n", plain, 100*(start-plain)/start)
-	fmt.Printf("  with    diversification: %.0f (%.1f%% better)\n", div, 100*(start-div)/start)
+	plain, div := run(0), run(6)
+	fmt.Printf("\nn=60 instance: initial %.0f\n", plain.InitialCost)
+	fmt.Printf("  without diversification: %.0f (%.1f%% better)\n", plain.BestCost, 100*plain.Improvement())
+	fmt.Printf("  with    diversification: %.0f (%.1f%% better)\n", div.BestCost, 100*div.Improvement())
 
-	// Part 3: the parallel engine on QAP, through the public API — the
+	// Part 3: the full two-level search on the same instance — the
 	// identical Solve call that drives placement.
-	res, err := pts.Solve(context.Background(), pts.RandomQAP(60, 9),
+	res, err = pts.Solve(ctx, ins,
 		pts.WithWorkers(4, 2),
 		pts.WithIterations(10, 150),
 		pts.WithTabu(12, 16, 3),

@@ -1,6 +1,8 @@
 // Timing walkthrough: the static timing analysis underneath the delay
 // objective — arrival times, the critical path as a cell sequence, net
-// criticalities, and how optimizing the placement shortens the path.
+// criticalities, and how optimizing the placement shortens the path,
+// first with one tabu search worker driving one candidate-list worker,
+// then with the full two-level parallel search.
 //
 //	go run ./examples/timing
 package main
@@ -11,21 +13,30 @@ import (
 	"log"
 
 	"pts"
-	"pts/internal/cost"
 	"pts/internal/netlist"
 	"pts/internal/placement"
-	"pts/internal/rng"
-	"pts/internal/tabu"
 	"pts/internal/timing"
 )
 
 func main() {
+	const seed = 5
 	nl := netlist.MustBenchmark("c532")
+	prob, err := pts.PlacementBenchmark("c532")
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The random initial placement a run with this seed starts from.
+	start, err := prob.Initial(seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	p, err := placement.New(nl, placement.AutoLayout(nl, 0.9))
 	if err != nil {
 		log.Fatal(err)
 	}
-	p.Randomize(rng.New(5))
+	if err := p.Import(start.Snapshot()); err != nil {
+		log.Fatal(err)
+	}
 
 	an := timing.New(nl, timing.DefaultConfig())
 	cpd := an.Analyze(p)
@@ -49,32 +60,27 @@ func main() {
 		fmt.Printf("  %s  %4d nets\n", labels[i], b)
 	}
 
-	// Optimize with the tabu engine and re-analyze.
-	ev, err := cost.NewEvaluator(p, cost.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	s := tabu.NewSearch(cost.Problem{Ev: ev}, tabu.Params{
-		Tenure: 10, Trials: 12, Depth: 4, RefreshEvery: 64, Seed: 9,
-	})
-	s.Run(1500)
-	if err := ev.ImportPerm(s.BestSnapshot()); err != nil {
-		log.Fatal(err)
-	}
-	after := an.Analyze(ev.Placement())
-	fmt.Printf("\nafter 1500 tabu iterations: critical path %.3f ns (%.1f%% shorter)\n",
-		after, 100*(cpd-after)/cpd)
-	fmt.Println("\nnew critical path:")
-	fmt.Print(timing.FormatPath(nl, an.CriticalPathCells(ev.Placement())))
-
-	// The same inspection through the public API: solve in parallel,
-	// then ask the problem for the best layout's critical path.
-	prob, err := pts.PlacementBenchmark("c532")
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Optimize with one tabu search worker driving one candidate-list
+	// worker from that placement, then re-analyze the best layout.
 	res, err := pts.Solve(context.Background(), prob,
-		pts.WithWorkers(4, 2), pts.WithIterations(6, 40), pts.WithSeed(5))
+		pts.WithWorkers(1, 1), pts.WithIterations(15, 100), pts.WithSeed(seed))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := p.Import(res.Best); err != nil {
+		log.Fatal(err)
+	}
+	after := an.Analyze(p)
+	fmt.Printf("\nafter %d tabu iterations: critical path %.3f ns (%.1f%% shorter)\n",
+		res.Stats.LocalIters, after, 100*(cpd-after)/cpd)
+	fmt.Println("\nnew critical path:")
+	fmt.Print(timing.FormatPath(nl, an.CriticalPathCells(p)))
+
+	// The same inspection through the public API alone: solve with four
+	// tabu search workers of two candidate-list workers each, then ask
+	// the problem for the best layout's critical path.
+	res, err = pts.Solve(context.Background(), prob,
+		pts.WithWorkers(4, 2), pts.WithIterations(6, 40), pts.WithSeed(seed))
 	if err != nil {
 		log.Fatal(err)
 	}

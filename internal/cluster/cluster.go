@@ -39,25 +39,11 @@ func (lt LoadTrace) At(t float64) float64 {
 	return lt.Levels[seg]
 }
 
-// ConstantLoad returns a trace pinned at level l.
-func ConstantLoad(l float64) LoadTrace {
-	if l == 0 {
-		return LoadTrace{}
-	}
-	return LoadTrace{Period: 1, Levels: []float64{l}}
-}
-
 // Machine is one workstation.
 type Machine struct {
 	Name  string
 	Speed float64 // relative raw speed; 1.0 = reference machine
 	Load  LoadTrace
-}
-
-// EffectiveSpeed returns the machine's speed at time t after external
-// load steals its share of cycles.
-func (m Machine) EffectiveSpeed(t float64) float64 {
-	return m.Speed / (1 + m.Load.At(t))
 }
 
 // WorkDuration returns how long the machine needs, starting at time

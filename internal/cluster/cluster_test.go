@@ -19,19 +19,6 @@ func TestLoadTraceAt(t *testing.T) {
 	if (LoadTrace{}).At(5) != 0 {
 		t.Error("zero trace should be idle")
 	}
-	if ConstantLoad(0.3).At(99) != 0.3 {
-		t.Error("ConstantLoad wrong")
-	}
-	if ConstantLoad(0).At(1) != 0 {
-		t.Error("ConstantLoad(0) should be idle")
-	}
-}
-
-func TestEffectiveSpeed(t *testing.T) {
-	m := Machine{Speed: 2.0, Load: ConstantLoad(1.0)}
-	if got := m.EffectiveSpeed(0); got != 1.0 {
-		t.Errorf("EffectiveSpeed = %v, want 1.0", got)
-	}
 }
 
 func TestWorkDurationIdle(t *testing.T) {

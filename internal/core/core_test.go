@@ -46,6 +46,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+func TestAssignmentMapping(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TSWs, cfg.CLWs = 3, 2
+	// PVM round-robin: TSWs on 1..3, then the CLWs group by group.
+	if cfg.tswMachine(2) != 3 || cfg.clwMachine(2, 1) != 1+3+2*2+1 {
+		t.Fatalf("round-robin mapping wrong: %d %d", cfg.tswMachine(2), cfg.clwMachine(2, 1))
+	}
+}
+
 func TestRangesPartition(t *testing.T) {
 	f := func(nRaw uint16, kRaw uint8) bool {
 		n := int32(nRaw%5000) + 1

@@ -54,9 +54,9 @@ type Result struct {
 	Details any
 
 	// Objectives and CriticalPath are the exact placement objectives of
-	// BestPerm. They are populated only by the placement entry points
-	// (Run, RunSequential); generic RunProblem results report
-	// problem-specific metrics through Details instead.
+	// BestPerm. They are populated only by the placement entry point
+	// Run; generic RunProblem results report problem-specific metrics
+	// through Details instead.
 	Objectives   cost.Objectives
 	CriticalPath float64
 }

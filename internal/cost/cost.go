@@ -219,36 +219,6 @@ func (e *Evaluator) SwapDelta(a, b netlist.CellID) float64 {
 	return e.CostOf(e.swapObjectives(a, b)) - e.cost
 }
 
-// moveObjectives computes the objective vector that would result from
-// relocating cell c to the empty slot at `to`; the allocation-free
-// relocation counterpart of swapObjectives.
-func (e *Evaluator) moveObjectives(c netlist.CellID, to placement.Pos) Objectives {
-	dWL, dCrit := e.p.MoveDeltaWeighted(c, to, e.t.Criticalities())
-	return Objectives{
-		Wirelength: e.cur.Wirelength + dWL,
-		Delay:      e.cur.Delay + e.t.Config().WireDelayPerUnit*dCrit,
-		Area:       float64(e.p.MaxRowWidthAfterMove(c, to)),
-	}
-}
-
-// MoveDelta returns the cost change if cell c relocated to the empty
-// slot at `to`, without modifying anything. The slot must be empty.
-func (e *Evaluator) MoveDelta(c netlist.CellID, to placement.Pos) float64 {
-	return e.CostOf(e.moveObjectives(c, to)) - e.cost
-}
-
-// ApplyMove commits the relocation of cell c to the empty slot at `to`
-// and updates the maintained objectives and cost incrementally.
-func (e *Evaluator) ApplyMove(c netlist.CellID, to placement.Pos) error {
-	o := e.moveObjectives(c, to)
-	if err := e.p.MoveToSlot(c, to); err != nil {
-		return err
-	}
-	e.cur = o
-	e.cost = e.CostOf(o)
-	return nil
-}
-
 // ApplySwap commits the swap of cells a and b and updates the maintained
 // objectives and cost incrementally. Swaps are involutions: applying the
 // same pair again restores the previous solution (and, bar float

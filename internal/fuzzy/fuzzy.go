@@ -105,15 +105,3 @@ func Or(mu ...float64) float64 {
 	}
 	return max
 }
-
-// Product is the probabilistic conjunction.
-func Product(mu ...float64) float64 {
-	p := 1.0
-	for _, m := range mu {
-		p *= m
-	}
-	if len(mu) == 0 {
-		return 0
-	}
-	return p
-}

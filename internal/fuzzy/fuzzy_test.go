@@ -103,15 +103,12 @@ func TestQuickOWABounds(t *testing.T) {
 	}
 }
 
-func TestAndOrProduct(t *testing.T) {
+func TestAndOr(t *testing.T) {
 	if And(0.3, 0.7) != 0.3 || And() != 0 {
 		t.Error("And wrong")
 	}
 	if Or(0.3, 0.7) != 0.7 || Or() != 0 {
 		t.Error("Or wrong")
-	}
-	if math.Abs(Product(0.5, 0.5)-0.25) > 1e-9 || Product() != 0 {
-		t.Error("Product wrong")
 	}
 }
 

@@ -10,11 +10,13 @@ import (
 )
 
 // This file is the drift catcher for the incremental engine: long random
-// swap+move sequences, after each of which every maintained quantity —
-// net boxes with their runner-up statistics, total HPWL, row widths, and
-// the top-two row cache — must exactly match a from-scratch recompute,
-// and every trial function must match its brute-force
-// clone-apply-recompute oracle.
+// swap sequences, after each of which every maintained quantity — net
+// boxes with their runner-up statistics, total HPWL, row widths, and the
+// top-two row cache — must exactly match a from-scratch recompute, and
+// every trial function must match its brute-force
+// clone-apply-recompute oracle. Swaps never change which slots are
+// empty; an occasional Import of a fresh random layout does, the way the
+// search's barrier Restore reaches such states.
 
 // checkConsistency compares all of p's maintained state against a
 // from-scratch recompute.
@@ -109,6 +111,19 @@ func boundaryNetlist(t *testing.T) *netlist.Netlist {
 // covered.
 var wideLayout = Layout{Rows: 2, Cols: 32769}
 
+// importRandom replaces p's layout with a fresh random permutation
+// through Import, which moves the set of empty slots.
+func importRandom(t *testing.T, p *Placement, r *rand.Rand) {
+	t.Helper()
+	perm := make([]int32, p.nl.NumCells())
+	for c, s := range r.Perm(p.L.Slots())[:len(perm)] {
+		perm[c] = int32(s)
+	}
+	if err := p.Import(perm); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // randomPair returns two distinct random cells.
 func randomPair(r *rand.Rand, cells int) (netlist.CellID, netlist.CellID) {
 	a := netlist.CellID(r.Intn(cells))
@@ -119,17 +134,47 @@ func randomPair(r *rand.Rand, cells int) (netlist.CellID, netlist.CellID) {
 	return a, b
 }
 
+func TestMoveThenSwapConsistency(t *testing.T) {
+	// Interleave swaps with imports of fresh random layouts and check the
+	// oracle throughout.
+	nl := testNetlist(t, 50, 25)
+	p, _ := New(nl, AutoLayout(nl, 0.8))
+	r := rand.New(rand.NewSource(17))
+	p.Randomize(r)
+	for i := 0; i < 200; i++ {
+		if r.Intn(8) == 0 {
+			importRandom(t, p, r)
+		} else {
+			a := netlist.CellID(r.Intn(nl.NumCells()))
+			b := netlist.CellID(r.Intn(nl.NumCells()))
+			p.SwapCells(a, b)
+		}
+	}
+	if math.Abs(p.HPWL()-fullHPWL(p)) > 1e-6 {
+		t.Fatal("HPWL diverged under swaps and imports")
+	}
+	if p.MaxRowWidth() != fullMaxRowWidth(p) {
+		t.Fatal("row widths diverged under swaps and imports")
+	}
+	// Slot table still consistent.
+	for c := 0; c < nl.NumCells(); c++ {
+		if p.CellAt(p.PosOf(netlist.CellID(c))) != netlist.CellID(c) {
+			t.Fatal("slot table inconsistent")
+		}
+	}
+}
+
 func TestIncrementalMatchesRecomputeUnderRandomOps(t *testing.T) {
 	nl := testNetlist(t, 120, 7)
 	boundary := boundaryNetlist(t)
 	for _, tc := range []struct {
-		name  string
-		nl    *netlist.Netlist
-		l     Layout
-		moves bool
+		name    string
+		nl      *netlist.Netlist
+		l       Layout
+		imports bool
 	}{
 		{"full-grid", nl, AutoLayout(nl, 1.0), false},  // swaps only (no empty slots)
-		{"spare-slots", nl, AutoLayout(nl, 0.8), true}, // swaps + relocations
+		{"spare-slots", nl, AutoLayout(nl, 0.8), true}, // swaps + imports
 		{"wide-grid", boundary, wideLayout, true},      // coordinates past int16
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,30 +186,8 @@ func TestIncrementalMatchesRecomputeUnderRandomOps(t *testing.T) {
 			p.Randomize(r)
 			cells := tc.nl.NumCells()
 			for step := 0; step < 4000; step++ {
-				if tc.moves && r.Intn(3) == 0 {
-					c := netlist.CellID(r.Intn(cells))
-					slot := p.RandomEmptySlot(r)
-					if slot < 0 {
-						t.Fatal("no empty slot on a spare layout")
-					}
-					to := p.L.SlotPos(slot)
-					// Oracle the trial functions before committing.
-					wantD, err := p.HPWLDeltaMove(c, to)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantArea := p.MaxRowWidthAfterMove(c, to)
-					before := p.HPWL()
-					if err := p.MoveToSlot(c, to); err != nil {
-						t.Fatal(err)
-					}
-					if got := p.HPWL() - before; math.Abs(got-wantD) > 1e-6 {
-						t.Fatalf("step %d: HPWLDeltaMove predicted %v, commit yielded %v", step, wantD, got)
-					}
-					if p.MaxRowWidth() != wantArea {
-						t.Fatalf("step %d: MaxRowWidthAfterMove predicted %d, commit yielded %d",
-							step, wantArea, p.MaxRowWidth())
-					}
+				if tc.imports && r.Intn(64) == 0 {
+					importRandom(t, p, r)
 				} else {
 					a, b := randomPair(r, cells)
 					wantD := p.HPWLDeltaSwap(a, b)
@@ -220,14 +243,14 @@ func TestSwapDeltaWeightedMatchesVisit(t *testing.T) {
 }
 
 // TestSwapCellsWeightedMatchesDelta holds the one-walk commit to the
-// trial it replays: over long random swap and move sequences,
-// SwapCellsWeighted must return bit for bit what SwapDeltaWeighted
-// returned just before the commit, a relocation must change the HPWL by
-// exactly MoveDeltaWeighted's figure, and every maintained quantity
-// must match a from-scratch recompute after every commit. The circuits
-// cover in-place commits of 2-, 3- and 4-pin nets, the commitAxis path
-// and rescan fallback of larger nets, and shared nets; the test counts
-// each case so a circuit change cannot quietly drop one.
+// trial it replays: over long random swap sequences, broken by an
+// occasional Import of a fresh random layout, SwapCellsWeighted must
+// return bit for bit what SwapDeltaWeighted returned just before the
+// commit, and every maintained quantity must match a from-scratch
+// recompute after every step. The circuits cover in-place commits of
+// 2-, 3- and 4-pin nets, the commitAxis path and rescan fallback of
+// larger nets, and shared nets; the test counts each case so a circuit
+// change cannot quietly drop one.
 func TestSwapCellsWeightedMatchesDelta(t *testing.T) {
 	boundary := boundaryNetlist(t)
 	for _, tc := range []struct {
@@ -260,17 +283,8 @@ func TestSwapCellsWeightedMatchesDelta(t *testing.T) {
 			var byDegree [6]int // committed nets by pin count, 5 = 5+
 			shared := 0
 			for step := 0; step < tc.steps; step++ {
-				if r.Intn(4) == 0 {
-					c := netlist.CellID(r.Intn(cells))
-					to := p.L.SlotPos(p.RandomEmptySlot(r))
-					wantL, _ := p.MoveDeltaWeighted(c, to, w)
-					before := p.HPWL()
-					if err := p.MoveToSlot(c, to); err != nil {
-						t.Fatal(err)
-					}
-					if got := p.HPWL() - before; got != wantL {
-						t.Fatalf("step %d: move of %d changed HPWL by %v, trial said %v", step, c, got, wantL)
-					}
+				if r.Intn(64) == 0 {
+					importRandom(t, p, r)
 				} else {
 					a, b := randomPair(r, cells)
 					wv := w

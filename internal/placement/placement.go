@@ -283,10 +283,9 @@ func (p *Placement) HPWLDeltaSwap(a, b netlist.CellID) float64 {
 
 // topExcluding returns the widest row outside {ra, rb}, rows whose
 // width a trial is about to change. When both top-two rows are the
-// changed rows themselves, 0 is returned; that is safe for every caller
-// because the changed rows then dominate: a swap preserves their summed
-// width, so max(new widths) ≥ (top1+top2)/2 ≥ top2 ≥ any third row, and
-// a move's gaining row starts at ≥ top2 and only grows.
+// changed rows themselves, 0 is returned; that is safe because the
+// changed rows then dominate: a swap preserves their summed width, so
+// max(new widths) ≥ (top1+top2)/2 ≥ top2 ≥ any third row.
 func (p *Placement) topExcluding(ra, rb int32) int {
 	if p.top1Row != ra && p.top1Row != rb {
 		return p.top1W

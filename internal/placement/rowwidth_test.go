@@ -102,33 +102,3 @@ func TestMaxRowWidthAfterSwapExhaustiveRandom(t *testing.T) {
 		p.SwapCells(a, b)
 	}
 }
-
-func TestMaxRowWidthAfterMoveEdgeCases(t *testing.T) {
-	// 2x4 grid with 6 cells: slots 6 and 7 (row 1) start empty.
-	widths := []int{5, 1, 1, 1, 2, 2}
-	nl := widthNetlist(t, widths)
-	p, err := New(nl, Layout{Rows: 2, Cols: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(29))
-	for step := 0; step < 300; step++ {
-		c := netlist.CellID(r.Intn(nl.NumCells()))
-		slot := p.RandomEmptySlot(r)
-		if slot < 0 {
-			t.Fatal("expected empty slots")
-		}
-		to := p.L.SlotPos(slot)
-		q := p.Clone()
-		if err := q.MoveToSlot(c, to); err != nil {
-			t.Fatal(err)
-		}
-		want := fullMaxRowWidth(q)
-		if got := p.MaxRowWidthAfterMove(c, to); got != want {
-			t.Fatalf("step %d: MaxRowWidthAfterMove(%d,%v) = %d, brute force = %d", step, c, to, got, want)
-		}
-		if err := p.MoveToSlot(c, to); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -155,31 +154,6 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
-// Summary is a compact printable digest of a sample.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Med, Max float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  Min(xs),
-		Med:  Median(xs),
-		Max:  Max(xs),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g med=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.Med, s.Max)
-}
-
 // Point is one (x, y) sample of a series.
 type Point struct {
 	X, Y float64
@@ -204,13 +178,4 @@ func (s *Series) Ys() []float64 {
 		ys[i] = p.Y
 	}
 	return ys
-}
-
-// Xs returns the X values of the series in order.
-func (s *Series) Xs() []float64 {
-	xs := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		xs[i] = p.X
-	}
-	return xs
 }

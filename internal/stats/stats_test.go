@@ -119,16 +119,6 @@ func TestAccumulatorEmpty(t *testing.T) {
 	}
 }
 
-func TestSummarizeString(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || !almost(s.Med, 2) {
-		t.Errorf("Summarize wrong: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("String should be non-empty")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Name = "q"
@@ -136,9 +126,6 @@ func TestSeries(t *testing.T) {
 	s.Add(2, 20)
 	if got := s.Ys(); len(got) != 2 || got[1] != 20 {
 		t.Errorf("Ys = %v", got)
-	}
-	if got := s.Xs(); len(got) != 2 || got[0] != 1 {
-		t.Errorf("Xs = %v", got)
 	}
 }
 
@@ -172,21 +159,6 @@ func TestTimeToReach(t *testing.T) {
 	}
 	if _, ok := tr.TimeToReach(10); ok {
 		t.Error("TimeToReach(10) should not be reached")
-	}
-}
-
-func TestCostAt(t *testing.T) {
-	var tr Trace
-	tr.Record(1, 100)
-	tr.Record(2, 80)
-	if !math.IsInf(tr.CostAt(0.5), 1) {
-		t.Error("CostAt before first point should be +Inf")
-	}
-	if tr.CostAt(1.5) != 100 {
-		t.Errorf("CostAt(1.5) = %v", tr.CostAt(1.5))
-	}
-	if tr.CostAt(10) != 80 {
-		t.Errorf("CostAt(10) = %v", tr.CostAt(10))
 	}
 }
 

@@ -68,21 +68,6 @@ func (t *Trace) TimeToReach(x float64) (float64, bool) {
 	return 0, false
 }
 
-// CostAt returns the best cost achieved no later than time. For queries
-// before the first point it returns +Inf (no solution known yet).
-func (t *Trace) CostAt(time float64) float64 {
-	best := math.Inf(1)
-	for _, p := range t.Points {
-		if p.Time > time {
-			break
-		}
-		if p.Cost < best {
-			best = p.Cost
-		}
-	}
-	return best
-}
-
 // Speedup computes the paper's speedup definition
 //
 //	speedup(n, x) = t(1, x) / t(n, x)

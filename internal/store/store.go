@@ -157,9 +157,6 @@ func Open(dir string) (*FileStore, error) {
 	return &FileStore{root: dir}, nil
 }
 
-// Root returns the backing directory.
-func (s *FileStore) Root() string { return s.root }
-
 func (s *FileStore) path(key string) string {
 	return filepath.Join(s.root, filepath.FromSlash(key))
 }

@@ -45,9 +45,9 @@ func EvalDeltaBatch(prob Problem, cands []SwapCand, out []float64) {
 	}
 }
 
-// BatchScratch holds one searcher's reusable candidate-batch storage
-// (a CLW or a sequential Search owns one); the zero value is ready to
-// use and the buffers grow to the trial budget once.
+// BatchScratch holds one CLW's reusable candidate-batch storage; the
+// zero value is ready to use and the buffers grow to the trial budget
+// once.
 type BatchScratch struct {
 	cands  []SwapCand
 	deltas []float64

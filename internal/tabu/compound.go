@@ -52,10 +52,10 @@ func (p CompoundParams) normalized(size int32) CompoundParams {
 // r.
 //
 // This trial-at-a-time form is the reference implementation; the
-// parallel runtime and the sequential Search drive BuildCompoundBatch,
-// which produces bit-identical moves from the same random stream (the
-// equivalence is asserted by tests) while letting batch-capable
-// problems evaluate all trials in one data-parallel call.
+// parallel runtime drives BuildCompoundBatch, which produces
+// bit-identical moves from the same random stream (the equivalence is
+// asserted by tests) while letting batch-capable problems evaluate all
+// trials in one data-parallel call.
 func BuildCompound(prob Problem, r *rand.Rand, p CompoundParams, step func() bool) CompoundMove {
 	size := prob.Size()
 	p = p.normalized(size)

@@ -159,146 +159,6 @@ func TestSelectAdmissible(t *testing.T) {
 	}
 }
 
-func TestSearchImprovesQAP(t *testing.T) {
-	prob := qapProblem(t, 30, 10)
-	start := prob.Cost()
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 8, Trials: 10, Depth: 3, Seed: 42})
-	s.Run(400)
-	if s.BestCost() >= start {
-		t.Fatalf("search did not improve: %v -> %v", start, s.BestCost())
-	}
-	if s.Stats.Accepted == 0 {
-		t.Fatal("no moves accepted")
-	}
-	// Best snapshot must evaluate to the best cost.
-	if err := prob.Restore(s.BestSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(prob.Cost()-s.BestCost()) > 1e-6 {
-		t.Fatalf("best snapshot cost %v != recorded best %v", prob.Cost(), s.BestCost())
-	}
-}
-
-func TestSearchImprovesPlacement(t *testing.T) {
-	prob := placementProblem(t, 120, 11)
-	start := prob.Cost()
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 10, Trials: 8, Depth: 3, RefreshEvery: 32, Seed: 7})
-	s.Run(300)
-	if s.BestCost() >= start {
-		t.Fatalf("placement search did not improve: %v -> %v", start, s.BestCost())
-	}
-}
-
-func TestSearchNearsOptimumOnTinyQAP(t *testing.T) {
-	ins := qap.Random(7, 21)
-	opt := qap.BruteForceOptimum(ins)
-	prob := qap.NewState(ins, 22)
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 5, Trials: 12, Depth: 2, Seed: 3})
-	s.Run(600)
-	// Within 2% of optimum on a size-7 instance is a generous bound; the
-	// engine typically finds the exact optimum.
-	if s.BestCost() > opt*1.02+1e-9 {
-		t.Fatalf("best %v too far from optimum %v", s.BestCost(), opt)
-	}
-	if s.BestCost() < opt-1e-6 {
-		t.Fatalf("best %v beats brute-force optimum %v: bug in cost bookkeeping", s.BestCost(), opt)
-	}
-}
-
-func TestSearchDeterministic(t *testing.T) {
-	run := func() float64 {
-		prob := qapProblem(t, 25, 30)
-		s := tabu.NewSearch(prob, tabu.Params{Tenure: 7, Trials: 6, Depth: 3, Seed: 99})
-		s.Run(200)
-		return s.BestCost()
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("identical seeds diverged: %v vs %v", a, b)
-	}
-}
-
-func TestSearchTabuRejectionHappens(t *testing.T) {
-	// Tiny problem and long tenure force tabu collisions.
-	prob := qapProblem(t, 6, 31)
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 50, Trials: 3, Depth: 1, Seed: 5})
-	s.Run(300)
-	if s.Stats.TabuRejected == 0 {
-		t.Fatal("no tabu rejections on a tiny problem with long tenure — memory inert?")
-	}
-}
-
-func TestSearchAspirationHappens(t *testing.T) {
-	// Aspirations are rare; scan seeds until one occurs.
-	for seed := uint64(0); seed < 25; seed++ {
-		prob := qapProblem(t, 10, seed)
-		s := tabu.NewSearch(prob, tabu.Params{Tenure: 30, Trials: 8, Depth: 2, Seed: seed})
-		s.Run(400)
-		if s.Stats.Aspirations > 0 {
-			return
-		}
-	}
-	t.Fatal("no aspiration in 25 seeds — criterion never fires")
-}
-
-func TestDiversifyMovesLeastFrequent(t *testing.T) {
-	prob := qapProblem(t, 20, 40)
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 5, Trials: 6, Depth: 2, Seed: 8})
-	s.Run(100)
-	before := prob.Snapshot()
-	s.Diversify(5, 0, 10)
-	after := prob.Snapshot()
-	same := true
-	for i := range before {
-		if before[i] != after[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("diversification did not change the solution")
-	}
-	// Frequency memory must have been updated.
-	if s.Freq.Total() == 0 {
-		t.Fatal("frequency memory empty after diversified run")
-	}
-}
-
-func TestDiversifyEmptyRangeWidens(t *testing.T) {
-	prob := qapProblem(t, 10, 41)
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 5, Trials: 4, Depth: 2, Seed: 9})
-	before := prob.Snapshot()
-	s.Diversify(3, 7, 7) // empty range: should widen to the full space
-	after := prob.Snapshot()
-	same := true
-	for i := range before {
-		if before[i] != after[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("diversify with empty range did nothing")
-	}
-}
-
-func TestAdoptSolution(t *testing.T) {
-	prob := qapProblem(t, 15, 50)
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 5, Trials: 6, Depth: 2, Seed: 10})
-	s.Run(150)
-	best := append([]int32(nil), s.BestSnapshot()...)
-	// Scramble the current solution, then adopt the best back.
-	prob.ApplySwap(0, 1)
-	prob.ApplySwap(2, 3)
-	if err := s.AdoptSolution(best); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(prob.Cost()-s.BestCost()) > 1e-6 {
-		t.Fatalf("adopted cost %v != best %v", prob.Cost(), s.BestCost())
-	}
-	if err := s.AdoptSolution([]int32{1}); err == nil {
-		t.Fatal("bad snapshot accepted")
-	}
-}
-
 func TestFrequencyLeastMoved(t *testing.T) {
 	f := tabu.NewFrequency(10)
 	f.BumpSwap(1, 2)
@@ -346,24 +206,6 @@ func TestQuickCompoundUndoIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSearchStepQAP64(b *testing.B) {
-	prob := qapProblem(b, 64, 1)
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 10, Trials: 8, Depth: 3, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-func BenchmarkSearchStepPlacementC532(b *testing.B) {
-	prob := placementProblem(b, 395, 1)
-	s := tabu.NewSearch(prob, tabu.Params{Tenure: 10, Trials: 8, Depth: 3, RefreshEvery: 64, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
 	}
 }
 

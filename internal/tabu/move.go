@@ -1,8 +1,8 @@
-// Package tabu implements the sequential tabu search engine the parallel
-// algorithm builds on: swap moves and compound moves, the short-term
-// memory (tabu list) with aspiration, long-term frequency memory, the
-// Kelly-style diversification the paper cites, and a self-contained
-// sequential Search driver.
+// Package tabu implements the tabu search building blocks the parallel
+// algorithm's workers share: swap moves and compound moves, the
+// short-term memory (tabu list) with aspiration, and the long-term
+// frequency memory behind the Kelly-style diversification the paper
+// cites. The search loop itself lives in the workers (internal/core).
 //
 // The engine is problem-agnostic: anything implementing Problem — the
 // VLSI placement evaluator (internal/cost) or the QAP state
@@ -38,6 +38,10 @@ type Problem interface {
 	Restore(snap []int32) error
 }
 
+// Refresher is implemented by problems that can resynchronize cached
+// models (the placement evaluator's timing criticalities).
+type Refresher interface{ Refresh() }
+
 // Attribute is the move feature stored in the short-term memory: the
 // unordered pair of elements that a swap exchanged.
 type Attribute struct {
@@ -69,15 +73,6 @@ type CompoundMove struct {
 	Swaps []Swap
 	// Delta is the total cost change of applying all swaps in order.
 	Delta float64
-}
-
-// Attributes returns the tabu attributes of every swap in the move.
-func (m *CompoundMove) Attributes() []Attribute {
-	attrs := make([]Attribute, len(m.Swaps))
-	for i, s := range m.Swaps {
-		attrs[i] = s.Attribute()
-	}
-	return attrs
 }
 
 // Empty reports whether the move contains no swaps.
