@@ -159,6 +159,57 @@ func TestSelectAdmissible(t *testing.T) {
 	}
 }
 
+// memoryWalk runs the TSW's iteration on its own over prob: nCands
+// candidate compound moves built from the current solution, one
+// admissible choice, its swaps made tabu for tenure iterations. It
+// returns the total tabu rejections and aspirations of the walk.
+func memoryWalk(prob tabu.Problem, tenure, nCands int, p tabu.CompoundParams, iters int, seed uint64) (rejected, aspired int) {
+	r := rng.New(seed)
+	list := tabu.NewList()
+	best := prob.Cost()
+	cands := make([]tabu.CompoundMove, nCands)
+	for iter := int64(1); iter <= int64(iters); iter++ {
+		for i := range cands {
+			cands[i] = tabu.BuildCompound(prob, r, p, nil)
+			cands[i].Undo(prob)
+		}
+		v := tabu.SelectAdmissible(cands, prob.Cost(), best, list, iter)
+		rejected += v.TabuRejected
+		if v.Aspired {
+			aspired++
+		}
+		if v.Index < 0 {
+			continue
+		}
+		cands[v.Index].Apply(prob)
+		for _, s := range cands[v.Index].Swaps {
+			list.Add(s.Attribute(), iter+int64(tenure))
+		}
+		best = min(best, prob.Cost())
+	}
+	return rejected, aspired
+}
+
+func TestSearchTabuRejectionHappens(t *testing.T) {
+	// Tiny problem and long tenure force tabu collisions.
+	prob := qapProblem(t, 6, 31)
+	rejected, _ := memoryWalk(prob, 50, 3, tabu.CompoundParams{Trials: 3, Depth: 1}, 300, 5)
+	if rejected == 0 {
+		t.Fatal("no tabu rejections on a tiny problem with long tenure — memory inert?")
+	}
+}
+
+func TestSearchAspirationHappens(t *testing.T) {
+	// Aspirations are rare; scan seeds until one occurs.
+	for seed := uint64(0); seed < 25; seed++ {
+		prob := qapProblem(t, 10, seed)
+		if _, aspired := memoryWalk(prob, 30, 3, tabu.CompoundParams{Trials: 8, Depth: 2}, 400, seed); aspired > 0 {
+			return
+		}
+	}
+	t.Fatal("no aspiration in 25 seeds — criterion never fires")
+}
+
 func TestFrequencyLeastMoved(t *testing.T) {
 	f := tabu.NewFrequency(10)
 	f.BumpSwap(1, 2)
