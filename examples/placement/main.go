@@ -14,45 +14,28 @@ import (
 
 	"pts"
 	"pts/internal/cost"
-	"pts/internal/netlist"
-	"pts/internal/placement"
 )
 
 func main() {
 	const seed = 7
-	// A small custom circuit so the layout fits on screen, and the
-	// solver's placement problem over the same generated circuit.
-	nl, err := netlist.Generate(netlist.GenConfig{Name: "demo", Cells: 48, Seed: 9})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// A small custom circuit so the layout fits on screen.
 	prob, err := pts.GeneratePlacement("demo", 48, 9)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("circuit: %s\n\n", nl.ComputeStats())
 
 	// The random initial placement a run with this seed starts from, on
-	// the problem's auto-sized slot grid.
+	// the problem's auto-sized slot grid. Its fuzzy evaluator derives
+	// goals from this initial solution: reach half the initial
+	// wirelength, 60% of the weighted delay, 85% of the layout width.
 	start, err := prob.Initial(seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := placement.New(nl, placement.AutoLayout(nl, 0.9))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := p.Import(start.Snapshot()); err != nil {
-		log.Fatal(err)
-	}
+	ev := start.(cost.Problem).Ev
+	p := ev.Placement()
+	fmt.Printf("circuit: %s\n\n", p.Netlist().ComputeStats())
 
-	// The fuzzy evaluator derives goals from this initial solution:
-	// reach half the initial wirelength, 60% of the weighted delay, 85%
-	// of the layout width.
-	ev, err := cost.NewEvaluator(p, cost.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
 	report := func(tag string) {
 		o := ev.Objectives()
 		fmt.Printf("%-8s cost=%.4f  wirelength=%-6.0f CPD=%-8.2f width=%.0f\n",

@@ -13,14 +13,12 @@ import (
 	"log"
 
 	"pts"
-	"pts/internal/netlist"
-	"pts/internal/placement"
+	"pts/internal/cost"
 	"pts/internal/timing"
 )
 
 func main() {
 	const seed = 5
-	nl := netlist.MustBenchmark("c532")
 	prob, err := pts.PlacementBenchmark("c532")
 	if err != nil {
 		log.Fatal(err)
@@ -30,13 +28,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := placement.New(nl, placement.AutoLayout(nl, 0.9))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := p.Import(start.Snapshot()); err != nil {
-		log.Fatal(err)
-	}
+	ev := start.(cost.Problem).Ev
+	p := ev.Placement()
+	nl := p.Netlist()
 
 	an := timing.New(nl, timing.DefaultConfig())
 	cpd := an.Analyze(p)
@@ -67,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := p.Import(res.Best); err != nil {
+	if err := ev.ImportPerm(res.Best); err != nil {
 		log.Fatal(err)
 	}
 	after := an.Analyze(p)

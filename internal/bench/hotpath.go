@@ -37,11 +37,7 @@ const hotpathBatch = 64
 const DefaultHotpathWindows = 5
 
 // measure runs fn in timed batches until targetDur is spent and returns
-// ns/op and allocs/op. The malloc counter is process-wide and also
-// counts the runtime's own allocations (a new OS thread costs a handful
-// when the host starves the process), so allocs/op is whole allocations
-// per call, truncated like testing.AllocsPerRun and -benchmem: a fn
-// that allocates on every call still reports at least 1.
+// ns/op and allocs/op.
 func measure(targetDur time.Duration, fn func(i int)) (nsPerOp, allocsPerOp float64) {
 	const batch = 4096
 	var ms0, ms1 runtime.MemStats
@@ -63,7 +59,7 @@ func measure(targetDur time.Duration, fn func(i int)) (nsPerOp, allocsPerOp floa
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	return float64(elapsed.Nanoseconds()) / float64(ops),
-		float64((ms1.Mallocs - ms0.Mallocs) / uint64(ops))
+		float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)
 }
 
 // measureBest splits targetDur into `windows` independent measurement
