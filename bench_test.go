@@ -4,8 +4,8 @@ package pts
 // ablations: half-sync on versus off on the loaded testbed, and
 // incremental swap evaluation versus a full cost refresh per move. The
 // figure benches run their driver at a reduced scale so
-// `go test -bench=.` stays tractable; the full paper-scale figures are
-// regenerated with `go run ./cmd/ptsbench`.
+// `go test -bench=.` stays tractable; the full paper-scale record,
+// results/BENCH_paper.json, is regenerated with `go run ./cmd/ptsbench`.
 
 import (
 	"testing"
@@ -29,15 +29,15 @@ func benchOpts() bench.Opts {
 	}
 }
 
-func runFigure(b *testing.B, driver func(bench.Opts) (*bench.Figure, error)) {
+func runFigure(b *testing.B, driver func(bench.Opts, *bench.Report) error) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		f, err := driver(benchOpts())
-		if err != nil {
+		var rep bench.Report
+		if err := driver(benchOpts(), &rep); err != nil {
 			b.Fatal(err)
 		}
-		if len(f.Series) == 0 {
-			b.Fatal("figure produced no data")
+		if len(rep.Records) == 0 {
+			b.Fatal("figure produced no records")
 		}
 	}
 }

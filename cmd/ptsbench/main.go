@@ -1,11 +1,11 @@
-// Command ptsbench regenerates the paper's evaluation figures
-// (Figures 5–11) on the virtual heterogeneous cluster and writes ASCII
-// charts to stdout and CSV and SVG files to an output directory, or runs
-// one scenario benchmark and writes its JSON record there.
+// Command ptsbench regenerates the paper's evaluation (Figures 5–11)
+// on the virtual heterogeneous cluster and writes it as one
+// BENCH_paper.json record, or runs one scenario benchmark and writes
+// its BENCH_<scenario>.json record, into an output directory.
 //
 // Usage:
 //
-//	ptsbench                     # all figures at full scale
+//	ptsbench                     # all figures at full scale -> BENCH_paper.json
 //	ptsbench -fig 11 -v          # one figure, with per-run progress
 //	ptsbench -scale 0.25         # quarter iteration budgets (quick look)
 //	ptsbench -circuits highway,c532 -out results
@@ -53,7 +53,7 @@ func main() {
 		clusterSeed  = flag.Uint64("cluster-seed", 0, "testbed load-trace seed (0 = default)")
 		circuits     = flag.String("circuits", "", "comma-separated circuit subset (default: all four; a scenario runs on the first)")
 		workScale    = flag.Float64("workscale", 0, "work emulation factor (wall seconds per modeled second) for -hetero, -recovery and -serve (0 = the scenario's default)")
-		out          = flag.String("out", "results", "directory for figure CSV/SVG files and BENCH_*.json records")
+		out          = flag.String("out", "results", "directory for the BENCH_*.json records")
 		timeout      = flag.Duration("timeout", 0, "abort the sweep after this long (0 = unbounded)")
 		verbose      = flag.Bool("v", false, "print one line per completed run")
 		hotpath      = flag.Bool("hotpath", false, "measure the trial-evaluation hot path and write BENCH_hotpath.json")
@@ -122,42 +122,11 @@ func main() {
 		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 
-	drivers := map[string]func(bench.Opts) (*bench.Figure, error){
-		"5": bench.Fig5, "6": bench.Fig6, "7": bench.Fig7, "8": bench.Fig8,
-		"9": bench.Fig9, "10": bench.Fig10, "11": bench.Fig11,
+	rep, err := bench.Paper(opts, *fig)
+	if err != nil {
+		fatal(err)
 	}
-
-	var figs []*bench.Figure
-	if *fig == "all" {
-		all, err := bench.All(opts)
-		if err != nil {
-			fatal(err)
-		}
-		figs = all
-	} else {
-		d, ok := drivers[*fig]
-		if !ok {
-			fatal(fmt.Errorf("unknown figure %q (want 5..11 or all)", *fig))
-		}
-		f, err := d(opts)
-		if err != nil {
-			fatal(err)
-		}
-		figs = append(figs, f)
-	}
-
-	for _, f := range figs {
-		fmt.Println(bench.RenderASCII(f))
-		csvPath, err := bench.WriteCSV(f, *out)
-		if err != nil {
-			fatal(err)
-		}
-		svgPath, err := bench.WriteSVG(f, *out)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s and %s\n\n", csvPath, svgPath)
-	}
+	report(rep, *out)
 }
 
 // report writes rep into dir and prints it.

@@ -173,8 +173,9 @@
 // bench_test.go carries the per-figure benchmark harness. cmd/ptsbench
 // regenerates the figures and runs the scenario benchmarks, each writing
 // one results/BENCH_<name>.json record with its host, inputs and flat
-// records: `ptsbench -hotpath` measures the trial kernel,
-// `ptsbench -hetero` the adaptive-scheduling payoff,
+// records: `ptsbench -fig all` writes the paper's Figs. 5–11, exact in
+// the seeds, as BENCH_paper.json, `ptsbench -hotpath` measures the
+// trial kernel, `ptsbench -hetero` the adaptive-scheduling payoff,
 // `ptsbench -recovery` the worker-loss recovery payoff,
 // `ptsbench -serve` the serving scheduler's jobs/minute and latency, and
 // `ptsbench -sched` the scheduling workloads' search quality and

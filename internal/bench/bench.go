@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one driver per data figure
-// of the paper's evaluation section (Figures 5–11), plus ASCII and CSV
-// reporting. Every driver runs the parallel tabu search on the virtual
-// runtime, so results are deterministic in the seeds and independent of
-// the host machine.
+// of the paper's evaluation section (Figures 5–11) and the scenario
+// benchmarks, all reporting through one Report schema. Every figure
+// driver runs the parallel tabu search on the virtual runtime, so its
+// records are deterministic in the seeds and independent of the host
+// machine; Paper collects them into results/BENCH_paper.json.
 //
 // Figure inventory (`go run ./cmd/ptsbench -fig N` regenerates one):
 //
@@ -25,7 +26,6 @@ import (
 	"pts/internal/cost"
 	"pts/internal/netlist"
 	"pts/internal/rng"
-	"pts/internal/stats"
 )
 
 // Opts scales and seeds the experiments.
@@ -86,16 +86,6 @@ func (o Opts) scaled(n int, lo int) int {
 	return v
 }
 
-// Figure is one reproduced figure's data.
-type Figure struct {
-	ID     string
-	Title  string
-	XLabel string
-	YLabel string
-	Series []stats.Series
-	Notes  []string
-}
-
 // baseConfig is the shared parameter set of all figures; individual
 // drivers override the axes they sweep.
 func baseConfig(o Opts) core.Config {
@@ -138,18 +128,4 @@ func runOne(o Opts, label string, nl *netlist.Netlist, clus cluster.Cluster, cfg
 // seedFor derives the seed of one repeat of one experiment.
 func (o Opts) seedFor(fig, circuit string, repeat int) uint64 {
 	return rng.DeriveN(rng.Derive(o.Seed, "bench", fig, circuit), repeat)
-}
-
-// All runs every figure driver in paper order.
-func All(o Opts) ([]*Figure, error) {
-	drivers := []func(Opts) (*Figure, error){Fig5, Fig6, Fig7, Fig8, Fig9, Fig10, Fig11}
-	figs := make([]*Figure, 0, len(drivers))
-	for _, d := range drivers {
-		f, err := d(o)
-		if err != nil {
-			return figs, err
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
 }

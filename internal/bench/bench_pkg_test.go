@@ -2,15 +2,14 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"pts/internal/stats"
 )
 
 // tinyOpts keeps driver tests fast: the smallest circuit, minimal
@@ -60,24 +59,44 @@ func TestSeedForDistinct(t *testing.T) {
 	}
 }
 
-func TestFig5Shape(t *testing.T) {
-	f, err := Fig5(tinyOpts())
-	if err != nil {
+// runFigure runs one figure driver into an empty report and checks
+// that every record it emits belongs to layer.
+func runFigure(t *testing.T, driver func(Opts, *Report) error, o Opts, layer string) *Report {
+	t.Helper()
+	rep := &Report{}
+	if err := driver(o, rep); err != nil {
 		t.Fatal(err)
 	}
-	if f.ID != "fig05" || len(f.Series) != 1 {
-		t.Fatalf("figure shape wrong: %s, %d series", f.ID, len(f.Series))
-	}
-	s := f.Series[0]
-	if len(s.Points) != 4 {
-		t.Fatalf("want 4 CLW points, got %d", len(s.Points))
-	}
-	for i, p := range s.Points {
-		if p.X != float64(i+1) {
-			t.Errorf("x[%d] = %v", i, p.X)
+	for _, r := range rep.Records {
+		if r.Layer != layer {
+			t.Fatalf("record %+v outside layer %s", r, layer)
 		}
-		if p.Y <= 0 || p.Y >= 1 {
-			t.Errorf("quality %v outside (0,1)", p.Y)
+	}
+	return rep
+}
+
+// withMetric returns the records of rep with the given metric, in order.
+func withMetric(rep *Report, metric string) []Record {
+	var out []Record
+	for _, r := range rep.Records {
+		if r.Metric == metric {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func TestFig5Shape(t *testing.T) {
+	rep := runFigure(t, Fig5, tinyOpts(), "fig05")
+	if len(rep.Records) != 4 {
+		t.Fatalf("want 4 CLW records, got %d", len(rep.Records))
+	}
+	for i, r := range rep.Records {
+		if want := fmt.Sprintf("highway/clws=%d", i+1); r.Workload != want || r.Metric != "best_cost" {
+			t.Errorf("record %d = %s/%s, want %s/best_cost", i, r.Workload, r.Metric, want)
+		}
+		if r.Value <= 0 || r.Value >= 1 {
+			t.Errorf("quality %v outside (0,1)", r.Value)
 		}
 	}
 }
@@ -85,95 +104,75 @@ func TestFig5Shape(t *testing.T) {
 func TestFig6SpeedupBaseline(t *testing.T) {
 	o := tinyOpts()
 	o.Circuits = []string{"highway"} // intersect falls back to it
-	f, err := Fig6(o)
-	if err != nil {
-		t.Fatal(err)
+	rep := runFigure(t, Fig6, o, "fig06")
+	speedups := withMetric(rep, "speedup")
+	if len(speedups) != 4 {
+		t.Fatalf("want 4 speedup records, got %d", len(speedups))
 	}
-	for _, s := range f.Series {
-		if len(s.Points) != 4 {
-			t.Fatalf("want 4 points, got %d", len(s.Points))
+	// n=1 compares the baseline against itself: speedup exactly 1.
+	if r := speedups[0]; r.Workload != "highway/clws=1" || r.Value != 1 {
+		t.Errorf("baseline speedup should be 1 at n=1, got %+v", r)
+	}
+	for _, r := range speedups {
+		if r.Value <= 0 {
+			t.Errorf("nonpositive speedup %+v", r)
 		}
-		// n=1 compares the baseline against itself: speedup exactly 1.
-		if s.Points[0].X != 1 || s.Points[0].Y != 1 {
-			t.Errorf("baseline speedup should be 1 at n=1, got %+v", s.Points[0])
-		}
-		for _, p := range s.Points {
-			if p.Y <= 0 {
-				t.Errorf("nonpositive speedup %v", p.Y)
-			}
-		}
+	}
+	if v := value(t, rep, "fig06", "highway", "unreached_runs"); v < 0 || v > 4 {
+		t.Errorf("unreached runs = %v of 4", v)
 	}
 }
 
 func TestFig7Shape(t *testing.T) {
-	f, err := Fig7(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 1 || len(f.Series[0].Points) != 8 {
-		t.Fatalf("want 1 series with 8 points, got %d/%d",
-			len(f.Series), len(f.Series[0].Points))
+	rep := runFigure(t, Fig7, tinyOpts(), "fig07")
+	if len(rep.Records) != 8 || rep.Records[7].Workload != "highway/tsws=8" {
+		t.Fatalf("want 8 TSW records ending at tsws=8, got %+v", rep.Records)
 	}
 }
 
 func TestFig9TracePairs(t *testing.T) {
-	f, err := Fig9(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
+	rep := runFigure(t, Fig9, tinyOpts(), "fig09")
+	if len(rep.Records) != 6 {
+		t.Fatalf("want 3 records for each of div and nodiv, got %d", len(rep.Records))
 	}
-	if len(f.Series) != 2 {
-		t.Fatalf("want div+nodiv series, got %d", len(f.Series))
-	}
-	names := f.Series[0].Name + " " + f.Series[1].Name
-	if !strings.Contains(names, "/div") || !strings.Contains(names, "/nodiv") {
-		t.Fatalf("series misnamed: %s", names)
-	}
-	for _, s := range f.Series {
-		if len(s.Points) < 2 {
-			t.Fatalf("trace too short: %d points", len(s.Points))
+	for _, side := range []string{"highway/div", "highway/nodiv"} {
+		if v := value(t, rep, "fig09", side, "end_time_s"); v <= 0 {
+			t.Errorf("%s trace ends at %v", side, v)
+		}
+		final := value(t, rep, "fig09", side, "final_cost")
+		// One repeat: the median run is the only run.
+		if mean := value(t, rep, "fig09", side, "mean_final_cost"); final <= 0 || final >= 1 || mean != final {
+			t.Errorf("%s final cost %v, mean %v", side, final, mean)
 		}
 	}
 }
 
 func TestFig10BudgetSweep(t *testing.T) {
-	f, err := Fig10(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
+	rep := runFigure(t, Fig10, tinyOpts(), "fig10")
+	if len(rep.Records) < 3 {
+		t.Fatalf("too few budget splits: %d", len(rep.Records))
 	}
-	s := f.Series[0]
-	if len(s.Points) < 3 {
-		t.Fatalf("too few budget splits: %d", len(s.Points))
-	}
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].X <= s.Points[i-1].X {
+	prev := 0
+	for _, r := range rep.Records {
+		l, err := strconv.Atoi(strings.TrimPrefix(r.Workload, "highway/local="))
+		if err != nil {
+			t.Fatalf("workload %q: %v", r.Workload, err)
+		}
+		if l <= prev {
 			t.Fatal("local-iteration axis not increasing")
 		}
+		prev = l
 	}
 }
 
 func TestFig11HetVsHom(t *testing.T) {
-	f, err := Fig11(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 2 {
-		t.Fatalf("want het+hom, got %d series", len(f.Series))
-	}
-	var het, hom *stats.Series
-	for i := range f.Series {
-		if strings.HasSuffix(f.Series[i].Name, "/het") {
-			het = &f.Series[i]
-		}
-		if strings.HasSuffix(f.Series[i].Name, "/hom") {
-			hom = &f.Series[i]
-		}
-	}
-	if het == nil || hom == nil {
-		t.Fatal("missing series")
+	rep := runFigure(t, Fig11, tinyOpts(), "fig11")
+	if len(rep.Records) != 4 {
+		t.Fatalf("want final_cost and end_time_s for het and hom, got %d records", len(rep.Records))
 	}
 	// The paper's claim: het finishes earlier (same iteration budget).
-	hetEnd := het.Points[len(het.Points)-1].X
-	homEnd := hom.Points[len(hom.Points)-1].X
+	hetEnd := value(t, rep, "fig11", "highway/het", "end_time_s")
+	homEnd := value(t, rep, "fig11", "highway/hom", "end_time_s")
 	if hetEnd >= homEnd {
 		t.Fatalf("het end %v not earlier than hom end %v", hetEnd, homEnd)
 	}
@@ -183,66 +182,95 @@ func TestProgressCallback(t *testing.T) {
 	o := tinyOpts()
 	var lines []string
 	o.Progress = func(s string) { lines = append(lines, s) }
-	if _, err := Fig5(o); err != nil {
-		t.Fatal(err)
-	}
+	runFigure(t, Fig5, o, "fig05")
 	if len(lines) != 4 { // 4 CLW settings x 1 repeat x 1 circuit
 		t.Fatalf("progress lines = %d, want 4", len(lines))
 	}
 }
 
-func TestRenderASCII(t *testing.T) {
-	f, err := Fig5(tinyOpts())
+func TestPaper(t *testing.T) {
+	rep, err := Paper(tinyOpts(), "7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderASCII(f)
-	for _, want := range []string{"fig05", "highway", "legend:", "note:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ASCII output missing %q", want)
+	if rep.Scenario != "paper" || !strings.HasSuffix(rep.Note, "regenerate with: ptsbench -fig all") {
+		t.Errorf("header = %q, note %q", rep.Scenario, rep.Note)
+	}
+	for _, k := range []string{"figures", "scale", "repeats", "seed", "cluster_seed", "circuits"} {
+		if _, ok := rep.Inputs[k]; !ok {
+			t.Errorf("input %q missing from %v", k, rep.Inputs)
 		}
 	}
-	// Trace-style figures use the summary table.
-	f9, err := Fig9(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
+	if figs := rep.Inputs["figures"].([]string); !reflect.DeepEqual(figs, []string{"fig07"}) {
+		t.Errorf("figures = %v", figs)
 	}
-	out9 := RenderASCII(f9)
-	if !strings.Contains(out9, "final") {
-		t.Errorf("trace figure should use the summary table:\n%s", out9)
+	if len(rep.Records) != 8 || rep.Records[0].Layer != "fig07" {
+		t.Errorf("records = %+v", rep.Records)
 	}
-}
-
-func TestRenderEmptyFigure(t *testing.T) {
-	f := &Figure{ID: "x", Title: "empty"}
-	if out := RenderASCII(f); !strings.Contains(out, "(no data)") {
-		t.Errorf("empty figure render: %q", out)
+	if _, err := Paper(tinyOpts(), "12"); err == nil {
+		t.Error("unknown figure accepted")
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	f, err := Fig5(tinyOpts())
+// TestPaperRecordClaims reads the committed paper record, without
+// rerunning the sweep, and checks the claims of the paper it
+// reproduces; results/bench_paper.md describes the ones it does not.
+func TestPaperRecordClaims(t *testing.T) {
+	rep, err := Read(filepath.Join("..", "..", "results", "BENCH_paper.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path, err := WriteCSV(f, dir)
-	if err != nil {
-		t.Fatal(err)
+	circuits, _ := rep.Inputs["circuits"].([]any)
+	if len(circuits) != 4 {
+		t.Fatalf("record covers circuits %v, want all four", rep.Inputs["circuits"])
 	}
-	if filepath.Base(path) != "fig05.csv" {
-		t.Errorf("path = %s", path)
+	for _, c := range circuits {
+		name := c.(string)
+		// Fig. 5: more CLWs never make the best cost worse.
+		prev := math.Inf(1)
+		for clws := 1; clws <= 4; clws++ {
+			v := value(t, rep, "fig05", fmt.Sprintf("%s/clws=%d", name, clws), "best_cost")
+			if v > prev {
+				t.Errorf("fig05 %s: best cost rises to %v at %d CLWs (was %v)", name, v, clws, prev)
+			}
+			prev = v
+		}
+		// Fig. 11: the heterogeneous (half-sync) run finishes first.
+		het := value(t, rep, "fig11", name+"/het", "end_time_s")
+		hom := value(t, rep, "fig11", name+"/hom", "end_time_s")
+		if het >= hom {
+			t.Errorf("fig11 %s: het ends at %vs, not before hom at %vs", name, het, hom)
+		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Figs. 6 and 8: one worker is its own baseline.
+	for _, fig := range []struct{ layer, axis string }{{"fig06", "clws"}, {"fig08", "tsws"}} {
+		for _, name := range []string{"c532", "c3540"} {
+			if v := value(t, rep, fig.layer, name+"/"+fig.axis+"=1", "speedup"); v != 1 {
+				t.Errorf("%s %s: speedup %v at n = 1", fig.layer, name, v)
+			}
+		}
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if lines[0] != "series,x,y" {
-		t.Errorf("header = %q", lines[0])
+}
+
+func TestRender(t *testing.T) {
+	rep := &Report{
+		Scenario: "paper", GoVersion: "go1.24.0", GOMAXPROCS: 2, NumCPU: 2,
+		Inputs: map[string]any{"seed": 2003},
+		Records: []Record{
+			{Layer: "fig10", Workload: "highway/local=160", Metric: "best_cost", Value: 0.25},
+			{Layer: "kernel", Workload: "c532", Metric: "ns_per_trial", Value: 40, Stddev: 2},
+		},
+		Baseline: []Record{{Layer: "fig10", Workload: "highway/local=160", Metric: "best_cost", Value: 0.5}},
 	}
-	if len(lines) != 1+4 {
-		t.Errorf("want 5 lines, got %d", len(lines))
+	lines := strings.Split(strings.TrimSuffix(Render(rep), "\n"), "\n")
+	want := []string{
+		"paper (go1.24.0, GOMAXPROCS=2, NumCPU=2)",
+		"inputs map[seed:2003]",
+		"  fig10    highway/local=160  best_cost                        0.25   (baseline 0.5, 0.50x)",
+		"  kernel   c532               ns_per_trial                       40 ± 2",
+	}
+	if !reflect.DeepEqual(lines, want) {
+		t.Errorf("Render:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -434,23 +462,38 @@ func TestHotpathBaselineAndGuard(t *testing.T) {
 		t.Errorf("round trip:\n got %s\nwant %s", got, want)
 	}
 
-	if _, err := HotpathGuard(back, "highway", 0.99); err != nil {
-		t.Errorf("guard at 99%% tolerance: %v", err)
+	// The guard runs on records built here rather than measured, so a
+	// runtime allocation landing in a timed window cannot fail it.
+	kernel := func(metric string, v float64) Record {
+		return Record{Layer: "kernel", Workload: "highway", Metric: metric, Value: v}
 	}
-	inflated := *back
-	inflated.Baseline = append([]Record(nil), back.Baseline...)
-	find(inflated.Baseline, "kernel", "highway", "trials_per_sec").Value *= 1000
-	if _, err := HotpathGuard(&inflated, "highway", 0.10); err == nil || !strings.Contains(err.Error(), "REGRESSION") {
-		t.Errorf("guard on an inflated baseline: %v", err)
-	}
-	allocating := *back
-	allocating.Records = append([]Record(nil), back.Records...)
-	find(allocating.Records, "kernel", "highway", "allocs_per_trial").Value = 0.5
-	if _, err := HotpathGuard(&allocating, "highway", 0.99); err == nil || !strings.Contains(err.Error(), "allocates") {
-		t.Errorf("guard on nonzero allocs: %v", err)
-	}
-	if _, err := HotpathGuard(back, "c532", 0.10); err == nil {
-		t.Error("guard passed on a circuit missing from the records")
+	for _, tc := range []struct {
+		name     string
+		circuits string
+		allocs   float64
+		baseline []Record
+		wantErr  string // "" = the guard passes
+	}{
+		{"pass", "highway", 0, []Record{kernel("trials_per_sec", 1.05e7)}, ""},
+		{"first run", "highway", 0, nil, ""},
+		{"regression", "highway", 0, []Record{kernel("trials_per_sec", 2e7)}, "REGRESSION"},
+		{"allocates", "highway", 0.5, []Record{kernel("trials_per_sec", 1e7)}, "allocates"},
+		{"missing circuit", "c532", 0, []Record{kernel("trials_per_sec", 1e7)}, "not in results"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := &Report{
+				Records:  []Record{kernel("trials_per_sec", 1e7), kernel("allocs_per_trial", tc.allocs)},
+				Baseline: tc.baseline,
+			}
+			msg, err := HotpathGuard(rep, tc.circuits, 0.10)
+			if tc.wantErr == "" {
+				if err != nil || !strings.HasPrefix(msg, "hotpath guard: highway") {
+					t.Errorf("guard = %q, %v; want a pass", msg, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("guard error = %v, want %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

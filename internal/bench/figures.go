@@ -2,74 +2,99 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"pts/internal/core"
 	"pts/internal/netlist"
 	"pts/internal/stats"
 )
 
+// paperFigures are the figure drivers in paper order, keyed by the
+// number ptsbench -fig takes.
+var paperFigures = []struct {
+	n   int
+	run func(Opts, *Report) error
+}{
+	{5, Fig5}, {6, Fig6}, {7, Fig7}, {8, Fig8}, {9, Fig9}, {10, Fig10}, {11, Fig11},
+}
+
+// Paper runs one figure driver (fig "5".."11") or all of them in paper
+// order (fig "all") into one report of the paper scenario. Each
+// record's Layer is its figure (fig05 … fig11).
+func Paper(o Opts, fig string) (*Report, error) {
+	o = o.withDefaults()
+	var figures []string
+	var drivers []func(Opts, *Report) error
+	for _, f := range paperFigures {
+		if fig == "all" || fig == strconv.Itoa(f.n) {
+			figures = append(figures, fmt.Sprintf("fig%02d", f.n))
+			drivers = append(drivers, f.run)
+		}
+	}
+	if len(drivers) == 0 {
+		return nil, fmt.Errorf("bench: unknown figure %q (want 5..11 or all)", fig)
+	}
+	rep := newReport("paper", "the paper's Figs. 5-11 on the virtual 12-machine testbed; every value is exact in the seeds",
+		map[string]any{"figures": figures, "scale": o.Scale, "repeats": o.Repeats,
+			"seed": o.Seed, "cluster_seed": o.ClusterSeed, "circuits": o.Circuits})
+	for _, d := range drivers {
+		if err := d(o, rep); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
 // Fig5 reproduces Figure 5: effect of the number of CLWs (low-level
 // parallelization) on the best solution quality, with 4 TSWs, for every
-// circuit. One series per circuit: x = #CLWs, y = mean best cost.
-func Fig5(o Opts) (*Figure, error) {
+// circuit. One best_cost record per circuit and CLW count
+// (<circuit>/clws=<n>), the mean over the repeats. The paper: more CLWs
+// improve quality, and the tiny highway saturates.
+func Fig5(o Opts, out *Report) error {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID:     "fig05",
-		Title:  "Effect of number of CLWs on solution quality (TSWs=4)",
-		XLabel: "CLWs per TSW",
-		YLabel: "best fuzzy cost (lower is better)",
-	}
 	clus := o.testbed()
 	for _, name := range o.Circuits {
 		nl, err := netlist.Benchmark(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s := stats.Series{Name: name}
 		for clws := 1; clws <= 4; clws++ {
-			var acc stats.Accumulator
+			var costs []float64
 			for rep := 0; rep < o.Repeats; rep++ {
 				cfg := baseConfig(o)
 				cfg.TSWs, cfg.CLWs = 4, clws
 				cfg.Seed = o.seedFor("fig5", name, rep)
 				res, err := runOne(o, fmt.Sprintf("fig5 %s clw=%d rep=%d", name, clws, rep), nl, clus, cfg)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				acc.Add(res.BestCost)
+				costs = append(costs, res.BestCost)
 			}
-			s.Add(float64(clws), acc.Mean())
+			out.add("fig05", fmt.Sprintf("%s/clws=%d", name, clws), "best_cost", runningMean(costs))
 		}
-		fig.Series = append(fig.Series, s)
 	}
-	fig.Notes = append(fig.Notes,
-		"paper: more CLWs improve quality; tiny 'highway' saturates around 2 CLWs")
-	return fig, nil
+	return nil
 }
 
 // speedupFigure is the shared engine of Figures 6 and 8: sweep a worker
 // axis, define the quality target x per (circuit, repeat) as the final
-// best of the 1-worker baseline, and report mean speedup
-// t(1,x)/t(n,x).
-func speedupFigure(o Opts, id, title, xlabel, figKey string, circuits []string,
-	ns []int, configure func(cfg *core.Config, n int)) (*Figure, error) {
+// best of the 1-worker baseline, and record the mean speedup
+// t(1,x)/t(n,x) as <circuit>/<axis>=<n>. Each circuit also records how
+// many of its runs never reached x (unreached_runs); their speedup is
+// a lower bound taken at the end of the run.
+func speedupFigure(o Opts, out *Report, layer, axis, figKey string, circuits []string,
+	ns []int, configure func(cfg *core.Config, n int)) error {
 
-	fig := &Figure{
-		ID:     id,
-		Title:  title,
-		XLabel: xlabel,
-		YLabel: "speedup t(1,x)/t(n,x)",
-	}
 	clus := o.testbed()
-	unreached := 0
 	for _, name := range circuits {
 		nl, err := netlist.Benchmark(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Per repeat: run the whole sweep with one seed, using the n=1
 		// run as both the baseline trace and the target definition.
 		speedups := make([][]float64, len(ns))
+		unreached := 0
 		for rep := 0; rep < o.Repeats; rep++ {
 			seed := o.seedFor(figKey, name, rep)
 			var base *core.Result
@@ -80,7 +105,7 @@ func speedupFigure(o Opts, id, title, xlabel, figKey string, circuits []string,
 				configure(&cfg, n)
 				res, err := runOne(o, fmt.Sprintf("%s %s n=%d rep=%d", figKey, name, n, rep), nl, clus, cfg)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				results[i] = res
 				if n == 1 {
@@ -88,7 +113,7 @@ func speedupFigure(o Opts, id, title, xlabel, figKey string, circuits []string,
 				}
 			}
 			if base == nil {
-				return nil, fmt.Errorf("bench: %s: sweep lacks the n=1 baseline", figKey)
+				return fmt.Errorf("bench: %s: sweep lacks the n=1 baseline", figKey)
 			}
 			x := base.BestCost // quality target: what one worker achieved
 			for i := range ns {
@@ -99,115 +124,85 @@ func speedupFigure(o Opts, id, title, xlabel, figKey string, circuits []string,
 				speedups[i] = append(speedups[i], sp)
 			}
 		}
-		s := stats.Series{Name: name}
 		for i, n := range ns {
-			s.Add(float64(n), stats.Mean(speedups[i]))
+			out.add(layer, fmt.Sprintf("%s/%s=%d", name, axis, n), "speedup", stats.Mean(speedups[i]))
 		}
-		fig.Series = append(fig.Series, s)
+		out.add(layer, name, "unreached_runs", float64(unreached))
 	}
-	if unreached > 0 {
-		fig.Notes = append(fig.Notes, fmt.Sprintf(
-			"%d run(s) did not reach the baseline quality; their speedup is a lower bound (end-of-run time used)", unreached))
-	}
-	return fig, nil
+	return nil
 }
 
 // Fig6 reproduces Figure 6: speedup in reaching a fixed solution
 // quality for 1..4 CLWs (TSWs=4), on the two circuits the paper plots.
-func Fig6(o Opts) (*Figure, error) {
+// The paper: speedup grows with CLWs, steeper for larger circuits.
+func Fig6(o Opts, out *Report) error {
 	o = o.withDefaults()
-	circuits := intersect(o.Circuits, []string{"c532", "c3540"})
-	fig, err := speedupFigure(o, "fig06",
-		"Speedup to reach cost < x vs number of CLWs (TSWs=4)",
-		"CLWs per TSW", "fig6", circuits, []int{1, 2, 3, 4},
-		func(cfg *core.Config, n int) { cfg.TSWs, cfg.CLWs = 4, n })
-	if err != nil {
-		return nil, err
-	}
-	fig.Notes = append(fig.Notes, "paper: speedup grows with CLWs, steeper for larger circuits")
-	return fig, nil
+	return speedupFigure(o, out, "fig06", "clws", "fig6", intersect(o.Circuits, []string{"c532", "c3540"}),
+		[]int{1, 2, 3, 4}, func(cfg *core.Config, n int) { cfg.TSWs, cfg.CLWs = 4, n })
 }
 
 // Fig7 reproduces Figure 7: effect of the number of TSWs (high-level
 // parallelization) on the best solution quality, with 1 CLW per TSW.
-func Fig7(o Opts) (*Figure, error) {
+// One best_cost record per circuit and TSW count (<circuit>/tsws=<n>).
+// The paper: adding TSWs beyond 4 is not useful.
+func Fig7(o Opts, out *Report) error {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID:     "fig07",
-		Title:  "Effect of number of TSWs on solution quality (CLWs=1)",
-		XLabel: "TSWs",
-		YLabel: "best fuzzy cost (lower is better)",
-	}
 	clus := o.testbed()
 	for _, name := range o.Circuits {
 		nl, err := netlist.Benchmark(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s := stats.Series{Name: name}
 		for tsws := 1; tsws <= 8; tsws++ {
-			var acc stats.Accumulator
+			var costs []float64
 			for rep := 0; rep < o.Repeats; rep++ {
 				cfg := baseConfig(o)
 				cfg.TSWs, cfg.CLWs = tsws, 1
 				cfg.Seed = o.seedFor("fig7", name, rep)
 				res, err := runOne(o, fmt.Sprintf("fig7 %s tsw=%d rep=%d", name, tsws, rep), nl, clus, cfg)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				acc.Add(res.BestCost)
+				costs = append(costs, res.BestCost)
 			}
-			s.Add(float64(tsws), acc.Mean())
+			out.add("fig07", fmt.Sprintf("%s/tsws=%d", name, tsws), "best_cost", runningMean(costs))
 		}
-		fig.Series = append(fig.Series, s)
 	}
-	fig.Notes = append(fig.Notes, "paper: adding TSWs beyond 4 is not useful")
-	return fig, nil
+	return nil
 }
 
 // Fig8 reproduces Figure 8: speedup in reaching a fixed solution
 // quality for 1..8 TSWs (CLWs=1), on the two circuits the paper plots.
-func Fig8(o Opts) (*Figure, error) {
+// The paper: speedup peaks near 4 TSWs (the critical point) and
+// degrades beyond.
+func Fig8(o Opts, out *Report) error {
 	o = o.withDefaults()
-	circuits := intersect(o.Circuits, []string{"c532", "c3540"})
-	fig, err := speedupFigure(o, "fig08",
-		"Speedup to reach cost < x vs number of TSWs (CLWs=1)",
-		"TSWs", "fig8", circuits, []int{1, 2, 3, 4, 5, 6, 7, 8},
-		func(cfg *core.Config, n int) { cfg.TSWs, cfg.CLWs = n, 1 })
-	if err != nil {
-		return nil, err
-	}
-	fig.Notes = append(fig.Notes, "paper: speedup peaks near 4 TSWs (critical point), degrades beyond")
-	return fig, nil
+	return speedupFigure(o, out, "fig08", "tsws", "fig8", intersect(o.Circuits, []string{"c532", "c3540"}),
+		[]int{1, 2, 3, 4, 5, 6, 7, 8}, func(cfg *core.Config, n int) { cfg.TSWs, cfg.CLWs = n, 1 })
 }
 
-// Fig9 reproduces Figure 9: effect of the TSW diversification step.
-// Two best-cost traces per circuit (4 TSWs, 1 CLW): diversified vs
-// non-diversified. The x axis is virtual time.
-func Fig9(o Opts) (*Figure, error) {
+// Fig9 reproduces Figure 9: effect of the TSW diversification step,
+// 4 TSWs x 1 CLW, diversified (<circuit>/div) vs not (<circuit>/nodiv).
+// Traces from different seeds cannot be averaged pointwise, so each
+// side records the final_cost and end_time_s (virtual seconds) of the
+// repeat with the median final cost, plus the mean_final_cost over the
+// repeats. The paper: the diversified run significantly outperforms the
+// non-diversified one.
+func Fig9(o Opts, out *Report) error {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID:     "fig09",
-		Title:  "Effect of diversification (TSWs=4, CLWs=1)",
-		XLabel: "virtual time (s)",
-		YLabel: "best fuzzy cost",
-	}
 	clus := o.testbed()
 	for _, name := range o.Circuits {
 		nl, err := netlist.Benchmark(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		finals := map[string][]float64{}
 		for _, div := range []bool{true, false} {
 			label := "div"
 			if !div {
 				label = "nodiv"
 			}
-			// Traces from different seeds cannot be averaged pointwise:
-			// plot the repeat with the median final cost and report the
-			// mean finals in the notes.
 			results := make([]*core.Result, 0, o.Repeats)
+			var finals []float64
 			for rep := 0; rep < o.Repeats; rep++ {
 				cfg := baseConfig(o)
 				cfg.TSWs, cfg.CLWs = 4, 1
@@ -218,23 +213,31 @@ func Fig9(o Opts) (*Figure, error) {
 				cfg.Seed = o.seedFor("fig9", name, rep)
 				res, err := runOne(o, fmt.Sprintf("fig9 %s %s rep=%d", name, label, rep), nl, clus, cfg)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				results = append(results, res)
-				finals[label] = append(finals[label], res.BestCost)
+				finals = append(finals, res.BestCost)
 			}
 			med := medianResult(results)
-			s := stats.Series{Name: name + "/" + label}
-			for _, p := range med.Trace.Points {
-				s.Add(p.Time, p.Cost)
-			}
-			fig.Series = append(fig.Series, s)
+			workload := name + "/" + label
+			out.add("fig09", workload, "final_cost", med.Trace.Final())
+			out.add("fig09", workload, "end_time_s", med.Trace.End())
+			out.add("fig09", workload, "mean_final_cost", stats.Mean(finals))
 		}
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: mean final cost div=%.4f nodiv=%.4f over %d seed(s)",
-			name, stats.Mean(finals["div"]), stats.Mean(finals["nodiv"]), o.Repeats))
 	}
-	fig.Notes = append(fig.Notes, "paper: the diversified run significantly outperforms the non-diversified run")
-	return fig, nil
+	return nil
+}
+
+// runningMean is the mean of xs in Welford's update order, the order
+// Figures 5, 7 and 10 have always averaged their best costs in.
+// stats.Mean sums first, which moves 21 of their 72 committed values by
+// one ulp; the speedups and Figure 9's means were always stats.Mean.
+func runningMean(xs []float64) float64 {
+	m := 0.0
+	for i, x := range xs {
+		m += (x - m) / float64(i+1)
+	}
+	return m
 }
 
 // medianResult returns the run whose final best cost is the median of
@@ -251,16 +254,12 @@ func medianResult(rs []*core.Result) *core.Result {
 
 // Fig10 reproduces Figure 10: trading global iterations (more
 // diversification) against local iterations (more local investigation)
-// at a fixed total budget. x = local iterations per global iteration,
-// y = mean best cost; one series per circuit.
-func Fig10(o Opts) (*Figure, error) {
+// at a fixed total budget. One best_cost record per circuit and split,
+// keyed by the local iterations per global iteration
+// (<circuit>/local=<n>). The paper draws no general conclusion: the
+// best split is instance-dependent.
+func Fig10(o Opts, out *Report) error {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID:     "fig10",
-		Title:  "Local versus global iterations at fixed budget",
-		XLabel: "local iterations per global iteration",
-		YLabel: "best fuzzy cost",
-	}
 	// Budget = G*L constant; the paper decreases G while increasing L.
 	// The extremes bracket the sweet spot: G=64 leaves only a handful of
 	// local iterations per round, G=2 almost never synchronizes or
@@ -274,15 +273,14 @@ func Fig10(o Opts) (*Figure, error) {
 	for _, name := range o.Circuits {
 		nl, err := netlist.Benchmark(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s := stats.Series{Name: name}
 		for _, gl := range splits {
 			g, l := gl[0], gl[1]
 			if l < 1 {
 				continue
 			}
-			var acc stats.Accumulator
+			var costs []float64
 			for rep := 0; rep < o.Repeats; rep++ {
 				cfg := baseConfig(o)
 				cfg.TSWs, cfg.CLWs = 4, 1
@@ -290,34 +288,30 @@ func Fig10(o Opts) (*Figure, error) {
 				cfg.Seed = o.seedFor("fig10", name, rep)
 				res, err := runOne(o, fmt.Sprintf("fig10 %s G=%d L=%d rep=%d", name, g, l, rep), nl, clus, cfg)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				acc.Add(res.BestCost)
+				costs = append(costs, res.BestCost)
 			}
-			s.Add(float64(l), acc.Mean())
+			out.add("fig10", fmt.Sprintf("%s/local=%d", name, l), "best_cost", runningMean(costs))
 		}
-		fig.Series = append(fig.Series, s)
 	}
-	fig.Notes = append(fig.Notes, "paper: no general conclusion — the best split is instance-dependent")
-	return fig, nil
+	return nil
 }
 
 // Fig11 reproduces Figure 11: best cost versus runtime for the
-// heterogeneous (half-sync) and homogeneous (full barrier) collection
-// modes, 4 TSWs x 4 CLWs on the 12-machine testbed.
-func Fig11(o Opts) (*Figure, error) {
+// heterogeneous (half-sync, <circuit>/het) and homogeneous (full
+// barrier, <circuit>/hom) collection modes, 4 TSWs x 4 CLWs on the
+// 12-machine testbed. Each side records its run's final_cost and
+// end_time_s (virtual seconds). The paper: same final quality, the
+// heterogeneous run finishes markedly earlier and is never worse at the
+// end.
+func Fig11(o Opts, out *Report) error {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID:     "fig11",
-		Title:  "Best cost vs runtime: heterogeneous (half-sync) vs homogeneous collection (TSWs=4, CLWs=4)",
-		XLabel: "virtual time (s)",
-		YLabel: "best fuzzy cost",
-	}
 	clus := o.testbed()
 	for _, name := range o.Circuits {
 		nl, err := netlist.Benchmark(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, half := range []bool{true, false} {
 			cfg := baseConfig(o)
@@ -337,18 +331,13 @@ func Fig11(o Opts) (*Figure, error) {
 			}
 			res, err := runOne(o, fmt.Sprintf("fig11 %s %s", name, label), nl, clus, cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			s := stats.Series{Name: name + "/" + label}
-			for _, p := range res.Trace.Points {
-				s.Add(p.Time, p.Cost)
-			}
-			fig.Series = append(fig.Series, s)
+			out.add("fig11", name+"/"+label, "final_cost", res.Trace.Final())
+			out.add("fig11", name+"/"+label, "end_time_s", res.Trace.End())
 		}
 	}
-	fig.Notes = append(fig.Notes,
-		"paper: same final quality, heterogeneous run finishes markedly earlier and is never worse at the end")
-	return fig, nil
+	return nil
 }
 
 // intersect keeps the elements of want that are present in have,

@@ -32,10 +32,11 @@ type Report struct {
 }
 
 // Record is one measured number. Layer names the part of the stack it
-// measures (kernel, search, engine, serve, instance), Workload the
-// circuit, instance or side of a comparison. Windows is set on best-of-K
-// measurements, whose Value is the fastest window and Stddev the spread
-// across the K windows.
+// measures (kernel, search, engine, serve, instance) or the paper's
+// figure (fig05 … fig11), Workload the circuit, instance, side of a
+// comparison or a figure's circuit and x value. Windows is set on
+// best-of-K measurements, whose Value is the fastest window and Stddev
+// the spread across the K windows.
 type Record struct {
 	Layer    string  `json:"layer"`
 	Workload string  `json:"workload"`
@@ -47,9 +48,13 @@ type Record struct {
 
 // newReport stamps the host header on an empty report.
 func newReport(scenario, note string, inputs map[string]any) *Report {
+	regen := "ptsbench -" + scenario
+	if scenario == "paper" {
+		regen = "ptsbench -fig all" // the figures' flag is -fig
+	}
 	return &Report{
 		Scenario:    scenario,
-		Note:        note + "; regenerate with: ptsbench -" + scenario,
+		Note:        note + "; regenerate with: " + regen,
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
@@ -113,7 +118,7 @@ func Render(rep *Report) string {
 	fmt.Fprintf(&sb, "%s (%s, GOMAXPROCS=%d, NumCPU=%d)\n", rep.Scenario, rep.GoVersion, rep.GOMAXPROCS, rep.NumCPU)
 	fmt.Fprintf(&sb, "inputs %v\n", rep.Inputs)
 	for _, r := range rep.Records {
-		fmt.Fprintf(&sb, "  %-8s %-16s %-22s %14.6g", r.Layer, r.Workload, r.Metric, r.Value)
+		fmt.Fprintf(&sb, "  %-8s %-18s %-22s %14.6g", r.Layer, r.Workload, r.Metric, r.Value)
 		if r.Stddev > 0 {
 			fmt.Fprintf(&sb, " ± %.3g", r.Stddev)
 		}

@@ -147,9 +147,6 @@ func (nl *Netlist) TopoOrder() []CellID { return nl.order }
 // Level returns the topological level of cell c (0 for primary inputs).
 func (nl *Netlist) Level(c CellID) int32 { return nl.level[c] }
 
-// MaxLevel returns the deepest topological level.
-func (nl *Netlist) MaxLevel() int32 { return nl.maxLevel }
-
 // TotalWidth returns the sum of all cell widths.
 func (nl *Netlist) TotalWidth() int {
 	w := 0

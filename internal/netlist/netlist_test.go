@@ -61,8 +61,8 @@ func TestLevelize(t *testing.T) {
 	if nl.Level(2) != 1 || nl.Level(3) != 1 {
 		t.Errorf("gates should be level 1, got %d %d", nl.Level(2), nl.Level(3))
 	}
-	if nl.Level(4) != 2 || nl.MaxLevel() != 2 {
-		t.Errorf("po0 level = %d, max = %d", nl.Level(4), nl.MaxLevel())
+	if nl.Level(4) != 2 {
+		t.Errorf("po0 level = %d", nl.Level(4))
 	}
 	order := nl.TopoOrder()
 	pos := make(map[CellID]int)

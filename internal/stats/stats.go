@@ -1,13 +1,10 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: summary statistics, online accumulators, data
-// series, and best-cost-versus-time traces with the "time to reach
-// quality x" query that the paper's speedup definition needs.
+// experiment harness: the mean, integer histograms, and
+// best-cost-versus-time traces with the "time to reach quality x" query
+// that the paper's speedup definition needs.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
 func Mean(xs []float64) float64 {
@@ -19,163 +16,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (NaN if len < 2).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs, or NaN for an empty slice.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It copies xs and leaves the
-// input unmodified. Returns NaN for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Accumulator computes running mean and variance using Welford's
-// algorithm. The zero value is an empty accumulator ready to use.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds x into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of samples added.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean (NaN when empty).
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.mean
-}
-
-// Variance returns the unbiased running variance (NaN when n < 2).
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return math.NaN()
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest sample seen (NaN when empty).
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest sample seen (NaN when empty).
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
-}
-
-// Point is one (x, y) sample of a series.
-type Point struct {
-	X, Y float64
-}
-
-// Series is a named sequence of points, ordered by X, used for figure
-// data (e.g. quality versus number of workers).
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a point to the series.
-func (s *Series) Add(x, y float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y})
-}
-
-// Ys returns the Y values of the series in order.
-func (s *Series) Ys() []float64 {
-	ys := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		ys[i] = p.Y
-	}
-	return ys
 }

@@ -46,20 +46,10 @@ func (l *List) IsTabu(at Attribute, iter int64) bool {
 	return ok && iter < e
 }
 
-// AnyTabu reports whether any attribute of the list is tabu at iter; the
-// paper's TSW rejects a compound move if its move (any of its swaps)
-// is tabu.
-func (l *List) AnyTabu(attrs []Attribute, iter int64) bool {
-	for _, at := range attrs {
-		if l.IsTabu(at, iter) {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyTabuSwaps is AnyTabu over a swap sequence, deriving each attribute
-// in place so the per-iteration selection path allocates nothing.
+// AnyTabuSwaps reports whether any swap of a compound move is tabu at
+// iter; the paper's TSW rejects a compound move if any of its swaps is
+// tabu. Each attribute is derived in place, so the per-iteration
+// selection path allocates nothing.
 func (l *List) AnyTabuSwaps(swaps []Swap, iter int64) bool {
 	for _, s := range swaps {
 		if l.IsTabu(s.Attribute(), iter) {

@@ -46,14 +46,17 @@ func TestListAddNeverShortens(t *testing.T) {
 func TestAnyTabu(t *testing.T) {
 	l := NewList()
 	l.Add(Attr(1, 2), 10)
-	if !l.AnyTabu([]Attribute{Attr(7, 8), Attr(1, 2)}, 5) {
-		t.Error("AnyTabu missed tabu attr")
+	if !l.AnyTabuSwaps([]Swap{{A: 7, B: 8}, {A: 2, B: 1}}, 5) {
+		t.Error("AnyTabuSwaps missed a tabu swap")
 	}
-	if l.AnyTabu([]Attribute{Attr(7, 8)}, 5) {
-		t.Error("AnyTabu false positive")
+	if l.AnyTabuSwaps([]Swap{{A: 7, B: 8}}, 5) {
+		t.Error("AnyTabuSwaps false positive")
 	}
-	if l.AnyTabu(nil, 5) {
-		t.Error("AnyTabu on empty list")
+	if l.AnyTabuSwaps([]Swap{{A: 1, B: 2}}, 10) {
+		t.Error("AnyTabuSwaps after the tenure expired")
+	}
+	if l.AnyTabuSwaps(nil, 5) {
+		t.Error("AnyTabuSwaps on an empty move")
 	}
 }
 

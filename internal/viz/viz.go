@@ -1,110 +1,13 @@
-// Package viz renders placements and experiment figures as SVG with
-// nothing but the standard library. The ptsbench CLI uses it to emit
-// vector versions of every reproduced figure, and the pts CLI to draw
-// the final placement heat map.
+// Package viz renders a placement as an SVG heat map with nothing but
+// the standard library; the pts CLI uses it to draw the final placement.
 package viz
 
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"pts/internal/placement"
-	"pts/internal/stats"
 )
-
-// palette cycles through visually distinct series colors.
-var palette = []string{
-	"#1b6ca8", "#d1495b", "#66a182", "#edae49",
-	"#8d5a97", "#00798c", "#a44a3f", "#2e4057",
-}
-
-// Chart describes a line chart to render.
-type Chart struct {
-	Title  string
-	XLabel string
-	YLabel string
-	Series []stats.Series
-	// W and H are the pixel dimensions (defaults 720x420).
-	W, H int
-}
-
-// WriteChartSVG renders the chart as a standalone SVG document.
-func WriteChartSVG(w io.Writer, c Chart) error {
-	if c.W <= 0 {
-		c.W = 720
-	}
-	if c.H <= 0 {
-		c.H = 420
-	}
-	const marginL, marginR, marginT, marginB = 64, 16, 36, 46
-	plotW := float64(c.W - marginL - marginR)
-	plotH := float64(c.H - marginT - marginB)
-
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, s := range c.Series {
-		for _, p := range s.Points {
-			minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-			minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-		}
-	}
-	if math.IsInf(minX, 1) {
-		minX, maxX, minY, maxY = 0, 1, 0, 1
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	px := func(x float64) float64 { return float64(marginL) + (x-minX)/(maxX-minX)*plotW }
-	py := func(y float64) float64 { return float64(marginT) + (maxY-y)/(maxY-minY)*plotH }
-
-	b := &errWriter{w: w}
-	b.printf(`<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`+"\n", c.W, c.H)
-	b.printf(`<rect width="%d" height="%d" fill="white"/>`+"\n", c.W, c.H)
-	b.printf(`<text x="%d" y="20" font-size="14" font-weight="bold">%s</text>`+"\n", marginL, xmlEscape(c.Title))
-
-	// Axes with 5 ticks each.
-	b.printf(`<g stroke="#888" stroke-width="1">` + "\n")
-	b.printf(`<line x1="%d" y1="%d" x2="%d" y2="%d"/>`+"\n", marginL, marginT, marginL, c.H-marginB)
-	b.printf(`<line x1="%d" y1="%d" x2="%d" y2="%d"/>`+"\n", marginL, c.H-marginB, c.W-marginR, c.H-marginB)
-	b.printf(`</g>` + "\n")
-	for i := 0; i <= 4; i++ {
-		fx := minX + (maxX-minX)*float64(i)/4
-		fy := minY + (maxY-minY)*float64(i)/4
-		b.printf(`<text x="%.1f" y="%d" text-anchor="middle" fill="#444">%.3g</text>`+"\n",
-			px(fx), c.H-marginB+16, fx)
-		b.printf(`<text x="%d" y="%.1f" text-anchor="end" fill="#444">%.3g</text>`+"\n",
-			marginL-6, py(fy)+4, fy)
-		b.printf(`<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="#eee"/>`+"\n",
-			px(fx), marginT, px(fx), c.H-marginB)
-	}
-	b.printf(`<text x="%.1f" y="%d" text-anchor="middle" fill="#222">%s</text>`+"\n",
-		float64(marginL)+plotW/2, c.H-10, xmlEscape(c.XLabel))
-	b.printf(`<text x="14" y="%.1f" text-anchor="middle" fill="#222" transform="rotate(-90 14 %.1f)">%s</text>`+"\n",
-		float64(marginT)+plotH/2, float64(marginT)+plotH/2, xmlEscape(c.YLabel))
-
-	// Series polylines + markers.
-	for si, s := range c.Series {
-		color := palette[si%len(palette)]
-		b.printf(`<polyline fill="none" stroke="%s" stroke-width="1.8" points="`, color)
-		for _, p := range s.Points {
-			b.printf("%.1f,%.1f ", px(p.X), py(p.Y))
-		}
-		b.printf(`"/>` + "\n")
-		for _, p := range s.Points {
-			b.printf(`<circle cx="%.1f" cy="%.1f" r="2.6" fill="%s"/>`+"\n", px(p.X), py(p.Y), color)
-		}
-		// Legend entry.
-		ly := marginT + 14*si
-		b.printf(`<rect x="%d" y="%d" width="10" height="10" fill="%s"/>`+"\n", c.W-marginR-150, ly, color)
-		b.printf(`<text x="%d" y="%d" fill="#222">%s</text>`+"\n", c.W-marginR-136, ly+9, xmlEscape(s.Name))
-	}
-	b.printf("</svg>\n")
-	return b.err
-}
 
 // WritePlacementSVG renders the slot grid colored by pin density (a
 // congestion heat map); cells are outlined, empty slots left white.
@@ -170,24 +73,6 @@ func heatColor(h float64) string {
 		b = 0
 	}
 	return fmt.Sprintf("#%02x%02x%02x", r, g, b)
-}
-
-// xmlEscape escapes the characters SVG text nodes care about.
-func xmlEscape(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			out = append(out, "&amp;"...)
-		case '<':
-			out = append(out, "&lt;"...)
-		case '>':
-			out = append(out, "&gt;"...)
-		default:
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
 }
 
 // errWriter folds the first write error, keeping render code linear.

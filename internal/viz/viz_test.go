@@ -8,60 +8,7 @@ import (
 	"pts/internal/netlist"
 	"pts/internal/placement"
 	"pts/internal/rng"
-	"pts/internal/stats"
 )
-
-func chartFixture() Chart {
-	s1 := stats.Series{Name: "alpha"}
-	s1.Add(1, 10)
-	s1.Add(2, 8)
-	s1.Add(3, 5)
-	s2 := stats.Series{Name: "beta <x>"}
-	s2.Add(1, 12)
-	s2.Add(2, 11)
-	s2.Add(3, 9)
-	return Chart{
-		Title:  "Test & chart",
-		XLabel: "workers",
-		YLabel: "cost",
-		Series: []stats.Series{s1, s2},
-	}
-}
-
-func TestWriteChartSVG(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChartSVG(&buf, chartFixture()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"<svg", "</svg>",
-		"Test &amp; chart", // escaped title
-		"beta &lt;x&gt;",   // escaped legend
-		"<polyline", "<circle",
-		"workers", "cost",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("SVG missing %q", want)
-		}
-	}
-	if got := strings.Count(out, "<polyline"); got != 2 {
-		t.Errorf("%d polylines, want 2", got)
-	}
-	if got := strings.Count(out, "<circle"); got != 6 {
-		t.Errorf("%d markers, want 6", got)
-	}
-}
-
-func TestWriteChartSVGEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChartSVG(&buf, Chart{Title: "empty"}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "</svg>") {
-		t.Fatal("empty chart did not render")
-	}
-}
 
 func TestWritePlacementSVG(t *testing.T) {
 	nl := netlist.MustGenerate(netlist.GenConfig{Name: "v", Cells: 40, Seed: 2})
