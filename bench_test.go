@@ -8,6 +8,7 @@ package pts
 // results/BENCH_paper.json, is regenerated with `go run ./cmd/ptsbench`.
 
 import (
+	"context"
 	"testing"
 
 	"pts/internal/bench"
@@ -65,7 +66,7 @@ func benchHalfSync(b *testing.B, half bool) {
 	virt := 0.0
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
-		res, err := core.Run(nl, clus, cfg, core.Virtual)
+		res, err := core.RunProblem(context.Background(), cost.NewPlacementProblem(nl), clus, cfg, core.Virtual)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func benchRuntime(b *testing.B, mode core.Mode) {
 	}
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
-		if _, err := core.Run(nl, clus, cfg, mode); err != nil {
+		if _, err := core.RunProblem(context.Background(), cost.NewPlacementProblem(nl), clus, cfg, mode); err != nil {
 			b.Fatal(err)
 		}
 	}

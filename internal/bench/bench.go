@@ -111,7 +111,7 @@ func runOne(o Opts, label string, nl *netlist.Netlist, clus cluster.Cluster, cfg
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pp := cost.NewPlacementProblem(nl, cfg.Utilization, cfg.Cost)
+	pp := cost.NewPlacementProblem(nl)
 	res, err := core.RunProblem(ctx, pp, clus, cfg, core.Virtual)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", label, err)

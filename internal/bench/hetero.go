@@ -85,7 +85,7 @@ func Hetero(o Opts) (*Report, error) {
 	for i, side := range []string{"static", "adaptive"} {
 		c := cfg
 		c.Adaptive = i == 1
-		pp := cost.NewPlacementProblem(nl, c.Utilization, c.Cost)
+		pp := cost.NewPlacementProblem(nl)
 		res, err := core.RunProblem(o.Context, pp, clus, c, core.Real)
 		if err != nil {
 			return nil, err

@@ -78,7 +78,7 @@ func Recovery(o Opts) (*Report, error) {
 		// w1, CLWs on w2, w3 and the master process); w3 — hosting one
 		// CLW — is the doomed one.
 		newProblem := func() core.Problem {
-			return cost.NewPlacementProblem(nl, cfg.Utilization, cfg.Cost)
+			return cost.NewPlacementProblem(nl)
 		}
 		doomedCtx, kill := context.WithCancel(o.Context)
 		defer kill()

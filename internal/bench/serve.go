@@ -61,8 +61,7 @@ func serveResolve(spec core.ProblemSpec) (core.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	def := core.DefaultConfig()
-	return cost.NewPlacementProblem(nl, def.Utilization, def.Cost), nil
+	return cost.NewPlacementProblem(nl), nil
 }
 
 // Serve measures the multi-job scheduler over a loopback fleet. Each

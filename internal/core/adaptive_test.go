@@ -161,14 +161,14 @@ func TestForcedReportsAcrossRunStayConsistent(t *testing.T) {
 	cfg.GlobalIters, cfg.LocalIters = 3, 12
 	cfg.HalfSync = true
 
-	a, err := Run(nl, clus, cfg, Virtual)
+	a, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Stats.ForcedReports == 0 {
 		t.Fatal("no forced reports on a skewed cluster with half-sync on")
 	}
-	b, err := Run(nl, clus, cfg, Virtual)
+	b, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestAdaptiveVirtualDeterministic(t *testing.T) {
 	cfg.CLWs = 3
 	cfg.Adaptive = true
 
-	a, err := Run(nl, clus, cfg, Virtual)
+	a, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(nl, clus, cfg, Virtual)
+	b, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestAdaptiveSharesInProgress(t *testing.T) {
 		rounds++
 		lastShares = s.Shares
 	}
-	if _, err := Run(nl, cluster.Testbed12(5), cfg, Virtual); err != nil {
+	if _, err := runPlacement(nl, cluster.Testbed12(5), cfg, Virtual); err != nil {
 		t.Fatal(err)
 	}
 	if rounds != cfg.GlobalIters {
@@ -242,7 +242,7 @@ func TestAdaptiveSharesInProgress(t *testing.T) {
 	// Static mode must not report shares.
 	cfg.Adaptive = false
 	cfg.Progress = func(s Snapshot) { lastShares = s.Shares }
-	if _, err := Run(nl, cluster.Testbed12(5), cfg, Virtual); err != nil {
+	if _, err := runPlacement(nl, cluster.Testbed12(5), cfg, Virtual); err != nil {
 		t.Fatal(err)
 	}
 	if lastShares != nil {
@@ -281,7 +281,7 @@ func TestAdaptiveSeedsFromMachineSpeeds(t *testing.T) {
 			first = append([]float64(nil), s.Shares...)
 		}
 	}
-	if _, err := Run(nl, skewedGroupCluster(), cfg, Virtual); err != nil {
+	if _, err := runPlacement(nl, skewedGroupCluster(), cfg, Virtual); err != nil {
 		t.Fatal(err)
 	}
 	if len(first) != 3 {
@@ -307,7 +307,7 @@ func TestAdaptiveFullSyncKeepsSpeedSkew(t *testing.T) {
 	cfg.Adaptive = true
 	var last []float64
 	cfg.Progress = func(s Snapshot) { last = append(last[:0], s.Shares...) }
-	if _, err := Run(nl, skewedGroupCluster(), cfg, Virtual); err != nil {
+	if _, err := runPlacement(nl, skewedGroupCluster(), cfg, Virtual); err != nil {
 		t.Fatal(err)
 	}
 	if len(last) != 3 {

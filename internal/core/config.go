@@ -27,12 +27,16 @@ package core
 import (
 	"fmt"
 
-	"pts/internal/cost"
 	"pts/internal/pvm"
 	"pts/internal/store"
 )
 
-// Config parameterizes one parallel tabu search run.
+// Config parameterizes one parallel tabu search run. It holds only what
+// the engine reads: the problem's own settings (for placement, the
+// slot-grid utilization and the fuzzy cost goals) belong to the
+// Problem, which every process builds for itself. A distributed run
+// ships the Config to its workers as itself, with the process-local
+// Store, Transport and Progress zeroed (see newJobPayload).
 type Config struct {
 	// TSWs is the number of tabu search workers (high-level
 	// parallelization degree).
@@ -97,13 +101,6 @@ type Config struct {
 	// empty means "run". Give concurrent runs sharing one store
 	// distinct IDs.
 	RunID string
-	// RefreshEvery re-runs timing analysis on a TSW's evaluator every
-	// that many accepted moves (0 = only at global sync).
-	RefreshEvery int
-	// Utilization is the slot-grid fill ratio for the layout.
-	Utilization float64
-	// Cost configures objectives and fuzzy goals.
-	Cost cost.Config
 	// WorkPerTrial is the modeled compute cost, in reference seconds, of
 	// evaluating one trial swap; it is what the virtual runtime charges.
 	WorkPerTrial float64
@@ -160,9 +157,6 @@ func DefaultConfig() Config {
 		Tenure:         10,
 		DiversifyDepth: 12,
 		HalfSync:       true,
-		RefreshEvery:   64,
-		Utilization:    0.9,
-		Cost:           cost.DefaultConfig(),
 		// 20 µs per trial evaluation reproduces the paper's 2003-era
 		// compute/communication ratio against the ~250 µs LAN latency:
 		// one compound move costs ~1 ms, so collection order actually

@@ -1,13 +1,20 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"pts/internal/cluster"
+	"pts/internal/cost"
 	"pts/internal/netlist"
 )
+
+// runPlacement runs the search over the placement problem of nl.
+func runPlacement(nl *netlist.Netlist, clus cluster.Cluster, cfg Config, mode Mode) (*Result, error) {
+	return RunProblem(context.Background(), cost.NewPlacementProblem(nl), clus, cfg, mode)
+}
 
 // quickCfg returns a small, fast configuration for tests.
 func quickCfg() Config {
@@ -91,7 +98,7 @@ func TestRangesPartition(t *testing.T) {
 
 func TestRunImprovesCost(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
-	res, err := Run(nl, cluster.Homogeneous(12, 1), quickCfg(), Virtual)
+	res, err := runPlacement(nl, cluster.Homogeneous(12, 1), quickCfg(), Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +120,11 @@ func TestRunDeterministicVirtual(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
 	clus := cluster.Testbed12(5)
 	cfg := quickCfg()
-	a, err := Run(nl, clus, cfg, Virtual)
+	a, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(nl, clus, cfg, Virtual)
+	b, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +143,12 @@ func TestRunSeedSensitivity(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
 	clus := cluster.Homogeneous(12, 1)
 	cfg := quickCfg()
-	a, err := Run(nl, clus, cfg, Virtual)
+	a, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 99
-	b, err := Run(nl, clus, cfg, Virtual)
+	b, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +159,7 @@ func TestRunSeedSensitivity(t *testing.T) {
 
 func TestTraceShape(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
-	res, err := Run(nl, cluster.Homogeneous(12, 1), quickCfg(), Virtual)
+	res, err := runPlacement(nl, cluster.Homogeneous(12, 1), quickCfg(), Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,20 +188,23 @@ func TestBestPermScoresClose(t *testing.T) {
 	// stale criticalities; rescoring the permutation exactly must land
 	// close (same goals, fresh timing analysis).
 	nl := netlist.MustBenchmark("highway")
-	res, err := Run(nl, cluster.Homogeneous(12, 1), quickCfg(), Virtual)
+	pp := cost.NewPlacementProblem(nl)
+	res, err := RunProblem(context.Background(), pp, cluster.Homogeneous(12, 1), quickCfg(), Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Objectives.Wirelength <= 0 || res.Objectives.Area <= 0 {
-		t.Fatalf("degenerate objectives: %+v", res.Objectives)
-	}
-	if res.CriticalPath <= 0 {
-		t.Error("critical path must be positive")
-	}
-	// Permutation validity: Run would have errored otherwise; check
-	// length as a sanity guard.
 	if len(res.BestPerm) != nl.NumCells() {
 		t.Fatalf("best perm has %d entries, want %d", len(res.BestPerm), nl.NumCells())
+	}
+	obj, cpd, err := pp.Score(res.BestPerm)
+	if err != nil {
+		t.Fatalf("best perm does not rescore: %v", err)
+	}
+	if obj.Wirelength <= 0 || obj.Area <= 0 {
+		t.Fatalf("degenerate objectives: %+v", obj)
+	}
+	if cpd <= 0 {
+		t.Error("critical path must be positive")
 	}
 }
 
@@ -206,12 +216,12 @@ func TestHalfSyncFasterOnHeterogeneousCluster(t *testing.T) {
 	cfg.GlobalIters, cfg.LocalIters = 4, 15
 
 	cfg.HalfSync = true
-	het, err := Run(nl, clus, cfg, Virtual)
+	het, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.HalfSync = false
-	hom, err := Run(nl, clus, cfg, Virtual)
+	hom, err := runPlacement(nl, clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +242,7 @@ func TestSingleWorkerDegenerate(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
 	cfg := quickCfg()
 	cfg.TSWs, cfg.CLWs = 1, 1
-	res, err := Run(nl, cluster.Homogeneous(2, 1), cfg, Virtual)
+	res, err := runPlacement(nl, cluster.Homogeneous(2, 1), cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +258,7 @@ func TestDiversificationOffStillWorks(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
 	cfg := quickCfg()
 	cfg.DiversifyDepth = 0
-	res, err := Run(nl, cluster.Homogeneous(12, 1), cfg, Virtual)
+	res, err := runPlacement(nl, cluster.Homogeneous(12, 1), cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +275,7 @@ func TestRunRealMode(t *testing.T) {
 	cfg := quickCfg()
 	cfg.GlobalIters, cfg.LocalIters = 3, 8
 	cfg.WorkPerTrial = 0 // no artificial sleeps in real mode
-	res, err := Run(nl, cluster.Homogeneous(4, 1), cfg, Real)
+	res, err := runPlacement(nl, cluster.Homogeneous(4, 1), cfg, Real)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +291,13 @@ func TestRunErrors(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
 	bad := quickCfg()
 	bad.TSWs = 0
-	if _, err := Run(nl, cluster.Homogeneous(2, 1), bad, Virtual); err == nil {
+	if _, err := runPlacement(nl, cluster.Homogeneous(2, 1), bad, Virtual); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := Run(nl, cluster.Cluster{}, quickCfg(), Virtual); err == nil {
+	if _, err := runPlacement(nl, cluster.Cluster{}, quickCfg(), Virtual); err == nil {
 		t.Error("invalid cluster accepted")
 	}
-	if _, err := Run(nl, cluster.Homogeneous(2, 1), quickCfg(), Mode(99)); err == nil {
+	if _, err := runPlacement(nl, cluster.Homogeneous(2, 1), quickCfg(), Mode(99)); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
@@ -295,7 +305,7 @@ func TestRunErrors(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
 	cfg := quickCfg()
-	res, err := Run(nl, cluster.Homogeneous(12, 1), cfg, Virtual)
+	res, err := runPlacement(nl, cluster.Homogeneous(12, 1), cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +336,11 @@ func TestMoreLocalWorkHelps(t *testing.T) {
 	large := quickCfg()
 	large.GlobalIters, large.LocalIters = 2, 48
 
-	s, err := Run(nl, clus, small, Virtual)
+	s, err := runPlacement(nl, clus, small, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Run(nl, clus, large, Virtual)
+	l, err := runPlacement(nl, clus, large, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +356,7 @@ func TestCostsAreComparableAcrossWorkers(t *testing.T) {
 	// The master's best must never exceed the initial cost, and the
 	// cost must be a valid fuzzy cost.
 	nl := netlist.MustBenchmark("highway")
-	res, err := Run(nl, cluster.Homogeneous(12, 1), quickCfg(), Virtual)
+	res, err := runPlacement(nl, cluster.Homogeneous(12, 1), quickCfg(), Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}

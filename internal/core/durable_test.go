@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"pts/internal/cluster"
-	"pts/internal/cost"
-	"pts/internal/netlist"
 	"pts/internal/store"
 )
 
@@ -22,10 +20,6 @@ func durableCfg(st store.Store) Config {
 	return cfg
 }
 
-func placementProblem(cfg Config) Problem {
-	return cost.NewPlacementProblem(netlist.MustBenchmark("highway"), cfg.Utilization, cfg.Cost)
-}
-
 // TestDurableResumeMatchesUninterrupted is the crash-only contract: a
 // run killed after its snapshot barrier and restarted from the store
 // finishes with exactly the result the uninterrupted store-enabled run
@@ -36,7 +30,7 @@ func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 	// Reference: uninterrupted durable run.
 	refStore := store.NewMem()
 	refCfg := durableCfg(refStore)
-	ref, err := RunProblem(context.Background(), placementProblem(refCfg), clus, refCfg, Virtual)
+	ref, err := RunProblem(context.Background(), highwayProblem(), clus, refCfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +52,7 @@ func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 			cancel()
 		}
 	}
-	cut, err := RunProblem(ctx, placementProblem(cfg), clus, cfg, Virtual)
+	cut, err := RunProblem(ctx, highwayProblem(), clus, cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +68,7 @@ func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 
 	// Resume: same store, same config, fresh context.
 	cfg2 := durableCfg(st)
-	res, err := RunProblem(context.Background(), placementProblem(cfg2), clus, cfg2, Virtual)
+	res, err := RunProblem(context.Background(), highwayProblem(), clus, cfg2, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +96,7 @@ func TestDurableResumeMatchesUninterrupted(t *testing.T) {
 func TestDurableSnapshotFingerprint(t *testing.T) {
 	st := store.NewMem()
 	cfg := durableCfg(st)
-	prob := placementProblem(cfg)
+	prob := highwayProblem()
 	st0, err := prob.Initial(cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +117,7 @@ func TestDurableSnapshotFingerprint(t *testing.T) {
 		}
 	}
 	put(good)
-	if loadSnapshot(prob, cfg, initPerm) == nil {
+	if loadSnapshot(prob, cfg) == nil {
 		t.Fatal("matching snapshot refused")
 	}
 	mutations := []func(*masterSnapshot){
@@ -138,7 +132,7 @@ func TestDurableSnapshotFingerprint(t *testing.T) {
 		s.BestPerm = append([]int32(nil), good.BestPerm...)
 		mut(&s)
 		put(&s)
-		if loadSnapshot(prob, cfg, initPerm) != nil {
+		if loadSnapshot(prob, cfg) != nil {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
@@ -146,7 +140,7 @@ func TestDurableSnapshotFingerprint(t *testing.T) {
 	if err := st.Put(cfg.runKey(), []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	if loadSnapshot(prob, cfg, initPerm) != nil {
+	if loadSnapshot(prob, cfg) != nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
 }
@@ -160,13 +154,13 @@ func TestStorelessMatchesStoreBacked(t *testing.T) {
 	for _, adaptive := range []bool{false, true} {
 		cfg := quickCfg()
 		cfg.Adaptive = adaptive
-		plain, err := RunProblem(context.Background(), placementProblem(cfg), clus, cfg, Virtual)
+		plain, err := RunProblem(context.Background(), highwayProblem(), clus, cfg, Virtual)
 		if err != nil {
 			t.Fatal(err)
 		}
 		withStore := cfg
 		withStore.Store = store.NewMem()
-		stored, err := RunProblem(context.Background(), placementProblem(withStore), clus, withStore, Virtual)
+		stored, err := RunProblem(context.Background(), highwayProblem(), clus, withStore, Virtual)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +223,7 @@ func TestDurableResumeMidRoundCancel(t *testing.T) {
 	refStore := store.NewMem()
 	refCfg := mk(refStore)
 	start := time.Now()
-	ref, err := RunProblem(context.Background(), placementProblem(refCfg), clus, refCfg, Real)
+	ref, err := RunProblem(context.Background(), highwayProblem(), clus, refCfg, Real)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +236,7 @@ func TestDurableResumeMidRoundCancel(t *testing.T) {
 	cfg := mk(st)
 	ctx, cancel := context.WithTimeout(context.Background(), full*2/5)
 	defer cancel()
-	cut, err := RunProblem(ctx, placementProblem(cfg), clus, cfg, Real)
+	cut, err := RunProblem(ctx, highwayProblem(), clus, cfg, Real)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +244,7 @@ func TestDurableResumeMidRoundCancel(t *testing.T) {
 		full*2/5, full, cut.Rounds, cut.Interrupted)
 
 	cfg2 := mk(st)
-	res, err := RunProblem(context.Background(), placementProblem(cfg2), clus, cfg2, Real)
+	res, err := RunProblem(context.Background(), highwayProblem(), clus, cfg2, Real)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,6 +58,30 @@ type snapCheckpoint struct {
 	CK tswCheckpoint
 }
 
+// usable reports whether every range the snapshot hands a TSW lies
+// within [0, Size], checkpoint i is TSW i's own, and prob accepts every
+// solution in it as a state: what NewState refuses here, a worker
+// would otherwise panic on (mustState).
+func (s *masterSnapshot) usable(prob Problem) bool {
+	perms := [][]int32{s.BestPerm}
+	for i, c := range s.Checkpoints {
+		if !c.OK {
+			continue
+		}
+		ck := c.CK
+		if ck.WorkerIdx != i || ck.DivLo < 0 || ck.DivLo > ck.DivHi || ck.DivHi > s.Size {
+			return false
+		}
+		perms = append(perms, ck.Perm, ck.BestPerm)
+	}
+	for _, p := range perms {
+		if _, err := prob.NewState(p); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // encodeSnapshot serializes a snapshot for the store.
 func encodeSnapshot(snap *masterSnapshot) ([]byte, error) {
 	var buf bytes.Buffer

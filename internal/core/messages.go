@@ -185,12 +185,12 @@ type tswCheckpoint struct {
 	DivLo     int32
 	DivHi     int32
 	CLWs      []clwSlot
-	// AcceptedRefresh is the accepted-move count toward the next
-	// RefreshEvery evaluator refresh. It carries across rounds, so a
-	// successor must continue it mid-cycle — resetting it would shift
-	// every later refresh point and (because a refresh flushes the
-	// incremental evaluator's float accumulation) fork a resume off
-	// the uninterrupted trajectory.
+	// AcceptedRefresh is the accepted-move count toward the TSW's next
+	// full state refresh (one every refreshEvery accepted moves). It
+	// carries across rounds, so a successor must continue it mid-cycle
+	// — resetting it would shift every later refresh point and (because
+	// a refresh flushes the incremental evaluator's float accumulation)
+	// fork a resume off the uninterrupted trajectory.
 	AcceptedRefresh int
 	// Extra lists replacements the master spawned for this TSW whose
 	// acks are not reflected in the checkpoint (set only by the master

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"pts/internal/cost"
 	"pts/internal/pvm"
 	"pts/internal/pvm/nettrans"
 )
@@ -77,10 +76,18 @@ type jobPayload struct {
 	Problem     string
 	Size        int32
 	InitialCost float64
-	Cfg         wireConfig
-	// Spec, when non-nil, lets resolver-equipped workers construct the
-	// job's problem on demand (Config.ProblemSpec on the master side).
-	Spec *ProblemSpec
+	// Cfg is the master's Config. Its ProblemSpec, when non-nil, lets
+	// resolver-equipped workers construct the job's problem on demand.
+	Cfg Config
+}
+
+// newJobPayload builds the job description of a distributed run. The
+// Config travels as itself minus its process-local parts: gob skips the
+// Progress func field, and Store and Transport are zeroed so the
+// interfaces go out nil.
+func newJobPayload(prob Problem, cfg Config, initCost float64) jobPayload {
+	cfg.Store, cfg.Transport, cfg.Progress = nil, nil, nil
+	return jobPayload{Problem: prob.Name(), Size: prob.Size(), InitialCost: initCost, Cfg: cfg}
 }
 
 // runSummary is the final outcome the master reports back to workers,
@@ -93,64 +100,6 @@ type runSummary struct {
 	Elapsed     float64
 	Rounds      int
 	Interrupted bool
-}
-
-// wireConfig mirrors Config's serializable fields for the job payload.
-// Master-local fields (Store, RunID, Progress, Transport, WorkScale)
-// stay behind, and ProblemSpec travels as jobPayload.Spec.
-// TestWireConfigRoundTrip fails when Config grows a field that is
-// neither carried here nor named there as master-local.
-type wireConfig struct {
-	TSWs, CLWs              int
-	GlobalIters, LocalIters int
-	Trials, Depth, Tenure   int
-	DiversifyDepth          int
-	HalfSync                bool
-	Adaptive                bool
-	DisableRespawn          bool
-	RefreshEvery            int
-	Utilization             float64
-	Cost                    cost.Config
-	WorkPerTrial            float64
-	Seed                    uint64
-	RecordTrace             bool
-}
-
-func (c Config) wire() wireConfig {
-	return wireConfig{
-		TSWs: c.TSWs, CLWs: c.CLWs,
-		GlobalIters: c.GlobalIters, LocalIters: c.LocalIters,
-		Trials: c.Trials, Depth: c.Depth, Tenure: c.Tenure,
-		DiversifyDepth: c.DiversifyDepth,
-		HalfSync:       c.HalfSync,
-		Adaptive:       c.Adaptive,
-		DisableRespawn: c.DisableRespawn,
-		RefreshEvery:   c.RefreshEvery,
-		Utilization:    c.Utilization,
-		Cost:           c.Cost,
-		WorkPerTrial:   c.WorkPerTrial,
-		Seed:           c.Seed,
-		RecordTrace:    c.RecordTrace,
-	}
-}
-
-func (w wireConfig) config() Config {
-	cfg := Config{
-		TSWs: w.TSWs, CLWs: w.CLWs,
-		GlobalIters: w.GlobalIters, LocalIters: w.LocalIters,
-		Trials: w.Trials, Depth: w.Depth, Tenure: w.Tenure,
-		DiversifyDepth: w.DiversifyDepth,
-		HalfSync:       w.HalfSync,
-		Adaptive:       w.Adaptive,
-		DisableRespawn: w.DisableRespawn,
-		RefreshEvery:   w.RefreshEvery,
-		Utilization:    w.Utilization,
-		WorkPerTrial:   w.WorkPerTrial,
-		Seed:           w.Seed,
-		RecordTrace:    w.RecordTrace,
-	}
-	cfg.Cost = w.Cost
-	return cfg
 }
 
 func init() {
@@ -247,13 +196,19 @@ func (h *workerHandler) Start(payload any) (nettrans.TaskFactory, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unexpected job payload %T", payload)
 	}
+	cfg := jp.Cfg
+	// A malformed config (say, CLWs < 0) would crash the daemon at the
+	// first spawn; refuse the job like any other mismatch instead.
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: job %s carries an invalid config: %w", jp.Problem, err)
+	}
 	prob := h.prob
 	if prob == nil {
 		// Serving mode: construct the job's problem from its spec.
-		if jp.Spec == nil {
+		if cfg.ProblemSpec == nil {
 			return nil, fmt.Errorf("core: job %s carries no problem spec and this worker has no fixed problem", jp.Problem)
 		}
-		p, err := h.resolve(*jp.Spec)
+		p, err := h.resolve(*cfg.ProblemSpec)
 		if err != nil {
 			return nil, fmt.Errorf("core: resolving job problem %s: %w", jp.Problem, err)
 		}
@@ -263,7 +218,6 @@ func (h *workerHandler) Start(payload any) (nettrans.TaskFactory, error) {
 		return nil, fmt.Errorf("core: job is %s (%d elements) but this worker built %s (%d elements); start the worker with the master's inputs",
 			jp.Problem, jp.Size, prob.Name(), prob.Size())
 	}
-	cfg := jp.Cfg.config()
 	// Derive the run-scoped shared context (e.g. the placement fuzzy
 	// goals) exactly as the master did, so locally minted states score
 	// identically. Initial is deterministic in the seed, so the state

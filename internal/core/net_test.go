@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strings"
@@ -14,9 +16,9 @@ import (
 	"pts/internal/store"
 )
 
-// testProblem builds a small placement problem for transport tests.
-func testProblem(cfg Config) Problem {
-	return cost.NewPlacementProblem(netlist.MustBenchmark("highway"), cfg.Utilization, cfg.Cost)
+// highwayProblem builds the small placement problem most tests run.
+func highwayProblem() Problem {
+	return cost.NewPlacementProblem(netlist.MustBenchmark("highway"))
 }
 
 // abortingTransport simulates a distributed run whose worker died
@@ -31,7 +33,7 @@ func (a *abortingTransport) Run(opts pvm.Options, root pvm.TaskFunc) (float64, e
 
 func TestTransportAbortReportsInterrupted(t *testing.T) {
 	cfg := DefaultConfig()
-	prob := testProblem(cfg)
+	prob := highwayProblem()
 	cfg.GlobalIters, cfg.LocalIters = 2, 5
 	tr := &abortingTransport{}
 	cfg.Transport = tr
@@ -52,7 +54,7 @@ func TestTransportAbortReportsInterrupted(t *testing.T) {
 
 func TestVirtualModeIgnoresTransport(t *testing.T) {
 	cfg := DefaultConfig()
-	prob := testProblem(cfg)
+	prob := highwayProblem()
 	cfg.GlobalIters, cfg.LocalIters = 2, 5
 	tr := &abortingTransport{}
 	cfg.Transport = tr
@@ -68,26 +70,14 @@ func TestVirtualModeIgnoresTransport(t *testing.T) {
 	}
 }
 
-// TestWireConfigRoundTrip sets every exported Config field to a
-// distinct non-zero value and checks that the job payload carries all
-// of them except the master-local ones named here. A Config field added
-// without a wireConfig field fails it until it is carried or named.
-func TestWireConfigRoundTrip(t *testing.T) {
-	masterLocal := map[string]bool{
-		"Store":       true, // the master persists its own snapshots
-		"RunID":       true, // names the master's snapshot key
-		"Progress":    true,
-		"Transport":   true,
-		"WorkScale":   true, // travels in the job frame, not the config
-		"ProblemSpec": true, // travels as jobPayload.Spec
-	}
+// TestJobPayloadRoundTrip sets every exported Config field to a
+// distinct non-zero value, builds the job payload the way RunProblem
+// does and sends it through gob as the transport does (an interface
+// value). Workers must decode the master's Config with only its
+// process-local Store, Transport and Progress zeroed.
+func TestJobPayloadRoundTrip(t *testing.T) {
 	var cfg Config
 	v := reflect.ValueOf(&cfg).Elem()
-	for name := range masterLocal {
-		if !v.FieldByName(name).IsValid() {
-			t.Fatalf("master-local field %s is not a Config field", name)
-		}
-	}
 	next := 0
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Type().Field(i)
@@ -103,20 +93,32 @@ func TestWireConfigRoundTrip(t *testing.T) {
 			cfg.Store = store.NewMem()
 		default:
 			if !fillNonZero(v.Field(i), &next) {
-				t.Fatalf("Config.%s (%s): no test value; give it one here and carry it in wireConfig or name it master-local", f.Name, f.Type)
+				t.Fatalf("Config.%s (%s): no test value; give it one here", f.Name, f.Type)
 			}
 		}
 	}
+	prob := highwayProblem()
 
-	got := cfg.wire().config()
-	want := cfg
-	w := reflect.ValueOf(&want).Elem()
-	for name := range masterLocal {
-		f := w.FieldByName(name)
-		f.Set(reflect.Zero(f.Type()))
+	var buf bytes.Buffer
+	var sent any = newJobPayload(prob, cfg, 1.5)
+	if err := gob.NewEncoder(&buf).Encode(&sent); err != nil {
+		t.Fatalf("encode payload: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("wire round trip mangled the config:\ngot  %+v\nwant %+v", got, want)
+	var got any
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatalf("decode payload: %v", err)
+	}
+	jp, ok := got.(jobPayload)
+	if !ok {
+		t.Fatalf("decoded %T, want jobPayload", got)
+	}
+	want := cfg
+	want.Store, want.Transport, want.Progress = nil, nil, nil
+	if !reflect.DeepEqual(jp.Cfg, want) {
+		t.Errorf("payload round trip mangled the config:\ngot  %+v\nwant %+v", jp.Cfg, want)
+	}
+	if jp.Problem != prob.Name() || jp.Size != prob.Size() || jp.InitialCost != 1.5 {
+		t.Errorf("payload fingerprint = %s/%d/%v", jp.Problem, jp.Size, jp.InitialCost)
 	}
 }
 
@@ -154,17 +156,12 @@ func fillNonZero(v reflect.Value, next *int) bool {
 
 func TestWorkerHandlerRefusesMismatchedProblem(t *testing.T) {
 	cfg := DefaultConfig()
-	h := &workerHandler{prob: testProblem(cfg)}
+	h := &workerHandler{prob: highwayProblem()}
 	st, err := h.prob.Initial(cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := jobPayload{
-		Problem:     h.prob.Name(),
-		Size:        h.prob.Size(),
-		InitialCost: st.Cost(),
-		Cfg:         cfg.wire(),
-	}
+	good := newJobPayload(h.prob, cfg, st.Cost())
 	if _, err := h.Start(good); err != nil {
 		t.Fatalf("matching job refused: %v", err)
 	}
@@ -187,5 +184,19 @@ func TestWorkerHandlerRefusesMismatchedProblem(t *testing.T) {
 
 	if _, err := h.Start("nonsense"); err == nil {
 		t.Error("garbage payload accepted")
+	}
+
+	// A config that fails Validate is refused before any task of it
+	// could spawn here (CLWs < 0 would crash the daemon in make).
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.TSWs = 0 },
+		func(c *Config) { c.CLWs = -1 },
+	} {
+		bad := good
+		mut(&bad.Cfg)
+		_, err := h.Start(bad)
+		if err == nil || !strings.Contains(err.Error(), "invalid config") {
+			t.Errorf("TSWs=%d CLWs=%d accepted (err = %v)", bad.Cfg.TSWs, bad.Cfg.CLWs, err)
+		}
 	}
 }

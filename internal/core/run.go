@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"pts/internal/cluster"
-	"pts/internal/cost"
-	"pts/internal/netlist"
 	"pts/internal/pvm"
 	"pts/internal/stats"
 )
@@ -52,13 +50,6 @@ type Result struct {
 	// Details carries problem-specific exact scoring of BestPerm when
 	// the problem implements Finalizer; nil otherwise.
 	Details any
-
-	// Objectives and CriticalPath are the exact placement objectives of
-	// BestPerm. They are populated only by the placement entry point
-	// Run; generic RunProblem results report problem-specific metrics
-	// through Details instead.
-	Objectives   cost.Objectives
-	CriticalPath float64
 }
 
 // RunProblem executes the parallel tabu search over any Problem on the
@@ -107,7 +98,7 @@ func RunProblem(ctx context.Context, prob Problem, clus cluster.Cluster, cfg Con
 	// size, seed) does not match this run's inputs is stale state from a
 	// different run under the same RunID — ignored, then overwritten by
 	// the first barrier of the fresh run.
-	snap := loadSnapshot(prob, cfg, initPerm)
+	snap := loadSnapshot(prob, cfg)
 
 	var ms masterState
 	root := func(env pvm.Env) {
@@ -126,13 +117,7 @@ func RunProblem(ctx context.Context, prob Problem, clus cluster.Cluster, cfg Con
 	}
 	if mode == Real && cfg.Transport != nil {
 		opts.Transport = cfg.Transport
-		opts.JobPayload = jobPayload{
-			Problem:     prob.Name(),
-			Size:        prob.Size(),
-			InitialCost: initCost,
-			Cfg:         cfg.wire(),
-			Spec:        cfg.ProblemSpec,
-		}
+		opts.JobPayload = newJobPayload(prob, cfg, initCost)
 		opts.Spawner = taskFactory(prob, cfg)
 	}
 	// Whatever happens from here on, a remote-capable transport must
@@ -199,8 +184,10 @@ func RunProblem(ctx context.Context, prob Problem, clus cluster.Cluster, cfg Con
 // loadSnapshot fetches and validates a persisted run snapshot, or
 // returns nil when there is none (or it is unusable). Store read
 // failures are treated as "no snapshot": durability must never make a
-// fresh run un-startable.
-func loadSnapshot(prob Problem, cfg Config, initPerm []int32) *masterSnapshot {
+// fresh run un-startable. So is a snapshot that decodes but would hand
+// a worker a solution the problem refuses, or a range outside the
+// problem: resuming it would crash that worker.
+func loadSnapshot(prob Problem, cfg Config) *masterSnapshot {
 	if cfg.Store == nil {
 		return nil
 	}
@@ -215,7 +202,7 @@ func loadSnapshot(prob Problem, cfg Config, initPerm []int32) *masterSnapshot {
 	if snap.Problem != prob.Name() || snap.Size != prob.Size() || snap.Seed != cfg.Seed {
 		return nil
 	}
-	if snap.Round <= 0 || len(snap.BestPerm) != len(initPerm) {
+	if snap.Round <= 0 || !snap.usable(prob) {
 		return nil
 	}
 	return snap
@@ -231,24 +218,5 @@ func finalize(prob Problem, res *Result) (*Result, error) {
 		}
 		res.Details = details
 	}
-	return res, nil
-}
-
-// Run executes the parallel tabu search for VLSI placement over circuit
-// nl on the given cluster — the original placement-only entry point,
-// now a thin wrapper over the problem-agnostic RunProblem. The returned
-// result is deterministic in cfg.Seed when mode is Virtual and includes
-// the exact placement objectives of the best solution.
-func Run(nl *netlist.Netlist, clus cluster.Cluster, cfg Config, mode Mode) (*Result, error) {
-	pp := cost.NewPlacementProblem(nl, cfg.Utilization, cfg.Cost)
-	res, err := RunProblem(context.Background(), pp, clus, cfg, mode)
-	if err != nil {
-		return nil, err
-	}
-	obj, cpd, err := pp.Score(res.BestPerm)
-	if err != nil {
-		return nil, fmt.Errorf("core: best solution invalid: %w", err)
-	}
-	res.Objectives, res.CriticalPath = obj, cpd
 	return res, nil
 }

@@ -10,7 +10,7 @@ import (
 func TestRuntimeCountersPopulated(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
 	cfg := quickCfg()
-	res, err := Run(nl, cluster.Homogeneous(12, 1), cfg, Virtual)
+	res, err := runPlacement(nl, cluster.Homogeneous(12, 1), cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestCLWLevelHalfSyncOnly(t *testing.T) {
 	cfg := quickCfg()
 	cfg.TSWs, cfg.CLWs = 1, 4
 	cfg.GlobalIters, cfg.LocalIters = 3, 20
-	res, err := Run(nl, cluster.Testbed12(7), cfg, Virtual)
+	res, err := runPlacement(nl, cluster.Testbed12(7), cfg, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMessageVolumeScalesWithWorkers(t *testing.T) {
 	run := func(clws int) int64 {
 		cfg := quickCfg()
 		cfg.CLWs = clws
-		res, err := Run(nl, clus, cfg, Virtual)
+		res, err := runPlacement(nl, clus, cfg, Virtual)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,10 @@ import (
 	"pts/internal/tabu"
 )
 
+// refreshEvery is how many accepted moves a TSW makes between full
+// refreshes of its state (a full timing analysis for placement).
+const refreshEvery = 64
+
 // tswRun is the tabu search worker body (paper Fig. 3). Per global
 // iteration it diversifies with respect to its own element range, runs
 // LocalIters tabu iterations driven by its CLWs, reports its best
@@ -255,7 +259,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 					}
 					syncCLWs(chosen)
 
-					if cfg.RefreshEvery > 0 && acceptedSinceRefresh >= cfg.RefreshEvery {
+					if acceptedSinceRefresh >= refreshEvery {
 						acceptedSinceRefresh = 0
 						refresh(prob)
 						env.Work(staWork)

@@ -21,19 +21,23 @@ import (
 // hands every TSW the same frame of reference. A PlacementProblem value
 // supports one run at a time: a second Initial rebases the goals.
 type PlacementProblem struct {
-	nl   *netlist.Netlist
-	util float64
-	cfg  Config
+	nl  *netlist.Netlist
+	cfg Config
 
 	mu       sync.Mutex
 	goals    Goals
 	hasGoals bool
 }
 
-// NewPlacementProblem builds the placement problem over circuit nl with
-// the given slot-grid utilization and cost configuration.
-func NewPlacementProblem(nl *netlist.Netlist, util float64, cfg Config) *PlacementProblem {
-	return &PlacementProblem{nl: nl, util: util, cfg: cfg}
+// utilization is the slot-grid fill ratio (cells per slot) of every
+// placement problem.
+const utilization = 0.9
+
+// NewPlacementProblem builds the placement problem over circuit nl,
+// laid out at the experiments' slot-grid utilization and scored with
+// the experiments' cost configuration (DefaultConfig).
+func NewPlacementProblem(nl *netlist.Netlist) *PlacementProblem {
+	return &PlacementProblem{nl: nl, cfg: DefaultConfig()}
 }
 
 // Name returns the circuit name.
@@ -48,7 +52,7 @@ func (p *PlacementProblem) Size() int32 { return int32(p.nl.NumCells()) }
 // layout builds the slot grid every state of this problem uses; all
 // states must agree on it for permutations to be interchangeable.
 func (p *PlacementProblem) layout() *placement.Placement {
-	pl, err := placement.New(p.nl, placement.AutoLayout(p.nl, p.util))
+	pl, err := placement.New(p.nl, placement.AutoLayout(p.nl, utilization))
 	if err != nil {
 		// AutoLayout always allocates enough slots; a failure here is a
 		// programming error, not an input error.

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"pts/internal/cluster"
 	"pts/internal/core"
+	"pts/internal/cost"
 	"pts/internal/store"
 )
 
@@ -75,6 +77,10 @@ func TestSchedulerRestartRecoversJobs(t *testing.T) {
 		t.Fatalf("j3 status = %v, want queued", got)
 	}
 
+	// j3's record as an older daemon wrote it: its config still carries
+	// the placement settings Config has since handed to the problem.
+	legacyConfig(t, st, j3.ID())
+
 	// Crash: no drain, no cleanup — just a second scheduler over the
 	// same store, as a restarted daemon would build.
 	started2 := make(chan string, 8)
@@ -103,6 +109,9 @@ func TestSchedulerRestartRecoversJobs(t *testing.T) {
 	if !ok || r3.Status() != Queued {
 		t.Fatalf("recovered %s status = %v, want queued", j3.ID(), r3.Status())
 	}
+	if cfg := r3.Request().Cfg; cfg.GlobalIters != tinyCfg().GlobalIters || cfg.Seed != tinyCfg().Seed {
+		t.Fatalf("recovered legacy config mutated: %+v", cfg)
+	}
 	step2()
 	waitStatusID(t, sB, j2.ID(), Done)
 	if id := <-started2; id != j3.ID() {
@@ -125,6 +134,31 @@ func TestSchedulerRestartRecoversJobs(t *testing.T) {
 	// Unblock the abandoned first scheduler so its runner goroutine
 	// does not outlive the test deadlocked on the step channel.
 	_ = sA.Cancel(j2.ID())
+}
+
+// legacyConfig rewrites job id's journal record into the form older
+// daemons wrote, whose config also held Cost, Utilization and
+// RefreshEvery.
+func legacyConfig(t *testing.T, st store.Store, id string) {
+	t.Helper()
+	b, ok, err := st.Get(jobKey(id))
+	if err != nil || !ok {
+		t.Fatalf("no record for %s (ok=%v, err=%v)", id, ok, err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(b, &rec); err != nil {
+		t.Fatal(err)
+	}
+	cfg := rec["config"].(map[string]any)
+	cfg["Cost"] = cost.DefaultConfig()
+	cfg["Utilization"] = 0.9
+	cfg["RefreshEvery"] = 64
+	if b, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(jobKey(id), b); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSchedulerRestartDropsRejectedJobs: a submission refused with

@@ -26,7 +26,6 @@ import (
 	"pts/internal/cluster"
 	"pts/internal/core"
 	"pts/internal/pvm"
-	"pts/internal/sched"
 	"pts/internal/store"
 )
 
@@ -330,12 +329,11 @@ func (j *Job) View(withResult bool) View {
 	return v
 }
 
-// Scheduler multiplexes jobs over one fleet: a bounded FIFO queue, a
-// capacity ledger refusing over-commitment, and one runner goroutine
-// per admitted job.
+// Scheduler multiplexes jobs over one fleet: a bounded FIFO queue,
+// admission decided by the fleet's own idle count, and one runner
+// goroutine per admitted job.
 type Scheduler struct {
-	cfg    Config
-	ledger *sched.Ledger
+	cfg Config
 
 	mu       sync.Mutex
 	queue    []*Job          // strictly FIFO; queue[0] is next to admit
@@ -371,7 +369,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg:     cfg,
-		ledger:  sched.NewLedger(cfg.Fleet.TotalWorkers()),
 		jobs:    make(map[string]*Job),
 		retired: make(map[string]View),
 	}
@@ -423,9 +420,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	s.ledger.SetTotal(s.cfg.Fleet.TotalWorkers())
-	if !s.ledger.Admissible(req.Workers) {
-		total := s.ledger.Total()
+	if total := s.cfg.Fleet.TotalWorkers(); req.Workers > total {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d requested, %d registered", ErrNeverAdmissible, req.Workers, total)
 	}
@@ -565,27 +560,18 @@ func (s *Scheduler) pump() {
 			s.mu.Unlock()
 			return
 		}
-		s.ledger.SetTotal(s.cfg.Fleet.TotalWorkers())
 		j := s.queue[0]
 		n := j.req.Workers
-		if n > s.ledger.Free() || n > s.cfg.Fleet.FreeWorkers() {
+		if n > s.cfg.Fleet.FreeWorkers() {
 			s.mu.Unlock()
-			return
-		}
-		if err := s.ledger.Lease(j.id, n); err != nil {
-			// Unreachable by construction (Free was checked under the same
-			// lock); refuse loudly rather than silently wedging the queue.
-			s.mu.Unlock()
-			s.logf("serve: ledger refused %s: %v", j.id, err)
 			return
 		}
 		lease, err := s.cfg.Fleet.Lease(n)
 		if err != nil {
-			s.ledger.Release(j.id)
 			s.mu.Unlock()
 			if errors.Is(err, ErrNoCapacity) {
-				// The lobby disagreed with the ledger (a worker died between
-				// the check and the claim); the loss notification re-pumps.
+				// A worker died between the count and the claim; the loss
+				// notification re-pumps.
 				return
 			}
 			s.dropHead(j)
@@ -618,8 +604,8 @@ func (s *Scheduler) dropHead(j *Job) {
 	}
 }
 
-// run executes one admitted job and retires its lease and ledger claim
-// no matter how the run ends.
+// run executes one admitted job and retires its lease no matter how the
+// run ends.
 func (s *Scheduler) run(j *Job, lease Lease) {
 	defer s.wg.Done()
 	res, err := s.runJob(j.ctx, j, lease)
@@ -627,9 +613,6 @@ func (s *Scheduler) run(j *Job, lease Lease) {
 	// fleet on every path through core.RunProblem; Release covers runs
 	// that never reached it (idempotent either way).
 	lease.Release()
-	s.mu.Lock()
-	s.ledger.Release(j.id)
-	s.mu.Unlock()
 
 	j.mu.Lock()
 	userCancel := j.cancelReq

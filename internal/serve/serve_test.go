@@ -113,7 +113,7 @@ func testResolve(spec core.ProblemSpec) (core.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cost.NewPlacementProblem(nl, 0.9, cost.DefaultConfig()), nil
+	return cost.NewPlacementProblem(nl), nil
 }
 
 // tinyCfg is a fast static configuration for scheduler tests.
@@ -359,12 +359,6 @@ func TestCancelQueuedAndRunningReleasesSlots(t *testing.T) {
 	if free := fleet.FreeWorkers(); free != 2 {
 		t.Fatalf("fleet free = %d after cancel, want 2 (leaked lease)", free)
 	}
-	s.mu.Lock()
-	leaked := s.ledger.Outstanding()
-	s.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("ledger still holds %d claim(s) after cancel", leaked)
-	}
 
 	// Cancelling a terminal job is refused.
 	if err := s.Cancel(running.ID()); !errors.Is(err, ErrTerminal) {
@@ -388,12 +382,6 @@ func TestFailureReleasesSlots(t *testing.T) {
 	}
 	if free := fleet.FreeWorkers(); free != 2 {
 		t.Fatalf("fleet free = %d after failure, want 2 (leaked lease)", free)
-	}
-	s.mu.Lock()
-	leaked := s.ledger.Outstanding()
-	s.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("ledger still holds %d claim(s) after failure", leaked)
 	}
 	// The freed capacity must admit a subsequent job.
 	s.runJob = func(ctx context.Context, j *Job, lease Lease) (*core.Result, error) {

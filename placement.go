@@ -26,15 +26,9 @@ type PlacementProblem struct {
 	pp *cost.PlacementProblem
 }
 
-// placementUtilization is the slot-grid fill ratio of the experiments.
-const placementUtilization = 0.9
-
 // newPlacement wraps a loaded circuit.
 func newPlacement(nl *netlist.Netlist) *PlacementProblem {
-	return &PlacementProblem{
-		nl: nl,
-		pp: cost.NewPlacementProblem(nl, placementUtilization, cost.DefaultConfig()),
-	}
+	return &PlacementProblem{nl: nl, pp: cost.NewPlacementProblem(nl)}
 }
 
 // PlacementBenchmark returns the placement problem over one of the
