@@ -157,10 +157,11 @@
 //     pattern while keeping every contract above: a flow shop trial
 //     recomputes the critical-path section between the swapped
 //     positions against cached head/tail matrices (O(machines x span)),
-//     and a job shop trial re-decodes the operation sequence from the
-//     stored checkpoint at or below the first swapped position, stopping
-//     once the schedule re-converges past the second (O(jobs x machines)
-//     at worst, with a same-job-token fast path answering zero). Both do
+//     and a job shop trial decodes the operation sequence from the
+//     stored checkpoint at or below the first swapped position to the
+//     first checkpoint past the second and closes with that
+//     checkpoint's max-plus tails (O(span + jobs + machines), with a
+//     same-job-token fast path answering zero). Both do
 //     all schedule arithmetic in exact integers, so batch and scalar
 //     evaluation are bit-identical by construction (fuzzed per package,
 //     pinned by golden_sched_test.go), and both stay allocation-free per

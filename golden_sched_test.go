@@ -11,7 +11,8 @@ import (
 // the placement goldens (see golden_test.go). Unlike the placement
 // and QAP goldens these pin searches whose delta evaluation is not
 // O(1) — the flow shop recomputes critical-path sections and the job
-// shop re-decodes schedules from checkpoints inside DeltaSwapBatch — so
+// shop decodes windows between checkpoints closed by max-plus tails
+// inside DeltaSwapBatch — so
 // they additionally guard the batch kernels' bit-identity to the scalar
 // path under the engine's real candidate streams. Costs are integral
 // makespans widened to float64, so any drift is a whole unit, never

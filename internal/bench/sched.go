@@ -18,8 +18,8 @@ import (
 // measures the delta-evaluation kernels' throughput. Unlike the
 // placement and QAP workloads these problems have non-O(1) swap deltas
 // — the flow shop recomputes a critical-path section per candidate, the
-// job shop re-decodes from a checkpoint until the schedule re-converges
-// — so the absolute deltas/sec figures quantify how much heavier these
+// job shop decodes the window between the checkpoints around the swap
+// and closes it with max-plus tails — so the absolute deltas/sec figures quantify how much heavier these
 // evaluators are, and the batch-vs-scalar ratio documents that the
 // BatchEvaluator path adds no overhead even where it cannot add speed
 // (both paths amortize the same lazily rebuilt caches; the batch

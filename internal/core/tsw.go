@@ -156,6 +156,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	collector := newCandCollector(cs)
 	var moves []tabu.CompoundMove
 	var selSc tabu.SelectScratch
+	var divSc divScratch
 
 	firstRound := resume == nil
 	// A master-restart resume re-enters the protocol at the verdict
@@ -176,7 +177,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 				// et al. [10]): forced swaps of the least-moved elements of the
 				// range.
 				if cfg.DiversifyDepth > 0 {
-					diversify(prob, env, tswRand, freq, list, iter, cfg, divLo, divHi)
+					diversify(prob, env, tswRand, freq, list, iter, cfg, divLo, divHi, &divSc)
 					stats.Diversifications++
 					refresh(prob)
 					env.Work(staWork)
@@ -797,39 +798,56 @@ func (cc *candCollector) collect(env pvm.Env, halfSync bool, stats *WorkerStats)
 	return cc.out
 }
 
+// divScratch is a TSW's reusable diversification batch: the partner
+// candidates of one forced swap and their deltas.
+type divScratch struct {
+	cands  []tabu.SwapCand
+	deltas []float64
+}
+
 // diversify performs the Kelly-style diversification "within the TSW
 // range" (paper §4.1): each of DiversifyDepth forced swaps moves the
 // least-frequently moved element of [lo, hi) — the long-term-memory
 // forcing of Kelly et al. [10] — to the best of Trials candidate
-// partners from the same range. The move is applied regardless of sign,
-// so each TSW drifts into its own region of the solution space, but the
-// greedy partner choice bounds the damage to the incumbent. The applied
+// partners from the same range, scored in one EvalDeltaBatch call (a
+// drawn partner equal to the element is skipped; the first strict
+// minimum wins). The move is applied regardless of sign, so each TSW
+// drifts into its own region of the solution space, but the greedy
+// partner choice bounds the damage to the incumbent. The applied
 // attributes become tabu so the jump is not immediately undone.
 func diversify(prob tabu.Problem, env pvm.Env, r *rand.Rand, freq *tabu.Frequency, list *tabu.List,
-	iter int64, cfg Config, lo, hi int32) {
+	iter int64, cfg Config, lo, hi int32, sc *divScratch) {
 	size := prob.Size()
 	if hi <= lo+1 || size < 2 {
 		return
 	}
+	if cap(sc.deltas) < cfg.Trials {
+		sc.cands = make([]tabu.SwapCand, 0, cfg.Trials)
+		sc.deltas = make([]float64, cfg.Trials)
+	}
 	for i := 0; i < cfg.DiversifyDepth; i++ {
 		a := freq.LeastMoved(r, lo, hi)
-		bestB, bestDelta := int32(-1), 0.0
+		cands := sc.cands[:0]
 		for t := 0; t < cfg.Trials; t++ {
-			b := lo + int32(r.Intn(int(hi-lo)))
-			if b == a {
-				continue
-			}
-			d := prob.DeltaSwap(a, b)
-			if bestB < 0 || d < bestDelta {
-				bestB, bestDelta = b, d
+			if b := lo + int32(r.Intn(int(hi-lo))); b != a {
+				cands = append(cands, tabu.SwapCand{A: a, B: b})
 			}
 		}
 		env.Work(float64(cfg.Trials) * cfg.WorkPerTrial)
-		if bestB < 0 {
+		if len(cands) == 0 {
 			continue
 		}
-		prob.ApplySwap(a, bestB)
-		freq.BumpSwap(a, bestB)
-		list.Add(tabu.Attr(a, bestB), iter+int64(cfg.Tenure))
+		deltas := sc.deltas[:len(cands)]
+		tabu.EvalDeltaBatch(prob, cands, deltas)
+		best := 0
+		for k := 1; k < len(deltas); k++ {
+			if deltas[k] < deltas[best] {
+				best = k
+			}
+		}
+		b := cands[best].B
+		prob.ApplySwap(a, b)
+		freq.BumpSwap(a, b)
+		list.Add(tabu.Attr(a, b), iter+int64(cfg.Tenure))
 	}
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"pts/internal/cluster"
+	"pts/internal/jobshop"
 	"pts/internal/qap"
 	"pts/internal/rng"
+	"pts/internal/schedinst"
 	"pts/internal/tabu"
 )
 
@@ -59,7 +62,7 @@ func TestDiversifyMovesLeastFrequent(t *testing.T) {
 		list := tabu.NewList()
 
 		before := prob.Snapshot()
-		diversify(prob, &stubEnv{}, rng.New(seed), freq, list, iter, cfg, lo, hi)
+		diversify(prob, &stubEnv{}, rng.New(seed), freq, list, iter, cfg, lo, hi, &divScratch{})
 		after := prob.Snapshot()
 		var moved []int32
 		for e := range before {
@@ -87,10 +90,75 @@ func TestDiversifyMovesLeastFrequent(t *testing.T) {
 
 		total, tabuLen := freq.Total(), list.Len()
 		for _, r := range [][2]int32{{7, 7}, {7, 8}, {8, 7}} {
-			diversify(prob, &stubEnv{}, rng.New(seed), freq, list, iter, cfg, r[0], r[1])
+			diversify(prob, &stubEnv{}, rng.New(seed), freq, list, iter, cfg, r[0], r[1], &divScratch{})
 			if !slices.Equal(prob.Snapshot(), after) || freq.Total() != total || list.Len() != tabuLen {
 				t.Fatalf("seed %d: diversify over [%d, %d) changed the state", seed, r[0], r[1])
 			}
 		}
+	}
+}
+
+// TestDiversifyBatchMatchesScalar pins diversify's batched partner
+// scoring to the per-partner DeltaSwap loop it replaced: the same draws,
+// the same skipped b == a partners and the same first strict minimum,
+// so the state, frequency and tabu memories end identical — on ft10,
+// whose states have a batch kernel, over ranges down to two elements.
+// With its scratch warm, diversify allocates nothing.
+func TestDiversifyBatchMatchesScalar(t *testing.T) {
+	ins, err := schedinst.JobShopByName("ft10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg()
+	cfg.DiversifyDepth, cfg.Trials = 12, 16
+	const iter = 40
+	scalar := func(prob tabu.Problem, r *rand.Rand, freq *tabu.Frequency, list *tabu.List, lo, hi int32) {
+		for i := 0; i < cfg.DiversifyDepth; i++ {
+			a := freq.LeastMoved(r, lo, hi)
+			bestB, bestDelta := int32(-1), 0.0
+			for t := 0; t < cfg.Trials; t++ {
+				b := lo + int32(r.Intn(int(hi-lo)))
+				if b == a {
+					continue
+				}
+				if d := prob.DeltaSwap(a, b); bestB < 0 || d < bestDelta {
+					bestB, bestDelta = b, d
+				}
+			}
+			if bestB >= 0 {
+				prob.ApplySwap(a, bestB)
+				freq.BumpSwap(a, bestB)
+				list.Add(tabu.Attr(a, bestB), iter+int64(cfg.Tenure))
+			}
+		}
+	}
+	var sc divScratch
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, r := range [][2]int32{{0, 100}, {30, 70}, {50, 52}} {
+			got, want := jobshop.NewState(ins, seed), jobshop.NewState(ins, seed)
+			gotFreq, wantFreq := tabu.NewFrequency(100), tabu.NewFrequency(100)
+			gotList, wantList := tabu.NewList(), tabu.NewList()
+			for round := 0; round < 3; round++ {
+				diversify(got, &stubEnv{}, rng.New(seed+uint64(round)), gotFreq, gotList, iter, cfg, r[0], r[1], &sc)
+				scalar(want, rng.New(seed+uint64(round)), wantFreq, wantList, r[0], r[1])
+			}
+			if !slices.Equal(got.Snapshot(), want.Snapshot()) || got.Makespan() != want.Makespan() {
+				t.Fatalf("seed %d range %v: batched diversify reached another state", seed, r)
+			}
+			for e := int32(0); e < 100; e++ {
+				if gotFreq.Count(e) != wantFreq.Count(e) {
+					t.Fatalf("seed %d range %v: frequency of %d is %d, scalar %d", seed, r, e, gotFreq.Count(e), wantFreq.Count(e))
+				}
+			}
+			if gotList.Len() != wantList.Len() {
+				t.Fatalf("seed %d range %v: tabu list holds %d, scalar %d", seed, r, gotList.Len(), wantList.Len())
+			}
+		}
+	}
+	prob, freq, list, r, env := jobshop.NewState(ins, 1), tabu.NewFrequency(100), tabu.NewList(), rng.New(1), &stubEnv{}
+	if n := testing.AllocsPerRun(20, func() {
+		diversify(prob, env, r, freq, list, iter, cfg, 0, 100, &sc)
+	}); n != 0 {
+		t.Fatalf("diversify allocates %.1f per call, want 0", n)
 	}
 }

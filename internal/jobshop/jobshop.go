@@ -12,18 +12,22 @@
 // reachable. Two tokens of the same job are interchangeable, so
 // swapping them is exactly cost-neutral.
 //
-// Unlike the flow shop there is no head/tail shortcut for this
-// neighborhood: a swap can change every later start time, so a delta is
-// a re-decode. The state keeps the decode's fold state (each job's
-// operation counter and ready time, each machine's ready time) at every
-// few positions, so a swap at positions a < b re-decodes from the
-// checkpoint at or below a, and stops at the first checkpoint past b
-// where the ready times match the stored ones again: from there the
-// schedule, and with it the makespan, is the current one. Worst case
-// O(nm), as for a swap near the front whose effect never dies out. All
-// schedule arithmetic is integral (int32, guarded by the instance
-// parser), so every delta is exact and batch and scalar paths are
-// bit-identical by construction.
+// A swap can change every later start time, but the decode past the
+// swapped positions need not run: one dispatch step, t =
+// max(jobReady[j], machReady[mc]) + dur, is max-plus linear, so decoding
+// an unchanged suffix is a max-plus linear map of the fold state where
+// it starts, and the makespan is max_k(ready_k + tail_k). Every few
+// positions the state keeps the heads, the decode's fold state there
+// (each job's operation counter and ready time, each machine's ready
+// time), and the tails, each ready time's longest path to the makespan.
+// A swap at positions a < b decodes from the head at or below a to the
+// first checkpoint past b and closes with that checkpoint's tails:
+// O(b - a + jobs + machines). ApplySwap rewrites the heads until the
+// ready times match the stored ones again and leaves the tails up to b
+// stale; the next evaluation rebuilds them in one backward pass, as the
+// flow shop does. All schedule arithmetic is integral (int32, guarded
+// by the instance parser), so every delta is exact and batch and scalar
+// paths are bit-identical by construction.
 package jobshop
 
 import (
@@ -194,13 +198,19 @@ func BruteForceOptimum(ins *schedinst.JobShop) int {
 	return best
 }
 
-// ckEvery is the checkpoint spacing of the decode: the fold state is
-// kept at every ckEvery-th dispatch position. Of 4, 8, 12 and 16, 8
-// measured fastest on ft10 (100 positions): denser checkpoints cost
-// more copying on ApplySwap and more comparisons before a decode
-// re-converges, sparser ones resume further before the first changed
-// position.
-const ckEvery = 8
+// ckEvery is the checkpoint spacing of the decode: the heads and tails
+// are kept at every ckEvery-th dispatch position. BenchmarkDeltaSwapBatch,
+// median ns/cand of 15 alternating runs on a shared 2-vCPU host, at
+// ckEvery 4 / 8 / 16:
+//
+//	js10x10       222 / 238 / 266
+//	ft10          228 / 244 / 267
+//	ft10-search   196 / 211 / 233
+//
+// Denser checkpoints cost more head copying on ApplySwap and more rows
+// for the backward pass; sparser ones widen every trial's window by
+// the partial blocks at both ends.
+const ckEvery = 4
 
 // State is a mutable operation-token permutation implementing the tabu
 // engine's Problem interface plus the batched evaluation boundary.
@@ -216,14 +226,26 @@ type State struct {
 	// never divides.
 	perm, seq []int32
 	makespan  int32
-	// ck holds the decode's fold state at the start of every block of
-	// ckEvery positions: row c, of width 2n+m, is [jobNext | jobReady |
-	// machReady] before position c*ckEvery. Row 0 is all zero.
+	// ck holds the heads, the decode's fold state at the start of every
+	// block of ckEvery positions: row c, of width 2n+m, is [jobNext |
+	// jobReady | machReady] before position c*ckEvery. Row 0 is all
+	// zero. Always current.
 	ck []int32
-	// cur is the running fold row and seen Restore's permutation check:
-	// scratch reused so the hot path stays allocation-free.
-	cur  []int32
-	seen []bool
+	// tl holds the tails: row c, of width n+m, is the longest path from
+	// each job's and each machine's ready time in head row c through the
+	// operations dispatched from position c*ckEvery on, 0 for a machine
+	// with none left. The extra end row is all zero: the makespan is the
+	// latest ready time of any job or machine, as a machine's ready time
+	// is the finish of some job's operation. Rows 0..tailDirty are stale
+	// (tailDirty = -1: none); ensure rebuilds them before a trial reads
+	// them.
+	tl        []int32
+	tailDirty int32
+	// cur is the running fold row, nxt the backward pass's operation
+	// counters and seen Restore's permutation check: scratch reused so
+	// the hot path stays allocation-free.
+	cur, nxt []int32
+	seen     []bool
 }
 
 // NewState creates a state with a random token permutation drawn from
@@ -258,7 +280,9 @@ func newState(ins *schedinst.JobShop) *State {
 		perm: make([]int32, size),
 		seq:  make([]int32, size),
 		ck:   make([]int32, blocks*int(2*n+m)),
+		tl:   make([]int32, (blocks+1)*int(n+m)),
 		cur:  make([]int32, 2*n+m),
+		nxt:  make([]int32, n),
 		seen: make([]bool, size),
 	}
 	for j := 0; j < ins.Jobs; j++ {
@@ -283,90 +307,150 @@ func (s *State) Makespan() int { return int(s.makespan) }
 // Size returns the number of dispatch positions (n*m operations).
 func (s *State) Size() int32 { return s.n * s.m }
 
-// decode is the one decode kernel behind NewState, Restore, ApplySwap,
-// DeltaSwap and the batch path. It returns the makespan of seq, given
-// that seq differs from the sequence the checkpoints were taken on only
-// within positions [lo, hi], and the position it stopped at.
-//
-// It resumes from the checkpoint at or below lo. At every checkpoint
-// past hi the same tokens have been dispatched, so every job's counter
-// already matches the stored row; if the job and machine ready times
-// match too, the rest of the schedule is the stored one and so is the
-// makespan (the latest job ready time at the end), and the decode stops
-// there. Otherwise it runs to the end. With commit set it rewrites the
-// checkpoints it passes, making seq the sequence they describe.
-func (s *State) decode(lo, hi int32, commit bool) (mk, stop int32) {
+// dispatch decodes positions [from, to) of seq onto the fold row cur:
+// each operation starts once its job and its machine are ready.
+func (s *State) dispatch(cur []int32, from, to int32) {
 	n, m := s.n, s.m
-	w := 2*n + m
+	jobNext, jobReady, machReady := cur[:n], cur[n:2*n], cur[2*n:]
+	for _, j := range s.seq[from:to] {
+		o := jobNext[j]
+		jobNext[j] = o + 1
+		op := j*m + o
+		mc := s.mach[op]
+		t := max(jobReady[j], machReady[mc]) + s.dur[op]
+		jobReady[j] = t
+		machReady[mc] = t
+	}
+}
+
+// commit re-decodes seq, which differs from the sequence the heads were
+// taken on only within positions [lo, hi], rewriting the heads it
+// passes. It returns the makespan and the position it stopped at.
+//
+// It resumes from the head at or below lo. At every checkpoint past hi
+// the same tokens have been dispatched, so every job's counter already
+// matches the stored row; if the job and machine ready times match too,
+// the rest of the schedule is the stored one and so is the makespan,
+// and the decode stops there. Otherwise it runs to the end.
+func (s *State) commit(lo, hi int32) (mk, stop int32) {
+	n := s.n
+	w := 2*n + s.m
 	size := int32(len(s.seq))
 	c := lo / ckEvery
 	cur := s.cur
 	copy(cur, s.ck[c*w:(c+1)*w])
-	jobNext, jobReady, machReady := cur[:n], cur[n:2*n], cur[2*n:]
-	for pos := c * ckEvery; pos < size; c++ {
+	for pos := c * ckEvery; pos < size; pos += ckEvery {
 		if pos > lo {
 			row := s.ck[c*w : (c+1)*w]
 			if pos > hi && slices.Equal(cur[n:], row[n:]) {
 				return s.makespan, pos
 			}
-			if commit {
-				copy(row, cur)
-			}
+			copy(row, cur)
 		}
-		for end := min(pos+ckEvery, size); pos < end; pos++ {
-			j := s.seq[pos]
-			o := jobNext[j]
-			jobNext[j] = o + 1
-			op := j*m + o
-			mc := s.mach[op]
-			t := max(jobReady[j], machReady[mc]) + s.dur[op]
-			jobReady[j] = t
-			machReady[mc] = t
-		}
+		s.dispatch(cur, pos, min(pos+ckEvery, size))
+		c++
 	}
-	return slices.Max(jobReady), size
+	return slices.Max(cur[n : 2*n]), size
 }
 
-// rebuild derives seq and every checkpoint from perm and decodes the
-// makespan from scratch.
+// ensure rebuilds the stale tail rows tailDirty..0 in one backward pass
+// from row tailDirty+1, which no swap since the last rebuild has
+// touched. A dispatch step t = max(jobReady[j], machReady[mc]) + dur
+// sends both ready times on through t, so before the step both get the
+// tail dur + max(tail[j], tail[mc]). Walking backwards, each step's
+// operation index comes from counting its job down from head row
+// tailDirty+1 (all m past the end).
+func (s *State) ensure() {
+	top := s.tailDirty
+	if top < 0 {
+		return
+	}
+	n, m := s.n, s.m
+	w, tw := 2*n+m, n+m
+	size := int32(len(s.seq))
+	nxt := s.nxt
+	if (top+1)*ckEvery < size {
+		copy(nxt, s.ck[(top+1)*w:])
+	} else {
+		for j := range nxt {
+			nxt[j] = m
+		}
+	}
+	for c := top; c >= 0; c-- {
+		row := s.tl[c*tw : (c+1)*tw]
+		copy(row, s.tl[(c+1)*tw:(c+2)*tw])
+		jobTail, machTail := row[:n], row[n:]
+		for pos := min((c+1)*ckEvery, size) - 1; pos >= c*ckEvery; pos-- {
+			j := s.seq[pos]
+			o := nxt[j] - 1
+			nxt[j] = o
+			op := j*m + o
+			mc := s.mach[op]
+			t := max(jobTail[j], machTail[mc]) + s.dur[op]
+			jobTail[j] = t
+			machTail[mc] = t
+		}
+	}
+	s.tailDirty = -1
+}
+
+// rebuild derives seq, every head and every tail from perm and decodes
+// the makespan from scratch.
 func (s *State) rebuild() {
 	for i, tok := range s.perm {
 		s.seq[i] = tok / s.m
 	}
-	s.makespan, _ = s.decode(0, int32(len(s.seq))-1, true)
+	size := int32(len(s.seq))
+	s.makespan, _ = s.commit(0, size-1)
+	s.tailDirty = (size - 1) / ckEvery
+	s.ensure()
 }
 
-// trial decodes the sequence with positions a and b exchanged, leaving
-// the state as it was.
+// trial returns the makespan of seq with positions a and b exchanged,
+// leaving the state as it was, and the position its decode stopped at.
+// Decoding is max-plus linear, so the unchanged suffix past the first
+// checkpoint e beyond max(a, b) needs no decode: the makespan is the
+// largest sum of a ready time and its tail in row e. The decode runs
+// from the head at or below min(a, b) to that checkpoint, or to the
+// end when max(a, b) is in the last block. The tails must be current.
 func (s *State) trial(a, b int32) (mk, stop int32) {
+	n, w, tw := s.n, 2*s.n+s.m, s.n+s.m
+	c, e := min(a, b)/ckEvery, max(a, b)/ckEvery+1
+	stop = min(e*ckEvery, int32(len(s.seq)))
+	cur := s.cur
+	copy(cur, s.ck[c*w:(c+1)*w])
 	seq := s.seq
 	seq[a], seq[b] = seq[b], seq[a]
-	mk, stop = s.decode(min(a, b), max(a, b), false)
+	s.dispatch(cur, c*ckEvery, stop)
 	seq[a], seq[b] = seq[b], seq[a]
+	tail := s.tl[e*tw : (e+1)*tw]
+	for k, x := range cur[n:] {
+		mk = max(mk, x+tail[k])
+	}
 	return mk, stop
 }
 
 // DeltaSwap returns the exact makespan change of exchanging the tokens
 // at positions a and b without applying it. Two tokens of the same job
 // leave the decoded schedule unchanged, so their swap is exactly zero.
-// Anything else re-decodes from the checkpoint at or below min(a, b)
-// and stops as soon as the schedule re-converges with the current one
-// past max(a, b); a swap near the end of the sequence, or one whose
-// effect dies out, decodes only a few blocks.
+// Anything else decodes only the window from the head at or below
+// min(a, b) to the first checkpoint past max(a, b) and closes with that
+// checkpoint's tails.
 func (s *State) DeltaSwap(a, b int32) float64 {
 	if a == b || s.seq[a] == s.seq[b] {
 		return 0
 	}
+	s.ensure()
 	mk, _ := s.trial(a, b)
 	return float64(mk - s.makespan)
 }
 
 // DeltaSwapBatch evaluates a whole candidate batch in one call; out[i]
 // is bit-for-bit what DeltaSwap(cands[i].A, cands[i].B) would return.
-// Implements tabu.BatchEvaluator. Each candidate runs the same
-// checkpointed, early-stopping re-decode; the batch amortizes call
-// overhead and the decode scratch.
+// Implements tabu.BatchEvaluator: the stale tail rows are rebuilt once,
+// then each candidate runs the same windowed decode.
 func (s *State) DeltaSwapBatch(cands []tabu.SwapCand, out []float64) {
+	s.ensure()
 	for i, c := range cands {
 		if c.A == c.B || s.seq[c.A] == s.seq[c.B] {
 			out[i] = 0
@@ -378,17 +462,26 @@ func (s *State) DeltaSwapBatch(cands []tabu.SwapCand, out []float64) {
 }
 
 // ApplySwap exchanges the tokens at positions a and b and updates the
-// makespan exactly, re-decoding (and re-checkpointing) only from the
-// first changed block until the schedule re-converges.
-func (s *State) ApplySwap(a, b int32) {
+// makespan exactly, re-decoding (and rewriting the heads) only from the
+// first changed block until the schedule re-converges. The tails of
+// rows up to max(a, b)'s block go stale; the next evaluation rebuilds
+// them.
+func (s *State) ApplySwap(a, b int32) { s.apply(a, b) }
+
+// apply is ApplySwap, returning where the commit decode stopped (-1
+// when the sequence did not change).
+func (s *State) apply(a, b int32) (stop int32) {
 	if a == b {
-		return
+		return -1
 	}
 	s.perm[a], s.perm[b] = s.perm[b], s.perm[a]
-	if s.seq[a] != s.seq[b] {
-		s.seq[a], s.seq[b] = s.seq[b], s.seq[a]
-		s.makespan, _ = s.decode(min(a, b), max(a, b), true)
+	if s.seq[a] == s.seq[b] {
+		return -1
 	}
+	s.seq[a], s.seq[b] = s.seq[b], s.seq[a]
+	s.makespan, stop = s.commit(min(a, b), max(a, b))
+	s.tailDirty = max(s.tailDirty, max(a, b)/ckEvery)
+	return stop
 }
 
 // Snapshot copies the current token permutation.

@@ -103,15 +103,80 @@ func zeroHeavy(t *testing.T, jobs, machines int, seed uint64) *schedinst.JobShop
 	return ins
 }
 
-// TestDecodeMatchesOracle fuzzes the checkpointed, early-stopping
-// decoder against MakespanSeq: every DeltaSwap and DeltaSwapBatch
-// result against the explicitly swapped sequence, every ApplySwap and
-// Restore makespan against the new sequence, and the checkpoints after
-// every mutation against a fresh rebuild. The instances are published
-// ones, random ones with (6×4) and without (7×5) a whole number of
-// checkpoint blocks, and one where half the operations take no time.
-// Both decode exits must occur: the stop at re-convergence and the run
-// to the end.
+// tailOracle is the tail of frontier variable k (job k < n, else
+// machine k-n) at checkpoint c, found without the backward pass: raise
+// that ready time in head row c above every path and decode the rest
+// forward. The latest final ready time of any job or machine then
+// exceeds the raised time by exactly the tail.
+func tailOracle(s *State, c, k int32) int32 {
+	n, m := s.n, s.m
+	w := 2*n + m
+	total := int32(0)
+	for _, d := range s.dur {
+		total += d
+	}
+	raised := total + 1
+	row := slices.Clone(s.ck[c*w : (c+1)*w])
+	row[n+k] = raised
+	jobNext, jobReady, machReady := row[:n], row[n:2*n], row[2*n:]
+	for _, j := range s.seq[c*ckEvery:] {
+		o := jobNext[j]
+		jobNext[j]++
+		mc := s.ins.Machine[j][o]
+		t := max(jobReady[j], machReady[mc]) + int32(s.ins.Dur[j][o])
+		jobReady[j], machReady[mc] = t, t
+	}
+	return max(slices.Max(jobReady), slices.Max(machReady)) - raised
+}
+
+// checkTails compares every tail row a trial can read — each checkpoint
+// row and the end row — with fresh's, a rebuild of s, and fresh's rows
+// with tailOracle. It returns how many checkpoint rows held a machine
+// with no operation left, whose tail must be 0.
+func checkTails(t *testing.T, s, fresh *State, step int) (idle int) {
+	t.Helper()
+	s.ensure()
+	if !slices.Equal(s.tl, fresh.tl) {
+		t.Fatalf("step %d: tails drifted from a fresh backward pass", step)
+	}
+	n, m := s.n, s.m
+	w, tw := 2*n+m, n+m
+	blocks := int32(len(s.ck)) / w
+	for c := int32(0); c < blocks; c++ {
+		for k := int32(0); k < tw; k++ {
+			if got, want := fresh.tl[c*tw+k], tailOracle(fresh, c, k); got != want {
+				t.Fatalf("step %d: tail row %d var %d = %d, oracle %d", step, c, k, got, want)
+			}
+		}
+		busy := make([]bool, m)
+		for j, next := range fresh.ck[c*w : c*w+n] {
+			for _, mc := range s.ins.Machine[j][next:] {
+				busy[mc] = true
+			}
+		}
+		if i := slices.Index(busy, false); i >= 0 {
+			idle++
+			if tl := fresh.tl[c*tw+n+int32(i)]; tl != 0 {
+				t.Fatalf("step %d: idle machine %d has tail %d in row %d", step, i, tl, c)
+			}
+		}
+	}
+	return idle
+}
+
+// TestDecodeMatchesOracle fuzzes the windowed trial and the
+// re-converging commit decode against MakespanSeq: every DeltaSwap and
+// DeltaSwapBatch result against the explicitly swapped sequence, every
+// ApplySwap and Restore makespan against the new sequence, and the
+// heads and tails after every mutation against a fresh rebuild (the
+// tails also against tailOracle). The instances are published ones,
+// random ones with (6×4) and without (7×5) a whole number of checkpoint
+// blocks, and one where half the operations take no time. Every exit
+// must occur: a trial closing with the tails at the first checkpoint
+// past max(a, b), a trial in the last block running to the end, and a
+// commit decode stopping at re-convergence as well as running to the
+// end. ft10 and la01 end in a short block, so some machine has no
+// operation left there and its tail is 0.
 func TestDecodeMatchesOracle(t *testing.T) {
 	ft10, err := schedinst.JobShopByName("ft10")
 	if err != nil {
@@ -128,7 +193,7 @@ func TestDecodeMatchesOracle(t *testing.T) {
 			r := rng.New(17)
 			cands := make([]tabu.SwapCand, 0, 64)
 			out := make([]float64, 64)
-			converged, ranToEnd := 0, 0
+			closed, ranToEnd, converged, committedToEnd, idle := 0, 0, 0, 0, 0
 			for step := 0; step < 300; step++ {
 				cands = append(cands[:0], forcedPairs(size)...)
 				for len(cands) < cap(cands) {
@@ -146,17 +211,26 @@ func TestDecodeMatchesOracle(t *testing.T) {
 					if c.A == c.B || s.seq[c.A] == s.seq[c.B] {
 						continue
 					}
-					if _, stop := s.trial(c.A, c.B); stop < size {
-						converged++
-						if stop <= max(c.A, c.B) || stop%ckEvery != 0 {
-							t.Fatalf("step %d: (%d,%d) stopped at %d", step, c.A, c.B, stop)
-						}
-					} else {
+					_, stop := s.trial(c.A, c.B)
+					next := (max(c.A, c.B)/ckEvery + 1) * ckEvery
+					switch {
+					case next < size && stop == next:
+						closed++
+					case next >= size && stop == size:
 						ranToEnd++
+					default:
+						t.Fatalf("step %d: trial (%d,%d) stopped at %d", step, c.A, c.B, stop)
 					}
 				}
 				mv := cands[r.Intn(len(cands))]
-				s.ApplySwap(mv.A, mv.B)
+				if stop := s.apply(mv.A, mv.B); stop >= 0 && stop < size {
+					converged++
+					if stop <= max(mv.A, mv.B) || stop%ckEvery != 0 {
+						t.Fatalf("step %d: commit (%d,%d) stopped at %d", step, mv.A, mv.B, stop)
+					}
+				} else if stop == size {
+					committedToEnd++
+				}
 				if step%50 == 49 {
 					perm := make([]int32, size)
 					for i, v := range r.Perm(int(size)) {
@@ -178,11 +252,16 @@ func TestDecodeMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !slices.Equal(s.ck, fresh.ck) || !slices.Equal(s.seq, fresh.seq) {
-					t.Fatalf("step %d: checkpoints drifted from a fresh rebuild", step)
+					t.Fatalf("step %d: heads drifted from a fresh rebuild", step)
 				}
+				idle += checkTails(t, s, fresh, step)
 			}
-			if converged == 0 || ranToEnd == 0 {
-				t.Fatalf("exits not both covered: %d stopped at re-convergence, %d ran to the end", converged, ranToEnd)
+			if closed == 0 || ranToEnd == 0 || converged == 0 || committedToEnd == 0 {
+				t.Fatalf("exits not all covered: trials %d closed with the tails, %d ran to the end; commits %d re-converged, %d ran to the end",
+					closed, ranToEnd, converged, committedToEnd)
+			}
+			if (ins == ft10 || ins == la01) && idle == 0 {
+				t.Fatal("no checkpoint row with an idle machine")
 			}
 		})
 	}
@@ -337,9 +416,10 @@ func TestEmbeddedInstanceIntegrity(t *testing.T) {
 	}
 }
 
-// TestDeltaSwapBatchAllocFree asserts the batched path, ApplySwap and
-// Restore allocate nothing per call — the same 0 allocs/trial contract
-// the other workloads' kernels are held to in CI.
+// TestDeltaSwapBatchAllocFree asserts the batched path (including the
+// tail rebuild a commit leaves it), ApplySwap and Restore allocate
+// nothing per call — the same 0 allocs/trial contract the other
+// workloads' kernels are held to in CI.
 func TestDeltaSwapBatchAllocFree(t *testing.T) {
 	ins := Random(10, 6, 1)
 	s := NewState(ins, 2)
@@ -352,6 +432,7 @@ func TestDeltaSwapBatchAllocFree(t *testing.T) {
 	}
 	s.DeltaSwapBatch(cands, out)
 	if n := testing.AllocsPerRun(100, func() {
+		s.ApplySwap(cands[1].A, cands[1].B)
 		s.DeltaSwapBatch(cands, out)
 	}); n != 0 {
 		t.Fatalf("DeltaSwapBatch allocates %.1f per call, want 0", n)
@@ -371,18 +452,56 @@ func TestDeltaSwapBatchAllocFree(t *testing.T) {
 	}
 }
 
+// searchState descends a random ft10 state by greedy swaps — each step
+// commits the best of 64 random pairs while that improves — to the
+// kind of state a search spends its trials in, where most swaps worsen
+// the makespan and their effect runs to the end of the sequence.
+func searchState(ins *schedinst.JobShop) *State {
+	s := NewState(ins, 2)
+	r := rng.New(5)
+	size := int(s.Size())
+	cands := make([]tabu.SwapCand, 64)
+	out := make([]float64, 64)
+	for stale := 0; stale < 20; {
+		for i := range cands {
+			cands[i] = tabu.SwapCand{A: int32(r.Intn(size)), B: int32(r.Intn(size))}
+		}
+		s.DeltaSwapBatch(cands, out)
+		best := slices.Index(out, slices.Min(out))
+		if out[best] >= 0 {
+			stale++
+			continue
+		}
+		stale = 0
+		s.ApplySwap(cands[best].A, cands[best].B)
+	}
+	return s
+}
+
 // BenchmarkDeltaSwapBatch times a 64-candidate batch on a random
 // 10×10 instance and on ft10. Pairs are drawn the way a candidate-list
 // worker whose range is the whole space draws them (one CLW per TSW):
 // the first element from its range, the second from the whole space.
+// The ft10-search case runs the search regime: on a greedily descended
+// ft10 state, every batch is followed by committing its best pair, as a
+// compound-move step does, and the next batch by undoing it, so the
+// figure includes the commit and the tail rebuild it leaves behind.
 func BenchmarkDeltaSwapBatch(b *testing.B) {
 	ft10, err := schedinst.JobShopByName("ft10")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, ins := range []*schedinst.JobShop{Random(10, 10, 1), ft10} {
-		b.Run(ins.Name, func(b *testing.B) {
-			s := NewState(ins, 2)
+	for _, tc := range []struct {
+		name   string
+		state  func() *State
+		commit bool
+	}{
+		{"js10x10", func() *State { return NewState(Random(10, 10, 1), 2) }, false},
+		{"ft10", func() *State { return NewState(ft10, 2) }, false},
+		{"ft10-search", func() *State { return searchState(ft10) }, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := tc.state()
 			r := rng.New(3)
 			size := int(s.Size())
 			cands := make([]tabu.SwapCand, 64)
@@ -390,11 +509,126 @@ func BenchmarkDeltaSwapBatch(b *testing.B) {
 				cands[i] = tabu.SwapCand{A: int32(r.Intn(size)), B: int32(r.Intn(size))}
 			}
 			out := make([]float64, 64)
+			var best tabu.SwapCand
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.DeltaSwapBatch(cands, out)
+				if tc.commit {
+					if i%2 == 0 {
+						best = cands[slices.Index(out, slices.Min(out))]
+					}
+					s.ApplySwap(best.A, best.B)
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/cand")
 		})
 	}
+}
+
+// fuzzBytes hands out fuzz input one byte at a time, zeros once spent.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// perm draws a permutation of [0, n) from the bytes by Fisher-Yates.
+func (b *fuzzBytes) perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := b.next() % (i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// FuzzJobShopDelta builds a small instance (up to 6 jobs × 5 machines,
+// durations 0..7), a token permutation and a run of swap pairs from the
+// fuzz bytes. For every pair the scalar delta, the batch delta and the
+// MakespanSeq oracle agree, and the tails they read equal a fresh
+// rebuild's; the pair is then applied, and the makespan and heads must
+// equal a fresh rebuild's too.
+func FuzzJobShopDelta(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 4, 1, 2, 3, 4, 5, 6, 7, 0, 0, 9, 31, 7, 200, 3, 17, 4})
+	f.Add([]byte{2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 1})
+	r := rng.New(9)
+	seed := make([]byte, 256)
+	for i := range seed {
+		seed[i] = byte(r.Intn(256))
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		jobs, machines := 1+b.next()%6, 1+b.next()%5
+		machine := make([][]int, jobs)
+		dur := make([][]int, jobs)
+		for j := range machine {
+			machine[j] = b.perm(machines)
+			dur[j] = make([]int, machines)
+			for o := range dur[j] {
+				dur[j][o] = b.next() % 8
+			}
+		}
+		ins, err := New("fuzz", machine, dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := jobs * machines
+		snap := make([]int32, size)
+		for i, v := range b.perm(size) {
+			snap[i] = int32(v)
+		}
+		s, err := NewStateAt(ins, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cands []tabu.SwapCand
+		for len(b) > 0 {
+			cands = append(cands, tabu.SwapCand{A: int32(b.next() % size), B: int32(b.next() % size)})
+		}
+		out := make([]float64, len(cands))
+		for i, c := range cands {
+			want := oracleDelta(t, s, c.A, c.B)
+			// Either path may be the first to read the tails the last
+			// commit left stale.
+			var got float64
+			if i%2 == 0 {
+				got = s.DeltaSwap(c.A, c.B)
+				s.DeltaSwapBatch(cands[i:], out[i:])
+			} else {
+				s.DeltaSwapBatch(cands[i:], out[i:])
+				got = s.DeltaSwap(c.A, c.B)
+			}
+			if got != want || out[i] != want {
+				t.Fatalf("swap %d (%d,%d): scalar %v, batch %v, oracle %v", i, c.A, c.B, got, out[i], want)
+			}
+			fresh, err := NewStateAt(ins, s.perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(s.tl, fresh.tl) {
+				t.Fatalf("swap %d (%d,%d): tails drifted from a rebuild", i, c.A, c.B)
+			}
+			s.ApplySwap(c.A, c.B)
+			mk, err := MakespanSeq(ins, jobSeq(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh, err = NewStateAt(ins, s.perm); err != nil {
+				t.Fatal(err)
+			}
+			if s.Makespan() != mk || !slices.Equal(s.ck, fresh.ck) {
+				t.Fatalf("swap %d (%d,%d): makespan %d (oracle %d) or heads drifted from a rebuild", i, c.A, c.B, s.Makespan(), mk)
+			}
+		}
+	})
 }

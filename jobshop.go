@@ -15,11 +15,12 @@ import (
 // t/m, decoded by semi-active dispatch in token order. Every
 // permutation decodes to a feasible schedule, so the engine's swap
 // moves, snapshots and element partitioning all apply unchanged.
-// A delta re-decodes the schedule from a stored checkpoint just before
-// the first swapped position and stops once it re-converges with the
-// current schedule past the second (O(nm) in the worst case); swapping
-// two tokens of the same job is recognized as cost-neutral without
-// decoding.
+// A delta decodes only the window from the stored checkpoint at or
+// below the first swapped position to the first checkpoint past the
+// second, then closes with that checkpoint's max-plus tails (the
+// longest path from each job's and machine's ready time to the
+// makespan); swapping two tokens of the same job is recognized as
+// cost-neutral without decoding.
 type JobShopProblem struct {
 	p *jobshop.Problem
 }
