@@ -186,8 +186,13 @@ func main() {
 		if *mode == "virtual" {
 			*mode = "real" // a distributed run is a real-time run
 		}
-		opts = append(opts, pts.WithListen(*serveAddr, *netWorkers))
-		fmt.Printf("serving on %s, waiting for %d worker(s)\n", *serveAddr, *netWorkers)
+		master, err := pts.ListenMaster(*serveAddr, *netWorkers)
+		if err != nil {
+			fatal(err)
+		}
+		defer master.Close()
+		opts = append(opts, pts.WithMaster(master))
+		fmt.Printf("serving on %s, waiting for %d worker(s)\n", master.Addr(), *netWorkers)
 	}
 	switch *mode {
 	case "virtual":

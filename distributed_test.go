@@ -26,8 +26,10 @@ func distOpts() []Option {
 
 // TestDistributedMatchesInProcess is the acceptance gate of the TCP
 // transport: a fixed-seed run over loopback TCP — one master plus three
-// worker processes with distinct speed factors — returns the same best
-// cost (and permutation) as the single-process real-mode run.
+// worker processes with distinct speed factors, one of them
+// contributing two machine slots — returns the same best cost (and
+// permutation) as the single-process real-mode run, and every worker's
+// onJob sees that same result.
 func TestDistributedMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed loopback run")
@@ -48,22 +50,24 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 
 	// Three workers with the paper's three speed classes; each builds
 	// the problem from the same inputs, as separate processes would.
-	speeds := []float64{1.0, 0.55, 0.3}
+	nodes := []NodeOptions{
+		{Name: "node0", Speed: 1.0, Capacity: 1},
+		{Name: "node1", Speed: 0.55, Capacity: 1},
+		{Name: "node2", Speed: 0.3, Capacity: 2},
+	}
 	var wg sync.WaitGroup
-	workerRes := make([]*Result, len(speeds))
-	workerErr := make([]error, len(speeds))
-	for i, sp := range speeds {
+	workerRes := make([]*Result, len(nodes))
+	workerErr := make([]error, len(nodes))
+	for i, node := range nodes {
 		wg.Add(1)
-		go func(i int, sp float64) {
+		go func(i int, node NodeOptions) {
 			defer wg.Done()
-			workerRes[i], workerErr[i] = Solve(ctx, newProblem(),
-				WithJoin(master.Addr()),
-				WithNode(fmt.Sprintf("node%d", i), sp, 1),
-			)
-		}(i, sp)
+			workerErr[i] = Worker(ctx, newProblem(), master.Addr(), node, 1,
+				func(r *Result) { workerRes[i] = r })
+		}(i, node)
 	}
 
-	dist, err := Solve(ctx, newProblem(), append(distOpts(), WithTransport(master.Transport()))...)
+	dist, err := Solve(ctx, newProblem(), append(distOpts(), WithMaster(master))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +79,16 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	if !reflect.DeepEqual(dist.Best, single.Best) {
 		t.Error("best permutation differs between TCP and in-process runs")
 	}
+	if dist.BestCost >= dist.InitialCost {
+		t.Error("no improvement over the initial solution")
+	}
 	if dist.Tasks != single.Tasks || dist.Messages != single.Messages {
 		t.Errorf("runtime counters differ: TCP %d tasks/%d msgs, in-process %d/%d",
 			dist.Tasks, dist.Messages, single.Tasks, single.Messages)
 	}
 	for i, wr := range workerRes {
-		if workerErr[i] != nil {
-			t.Errorf("worker %d: %v", i, workerErr[i])
+		if workerErr[i] != nil || wr == nil {
+			t.Errorf("worker %d: no result (err %v)", i, workerErr[i])
 			continue
 		}
 		if wr.BestCost != dist.BestCost || wr.Rounds != dist.Rounds {
@@ -91,49 +98,6 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 		if !reflect.DeepEqual(wr.Best, dist.Best) {
 			t.Errorf("worker %d's best permutation differs from the master's", i)
 		}
-	}
-}
-
-// TestDistributedWithListenSugar covers the WithListen form and a
-// worker daemon (Worker) serving the job.
-func TestDistributedWithListenSugar(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distributed loopback run")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	newProblem := func() Problem { return RandomQAP(20, 3) }
-
-	// The master's port must be known before Solve binds it, so pick one
-	// by probing (WithListen is the CLI's path, where the operator picks
-	// the port).
-	probe, err := ListenMaster("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := probe.Addr()
-	probe.Close()
-
-	workerDone := make(chan error, 1)
-	var workerSaw *Result
-	go func() {
-		workerDone <- Worker(ctx, newProblem(), addr,
-			NodeOptions{Name: "daemon0", Speed: 0.5, Capacity: 2}, 1,
-			func(r *Result) { workerSaw = r })
-	}()
-
-	res, err := Solve(ctx, newProblem(), append(distOpts(), WithListen(addr, 1))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-workerDone; err != nil {
-		t.Fatalf("worker daemon: %v", err)
-	}
-	if workerSaw == nil || workerSaw.BestCost != res.BestCost {
-		t.Errorf("daemon result %+v does not match master best %.9f", workerSaw, res.BestCost)
-	}
-	if res.BestCost >= res.InitialCost {
-		t.Error("no improvement over the initial solution")
 	}
 }
 
@@ -207,7 +171,7 @@ func TestAdaptiveWorkerLossDegradesGracefully(t *testing.T) {
 		WithHalfSync(false),
 		WithAdaptive(true),
 		WithWorkScale(2), // stretch rounds so the kill lands mid-run
-		WithTransport(master.Transport()),
+		WithMaster(master),
 		WithProgress(func(s Snapshot) {
 			if s.Round == 2 && !killed {
 				killed = true
@@ -325,7 +289,7 @@ func TestDistributedMasterRestartResumes(t *testing.T) {
 		defer cancel()
 		opts := append(searchOpts(),
 			WithStore(st),
-			WithTransport(master.Transport()),
+			WithMaster(master),
 		)
 		if interruptAt > 0 {
 			opts = append(opts, WithProgress(func(s Snapshot) {
@@ -372,18 +336,16 @@ func TestDistributedMasterRestartResumes(t *testing.T) {
 
 // TestDistributedOptionValidation pins the configuration errors.
 func TestDistributedOptionValidation(t *testing.T) {
-	ctx := context.Background()
-	q := RandomQAP(8, 1)
-	if _, err := Solve(ctx, q, WithListen("127.0.0.1:0", 1), WithVirtualTime()); err == nil {
-		t.Error("WithListen + WithVirtualTime accepted")
+	master, err := ListenMaster("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Solve(ctx, q, WithJoin("127.0.0.1:1"), WithListen("127.0.0.1:0", 1)); err == nil {
-		t.Error("WithJoin + WithListen accepted")
+	defer master.Close()
+	if _, err := Solve(context.Background(), RandomQAP(8, 1), WithMaster(master), WithVirtualTime()); err == nil {
+		t.Error("WithMaster + WithVirtualTime accepted")
 	}
-	if _, err := Solve(ctx, q, WithListen("127.0.0.1:0", 0)); err == nil {
-		t.Error("WithListen with zero workers accepted")
-	}
-	if _, err := Solve(ctx, q, WithJoin("127.0.0.1:1"), WithVirtualTime()); err == nil {
-		t.Error("WithJoin + WithVirtualTime accepted")
+	if m, err := ListenMaster("127.0.0.1:0", 0); err == nil {
+		m.Close()
+		t.Error("ListenMaster with zero workers accepted")
 	}
 }

@@ -46,9 +46,9 @@
 //
 // # Distributed mode
 //
-// Real-time runs can leave the process: WithListen makes a Solve the
-// master of a distributed run over TCP, and worker processes join it
-// with WithJoin (one job) or Worker (a daemon), each declaring a
+// Real-time runs can leave the process. ListenMaster binds the master
+// of a distributed run over TCP and WithMaster hands it to Solve; every
+// other process runs Worker, for one job or as a daemon, declaring a
 // relative speed factor and slot capacity in the master's registry —
 // the heterogeneity the paper's PVM testbed had in hardware. Every
 // process builds the same Problem from the same inputs; only protocol

@@ -122,7 +122,7 @@ func ExampleListenMaster() {
 		pts.WithIterations(3, 10),
 		pts.WithSeed(7),
 		pts.WithHalfSync(false),
-		pts.WithTransport(master.Transport()),
+		pts.WithMaster(master),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -136,7 +136,7 @@ func distributedRun() {
 		pts.WithWorkers(4, 2),
 		pts.WithIterations(6, 30),
 		pts.WithSeed(3),
-		pts.WithTransport(master.Transport()),
+		pts.WithMaster(master),
 		// A touch of speed emulation so the declared factors matter: fast
 		// nodes really do answer sooner, and half-sync forces the slow one.
 		pts.WithWorkScale(1e-3),

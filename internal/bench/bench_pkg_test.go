@@ -359,12 +359,17 @@ func TestScenarios(t *testing.T) {
 			name:   "sched",
 			run:    Sched,
 			want:   []string{"flowshop-ta001/best_makespan", "jobshop-ft06/best_makespan", "jobshop-ft06/lower_bound", "jobshop-ft10/batch_speedup", "jobshop-la01/modeled_seconds"},
-			inputs: []string{"global_iters", "local_iters", "seed", "window_seconds"},
+			inputs: []string{"global_iters", "local_iters", "seed", "window_seconds", "windows"},
 			check: func(t *testing.T, rep *Report) {
 				for _, ins := range []string{"flowshop-ta001", "jobshop-ft06", "jobshop-ft10", "jobshop-la01"} {
 					best := value(t, rep, "search", ins, "best_makespan")
 					if best < value(t, rep, "instance", ins, "lower_bound") || best > value(t, rep, "search", ins, "initial_makespan") {
 						t.Errorf("%s best makespan %v outside [lower bound, initial]", ins, best)
+					}
+					for _, m := range []string{"scalar_deltas_per_sec", "batch_deltas_per_sec"} {
+						if r := find(rep.Records, "kernel", ins, m); r == nil || r.Value <= 0 || r.Windows != DefaultHotpathWindows {
+							t.Errorf("%s %s record %+v is not a best-of-%d measurement", ins, m, r, DefaultHotpathWindows)
+						}
 					}
 				}
 			},

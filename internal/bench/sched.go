@@ -26,8 +26,9 @@ import (
 // contract here buys bit-identical pluggability, not extra throughput).
 
 // The sched scenario's search budget per instance, its default seed and
-// the sampling window per throughput kernel; Opts.Scale multiplies the
-// local iterations and the window.
+// the total sampling time per throughput kernel, which its
+// DefaultHotpathWindows windows share; Opts.Scale multiplies the local
+// iterations and the sampling time.
 const (
 	schedGlobalIters = 10
 	schedLocalIters  = 60
@@ -42,46 +43,45 @@ type schedState interface {
 	DeltaSwapBatch(cands []tabu.SwapCand, out []float64)
 }
 
-// measureSchedKernels samples the scalar and batched delta kernels on a
-// warm state for dur each and returns deltas/second.
-func measureSchedKernels(st schedState, dur time.Duration) (scalar, batch float64) {
-	const batchLen = 64
+// schedBatch is the candidate-batch size both kernels are timed on.
+const schedBatch = 64
+
+// measureSchedKernels times the scalar and batched delta kernels on a
+// warm state, each over DefaultHotpathWindows windows that share dur,
+// and returns the fastest window's deltas/second. The spreads are the
+// cross-window ns/op standard deviations scaled to the same rate.
+func measureSchedKernels(st schedState, dur time.Duration) (scalar, scalarDev, batch, batchDev float64) {
 	size := int(st.Size())
 	r := rng.New(99)
-	cands := make([]tabu.SwapCand, batchLen)
+	cands := make([]tabu.SwapCand, schedBatch)
 	for i := range cands {
 		cands[i] = tabu.SwapCand{A: int32(r.Intn(size)), B: int32(r.Intn(size))}
 	}
-	out := make([]float64, batchLen)
-	st.DeltaSwapBatch(cands, out) // warm caches
-
-	deadline := time.Now().Add(dur)
-	var n int64
-	start := time.Now()
-	for time.Now().Before(deadline) {
-		for i := range cands {
-			out[i] = st.DeltaSwap(cands[i].A, cands[i].B)
+	out := make([]float64, schedBatch)
+	perDelta := func(fn func(i int)) (rate, dev float64) {
+		ns, _, sd := measureBest(dur, DefaultHotpathWindows, fn)
+		return 1e9 / ns, 1e9 / ns * sd / ns
+	}
+	scalar, scalarDev = perDelta(func(i int) {
+		c := cands[i%schedBatch]
+		out[0] = st.DeltaSwap(c.A, c.B)
+	})
+	// One op is one delta here too: the batch kernel runs on every
+	// schedBatch-th op, and measure times whole multiples of that.
+	batch, batchDev = perDelta(func(i int) {
+		if i%schedBatch == 0 {
+			st.DeltaSwapBatch(cands, out)
 		}
-		n += batchLen
-	}
-	scalar = float64(n) / time.Since(start).Seconds()
-
-	deadline = time.Now().Add(dur)
-	n = 0
-	start = time.Now()
-	for time.Now().Before(deadline) {
-		st.DeltaSwapBatch(cands, out)
-		n += batchLen
-	}
-	batch = float64(n) / time.Since(start).Seconds()
-	return scalar, batch
+	})
+	return scalar, scalarDev, batch, batchDev
 }
 
 // Sched runs the scheduling-workload benchmark. Each instance yields
 // instance records (jobs, machines, optimum when published,
 // lower_bound), search records (initial_makespan, best_makespan,
 // gap_percent when the optimum is known, modeled_seconds) and kernel
-// records (scalar_deltas_per_sec, batch_deltas_per_sec, batch_speedup).
+// records (scalar_deltas_per_sec, batch_deltas_per_sec, batch_speedup),
+// each the fastest of its windows with the cross-window spread.
 // The search records run on virtual time and are exact in the seed.
 func Sched(o Opts) (*Report, error) {
 	o = o.scenario("", schedSeed, 0)
@@ -90,7 +90,7 @@ func Sched(o Opts) (*Report, error) {
 	cfg.Seed = o.Seed
 	window := time.Duration(float64(schedWindow) * o.Scale)
 	rep := newReport("sched", "scheduling workloads: engine search quality and delta-kernel throughput per embedded instance",
-		map[string]any{"global_iters": cfg.GlobalIters, "local_iters": cfg.LocalIters, "seed": o.Seed, "window_seconds": window.Seconds()})
+		map[string]any{"global_iters": cfg.GlobalIters, "local_iters": cfg.LocalIters, "seed": o.Seed, "window_seconds": window.Seconds(), "windows": DefaultHotpathWindows})
 
 	type entry struct {
 		prob           core.Problem
@@ -141,11 +141,14 @@ func Sched(o Opts) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: %s state %T lacks DeltaSwapBatch", name, st)
 		}
-		sc, ba := measureSchedKernels(ss, window)
-		rep.add("kernel", name, "scalar_deltas_per_sec", sc)
-		rep.add("kernel", name, "batch_deltas_per_sec", ba)
-		if sc > 0 {
-			rep.add("kernel", name, "batch_speedup", ba/sc)
+		sc, scDev, ba, baDev := measureSchedKernels(ss, window)
+		for _, r := range []Record{
+			{Metric: "scalar_deltas_per_sec", Value: sc, Stddev: scDev},
+			{Metric: "batch_deltas_per_sec", Value: ba, Stddev: baDev},
+			{Metric: "batch_speedup", Value: ba / sc},
+		} {
+			r.Layer, r.Workload, r.Windows = "kernel", name, DefaultHotpathWindows
+			rep.Records = append(rep.Records, r)
 		}
 	}
 	return rep, nil

@@ -115,7 +115,7 @@ func persistSnapshot(prob Problem, cfg Config, ts *tswSet, out *masterState, bes
 		BestCost:    out.bestCost,
 		BestPerm:    out.bestPerm,
 		BestTabu:    bestTabu,
-		Latest:      make([]WorkerStats, cfg.TSWs),
+		Latest:      append([]WorkerStats(nil), ts.latest...),
 		Checkpoints: make([]snapCheckpoint, len(ts.rec.cks)),
 		Lost:        ts.rec.lost,
 		Respawned:   ts.rec.respawned,
@@ -123,11 +123,6 @@ func persistSnapshot(prob Problem, cfg Config, ts *tswSet, out *masterState, bes
 	for i, ck := range ts.rec.cks {
 		if ck != nil {
 			snap.Checkpoints[i] = snapCheckpoint{OK: true, CK: *ck}
-		}
-	}
-	for id, i := range ts.idx {
-		if i < len(snap.Latest) {
-			snap.Latest[i] = ts.latest[id]
 		}
 	}
 	if b, err := encodeSnapshot(snap); err == nil {
@@ -183,7 +178,7 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		cfg:    cfg,
 		ids:    make([]pvm.TaskID, cfg.TSWs),
 		idx:    make(map[pvm.TaskID]int, cfg.TSWs),
-		latest: make(map[pvm.TaskID]WorkerStats, cfg.TSWs),
+		latest: make([]WorkerStats, cfg.TSWs),
 		rec:    newRecovery(env, prob, cfg),
 	}
 	if snap != nil {
@@ -246,7 +241,7 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 	for i, id := range ts.ids {
 		ts.idx[id] = i
 		if snap != nil && i < len(snap.Latest) {
-			ts.latest[id] = snap.Latest[i]
+			ts.latest[i] = snap.Latest[i]
 		}
 		if resumed[i] {
 			// The resumed TSW waits at the verdict boundary; the kick-off
@@ -278,19 +273,20 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		forced := 0
 		for i, r := range reports.msgs {
 			raw = append(raw, r.Points...)
-			idx := ts.idx[reports.from[i]]
-			if track != nil {
-				// One throughput observation per TSW per round: local
-				// iterations completed this round over the TSW's report
-				// latency from the round start — all on the master's own
-				// clock. Latency (not the shared collection time) is what
-				// still discriminates under full sync, where every TSW does
-				// identical per-round work by construction and only how
-				// long it took differs.
-				dIters := float64(r.Stats.LocalIters - ts.latest[reports.from[i]].LocalIters)
-				track.ObserveWindow(idx, dIters, reports.at[i]-roundStart)
+			if slot := reports.slot[i]; slot >= 0 {
+				if track != nil {
+					// One throughput observation per TSW per round: local
+					// iterations completed this round over the TSW's report
+					// latency from the round start — all on the master's own
+					// clock. Latency (not the shared collection time) is what
+					// still discriminates under full sync, where every TSW
+					// does identical per-round work by construction and only
+					// how long it took differs.
+					dIters := float64(r.Stats.LocalIters - ts.latest[slot].LocalIters)
+					track.ObserveWindow(slot, dIters, reports.at[i]-roundStart)
+				}
+				ts.latest[slot] = r.Stats
 			}
-			ts.latest[reports.from[i]] = r.Stats
 			if r.Forced {
 				forced++
 			}
@@ -436,24 +432,28 @@ func envelope(raw []improvement) stats.Trace {
 	return tr
 }
 
-// bestReports pairs each collected bestMsg with its sender and the
-// master-clock time it was received — the arrival latencies the
-// adaptive tracker turns into throughput weights.
+// bestReports pairs each collected bestMsg with its sender's TSW slot
+// and the master-clock time it was received — the arrival latencies
+// the adaptive tracker turns into throughput weights. The slot is read
+// when the report is taken: a TSW lost and resurrected later in the
+// same collection no longer maps its old task ID to any slot. It is -1
+// for a sender that was already replaced when its report was taken.
 type bestReports struct {
 	msgs []bestMsg
-	from []pvm.TaskID
+	slot []int
 	at   []float64
 }
 
-// tswSet is the master's view of its TSWs: identity, each worker's
-// latest cumulative counters, and the checkpoint ledger with its
+// tswSet is the master's view of its TSWs: identity, each slot's
+// latest cumulative counters (carried over to a resurrected TSW, which
+// resumes them from its checkpoint), and the checkpoint ledger with its
 // respawn bookkeeping.
 type tswSet struct {
 	env    pvm.Env
 	cfg    Config
 	ids    []pvm.TaskID
 	idx    map[pvm.TaskID]int
-	latest map[pvm.TaskID]WorkerStats
+	latest []WorkerStats
 	rec    *recovery
 }
 
@@ -466,7 +466,7 @@ type tswSet struct {
 func (ts *tswSet) collect(halfSync bool) bestReports {
 	env := ts.env
 	n := len(ts.ids)
-	out := bestReports{msgs: make([]bestMsg, 0, n), from: make([]pvm.TaskID, 0, n), at: make([]float64, 0, n)}
+	out := bestReports{msgs: make([]bestMsg, 0, n), slot: make([]int, 0, n), at: make([]float64, 0, n)}
 	reported := make(map[pvm.TaskID]bool, n)
 	take := func() {
 		for {
@@ -487,11 +487,14 @@ func (ts *tswSet) collect(halfSync bool) bestReports {
 			}
 			reported[m.From] = true
 			b := m.Data.(bestMsg)
-			if i, ok := ts.idx[m.From]; ok {
-				ts.rec.noteCheckpoint(i, &b.Checkpoint)
+			slot, ok := ts.idx[m.From]
+			if ok {
+				ts.rec.noteCheckpoint(slot, &b.Checkpoint)
+			} else {
+				slot = -1
 			}
 			out.msgs = append(out.msgs, b)
-			out.from = append(out.from, m.From)
+			out.slot = append(out.slot, slot)
 			out.at = append(out.at, env.Now())
 			return
 		}
@@ -536,10 +539,6 @@ func (ts *tswSet) onTSWExit(from pvm.TaskID) {
 	delete(ts.idx, from)
 	ts.idx[id] = i
 	ts.ids[i] = id
-	// Counter continuity: the successor resumes the predecessor's
-	// cumulative stats, so per-round deltas stay meaningful.
-	ts.latest[id] = ts.latest[from]
-	delete(ts.latest, from)
 }
 
 // recovery is the master-side respawn bookkeeping: the latest

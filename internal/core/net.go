@@ -286,17 +286,3 @@ func ServeWorker(ctx context.Context, prob Problem, opts WorkerOptions, onJob fu
 		Logf:     opts.Logf,
 	}, &workerHandler{prob: prob, resolve: opts.Resolve, onJob: onJob})
 }
-
-// JoinWorker serves exactly one job as a worker of a distributed run
-// and returns that job's final result.
-func JoinWorker(ctx context.Context, prob Problem, opts WorkerOptions) (*Result, error) {
-	opts.Jobs = 1
-	var res *Result
-	if err := ServeWorker(ctx, prob, opts, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, fmt.Errorf("core: job ended without a result from the master")
-	}
-	return res, nil
-}

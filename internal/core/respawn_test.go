@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -15,13 +17,20 @@ import (
 	"pts/internal/tabu"
 )
 
-// stubEnv is a minimal pvm.Env that records sends, for driving the
-// clwSet recovery state machine directly (task loss cannot happen on
-// the in-process transports, so the lifecycle is unit-tested here and
+// stubEnv is a minimal pvm.Env that records sends and replays a
+// scripted inbox, for driving the clwSet and master recovery state
+// machines directly (task loss cannot happen on the in-process
+// transports, so the lifecycle is unit-tested here and
 // integration-tested over nettrans below).
 type stubEnv struct {
 	sent    []stubSend
 	watched []pvm.TaskID
+	// inbox is what Recv returns, in order; each message moves the
+	// clock to its At. spawned counts SpawnSpec calls, which mint task
+	// IDs 100, 101, ...
+	inbox   []stubRecv
+	now     float64
+	spawned int
 }
 
 type stubSend struct {
@@ -30,10 +39,15 @@ type stubSend struct {
 	Data any
 }
 
+type stubRecv struct {
+	At float64
+	pvm.Message
+}
+
 func (s *stubEnv) Self() pvm.TaskID         { return 1 }
 func (s *stubEnv) Name() string             { return "stub" }
 func (s *stubEnv) MachineIndex() int        { return 0 }
-func (s *stubEnv) Now() float64             { return 0 }
+func (s *stubEnv) Now() float64             { return s.now }
 func (s *stubEnv) Rand() *rand.Rand         { return rng.New(1) }
 func (s *stubEnv) Cancelled() bool          { return false }
 func (s *stubEnv) Work(seconds float64)     {}
@@ -41,13 +55,24 @@ func (s *stubEnv) NotifyExit(id pvm.TaskID) { s.watched = append(s.watched, id) 
 func (s *stubEnv) Send(to pvm.TaskID, tag pvm.Tag, data any) {
 	s.sent = append(s.sent, stubSend{To: to, Tag: tag, Data: data})
 }
-func (s *stubEnv) Recv(tags ...pvm.Tag) pvm.Message            { panic("stub: Recv") }
+func (s *stubEnv) Recv(tags ...pvm.Tag) pvm.Message {
+	if len(s.inbox) == 0 {
+		panic("stub: Recv past the end of the script")
+	}
+	r := s.inbox[0]
+	if !slices.Contains(tags, r.Tag) {
+		panic(fmt.Sprintf("stub: scripted tag %d is not among the awaited %v", r.Tag, tags))
+	}
+	s.inbox, s.now = s.inbox[1:], r.At
+	return r.Message
+}
 func (s *stubEnv) TryRecv(tags ...pvm.Tag) (pvm.Message, bool) { return pvm.Message{}, false }
 func (s *stubEnv) Spawn(name string, machine int, fn pvm.TaskFunc) pvm.TaskID {
 	panic("stub: Spawn")
 }
 func (s *stubEnv) SpawnSpec(name string, machine int, spec pvm.Spec) pvm.TaskID {
-	panic("stub: SpawnSpec")
+	s.spawned++
+	return pvm.TaskID(99 + s.spawned)
 }
 
 func (s *stubEnv) sends(tag pvm.Tag) []stubSend {
@@ -276,6 +301,54 @@ func TestCheckpointRoundTripAdoptsSurvivors(t *testing.T) {
 	}
 	if ck.Stats.LocalIters != 123 {
 		t.Error("counters lost in the checkpoint round-trip")
+	}
+}
+
+// TestMasterCreditsReportToItsSlot drives masterRun through a TSW
+// that reports, is lost and is resurrected within one collection. Its
+// report must be credited to its own slot — the tracker sees TSW 1 as
+// the faster one — and the successor must take over that slot's
+// counters, so the next round's Snapshot.Stats counts every TSW once.
+func TestMasterCreditsReportToItsSlot(t *testing.T) {
+	prob := &qapTestProblem{ins: qap.Random(20, 3)}
+	cfg := quickCfg()
+	cfg.TSWs, cfg.GlobalIters = 2, 2
+	cfg.Adaptive, cfg.HalfSync = true, false
+	var snaps []Snapshot
+	cfg.Progress = func(s Snapshot) { snaps = append(snaps, s) }
+
+	// masterRun spawns TSWs 0 and 1 as tasks 100 and 101; TSW 1's
+	// successor is task 102.
+	best := func(iters int64) bestMsg {
+		return bestMsg{Cost: 50, Stats: WorkerStats{LocalIters: iters}}
+	}
+	env := &stubEnv{inbox: []stubRecv{
+		{1, pvm.Message{From: 101, Tag: TagBest, Data: best(30)}}, // TSW 1: 30 iterations in 1 s
+		{1.5, pvm.Message{From: 101, Tag: pvm.TagExit}},           // then lost, resurrected as 102
+		{2, pvm.Message{From: 100, Tag: TagBest, Data: best(10)}}, // TSW 0: 10 iterations in 2 s
+		{3, pvm.Message{From: 100, Tag: TagBest, Data: best(20)}},
+		{4, pvm.Message{From: 102, Tag: TagBest, Data: best(60)}},
+		{5, pvm.Message{From: 100, Tag: TagStats, Data: WorkerStats{}}},
+		{5, pvm.Message{From: 102, Tag: TagStats, Data: WorkerStats{}}},
+	}}
+	init := make([]int32, prob.Size())
+	for i := range init {
+		init[i] = int32(i)
+	}
+	var out masterState
+	masterRun(env, prob, cfg, init, 100, nil, &out)
+
+	if len(env.inbox) != 0 || env.spawned != 3 {
+		t.Fatalf("master left %d scripted messages unread after %d spawns, want 0 after 3", len(env.inbox), env.spawned)
+	}
+	if len(snaps) != 2 {
+		t.Fatalf("got %d snapshots, want 2", len(snaps))
+	}
+	if sh := snaps[0].Shares; sh[1] <= sh[0] {
+		t.Errorf("round 1 shares %v: TSW 1's report (30 iterations in 1 s) was not credited to slot 1", sh)
+	}
+	if got := snaps[1].Stats.LocalIters; got != 20+60 {
+		t.Errorf("round 2 Stats.LocalIters = %d, want %d (one entry per TSW)", got, 20+60)
 	}
 }
 

@@ -218,7 +218,7 @@ func dialJoin(ctx context.Context, cfg WorkerConfig) (*conn, error) {
 // serveSession hosts jobs over one registered connection until it
 // drops, returning how many jobs ended — cleanly or not. A job that
 // aborted still counts as ended: it is over for good (the master never
-// replays it), so bounded daemons and JoinWorker must not wait for a
+// replays it), so a daemon bounded to Jobs jobs must not wait for a
 // replacement that cannot come.
 func serveSession(ctx context.Context, cfg WorkerConfig, c *conn, h Handler) (int, error) {
 	defer c.close()

@@ -6,38 +6,23 @@ import (
 	"os"
 
 	"pts/internal/core"
-	"pts/internal/pvm"
 	"pts/internal/pvm/nettrans"
 )
-
-// Transport selects how a real-time run passes messages between the
-// master, TSW and CLW tasks. The zero value (and the default) is the
-// in-process transport: every task is a goroutine of the calling
-// process. A NetMaster's Transport runs the identical protocol across
-// OS processes over TCP.
-type Transport struct {
-	t pvm.Transport
-}
-
-// InProcessTransport returns the default transport explicitly. Like
-// every explicit transport it implies WithRealTime — pass no transport
-// at all for virtual-time runs.
-func InProcessTransport() Transport { return Transport{t: pvm.InProcess()} }
 
 // NetMaster is the master side of a distributed run: a TCP listener
 // plus a registry of joined worker processes, each contributing machine
 // slots with a declared relative speed — the heterogeneity knobs the
 // simulated cluster expresses as machine speed factors. One NetMaster
-// hosts one Solve; create it ahead of time (rather than via WithListen)
-// when you need the bound address before workers can dial in.
+// hosts one Solve, passed to it with WithMaster; every other process
+// of the run is a Worker.
 type NetMaster struct {
 	m *nettrans.Master
 }
 
 // ListenMaster binds addr immediately and starts accepting worker
-// joins in the background; the Solve using its Transport starts once
-// `workers` workers have joined. Use ":0" to let the OS pick a port and
-// Addr to discover it.
+// joins in the background; the Solve given it by WithMaster starts
+// once `workers` workers have joined. Use ":0" to let the OS pick a
+// port and Addr to discover it.
 func ListenMaster(addr string, workers int) (*NetMaster, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("pts: a distributed run needs at least 1 worker, got %d", workers)
@@ -74,50 +59,23 @@ func (n *NetMaster) Workers() []WorkerInfo {
 	return out
 }
 
-// Transport returns the master as a Solve transport (WithTransport).
-func (n *NetMaster) Transport() Transport { return Transport{t: n.m} }
-
 // Close releases the listener and drops idle worker connections. Solve
 // closes the master itself after a run; Close is for abandoning one
 // that never ran.
 func (n *NetMaster) Close() error { return n.m.Close() }
 
-// WithTransport selects the message-passing transport of a real-time
-// run. Implies WithRealTime: the virtual runtime is single-process by
-// construction (its determinism is the point), so combining a network
-// transport with WithVirtualTime is a configuration error.
-func WithTransport(t Transport) Option {
-	return func(s *settings) { s.transport = t.t }
-}
-
-// WithListen makes the run distributed with this process as the
-// master: listen on addr, wait until `workers` worker processes joined
-// (pts.Worker, or `pts -worker`), then run the master/TSW/CLW protocol
-// across them, with every joined node hosting its share of the workers.
-// Implies WithRealTime. The listener lives for the one Solve call.
-func WithListen(addr string, workers int) Option {
-	return func(s *settings) { s.listen = &listenConfig{addr: addr, workers: workers} }
-}
-
-// WithJoin makes this Solve call a worker of someone else's run: join
-// the master at addr (retrying with backoff while it is unreachable),
-// host this node's share of TSW/CLW tasks for one job, and return the
-// same Result the master computed. The problem passed to Solve must be
-// built from the same inputs as the master's — it is fingerprinted and
-// the job refused on mismatch. Search options are the master's;
-// WithNode declares this node's registry entry.
-func WithJoin(addr string) Option {
-	return func(s *settings) { s.join = addr }
-}
-
-// WithNode declares this process's worker registry entry for WithJoin:
-// a cluster-unique name (default "<hostname>:<pid>"), the node's
-// relative speed factor recorded in the master registry and used to
-// scale emulated work (default 1.0), and how many machine slots the
-// node contributes to round-robin task placement (default 1).
-func WithNode(name string, speed float64, capacity int) Option {
+// WithMaster makes the run distributed with this process as the
+// master: wait until m's workers have joined (pts.Worker, or
+// `pts -worker`), then run the master/TSW/CLW protocol across them,
+// with every joined node hosting its share of the workers. Implies
+// WithRealTime: the virtual runtime is single-process by construction
+// (its determinism is the point), so combining a master with
+// WithVirtualTime is a configuration error. A nil m is a no-op.
+func WithMaster(m *NetMaster) Option {
 	return func(s *settings) {
-		s.node = nodeConfig{name: name, speed: speed, capacity: capacity}
+		if m != nil {
+			s.cfg.Transport = m.m
+		}
 	}
 }
 
@@ -130,23 +88,10 @@ func WithWorkScale(scale float64) Option {
 	return func(s *settings) { s.cfg.WorkScale = scale }
 }
 
-// listenConfig is WithListen's pending master setup.
-type listenConfig struct {
-	addr    string
-	workers int
-}
-
-// nodeConfig is WithNode's registry entry.
-type nodeConfig struct {
-	name     string
-	speed    float64
-	capacity int
-}
-
-// workerName resolves the node name, defaulting to "<hostname>:<pid>".
-func (n nodeConfig) workerName() string {
-	if n.name != "" {
-		return n.name
+// nodeName defaults an empty worker name to "<hostname>:<pid>".
+func nodeName(name string) string {
+	if name != "" {
+		return name
 	}
 	host, err := os.Hostname()
 	if err != nil {
@@ -155,18 +100,20 @@ func (n nodeConfig) workerName() string {
 	return fmt.Sprintf("%s:%d", host, os.Getpid())
 }
 
-// Worker runs a distributed-run worker daemon: join the master at
-// addr, host tasks for `jobs` jobs (0 = until ctx cancels), and hand
-// each job's final Result — the same outcome the master's Solve
-// returns — to onJob (which may be nil). This is WithJoin's
-// long-running sibling, for dedicated worker processes like
-// `pts -worker`, and the worker side of a ListenServer fleet.
+// Worker runs a worker process of distributed runs: join the master at
+// addr (retrying with backoff while it is unreachable), host this
+// node's share of TSW/CLW tasks for `jobs` jobs (0 = until ctx
+// cancels), and hand each job's final Result — the same outcome the
+// master's Solve returns — to onJob (which may be nil). With jobs 1 it
+// serves one run and returns; it is also how `pts -worker` and the
+// workers of a ListenServer fleet run.
 //
 // p may be non-nil — one fixed problem, built from the same inputs as
 // the master's (it is fingerprinted and jobs refused on mismatch) — or
 // nil, in which case the worker constructs each job's problem on
 // demand from the built-in workload named in the job's payload, as
-// multi-job fleets require.
+// multi-job fleets require. Search options are the master's; node only
+// declares this process's registry entry.
 func Worker(ctx context.Context, p Problem, addr string, node NodeOptions, jobs int, onJob func(*Result)) error {
 	var deliver func(*core.Result)
 	if onJob != nil {
@@ -181,7 +128,7 @@ func Worker(ctx context.Context, p Problem, addr string, node NodeOptions, jobs 
 	}
 	return core.ServeWorker(ctx, prob, core.WorkerOptions{
 		Addr:     addr,
-		Name:     nodeConfig{name: node.Name}.workerName(),
+		Name:     nodeName(node.Name),
 		Speed:    node.Speed,
 		Capacity: node.Capacity,
 		Jobs:     jobs,
@@ -191,8 +138,7 @@ func Worker(ctx context.Context, p Problem, addr string, node NodeOptions, jobs 
 	}, deliver)
 }
 
-// NodeOptions is Worker's registry entry (the exported twin of
-// WithNode's parameters).
+// NodeOptions is Worker's registry entry.
 type NodeOptions struct {
 	// Name uniquely identifies the node (default "<hostname>:<pid>").
 	Name string
@@ -209,18 +155,4 @@ type NodeOptions struct {
 	Drain <-chan struct{}
 	// Logf, when non-nil, receives connection lifecycle lines.
 	Logf func(format string, args ...any)
-}
-
-// joinSolve runs the worker side of a distributed Solve.
-func joinSolve(ctx context.Context, p Problem, st settings) (*Result, error) {
-	res, err := core.JoinWorker(ctx, adapt(p), core.WorkerOptions{
-		Addr:     st.join,
-		Name:     st.node.workerName(),
-		Speed:    st.node.speed,
-		Capacity: st.node.capacity,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resultFromCore(res), nil
 }

@@ -3,7 +3,6 @@ package pts
 import (
 	"pts/internal/cluster"
 	"pts/internal/core"
-	"pts/internal/pvm"
 )
 
 // Option configures one Solve call. Options apply in order over the
@@ -16,16 +15,10 @@ type settings struct {
 	cfg  core.Config
 	clus cluster.Cluster
 	mode core.Mode
-	// modeSet records an explicit WithVirtualTime/WithRealTime, so the
-	// distributed options can tell "default virtual" (silently upgraded
-	// to real) from "requested virtual" (a configuration error).
+	// modeSet records an explicit WithVirtualTime/WithRealTime, so
+	// WithMaster can tell "default virtual" (silently upgraded to real)
+	// from "requested virtual" (a configuration error).
 	modeSet bool
-
-	// Distributed execution (net.go options).
-	transport pvm.Transport
-	listen    *listenConfig
-	join      string
-	node      nodeConfig
 }
 
 // defaultSettings returns the zero-option configuration: the paper's
@@ -166,20 +159,20 @@ func WithSeed(seed uint64) Option {
 // WithVirtualTime runs on the deterministic discrete-event runtime:
 // compute and messages cost modeled time on the configured cluster, and
 // results are bit-identical across hosts and runs. It is single-process
-// by construction and cannot combine with a distributed transport.
+// by construction and cannot combine with WithMaster.
 func WithVirtualTime() Option {
 	return func(s *settings) { s.mode, s.modeSet = core.Virtual, true }
 }
 
 // WithRealTime runs with wall-clock timing — the same algorithm code
 // executing genuinely in parallel, on in-process goroutines by default
-// or across OS processes with WithListen/WithTransport. The modeled
-// per-trial work charge does not apply unless WithWorkScale asks for
-// speed emulation, and results are not deterministic in time. With
-// half-sync off the search outcome is deterministic in the seed only
-// for 1 TSW x 1 CLW: with two or more TSWs or CLWs the master keeps the
-// first-arrived of equal-cost reports and CLW ties follow arrival
-// order, so real-time runs are not reproducible per seed.
+// or across OS processes with WithMaster. The modeled per-trial work
+// charge does not apply unless WithWorkScale asks for speed emulation,
+// and results are not deterministic in time. With half-sync off the
+// search outcome is deterministic in the seed only for 1 TSW x 1 CLW:
+// with two or more TSWs or CLWs the master keeps the first-arrived of
+// equal-cost reports and CLW ties follow arrival order, so real-time
+// runs are not reproducible per seed.
 func WithRealTime() Option {
 	return func(s *settings) { s.mode, s.modeSet = core.Real, true }
 }

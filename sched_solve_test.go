@@ -197,7 +197,7 @@ func TestDistributedRefusesMismatchedSchedInstance(t *testing.T) {
 	// master that finishes before the fJobErr frame lands.
 	res, err := Solve(ctx, RandomFlowShop(18, 4, 1),
 		WithWorkers(2, 1), WithIterations(500, 40), WithSeed(3),
-		WithTransport(master.Transport()))
+		WithMaster(master))
 	if err != nil {
 		t.Fatalf("master run errored instead of unwinding to best-so-far: %v", err)
 	}

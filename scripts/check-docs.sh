@@ -22,6 +22,10 @@
 #     doc.go or results/*.md (the flags that follow "ptsbench" on the
 #     same line, with their arguments) must be listed by
 #     `go run ./cmd/ptsbench -h`.
+#  7. Every `With...` option named in README.md, ARCHITECTURE.md or
+#     doc.go (bare, or qualified as `pts.With...`) must be a func
+#     declared in package pts. Identifiers qualified by another package
+#     (`context.WithTimeout`) are not options and are skipped.
 #
 # Usage: scripts/check-docs.sh
 set -euo pipefail
@@ -142,3 +146,27 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "PASS: all $cited ptsbench flag citations in README.md, ARCHITECTURE.md, doc.go and results/*.md exist"
+
+# Solve options cited in the docs.
+pts_opts=$(grep -hoE '^func With[A-Za-z0-9_]+' $(ls *.go | grep -v '_test\.go$') | sed 's/^func //' | sort -u)
+cited=0
+for src in README.md ARCHITECTURE.md doc.go; do
+  for tok in $(grep -oE '[A-Za-z0-9_.]*With[A-Z][A-Za-z0-9_]*' "$src" | sort -u); do
+    case "$tok" in
+      pts.With*) opt=${tok#pts.} ;;
+      With*) opt=$tok ;;
+      *) continue ;; # another package's identifier, or part of a longer name
+    esac
+    cited=$((cited + 1))
+    if ! grep -qxF -- "$opt" <<< "$pts_opts"; then
+      echo "FAIL: $src names $tok, which is not a func in package pts"
+      fail=1
+    fi
+  done
+done
+
+if [ "$fail" -ne 0 ]; then
+  echo "Name only options package pts declares."
+  exit 1
+fi
+echo "PASS: all $cited option names in README.md, ARCHITECTURE.md and doc.go are funcs in package pts"

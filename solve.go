@@ -189,38 +189,13 @@ func (s *Solver) Solve(ctx context.Context, p Problem, opts ...Option) (*Result,
 	all = append(all, opts...)
 	st := apply(all)
 
-	// Distributed execution: a joining call serves the master's run and
-	// returns its outcome; a listening or transport-equipped call is the
-	// master and must run in real time.
-	if st.join != "" {
-		if st.listen != nil || st.transport != nil {
-			return nil, fmt.Errorf("pts: WithJoin cannot combine with WithListen or WithTransport")
-		}
+	// A master's run spans OS processes, which only wall-clock time can.
+	if st.cfg.Transport != nil {
 		if st.modeSet && st.mode == core.Virtual {
-			return nil, fmt.Errorf("pts: a distributed transport requires real time; drop WithVirtualTime")
-		}
-		return joinSolve(ctx, p, st)
-	}
-	if st.listen != nil || st.transport != nil {
-		if st.modeSet && st.mode == core.Virtual {
-			return nil, fmt.Errorf("pts: a distributed transport requires real time; drop WithVirtualTime")
+			return nil, fmt.Errorf("pts: WithMaster requires real time; drop WithVirtualTime")
 		}
 		st.mode = core.Real
 	}
-	if st.listen != nil {
-		if st.transport != nil {
-			return nil, fmt.Errorf("pts: WithListen and WithTransport are mutually exclusive")
-		}
-		master, err := ListenMaster(st.listen.addr, st.listen.workers)
-		if err != nil {
-			return nil, err
-		}
-		// RunProblem's finisher delivers results and closes the master on
-		// success; Close here covers every early-error path (idempotent).
-		defer master.Close()
-		st.transport = master.m
-	}
-	st.cfg.Transport = st.transport
 
 	res, err := core.RunProblem(ctx, adapt(p), st.clus, st.cfg, st.mode)
 	if err != nil {
