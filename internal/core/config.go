@@ -88,7 +88,8 @@ type Config struct {
 	DisableRespawn bool
 	// Store, when non-nil, makes the run persistent: the master writes
 	// a run snapshot (round index, incumbent best, the TSW checkpoint
-	// ledger) under "runs/<RunID>" at every resync barrier, and a fresh
+	// ledger) under "runs/<RunID>" at every resync barrier but the
+	// last, behind the search (see snapshotWriter), and a fresh
 	// run that finds a snapshot there resumes it instead of starting
 	// over. Every run checkpoints and reseeds its workers the same way
 	// (see tswRun), so a store changes nothing about the search: a

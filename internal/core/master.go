@@ -9,6 +9,7 @@ import (
 	"pts/internal/pvm"
 	"pts/internal/sched"
 	"pts/internal/stats"
+	"pts/internal/store"
 	"pts/internal/tabu"
 )
 
@@ -25,9 +26,9 @@ type masterState struct {
 // masterSnapshot is the master's durable run state — everything a
 // restarted master needs to resume the run where the dead one left
 // off. It is persisted (gob under "runs/<RunID>") at every resync
-// barrier: the point where the TSW checkpoint ledger is freshest (one
-// piggybacked checkpoint per report) and the incumbent best was just
-// re-selected. Problem/Size/Seed fingerprint the run so a stale
+// barrier but the last: the point where the TSW checkpoint ledger is
+// freshest (one piggybacked checkpoint per report) and the incumbent
+// best was just re-selected. Problem/Size/Seed fingerprint the run so a stale
 // snapshot from different inputs is refused rather than resumed.
 type masterSnapshot struct {
 	Problem string
@@ -100,13 +101,11 @@ func decodeSnapshot(b []byte) (*masterSnapshot, error) {
 	return &snap, nil
 }
 
-// persistSnapshot writes the run's durable state to the store at a
-// resync barrier. Best-effort: a failing store degrades durability, not
-// the run in flight — the previous snapshot (if any) stays valid.
-func persistSnapshot(prob Problem, cfg Config, ts *tswSet, out *masterState, bestTabu []tabu.Entry) {
-	if cfg.Store == nil {
-		return
-	}
+// persistSnapshot encodes the run's durable state at a resync barrier
+// and hands it to the run's snapshot writer. Best-effort: a failing
+// store degrades durability, not the run in flight — the previous
+// snapshot (if any) stays valid.
+func persistSnapshot(w *snapshotWriter, prob Problem, cfg Config, ts *tswSet, out *masterState, bestTabu []tabu.Entry) {
 	snap := &masterSnapshot{
 		Problem:     prob.Name(),
 		Size:        prob.Size(),
@@ -126,8 +125,49 @@ func persistSnapshot(prob Problem, cfg Config, ts *tswSet, out *masterState, bes
 		}
 	}
 	if b, err := encodeSnapshot(snap); err == nil {
-		_ = cfg.Store.Put(cfg.runKey(), b)
+		w.put(b)
 	}
+}
+
+// snapshotWriter writes a store-backed run's snapshots behind the
+// search: the master encodes each snapshot at its barrier and
+// broadcasts the next round at once, while one goroutine per run
+// issues the fsynced Put. At most one snapshot waits behind the write
+// in progress; a newer one replaces it, so writes land in round order.
+type snapshotWriter struct {
+	st      store.Store
+	key     string
+	waiting chan []byte   // capacity 1; the master is its only sender
+	done    chan struct{} // closed when the goroutine has exited
+}
+
+func newSnapshotWriter(st store.Store, key string) *snapshotWriter {
+	w := &snapshotWriter{st: st, key: key, waiting: make(chan []byte, 1), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		for b := range w.waiting {
+			_ = w.st.Put(w.key, b)
+		}
+	}()
+	return w
+}
+
+// put queues b as the run's newest snapshot, replacing one still
+// waiting. With the master the only sender, the channel is empty after
+// the drain, so the send never blocks.
+func (w *snapshotWriter) put(b []byte) {
+	select {
+	case <-w.waiting:
+	default:
+	}
+	w.waiting <- b
+}
+
+// flush writes the snapshot still waiting, if any, waits for the
+// write in progress and stops the goroutine. put must not follow it.
+func (w *snapshotWriter) flush() {
+	close(w.waiting)
+	<-w.done
 }
 
 // masterRun is the master process body (paper Fig. 2): spawn the TSWs,
@@ -142,15 +182,23 @@ func persistSnapshot(prob Problem, cfg Config, ts *tswSet, out *masterState, bes
 //
 // The master remembers every TSW's latest checkpoint (piggybacked on
 // TagBest, plus the spawn-time TagCheckpoint) in every run; that
-// ledger is what a Store persists. With recovery enabled (adaptive
-// runs, Config.respawn) the master is also the cluster's undertaker:
-// it spawns replacement CLWs on live capacity when a TSW reports a
-// loss (TagRespawn), watches the TSWs themselves, and resurrects a
-// lost TSW from its checkpoint — re-attaching its surviving CLWs — so
-// no single worker process is fatal to the run.
+// ledger is what a Store persists, through a snapshotWriter that
+// masterRun flushes on every way out — an abort's unwind included — so
+// RunProblem's Delete, and the next run over the same store, see the
+// final write. With recovery enabled (adaptive runs, Config.respawn)
+// the master is also the cluster's undertaker: it spawns replacement
+// CLWs on live capacity when a TSW reports a loss (TagRespawn),
+// watches the TSWs themselves, and resurrects a lost TSW from its
+// checkpoint — re-attaching its surviving CLWs — so no single worker
+// process is fatal to the run.
 func masterRun(env pvm.Env, prob Problem, cfg Config,
 	initPerm []int32, initCost float64, snap *masterSnapshot, out *masterState) {
 
+	var snaps *snapshotWriter
+	if cfg.Store != nil {
+		snaps = newSnapshotWriter(cfg.Store, cfg.runKey())
+		defer snaps.flush()
+	}
 	out.bestCost = initCost
 	out.bestPerm = append([]int32(nil), initPerm...)
 	// raw gathers every incumbent improvement any TSW observed; the
@@ -307,9 +355,12 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		// never persisted: its reports may come from cancel-truncated
 		// local searches, and resuming from it would fork off the
 		// uninterrupted trajectory. The previous snapshot stays, and a
-		// restart re-runs this round at full length instead.
-		if !env.Cancelled() {
-			persistSnapshot(prob, cfg, ts, out, bestTabu)
+		// restart re-runs this round at full length instead. Nor is the
+		// last barrier: a clean completion deletes the snapshot moments
+		// later, and an interrupted shutdown re-runs the last round from
+		// the previous one.
+		if snaps != nil && !env.Cancelled() && g < cfg.GlobalIters-1 {
+			persistSnapshot(snaps, prob, cfg, ts, out, bestTabu)
 		}
 
 		if cfg.Progress != nil {

@@ -59,11 +59,15 @@ func runID(id string) string { return id }
 
 // persistJob journals the job's current state, with its event log
 // once it is terminal. Best-effort: failures are logged (and returned)
-// and the job carries on in memory.
+// and the job carries on in memory. The state is read and written under
+// j.journalMu, so a slow write of an older state (Submit's queued
+// record) can never land over a newer one (a concurrent Cancel's).
 func (s *Scheduler) persistJob(j *Job) error {
 	if s.cfg.Store == nil {
 		return nil
 	}
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
 	j.mu.Lock()
 	rec := jobRecord{
 		ID:      j.id,

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"pts/internal/cluster"
@@ -243,6 +244,73 @@ func TestSchedulerCancelledJobNotResumed(t *testing.T) {
 	}
 	if sB.Queued() != 0 {
 		t.Fatalf("restart queued %d jobs, want none", sB.Queued())
+	}
+}
+
+// holdFirstPut wraps a store to hold the first Put of one key: it
+// closes held once that write waits and lets it through when release
+// is closed.
+type holdFirstPut struct {
+	store.Store
+	key     string
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdFirstPut) Put(key string, value []byte) error {
+	if key == h.key {
+		first := false
+		h.once.Do(func() { first = true })
+		if first {
+			close(h.held)
+			<-h.release
+		}
+	}
+	return h.Store.Put(key, value)
+}
+
+// TestSchedulerCancelDuringSubmitWriteStaysCancelled: a queued job
+// cancelled while Submit's journal write is still on its way to the
+// store stays cancelled after a restart. The late queued record must
+// not land over the cancelled one and resurrect the job.
+func TestSchedulerCancelDuringSubmitWriteStaysCancelled(t *testing.T) {
+	st := &holdFirstPut{Store: store.NewMem(), key: jobKey("j2"),
+		held: make(chan struct{}), release: make(chan struct{})}
+	started := make(chan string, 8)
+	runner, _ := blockingRunner(started)
+	sA := newStoredScheduler(t, newFakeFleet(1), st, runner)
+
+	submitStored(t, sA) // j1 runs, held by the blocking runner
+	<-started
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		submitStored(t, sA) // j2 queues; its journal write is held
+	}()
+	<-st.held
+	cancelled := make(chan error, 1)
+	go func() { cancelled <- sA.Cancel("j2") }()
+	waitStatusID(t, sA, "j2", Cancelled)
+	close(st.release)
+	if err := <-cancelled; err != nil {
+		t.Fatalf("cancel queued: %v", err)
+	}
+	<-submitted
+
+	sB := newStoredScheduler(t, newFakeFleet(1), st, func(ctx context.Context, j *Job, lease Lease) (*core.Result, error) {
+		if j.ID() == "j2" {
+			t.Errorf("recovered scheduler ran %s, which was cancelled", j.ID())
+		}
+		return &core.Result{Problem: "fake", Rounds: 1}, nil
+	})
+	r2, ok := sB.Get("j2")
+	if !ok || r2.Status() != Cancelled {
+		t.Fatalf("recovered j2 = %v, want cancelled", r2.Status())
+	}
+	waitStatusID(t, sB, "j1", Done)
+	if sB.Queued() != 0 {
+		t.Fatalf("restart left %d jobs queued, want none", sB.Queued())
 	}
 }
 

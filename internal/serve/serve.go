@@ -195,6 +195,11 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// journalMu orders the job's journal writes: a record is captured
+	// and Put under it, so the last write always carries the newest
+	// state.
+	journalMu sync.Mutex
+
 	mu        sync.Mutex
 	status    Status
 	cancelReq bool

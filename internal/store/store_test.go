@@ -210,3 +210,95 @@ func TestStoreConcurrent(t *testing.T) {
 		wg.Wait()
 	})
 }
+
+// TestFileStoreConcurrentWriters: writers Put to their own keys and to
+// one shared key while readers Get and List. Every Get returns one
+// complete written value, and List never shows a temp file.
+func TestFileStoreConcurrentWriters(t *testing.T) {
+	fs, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, puts, reps = 4, 25, 256
+	// value is self-checking: its "<writer>.<put>;" unit repeated reps
+	// times, so a torn or mixed value fails complete.
+	value := func(w, i int) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("%d.%d;", w, i)), reps)
+	}
+	complete := func(v []byte) bool {
+		unit, _, ok := bytes.Cut(v, []byte(";"))
+		return ok && bytes.Equal(v, bytes.Repeat(append(unit, ';'), reps))
+	}
+	keys := []string{"jobs/shared"}
+	for w := 0; w < writers; w++ {
+		keys = append(keys, fmt.Sprintf("runs/w%d", w))
+	}
+	known := map[string]bool{}
+	for _, k := range keys {
+		known[k] = true
+	}
+
+	var writing, reading sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for i := 0; i < puts; i++ {
+				for _, k := range []string{keys[w+1], "jobs/shared"} {
+					if err := fs.Put(k, value(w, i)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, k := range keys {
+					v, ok, err := fs.Get(k)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if ok && !complete(v) {
+						t.Errorf("Get(%q) returned an incomplete value of %d bytes", k, len(v))
+						return
+					}
+				}
+				listed, err := fs.List("")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, k := range listed {
+					if !known[k] {
+						t.Errorf("List returned %q", k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+
+	for w := 0; w < writers; w++ {
+		if v, _, _ := fs.Get(keys[w+1]); !bytes.Equal(v, value(w, puts-1)) {
+			t.Errorf("%s does not hold its writer's last value", keys[w+1])
+		}
+	}
+	if v, _, _ := fs.Get("jobs/shared"); !complete(v) {
+		t.Error("the shared key does not hold a complete value")
+	}
+}

@@ -124,10 +124,16 @@ func WithRespawn(on bool) Option {
 
 // WithStore makes the run crash-only durable: the master persists a
 // run snapshot (round index, incumbent best, every TSW's latest
-// checkpoint) to st at each synchronization barrier, and a later
-// Solve with the same store, problem, seed and parameters finds the
-// snapshot and resumes the run where it stopped — the snapshot is
-// deleted only on clean completion. A fixed-seed virtual-time run
+// checkpoint) to st at each synchronization barrier but the last, and
+// a later Solve with the same store, problem, seed and parameters
+// finds the snapshot and resumes the run where it stopped — the
+// snapshot is deleted only on clean completion. Snapshots are written
+// behind the search: the master encodes one at the barrier and starts
+// the next round at once, one goroutine writes it, and a newer
+// snapshot replaces one still waiting. Solve returns only after the
+// last write landed, but a process killed mid-run resumes from the
+// newest snapshot whose write finished, which can be one barrier older
+// than the last progress event. A fixed-seed virtual-time run
 // resumed this way finishes bit-identical to the same run left
 // uninterrupted (static workers, full sync). Snapshots live under
 // "runs/run" in the store, so one store tracks one run at a time; the

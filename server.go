@@ -29,9 +29,11 @@ type ServerOptions struct {
 	// spec, lifecycle and result is journaled under "jobs/<id>", each
 	// running job's solver snapshots under "runs/<id>", and a restarted
 	// ListenServer over the same store re-serves completed results,
-	// re-admits queued jobs, and resumes interrupted runs from their
-	// last synchronization barrier. Zero value (nil) keeps all job
-	// state in memory — a restart starts empty.
+	// re-admits queued jobs, and resumes interrupted runs from the
+	// newest barrier snapshot whose write finished (see WithStore).
+	// One job's journal writes land in order, so a cancelled job is
+	// never re-admitted. Zero value (nil) keeps all job state in
+	// memory — a restart starts empty.
 	Store Store
 	// Logf, when non-nil, receives fleet and scheduler lifecycle lines.
 	// Zero value discards them.

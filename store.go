@@ -3,12 +3,17 @@ package pts
 import "pts/internal/store"
 
 // Store is durable key-value state for crash-only operation: a solver
-// run given one (WithStore) snapshots its progress at every
-// synchronization barrier, and a serving daemon given one
+// run given one (WithStore) snapshots its progress at its
+// synchronization barriers, and a serving daemon given one
 // (ServerOptions.Store) journals its jobs — either can then be killed
 // at any instant and restarted over the same store to continue where
 // it stopped. See WithStore and ServerOptions.Store for the exact
 // resume semantics.
+//
+// A run writes its snapshots from a goroutine of its own, behind the
+// search, so a serving daemon's store sees concurrent Puts: one job's
+// journal beside its own and other jobs' snapshots. One job's journal
+// writes land in order.
 //
 // A Store is a flat namespace of slash-separated keys to opaque byte
 // values; implementations must make Put atomic (a reader sees the old
