@@ -76,3 +76,37 @@ func BenchmarkApplySwap(b *testing.B) {
 		ev.ApplySwap(pr[0], pr[1])
 	}
 }
+
+// BenchmarkRestore times a barrier restore of c532's initial solution
+// served from the run's state cache (hit) against a full import and
+// timing analysis (miss), and the same for spawning a worker state.
+func BenchmarkRestore(b *testing.B) {
+	pp := NewPlacementProblem(netlist.MustBenchmark("c532"))
+	init, err := pp.Initial(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perm := init.Snapshot()
+	prob := init.(Problem).Clone()
+	b.Run("hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = prob.Restore(perm)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = prob.Ev.ImportPerm(perm)
+		}
+	})
+	b.Run("newstate-hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, _ = pp.NewState(perm)
+		}
+	})
+	b.Run("newstate-miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pp.cache.reset()
+			_, _ = pp.NewState(perm)
+		}
+	})
+}

@@ -243,8 +243,11 @@ func (e *Evaluator) ApplySwap(a, b netlist.CellID) {
 // Refresh reruns full timing analysis (updating net criticalities) and
 // recomputes the objectives and cost from scratch, clearing any
 // incremental drift. Call at search synchronization points; the cost may
-// step slightly as criticalities move.
+// step slightly as criticalities move. Afterwards the evaluator holds
+// exactly what ImportPerm of its permutation would build, which is what
+// lets a run's state cache hand a refreshed state to other workers.
 func (e *Evaluator) Refresh() {
+	e.p.Canonicalize()
 	e.t.Analyze(e.p)
 	e.cur = Objectives{
 		Wirelength: e.p.HPWL(),
@@ -275,14 +278,13 @@ func (e *Evaluator) ImportPerm(perm []int32) error {
 }
 
 // Clone returns an independent evaluator over a cloned placement with
-// identical goals, criticalities and maintained values.
+// identical goals, timing analysis and maintained values. The clone
+// shares only what never changes: the netlist, the cell widths and the
+// gate-delay table.
 func (e *Evaluator) Clone() *Evaluator {
-	p2 := e.p.Clone()
-	t2 := timing.New(p2.Netlist(), e.t.Config())
-	copy(t2.Criticalities(), e.t.Criticalities())
 	return &Evaluator{
-		p:        p2,
-		t:        t2,
+		p:        e.p.Clone(),
+		t:        e.t.Clone(),
 		owa:      e.owa,
 		memWL:    e.memWL,
 		memDelay: e.memDelay,
@@ -290,6 +292,18 @@ func (e *Evaluator) Clone() *Evaluator {
 		cur:      e.cur,
 		cost:     e.cost,
 	}
+}
+
+// copyFrom overwrites e's solution, timing analysis, goals and
+// maintained values with src's, reusing e's storage; e then scores
+// exactly as a Clone of src would. Both must evaluate the same circuit
+// on the same layout.
+func (e *Evaluator) copyFrom(src *Evaluator) {
+	e.p.CopyFrom(src.p)
+	e.t.CopyFrom(src.t)
+	e.owa = src.owa
+	e.memWL, e.memDelay, e.memArea = src.memWL, src.memDelay, src.memArea
+	e.cur, e.cost = src.cur, src.cost
 }
 
 // NumCells returns the number of movable cells, the move-space dimension

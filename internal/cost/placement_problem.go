@@ -20,6 +20,11 @@ import (
 // run therefore report comparable costs, exactly as the paper's master
 // hands every TSW the same frame of reference. A PlacementProblem value
 // supports one run at a time: a second Initial rebases the goals.
+//
+// Each run also keeps a small cache of fully evaluated states, keyed by
+// permutation (stateCache): NewState and Restore copy a state another
+// worker of the run has already imported and timed, so each distinct
+// permutation is evaluated once per run.
 type PlacementProblem struct {
 	nl  *netlist.Netlist
 	cfg Config
@@ -27,6 +32,8 @@ type PlacementProblem struct {
 	mu       sync.Mutex
 	goals    Goals
 	hasGoals bool
+
+	cache stateCache
 }
 
 // utilization is the slot-grid fill ratio (cells per slot) of every
@@ -62,8 +69,11 @@ func (p *PlacementProblem) layout() *placement.Placement {
 }
 
 // Initial derives the run's shared initial solution from seed and
-// rebases the fuzzy goals on it. The derivation labels match the
-// original core implementation so historical results stay reproducible.
+// rebases the fuzzy goals on it. It empties the state cache, whose
+// states scored against the previous goals, and publishes the initial
+// state, from which every worker spawns. The derivation labels match
+// the original core implementation so historical results stay
+// reproducible.
 func (p *PlacementProblem) Initial(seed uint64) (tabu.Problem, error) {
 	pl := p.layout()
 	pl.Randomize(rng.New(rng.Derive(seed, "core.initial", p.nl.Name)))
@@ -75,7 +85,9 @@ func (p *PlacementProblem) Initial(seed uint64) (tabu.Problem, error) {
 	p.goals = ev.GoalSet()
 	p.hasGoals = true
 	p.mu.Unlock()
-	return Problem{Ev: ev}, nil
+	p.cache.reset()
+	p.cache.publish(ev)
+	return Problem{Ev: ev, cache: &p.cache}, nil
 }
 
 // goalSet returns the run goals set by Initial.
@@ -89,11 +101,17 @@ func (p *PlacementProblem) goalSet() (Goals, error) {
 }
 
 // NewState builds an independent evaluator positioned at snap, scoring
-// against the run goals derived by Initial.
+// against the run goals derived by Initial. When the run's state cache
+// holds snap, the evaluator is a copy of that state, bit for bit what
+// importing and timing snap would build; otherwise it is built so and
+// published.
 func (p *PlacementProblem) NewState(snap []int32) (tabu.Problem, error) {
 	goals, err := p.goalSet()
 	if err != nil {
 		return nil, err
+	}
+	if ev := p.cache.clone(snap); ev != nil {
+		return Problem{Ev: ev, cache: &p.cache}, nil
 	}
 	pl := p.layout()
 	if err := pl.Import(snap); err != nil {
@@ -103,7 +121,8 @@ func (p *PlacementProblem) NewState(snap []int32) (tabu.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Problem{Ev: ev}, nil
+	p.cache.publish(ev)
+	return Problem{Ev: ev, cache: &p.cache}, nil
 }
 
 // Placed rebuilds the slot grid with the permutation perm imported —

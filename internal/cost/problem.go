@@ -10,6 +10,10 @@ import (
 // snapshot is the slot permutation.
 type Problem struct {
 	Ev *Evaluator
+
+	// cache is the run's state cache when the state came from a
+	// PlacementProblem; nil otherwise.
+	cache *stateCache
 }
 
 // Cost returns the current fuzzy cost.
@@ -43,11 +47,31 @@ func (p Problem) Snapshot() []int32 { return p.Ev.ExportPerm() }
 func (p Problem) SnapshotInto(dst []int32) []int32 { return p.Ev.ExportPermInto(dst) }
 
 // Restore replaces the solution with a prior snapshot and refreshes the
-// timing model.
-func (p Problem) Restore(snap []int32) error { return p.Ev.ImportPerm(snap) }
+// timing model. A state minted by a PlacementProblem first looks the
+// snapshot up in its run's state cache: on a hit it copies the state
+// another worker already evaluated, bit for bit what importing and
+// timing the snapshot would build; on a miss it imports and times the
+// snapshot and publishes the result.
+func (p Problem) Restore(snap []int32) error {
+	if p.cache.copyTo(p.Ev, snap) {
+		return nil
+	}
+	if err := p.Ev.ImportPerm(snap); err != nil {
+		return err
+	}
+	p.cache.publish(p.Ev)
+	return nil
+}
 
 // Refresh reruns timing analysis; the tabu engine calls it periodically.
-func (p Problem) Refresh() { p.Ev.Refresh() }
+// A state minted by a PlacementProblem then publishes itself to its
+// run's state cache, so that workers restoring the same permutation,
+// such as a TSW's CLWs at the barrier, copy it instead of recomputing.
+func (p Problem) Refresh() {
+	p.Ev.Refresh()
+	p.cache.publish(p.Ev)
+}
 
-// Clone returns a Problem over an independent copy of the evaluator.
-func (p Problem) Clone() Problem { return Problem{Ev: p.Ev.Clone()} }
+// Clone returns a Problem over an independent copy of the evaluator,
+// sharing the run's state cache.
+func (p Problem) Clone() Problem { return Problem{Ev: p.Ev.Clone(), cache: p.cache} }

@@ -351,6 +351,14 @@ func (p *Placement) updateRowWidth(row int32, delta int) {
 	}
 }
 
+// Canonicalize rebuilds the top-two row cache from scratch, so that the
+// placement holds exactly what Import of its permutation would build.
+// Incremental updates keep both widths exact, but among rows of equal
+// width they can name a different row than a fresh scan does; the
+// widths alone decide MaxRowWidthAfterSwap, so only an exact copy of the
+// state needs this. O(rows).
+func (p *Placement) Canonicalize() { p.refreshTopRows() }
+
 // refreshTopRows rebuilds the top-two row cache from scratch. O(rows).
 func (p *Placement) refreshTopRows() {
 	t1w, t2w := -1, -1
@@ -550,6 +558,22 @@ func (p *Placement) Clone() *Placement {
 		cellWidth: p.cellWidth, // immutable, shared like the netlist
 	}
 	return q
+}
+
+// CopyFrom overwrites p's assignment and every maintained quantity with
+// src's, reusing p's storage. Both must place the same netlist on the
+// same layout.
+func (p *Placement) CopyFrom(src *Placement) {
+	if p.nl != src.nl || p.L != src.L {
+		panic("placement: CopyFrom between placements of different circuits or layouts")
+	}
+	copy(p.pos, src.pos)
+	copy(p.slot, src.slot)
+	copy(p.boxes, src.boxes)
+	p.hpwl = src.hpwl
+	copy(p.rowWidth, src.rowWidth)
+	p.top1W, p.top2W = src.top1W, src.top2W
+	p.top1Row, p.top2Row = src.top1Row, src.top2Row
 }
 
 // ASCII renders small placements as a grid of cell names for examples

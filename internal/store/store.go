@@ -141,8 +141,14 @@ func (s *MemStore) List(prefix string) ([]string, error) {
 // the old value or the new one, never a torn file.
 type FileStore struct {
 	root string
-	// mu serializes writers per process; cross-process atomicity comes
-	// from the rename itself.
+	// mu serializes this process's Puts and Deletes, so at most one
+	// fsync per store is in flight. Each write's atomicity, across
+	// processes too, comes from the rename alone. Writers to distinct
+	// keys (a run's snapshot beside the job journal) do wait for each
+	// other, but a store without mu measured no faster on serve-ta001:
+	// ops/s better in 5 of 10 alternating 10 s pairs, medians 131.5
+	// and 138.1 ops/s against a spread of 20.2 between the quartiles of
+	// the runs with mu. So the simpler ordering stays.
 	mu sync.Mutex
 }
 

@@ -24,6 +24,7 @@ package timing
 
 import (
 	"math"
+	"slices"
 
 	"pts/internal/netlist"
 	"pts/internal/placement"
@@ -48,7 +49,7 @@ func DefaultConfig() Config {
 // Analyzer performs static timing analysis over one netlist. It is
 // reusable across placements of the same netlist and keeps the last
 // analysis' arrival/required times and criticalities. Not safe for
-// concurrent use; parallel workers each build their own.
+// concurrent use; parallel workers each build or clone their own.
 type Analyzer struct {
 	nl  *netlist.Netlist
 	cfg Config
@@ -59,7 +60,6 @@ type Analyzer struct {
 	required []float64 // per cell: latest allowed departure
 	crit     []float64 // per net: criticality in [0,1]
 	cpd      float64
-	analyzed bool
 }
 
 // New creates an analyzer for nl. Criticalities start at 1 (all nets
@@ -156,8 +156,38 @@ func (a *Analyzer) Analyze(p *placement.Placement) float64 {
 	for n := range a.crit {
 		a.crit[n] = a.netCriticality(netlist.NetID(n))
 	}
-	a.analyzed = true
 	return cpd
+}
+
+// Clone returns an independent analyzer holding a's last analysis: its
+// wire delays, arrival and required times, criticalities and critical
+// path delay. The gate-delay table depends only on the netlist and the
+// delay model, so the clone shares it instead of rebuilding it.
+func (a *Analyzer) Clone() *Analyzer {
+	return &Analyzer{
+		nl:       a.nl,
+		cfg:      a.cfg,
+		gate:     a.gate,
+		wire:     slices.Clone(a.wire),
+		arrival:  slices.Clone(a.arrival),
+		required: slices.Clone(a.required),
+		crit:     slices.Clone(a.crit),
+		cpd:      a.cpd,
+	}
+}
+
+// CopyFrom overwrites a's last analysis with src's, reusing a's
+// storage. Both analyzers must time the same netlist under the same
+// delay model.
+func (a *Analyzer) CopyFrom(src *Analyzer) {
+	if a.nl != src.nl || a.cfg != src.cfg {
+		panic("timing: CopyFrom between analyzers of different circuits or delay models")
+	}
+	copy(a.wire, src.wire)
+	copy(a.arrival, src.arrival)
+	copy(a.required, src.required)
+	copy(a.crit, src.crit)
+	a.cpd = src.cpd
 }
 
 // netCriticality derives the criticality of net n from the current
