@@ -55,14 +55,14 @@ func clwRun(env pvm.Env, problem Problem, cfg Config) {
 	var batch tabu.BatchScratch     // candidate-batch buffers reused across TagSearches
 
 	for {
-		m := env.Recv(TagSearch, TagSync, TagNewState, TagStop, TagReportNow, TagRebalance, TagInit)
+		m := env.Recv(clwLoopTags...)
 		switch m.Tag {
 		case TagSearch:
 			forced := false
 			move := tabu.BuildCompoundBatch(prob, r, params, &batch, func() bool {
 				env.Work(stepWork)
 				stats.TrialsCharged += int64(params.Trials)
-				if _, ok := env.TryRecv(TagReportNow); ok {
+				if _, ok := env.TryRecv(reportNowTags...); ok {
 					forced = true
 					return true
 				}

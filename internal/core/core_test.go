@@ -139,6 +139,29 @@ func TestRunDeterministicVirtual(t *testing.T) {
 	}
 }
 
+// TestVirtualRunCountersPinned pins one fixed-seed virtual run beyond
+// its result: the kernel's event count and the message count as well.
+// Every event the kernel skips (a sleep that runs on in place) and every
+// delivery it reuses must still be counted and ordered as a queued timer
+// and a fresh delivery would be, so none of these may move.
+func TestVirtualRunCountersPinned(t *testing.T) {
+	nl := netlist.MustBenchmark("highway")
+	res, err := runPlacement(nl, cluster.Testbed12(5), quickCfg(), Virtual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := math.Float64bits(res.BestCost); b != 0x3fb3ea674be4b2e0 {
+		t.Errorf("BestCost bits %#x, want 0x3fb3ea674be4b2e0", b)
+	}
+	if b := math.Float64bits(res.Elapsed); b != 0x3fb22905131f7026 {
+		t.Errorf("Elapsed bits %#x, want 0x3fb22905131f7026", b)
+	}
+	if res.Runtime.Events != 3459 || res.Runtime.Sends != 1087 {
+		t.Errorf("Runtime.Events %d, Runtime.Sends %d; want 3459, 1087",
+			res.Runtime.Events, res.Runtime.Sends)
+	}
+}
+
 func TestRunSeedSensitivity(t *testing.T) {
 	nl := netlist.MustBenchmark("highway")
 	clus := cluster.Homogeneous(12, 1)

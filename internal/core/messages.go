@@ -58,6 +58,15 @@ const (
 	TagCheckpoint
 )
 
+// Tag sets of the receives the search loops make at every step. A
+// variadic call through the pvm.Env interface heap-allocates its tag
+// slice; passing a shared slice does not.
+var (
+	clwLoopTags   = []pvm.Tag{TagSearch, TagSync, TagNewState, TagStop, TagReportNow, TagRebalance, TagInit}
+	reportNowTags = []pvm.Tag{TagReportNow}
+	candidateTags = []pvm.Tag{TagCandidate, pvm.TagExit}
+)
+
 // initMsg is the TagInit payload. Trials, when positive, overrides the
 // worker's per-step trial budget (the adaptive scheduler's
 // share-proportional budget); 0 keeps Config.Trials. Reseed

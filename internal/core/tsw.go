@@ -142,11 +142,13 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 		}
 	}
 
-	// syncCLWs broadcasts the chosen move of this iteration.
+	// syncCLWs broadcasts the chosen move of this iteration. The CLWs
+	// only read the message, so one boxed value serves them all.
 	syncCLWs := func(chosen tabu.CompoundMove) {
+		var msg any = syncMsg{Chosen: chosen}
 		for j, id := range cs.ids {
 			if cs.live[j] {
-				env.Send(id, TagSync, syncMsg{Chosen: chosen})
+				env.Send(id, TagSync, msg)
 			}
 		}
 	}
@@ -210,7 +212,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 				for l := 0; l < cfg.LocalIters; l++ {
 					// Heterogeneity: the master may force us to report early;
 					// a cancelled context forces everyone at once.
-					if _, ok := env.TryRecv(TagReportNow); ok {
+					if _, ok := env.TryRecv(reportNowTags...); ok {
 						forcedByMaster = true
 						stats.ForcedReports++
 						break
@@ -244,7 +246,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 						chosen.Apply(prob)
 						env.Work(float64(len(chosen.Swaps)) * cfg.WorkPerTrial)
 						for _, s := range chosen.Swaps {
-							list.Add(s.Attribute(), iter+int64(cfg.Tenure))
+							list.AddAt(s.Attribute(), iter, iter+int64(cfg.Tenure))
 						}
 						freq.BumpMove(&chosen)
 						stats.MovesAccepted++
@@ -768,7 +770,7 @@ func (cc *candCollector) collect(env pvm.Env, halfSync bool, stats *WorkerStats)
 		delete(cc.reported, id)
 	}
 	take := func() {
-		m := env.Recv(TagCandidate, pvm.TagExit)
+		m := env.Recv(candidateTags...)
 		if m.Tag == pvm.TagExit {
 			if j, ok := cs.byID[m.From]; ok && cs.live[j] && cs.ids[j] == m.From && !cc.reported[m.From] {
 				expected--
@@ -848,6 +850,6 @@ func diversify(prob tabu.Problem, env pvm.Env, r *rand.Rand, freq *tabu.Frequenc
 		b := cands[best].B
 		prob.ApplySwap(a, b)
 		freq.BumpSwap(a, b)
-		list.Add(tabu.Attr(a, b), iter+int64(cfg.Tenure))
+		list.AddAt(tabu.Attr(a, b), iter, iter+int64(cfg.Tenure))
 	}
 }

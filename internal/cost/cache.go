@@ -9,7 +9,7 @@ import (
 // most TSWs+1 live permutations: the adopted best, which every TSW
 // restores, and each TSW's diversified state, which its CLWs restore.
 // Twice the 8 TSWs of the paper's figures keeps one barrier's entries
-// alive while other workers publish their mid-round refreshes.
+// alive while workers that trail behind publish the next barrier's.
 const cacheCap = 16
 
 // stateCache holds a run's fully evaluated placement states, keyed by

@@ -12,10 +12,12 @@ import (
 
 // notState names the fields two evaluations of one permutation need not
 // share: the immutable inputs (netlist, layout, cell widths, delay model
-// and gate delays) and per-worker scratch.
+// and gate delays), per-worker scratch, and whether the worker still has
+// to publish its state.
 var notState = map[string]bool{
 	"nl": true, "L": true, "cellWidth": true, "cfg": true, "gate": true,
 	"importSeen": true, "batchKeys": true, "batchZeroW": true, "batch": true,
+	"publishPending": true,
 }
 
 // stateDiff names the first field in which a and b differ, or returns
@@ -139,8 +141,8 @@ func TestCloneKeepsTimingAnalysis(t *testing.T) {
 // TestRefreshedAndCachedStatesEqualImport: after random swap sequences,
 // a refreshed state holds exactly what a fresh import of its
 // permutation builds, field for field; and a Restore or NewState of that
-// permutation, both served from the cache the refresh published to,
-// hold it too.
+// permutation, both served from the cache the refreshed state's
+// Snapshot published to, hold it too.
 func TestRefreshedAndCachedStatesEqualImport(t *testing.T) {
 	for _, circuit := range []string{"c532", "highway"} {
 		t.Run(circuit, func(t *testing.T) {
@@ -164,7 +166,7 @@ func TestRefreshedAndCachedStatesEqualImport(t *testing.T) {
 					t.Fatalf("sequence %d: refreshed state differs from import in %s", seq, d)
 				}
 				if !cached(pp, perm) {
-					t.Fatalf("sequence %d: Refresh did not publish", seq)
+					t.Fatalf("sequence %d: Snapshot after Refresh did not publish", seq)
 				}
 				if err := restorer.Restore(perm); err != nil {
 					t.Fatal(err)
@@ -181,6 +183,32 @@ func TestRefreshedAndCachedStatesEqualImport(t *testing.T) {
 				t.Errorf("Restore hit allocates %v times", allocs)
 			}
 		})
+	}
+}
+
+// TestRefreshPublishesOnlyWhatIsSnapshotted: a refreshed state reaches
+// the cache through its next Snapshot, and not at all when the search
+// swaps on first, as it does after its periodic mid-round refreshes.
+func TestRefreshPublishesOnlyWhatIsSnapshotted(t *testing.T) {
+	pp := NewPlacementProblem(netlist.MustBenchmark("highway"))
+	init, err := pp.Initial(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := mustNewState(t, pp, init.Snapshot())
+	st.ApplySwap(0, 1)
+	st.Refresh()
+	mid := st.Ev.ExportPerm()
+	st.ApplySwap(2, 3)
+	if cached(pp, mid) {
+		t.Fatal("Refresh published before any Snapshot")
+	}
+	if cached(pp, st.Snapshot()) || cached(pp, mid) {
+		t.Fatal("a state swapped after its refresh was published")
+	}
+	st.Refresh()
+	if perm := st.Snapshot(); !cached(pp, perm) {
+		t.Fatal("Snapshot of a refreshed state did not publish it")
 	}
 }
 
@@ -217,13 +245,14 @@ func TestCacheEvictsOldest(t *testing.T) {
 	for i := int32(1); i < cacheCap; i++ {
 		st.ApplySwap(0, i)
 		st.Refresh()
+		st.Snapshot()
 	}
 	if !cached(pp, first) {
 		t.Fatal("initial state evicted from a cache that is not yet full")
 	}
 	st.ApplySwap(0, cacheCap)
 	st.Refresh()
-	if cached(pp, first) || !cached(pp, st.Snapshot()) {
+	if last := st.Snapshot(); cached(pp, first) || !cached(pp, last) {
 		t.Fatal("publishing into a full cache did not replace the oldest state")
 	}
 	if len(pp.cache.entries) != cacheCap {
@@ -232,7 +261,8 @@ func TestCacheEvictsOldest(t *testing.T) {
 }
 
 // TestCacheConcurrentUse shares one run's cache between goroutines, as
-// real-time workers do: one refreshes and publishes two alternating
+// real-time workers do: one refreshes and publishes (by a Snapshot) two
+// alternating
 // permutations while the others Restore and NewState those and
 // permutations of their own. Every state handed out must equal a fresh
 // import. Run it with -race.
@@ -274,6 +304,7 @@ func TestCacheConcurrentUse(t *testing.T) {
 		for range 2 * rounds {
 			st.ApplySwap(3, 7)
 			st.(Problem).Refresh()
+			st.Snapshot()
 		}
 	}()
 	for g := range readers {

@@ -100,6 +100,12 @@ type Evaluator struct {
 	// the evaluator it is per-worker state (clones start with fresh,
 	// empty scratch).
 	batch batchScratch
+
+	// publishPending is set by Problem.Refresh on a state with a run's
+	// state cache and cleared by ApplySwap and by publishing: while set,
+	// the evaluator holds exactly what importing its permutation builds,
+	// and the next Problem.Snapshot publishes it.
+	publishPending bool
 }
 
 // NewEvaluator builds an evaluator over p, deriving goals and ceilings
@@ -230,6 +236,7 @@ func (e *Evaluator) ApplySwap(a, b netlist.CellID) {
 	if a == b {
 		return
 	}
+	e.publishPending = false
 	area := e.p.MaxRowWidthAfterSwap(a, b)
 	dWL, dCrit := e.p.SwapCellsWeighted(a, b, e.t.Criticalities())
 	e.cur = Objectives{

@@ -39,8 +39,18 @@ func (p Problem) ApplySwap(a, b int32) {
 	p.Ev.ApplySwap(netlist.CellID(a), netlist.CellID(b))
 }
 
-// Snapshot captures the solution as a slot permutation.
-func (p Problem) Snapshot() []int32 { return p.Ev.ExportPerm() }
+// Snapshot captures the solution as a slot permutation. A state that
+// Refresh left fully evaluated, with no swap since, is first published
+// to its run's state cache: the engine snapshots a state to push it to
+// other workers, as a TSW pushes its diversified state to its CLWs at
+// the barrier, and their restores of it then copy it.
+func (p Problem) Snapshot() []int32 {
+	if p.Ev.publishPending {
+		p.Ev.publishPending = false
+		p.cache.publish(p.Ev)
+	}
+	return p.Ev.ExportPerm()
+}
 
 // SnapshotInto captures the solution into dst, reusing its storage when
 // large enough; the allocation-free variant the parallel engine prefers.
@@ -64,12 +74,15 @@ func (p Problem) Restore(snap []int32) error {
 }
 
 // Refresh reruns timing analysis; the tabu engine calls it periodically.
-// A state minted by a PlacementProblem then publishes itself to its
-// run's state cache, so that workers restoring the same permutation,
-// such as a TSW's CLWs at the barrier, copy it instead of recomputing.
+// A state minted by a PlacementProblem is then published to its run's
+// state cache by its next Snapshot, unless a swap comes first. So only
+// a refresh whose state is pushed to other workers, such as a TSW's
+// CLWs restoring it at the barrier, pays for the publish; the search
+// moves on from the refreshes it makes every few accepted moves, and
+// other workers almost never restore those.
 func (p Problem) Refresh() {
 	p.Ev.Refresh()
-	p.cache.publish(p.Ev)
+	p.Ev.publishPending = p.cache != nil
 }
 
 // Clone returns a Problem over an independent copy of the evaluator,

@@ -335,6 +335,41 @@ func TestMachineIndexWraps(t *testing.T) {
 	}
 }
 
+// TestVirtualMessageAllocFree: after warm-up, a virtual ping-pong with
+// nil payloads allocates nothing per round trip. Deliveries come from
+// the run's free list, and the tag sets are shared slices, as in the
+// search's own loops.
+func TestVirtualMessageAllocFree(t *testing.T) {
+	pingTags, pongTags := []Tag{tagPing, tagStop}, []Tag{tagPong}
+	var allocs float64
+	_, err := RunVirtual(Options{Seed: 1}, func(env Env) {
+		child := env.Spawn("child", 0, func(c Env) {
+			for {
+				m := c.Recv(pingTags...)
+				if m.Tag == tagStop {
+					return
+				}
+				c.Send(m.From, tagPong, nil)
+			}
+		})
+		roundTrip := func() {
+			env.Send(child, tagPing, nil)
+			env.Recv(pongTags...)
+		}
+		for range 10 {
+			roundTrip()
+		}
+		allocs = testing.AllocsPerRun(200, roundTrip)
+		env.Send(child, tagStop, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a virtual round trip allocates %v times", allocs)
+	}
+}
+
 func BenchmarkVirtualMessageRoundTrip(b *testing.B) {
 	_, err := RunVirtual(Options{Seed: 1}, func(env Env) {
 		child := env.Spawn("child", 0, func(c Env) {

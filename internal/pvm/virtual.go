@@ -19,6 +19,44 @@ type vRuntime struct {
 	task    []*vTask
 	spawns  int64
 	sends   int64
+	// free holds delivery records whose message has arrived, for reuse
+	// by later sends.
+	free []*delivery
+}
+
+// delivery is one message in flight to a task. Its fire method value is
+// bound once when the record is made, so scheduling a reused record's
+// arrival allocates nothing.
+type delivery struct {
+	rt   *vRuntime
+	dst  *vTask
+	msg  Message
+	fire func()
+}
+
+// newDelivery returns a free record, or a new one if none is free.
+func (rt *vRuntime) newDelivery() *delivery {
+	if n := len(rt.free); n > 0 {
+		d := rt.free[n-1]
+		rt.free = rt.free[:n-1]
+		return d
+	}
+	d := &delivery{rt: rt}
+	d.fire = d.arrive
+	return d
+}
+
+// arrive runs at the message's arrival time: it appends the message to
+// the destination's inbox, wakes the destination if it waits in Recv,
+// and frees the record.
+func (d *delivery) arrive() {
+	dst, rt := d.dst, d.rt
+	dst.inbox = append(dst.inbox, d.msg)
+	if dst.waiting {
+		rt.k.Wake(dst.proc)
+	}
+	*d = delivery{rt: rt, fire: d.fire}
+	rt.free = append(rt.free, d)
 }
 
 // vTask is one virtual task.
@@ -32,11 +70,12 @@ type vTask struct {
 	waiting  bool
 	finished bool
 	r        *rand.Rand
-	// lastTo tracks, per destination, the latest scheduled arrival of a
-	// message this task sent there: PVM (like TCP) guarantees messages
-	// between two tasks arrive in the order sent, so a later small
-	// message must not overtake an earlier big one.
-	lastTo map[TaskID]vtime.Time
+	// lastTo tracks, per destination TaskID, the latest scheduled
+	// arrival of a message this task sent there: PVM (like TCP)
+	// guarantees messages between two tasks arrive in the order sent,
+	// so a later small message must not overtake an earlier big one. It
+	// grows to cover the highest destination sent to.
+	lastTo []vtime.Time
 }
 
 var _ Env = (*vTask)(nil)
@@ -89,7 +128,6 @@ func (t *vTask) Send(to TaskID, tag Tag, data any) {
 		panic(fmt.Sprintf("pvm: send to unknown task %d from %q", to, t.name))
 	}
 	dst := rt.task[to]
-	msg := Message{From: t.id, Tag: tag, Data: data}
 	items := payloadItems(data)
 	delay := rt.c.MsgDelay(items)
 	if dst.machine == t.machine {
@@ -100,19 +138,17 @@ func (t *vTask) Send(to TaskID, tag Tag, data any) {
 	// Per-pair FIFO: never schedule an arrival before an earlier message
 	// to the same destination.
 	arrival := rt.k.Now() + vtime.Time(delay)
-	if t.lastTo == nil {
-		t.lastTo = make(map[TaskID]vtime.Time)
+	if int(to) >= len(t.lastTo) {
+		t.lastTo = append(t.lastTo, make([]vtime.Time, int(to)+1-len(t.lastTo))...)
 	}
 	if prev := t.lastTo[to]; arrival < prev {
 		arrival = prev
 	}
 	t.lastTo[to] = arrival
-	rt.k.After(arrival-rt.k.Now(), func() {
-		dst.inbox = append(dst.inbox, msg)
-		if dst.waiting {
-			rt.k.Wake(dst.proc)
-		}
-	})
+	d := rt.newDelivery()
+	d.dst = dst
+	d.msg = Message{From: t.id, Tag: tag, Data: data}
+	rt.k.After(arrival-rt.k.Now(), d.fire)
 }
 
 func (t *vTask) Recv(tags ...Tag) Message {

@@ -6,7 +6,7 @@ package tabu
 type List struct {
 	expiry map[Attribute]int64
 	// pruneAt bounds the map's growth: once the map exceeds this size,
-	// expired entries are swept during the next Add.
+	// expired entries are swept during the next AddAt.
 	pruneAt int
 }
 
@@ -17,18 +17,29 @@ func NewList() *List {
 
 // Add marks the attribute tabu until iteration `until` (exclusive): it is
 // tabu for iterations iter < until. Re-adding extends but never shortens
-// a tenure.
+// a tenure. Add never sweeps expired entries; a search that adds at
+// every iteration uses AddAt, which bounds the list's growth.
 func (l *List) Add(at Attribute, until int64) {
+	if cur, ok := l.expiry[at]; !ok || cur < until {
+		l.expiry[at] = until
+	}
+}
+
+// AddAt is Add made at iteration now, the caller's current iteration.
+// Once the list has grown past its sweep threshold, it first drops the
+// entries that are no longer tabu at now; every entry still tabu at now
+// stays.
+func (l *List) AddAt(at Attribute, now, until int64) {
 	if cur, ok := l.expiry[at]; ok && cur >= until {
 		return
 	}
 	if len(l.expiry) > l.pruneAt {
-		l.prune(until)
+		l.prune(now)
 	}
 	l.expiry[at] = until
 }
 
-// prune drops entries that expired before iteration now.
+// prune drops entries that are not tabu at iteration now.
 func (l *List) prune(now int64) {
 	for at, e := range l.expiry {
 		if e <= now {
@@ -133,11 +144,12 @@ func (l *List) Export(now int64) []Entry {
 // iteration counter now.
 func (l *List) Import(entries []Entry, now int64) {
 	for _, en := range entries {
-		l.Add(en.At, now+en.Remaining)
+		l.AddAt(en.At, now, now+en.Remaining)
 	}
 }
 
-// Reset clears the list.
+// Reset clears the list in place: the map keeps its storage, so a list
+// refilled to its previous size after every reset stops regrowing.
 func (l *List) Reset() {
-	l.expiry = make(map[Attribute]int64)
+	clear(l.expiry)
 }

@@ -101,10 +101,42 @@ func TestListPruneBoundsGrowth(t *testing.T) {
 	l := NewList()
 	// Insert far more short-lived attributes than the prune threshold.
 	for i := int64(0); i < 100000; i++ {
-		l.Add(Attr(int32(i%1000), int32(i%1000)+1+int32(i/1000)), i+5)
+		l.AddAt(Attr(int32(i%1000), int32(i%1000)+1+int32(i/1000)), i, i+5)
 	}
 	if l.Len() > 50000 {
 		t.Fatalf("tabu list grew unboundedly: %d entries", l.Len())
+	}
+}
+
+// TestListSweepKeepsLiveEntries: a sweep during AddAt drops only what
+// has expired by the caller's iteration. Adding one attribute per
+// iteration with tenure 7 pushes the list past its sweep threshold, and
+// the attribute added 6 iterations earlier must still be tabu. A sweep
+// against the new entry's expiry instead of the current iteration
+// dropped it 12 times in this loop.
+func TestListSweepKeepsLiveEntries(t *testing.T) {
+	l := NewList()
+	failed := 0
+	for i := int64(0); i < 3000; i++ {
+		l.AddAt(Attr(int32(i), int32(i)+1), i, i+7)
+		if j := i - 6; j >= 0 && !l.IsTabu(Attr(int32(j), int32(j)+1), i) {
+			failed++
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d attributes still within their tenure were swept", failed)
+	}
+}
+
+// TestAddNeverSweeps: Add knows no current iteration, so it keeps every
+// entry however large the list grows.
+func TestAddNeverSweeps(t *testing.T) {
+	l := NewList()
+	for i := int64(0); i < 3000; i++ {
+		l.Add(Attr(int32(i), int32(i)+1), i+7)
+	}
+	if l.Len() != 3000 {
+		t.Fatalf("Len = %d after 3000 distinct Adds, want 3000", l.Len())
 	}
 }
 

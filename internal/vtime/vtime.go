@@ -16,6 +16,13 @@
 // blocks, so control passes directly between the two without going
 // through the Go scheduler and no shared state needs locking. Events at
 // equal times fire in schedule order.
+//
+// A Sleep whose timer would be the next event anyway does not switch at
+// all: the process advances the clock in place and runs on, consuming
+// the sequence number and event count its timer would have used. Event
+// order, Events and every virtual time stay what the queued timer would
+// have given; only the heap push, the pop and two coroutine switches
+// are saved.
 package vtime
 
 import (
@@ -261,12 +268,33 @@ func (p *Proc) block(reason blockReason) {
 
 // Sleep advances the process's local time by d: it blocks and is woken
 // by its own timer only. This is how processes charge compute time.
+//
+// When that timer would be the very next event, Sleep runs on instead:
+// no other event is due at or before now+d and MaxEvents has room for
+// one more, so the kernel would pop the timer straight away and resume
+// this process. Sleep then does what that round trip would have done —
+// it takes the timer's sequence number and event count, closes the
+// sleep's generation and sets the clock to now+d — without queueing the
+// timer or switching coroutines. An event already due at exactly now+d
+// was scheduled earlier, so it carries a lower sequence number and must
+// fire first; that case takes the queue. So does a process unwinding
+// at shutdown, which must park again for Run to finish killing it.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
+	k := p.k
+	at := k.now + d
+	if (len(k.queue) == 0 || at < k.queue[0].at) &&
+		(k.MaxEvents == 0 || k.events < k.MaxEvents) && !p.kill {
+		k.seq++
+		k.events++
+		p.gen++
+		k.now = at
+		return
+	}
 	// The timer carries the generation the upcoming block will have.
-	p.k.schedule(event{at: p.k.now + d, kind: timer, p: p, gen: p.gen + 1})
+	k.schedule(event{at: at, kind: timer, p: p, gen: p.gen + 1})
 	p.block(sleeping)
 }
 

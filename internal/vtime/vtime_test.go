@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -365,11 +366,198 @@ func TestManyProcesses(t *testing.T) {
 	}
 }
 
-// BenchmarkHandoff measures the kernel's own cost per process switch:
-// "pingpong" hands control between two processes through Suspend and
-// Kernel.Wake, "sleep" is one process charging compute time with Sleep.
-// One op is one switch (an event that resumes a process until it blocks
-// again); allocs/event counts every allocation over the run.
+// sleepScript is a small multi-process script mixing run-on sleeps,
+// queued sleeps, a wake and a suspension. Every line of its trace is
+// "name@time", written as the process resumes from a Sleep or Suspend.
+//
+// Worked out with every timer queued: A, B and C start at 0 (events
+// 1-3). A's timer at 1 (4) resumes A, whose next sleep to 2 (5) is due
+// before B's timer at 10 and so runs on. A then wakes C and sleeps to
+// 3, behind the wake at 2 (6), which resumes C; C's sleep to 2.5 (7)
+// runs on. A's timer at 3 (8) resumes A, whose sleep to 4 (9) runs on,
+// and B's timer at 10 (10) ends the run: 10 events, queued or not.
+// The tests pin the trace and the counts, so they hold for a kernel
+// that queues every timer as well.
+func sleepScript(k *Kernel) *[]string {
+	var trace []string
+	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%s@%v", p.Name(), p.Now())) }
+	var c *Proc
+	woken := false
+	k.Spawn("A", func(p *Proc) {
+		p.Sleep(1)
+		note(p)
+		p.Sleep(1)
+		note(p)
+		woken = true
+		k.Wake(c)
+		p.Sleep(1)
+		note(p)
+		p.Sleep(1)
+		note(p)
+	})
+	k.Spawn("B", func(p *Proc) {
+		p.Sleep(10)
+		note(p)
+	})
+	c = k.Spawn("C", func(p *Proc) {
+		for !woken {
+			p.Suspend()
+		}
+		note(p)
+		p.Sleep(0.5)
+		note(p)
+	})
+	return &trace
+}
+
+// TestSleepRunOnKeepsEventCount: sleeps that run on in place count
+// exactly the events their queued timers would have, and resume at the
+// same times in the same order.
+func TestSleepRunOnKeepsEventCount(t *testing.T) {
+	k := NewKernel()
+	trace := sleepScript(k)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "A@1 A@2 C@2 C@2.5 A@3 A@4 B@10"
+	if got := strings.Join(*trace, " "); got != want {
+		t.Errorf("trace %q, want %q", got, want)
+	}
+	if k.Events() != 10 || k.Now() != 10 {
+		t.Errorf("Events %d at %v, want 10 at 10", k.Events(), k.Now())
+	}
+}
+
+// TestSleepYieldsToEventDueAtWakeTime: an event already due at exactly
+// now+d was scheduled before the sleeper's timer, so it fires first.
+func TestSleepYieldsToEventDueAtWakeTime(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		d     Time
+		setup func(k *Kernel, trace *[]string)
+	}{
+		{"After callback", 1, func(k *Kernel, trace *[]string) {
+			k.After(1, func() { *trace = append(*trace, "after@1") })
+		}},
+		{"other sleeper", 1, func(k *Kernel, trace *[]string) {
+			k.Spawn("other", func(p *Proc) {
+				p.Sleep(1)
+				*trace = append(*trace, "other@1")
+			})
+		}},
+		{"zero sleep behind a wake", 0, func(k *Kernel, trace *[]string) {
+			waiter := k.Spawn("waiter", func(p *Proc) {
+				p.Suspend()
+				*trace = append(*trace, "waiter@0")
+			})
+			k.Spawn("waker", func(p *Proc) { k.Wake(waiter) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			var trace []string
+			k.Spawn("setup", func(p *Proc) { tc.setup(k, &trace) })
+			k.Spawn("sleeper", func(p *Proc) {
+				// Let the processes the setup spawned start first, so what
+				// they schedule is queued before the sleep.
+				p.Sleep(0)
+				p.Sleep(tc.d)
+				trace = append(trace, fmt.Sprintf("sleeper@%v", p.Now()))
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(trace) != 2 || !strings.HasPrefix(trace[1], "sleeper@") {
+				t.Fatalf("trace %v: the sleeper overtook an event due at its wake time", trace)
+			}
+		})
+	}
+}
+
+// TestMaxEventsStopsRunOnSleeps: MaxEvents stops the run at the same
+// event count and clock whether the limiting event is a queued event or
+// a sleep that runs on (the sleepScript's events 5, 7 and 9).
+func TestMaxEventsStopsRunOnSleeps(t *testing.T) {
+	// wantNow[m] is the clock when MaxEvents = m stops sleepScript.
+	wantNow := []Time{1: 0, 2: 0, 3: 0, 4: 1, 5: 2, 6: 2, 7: 2.5, 8: 3, 9: 4}
+	for m := 1; m < len(wantNow); m++ {
+		k := NewKernel()
+		k.MaxEvents = uint64(m)
+		sleepScript(k)
+		if err := k.Run(); err != ErrEventLimit {
+			t.Fatalf("MaxEvents %d: want ErrEventLimit, got %v", m, err)
+		}
+		if k.Events() != uint64(m) || k.Now() != wantNow[m] {
+			t.Errorf("MaxEvents %d: stopped after %d events at %v, want %d at %v",
+				m, k.Events(), k.Now(), m, wantNow[m])
+		}
+	}
+
+	// A lone sleeper runs on at every sleep: the start is event 1 and
+	// each completed sleep one more, so the limit leaves it mid-sleep
+	// after m-1 sleeps.
+	const m = 100
+	k := NewKernel()
+	k.MaxEvents = m
+	sleeps := 0
+	k.Spawn("loop", func(p *Proc) {
+		for {
+			p.Sleep(0.25)
+			sleeps++
+		}
+	})
+	if err := k.Run(); err != ErrEventLimit {
+		t.Fatalf("want ErrEventLimit, got %v", err)
+	}
+	if k.Events() != m || sleeps != m-1 || k.Now() != 0.25*(m-1) {
+		t.Errorf("stopped after %d events, %d sleeps at %v; want %d, %d at %v",
+			k.Events(), sleeps, k.Now(), m, m-1, 0.25*(m-1))
+	}
+}
+
+// TestSleepAllocFree: after warm-up, a Sleep allocates nothing, whether
+// it runs on (a lone sleeper) or queues its timer and switches to
+// another process (two sleepers alternating).
+func TestSleepAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		partner bool
+	}{{"run on", false}, {"switch", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			done := false
+			var allocs float64
+			k.Spawn("measured", func(p *Proc) {
+				for range 10 {
+					p.Sleep(1)
+				}
+				allocs = testing.AllocsPerRun(200, func() { p.Sleep(1) })
+				done = true
+			})
+			if tc.partner {
+				k.Spawn("partner", func(p *Proc) {
+					p.Sleep(0.5)
+					for !done {
+						p.Sleep(1)
+					}
+				})
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("Sleep allocates %v times", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkHandoff measures the kernel's own cost per event: "pingpong"
+// hands control between two processes through Suspend and Kernel.Wake,
+// "sleep" alternates two processes charging compute time with Sleep, so
+// every timer is queued and resumes the other, and "sleep-runon" is one
+// process sleeping alone, so every Sleep runs on without a switch. One
+// op is one event; allocs/event counts every allocation over the run.
 func BenchmarkHandoff(b *testing.B) {
 	b.Run("pingpong", func(b *testing.B) {
 		k := NewKernel()
@@ -393,6 +581,20 @@ func BenchmarkHandoff(b *testing.B) {
 		runHandoff(b, k)
 	})
 	b.Run("sleep", func(b *testing.B) {
+		k := NewKernel()
+		for w := range 2 {
+			k.Spawn("w", func(p *Proc) {
+				// Offset the second sleeper by half a step, so the other's
+				// timer is always due first.
+				p.Sleep(0.0005 * Time(w))
+				for i := w; i < b.N; i += 2 {
+					p.Sleep(0.001)
+				}
+			})
+		}
+		runHandoff(b, k)
+	})
+	b.Run("sleep-runon", func(b *testing.B) {
 		k := NewKernel()
 		k.Spawn("w", func(p *Proc) {
 			for i := 0; i < b.N; i++ {
