@@ -42,7 +42,8 @@
 // with modeled machine speeds, background loads and LAN latencies:
 // results are bit-reproducible in WithSeed, which is what every figure
 // of the paper's evaluation uses. WithRealTime executes the same
-// algorithm code on goroutines with wall-clock timing.
+// algorithm code with wall-clock timing: in process, each TSW on a
+// goroutine of its own with its CLWs as coroutines on it.
 //
 // # Distributed mode
 //
@@ -52,9 +53,10 @@
 // relative speed factor and slot capacity in the master's registry —
 // the heterogeneity the paper's PVM testbed had in hardware. Every
 // process builds the same Problem from the same inputs; only protocol
-// messages cross the wire. A distributed run is a real-time run, so it
-// is reproducible per seed only in the 1 TSW x 1 CLW configuration
-// (see the reproducibility contract below).
+// messages cross the wire. Its CLWs run in parallel on their nodes, so
+// its ties fold in arrival order: a distributed run is reproducible per
+// seed only in the 1 TSW x 1 CLW configuration (see the
+// reproducibility contract below).
 //
 // Virtual mode stays single-process by design: it is the deterministic
 // reference the distributed and goroutine transports are checked
@@ -100,13 +102,18 @@
 //   - Adaptive off (the default): fixed-seed virtual-time runs are
 //     bit-identical across runs and hosts, with or without WithStore
 //     (the golden tests pin them).
-//   - WithRealTime, in process or distributed, with half-sync off: the
-//     search outcome is deterministic in WithSeed only for 1 TSW x 1
-//     CLW. With two or more TSWs or CLWs it is not: the master keeps
-//     the first-arrived of equal-cost TSW reports and a TSW takes
-//     equal-delta CLW candidates in arrival order, so ties follow
-//     timing (12 of 40 fixed-seed c532 runs with 1 TSW x 2 CLWs gave
-//     differing best costs).
+//   - WithRealTime in process, adaptive off and without WithWorkScale:
+//     1 TSW x any number of CLWs repeats its search outcome per seed,
+//     with half-sync off or on. The CLWs run as coroutines on their TSW's
+//     goroutine and take their turns in a fixed order, one
+//     compound-move step each, so the order in which their candidates
+//     arrive, and the step at which half-sync cuts a straggler, are
+//     fixed too.
+//   - WithRealTime with several TSWs, or distributed: the search
+//     outcome is deterministic in WithSeed only for 1 TSW x 1 CLW with
+//     half-sync off. Otherwise ties fold in arrival order: the master
+//     keeps the first-arrived of equal-cost TSW reports, and a
+//     distributed TSW takes equal-delta CLW candidates as they arrive.
 //   - Adaptive on under WithVirtualTime: still deterministic in
 //     WithSeed — scheduling decisions key off modeled time — but the
 //     trajectory differs from the static partition's and may change

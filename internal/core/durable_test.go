@@ -211,12 +211,6 @@ func TestDurableResumeMidRoundCancel(t *testing.T) {
 		cfg.GlobalIters = 10
 		cfg.HalfSync = false // static collection: Real mode is deterministic
 		cfg.WorkScale = 15   // stretch rounds so a timer can land inside one
-		// One CLW per TSW: with several, equal-delta candidates from
-		// different CLWs tie-break by arrival order, which scheduler
-		// jitter (notably under -race) can flip — a real-mode property
-		// independent of the store that would mask what this test is
-		// for.
-		cfg.CLWs = 1
 		return cfg
 	}
 

@@ -286,6 +286,12 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		divRanges = track.Partition()
 	}
 	kickoff := globalMsg{Perm: out.bestPerm, Tabu: bestTabu}
+	// Fresh TSWs get a copy of the starting solution: out.bestPerm is
+	// overwritten in place as reports fold, and a TSW forwards the
+	// solution to its CLWs, which may build their state from it only
+	// after the TSW's first report (in process they first run when
+	// their TSW blocks).
+	startPerm := append([]int32(nil), out.bestPerm...)
 	for i, id := range ts.ids {
 		ts.idx[id] = i
 		if snap != nil && i < len(snap.Latest) {
@@ -306,7 +312,7 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		// start from the global best-so-far (the initial solution when
 		// there is none yet).
 		env.Send(id, TagInit, initMsg{
-			Perm:      out.bestPerm,
+			Perm:      startPerm,
 			RangeLo:   divRanges[i][0],
 			RangeHi:   divRanges[i][1],
 			WorkerIdx: i,

@@ -371,7 +371,10 @@ type clwSet struct {
 // are the static equal split by default, or speed-proportional shares
 // (seeded from the declared machine speeds) in adaptive mode. CLWs
 // whose range is empty — more workers than elements — are not spawned
-// at all.
+// at all. The CLWs work in lockstep with the TSW, so the in-process
+// transport runs them as coroutines on the TSW's thread
+// (pvm.Spec.Colocate): a TSW/CLW handoff is then a coroutine switch,
+// and the CLWs take their turns in a fixed order.
 func newCLWSet(env pvm.Env, problem Problem, cfg Config, init initMsg, n int32, master pvm.TaskID) *clwSet {
 	cs := &clwSet{
 		cfg:     cfg,
@@ -404,6 +407,7 @@ func newCLWSet(env pvm.Env, problem Problem, cfg Config, init initMsg, n int32, 
 			Fn: func(e pvm.Env) {
 				clwRun(e, problem, cfg)
 			},
+			Colocate: true,
 		})
 		cs.byID[cs.ids[j]] = j
 	}

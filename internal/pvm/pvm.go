@@ -9,8 +9,16 @@
 //     machine speeds/loads and messages take modeled LAN latency. All
 //     experiment figures use this runtime — results are bit-identical
 //     across hosts and runs.
-//   - RunReal executes on plain goroutines with wall-clock time; it
-//     demonstrates the same algorithm code running genuinely in parallel.
+//   - RunReal executes with wall-clock time on Options.Transport. The
+//     in-process default runs tasks on threads: each thread is one
+//     goroutine, so tasks on different threads run genuinely in
+//     parallel. A task spawned with Spec.Colocate is a coroutine on its
+//     spawner's thread instead, and the thread's tasks take turns: its
+//     first task runs the others whenever it blocks in Recv or Work, a
+//     coroutine yields whenever its Recv finds nothing to take and at
+//     every Work. Work is thus a scheduling point; with
+//     Options.RealWorkScale it also sets the earliest time the task may
+//     resume, so the emulated sleeps of co-scheduled tasks overlap.
 //
 // Task random streams are derived from the task's spawn path (e.g.
 // "root/tsw2/clw1"), so both runtimes sample identically.

@@ -392,24 +392,36 @@ func BenchmarkVirtualMessageRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkRealMessageRoundTrip times one ping-pong between two tasks
+// of the in-process transport: on two threads, where each message wakes
+// the other goroutine, and co-scheduled, where the child is a coroutine
+// on the parent's thread and each message is a coroutine switch.
 func BenchmarkRealMessageRoundTrip(b *testing.B) {
-	_, err := RunReal(Options{Seed: 1}, func(env Env) {
-		child := env.Spawn("child", 0, func(c Env) {
-			for {
-				m := c.Recv(tagPing, tagStop)
-				if m.Tag == tagStop {
-					return
+	for _, colocate := range []bool{false, true} {
+		name := "threads"
+		if colocate {
+			name = "coscheduled"
+		}
+		b.Run(name, func(b *testing.B) {
+			_, err := RunReal(Options{Seed: 1}, func(env Env) {
+				child := env.SpawnSpec("child", 0, Spec{Colocate: colocate, Fn: func(c Env) {
+					for {
+						m := c.Recv(tagPing, tagStop)
+						if m.Tag == tagStop {
+							return
+						}
+						c.Send(m.From, tagPong, nil)
+					}
+				}})
+				for i := 0; i < b.N; i++ {
+					env.Send(child, tagPing, nil)
+					env.Recv(tagPong)
 				}
-				c.Send(m.From, tagPong, nil)
+				env.Send(child, tagStop, nil)
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
 		})
-		for i := 0; i < b.N; i++ {
-			env.Send(child, tagPing, nil)
-			env.Recv(tagPong)
-		}
-		env.Send(child, tagStop, nil)
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 }

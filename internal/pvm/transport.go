@@ -12,9 +12,11 @@ import (
 //
 // Two implementations ship with the repository:
 //
-//   - InProcess (the default) executes every task as a goroutine of the
-//     calling process with in-memory inboxes — the behavior RunReal
-//     always had, bit for bit.
+//   - InProcess (the default) executes tasks on threads of the calling
+//     process with in-memory inboxes. A thread is one goroutine; a task
+//     spawned with Spec.Colocate runs as a coroutine on its spawner's
+//     thread and advances only at the thread's scheduling points, Recv
+//     and Work.
 //   - nettrans.Master / nettrans worker daemons execute the same
 //     protocol across OS processes over TCP, with the master process
 //     routing length-prefixed gob frames between nodes.
@@ -42,10 +44,19 @@ type Finisher interface {
 // rebuild an equivalent body in another process through the program's
 // Options.Spawner. Data must be gob-encodable (and its concrete type
 // gob-registered) for specs that may cross a process boundary.
+//
+// Colocate asks the in-process transport to run the task as a
+// coroutine on its spawner's thread instead of on a thread of its own:
+// it advances only when the thread's running task blocks in Recv or
+// Work, so a message between it and its spawner is a coroutine switch
+// rather than a goroutine wake-up. It suits a task that works in
+// lockstep with its spawner. Network transports and the virtual
+// runtime ignore it.
 type Spec struct {
-	Kind string
-	Data any
-	Fn   TaskFunc
+	Kind     string
+	Data     any
+	Fn       TaskFunc
+	Colocate bool
 }
 
 // ErrAborted is wrapped by Transport.Run errors when a run was torn
@@ -71,9 +82,19 @@ func recoverAbort() {
 	}
 }
 
-// InProcess returns the default transport: every task is a goroutine of
-// the calling process, messages are in-memory inbox appends. It is the
-// exact runtime RunReal used before transports existed.
+// InProcess returns the default transport, which runs tasks on threads
+// of the calling process. Each spawn starts a thread, a goroutine of
+// its own, except a Spec.Colocate spawn, which becomes a coroutine on
+// its spawner's thread. A thread's first task runs the thread's other
+// tasks round robin whenever it blocks in Recv or Work, and after its
+// own body returns; a coroutine yields whenever its Recv finds nothing
+// to take, and at every Work. With RealWorkScale > 0, Work resumes its
+// task no earlier than the emulated finish time, so co-scheduled
+// sleeps overlap. A message within a thread only marks the receiver
+// runnable; one to another thread appends to its inbox under that
+// thread's lock and wakes the thread if it is parked, and its receiver
+// runs once nothing else on that thread can. Messages are in-memory
+// inbox appends either way.
 func InProcess() Transport { return chanTransport{} }
 
 // resolveSpec returns the body of a spec-spawned task hosted in this

@@ -170,15 +170,20 @@ func WithVirtualTime() Option {
 	return func(s *settings) { s.mode, s.modeSet = core.Virtual, true }
 }
 
-// WithRealTime runs with wall-clock timing — the same algorithm code
-// executing genuinely in parallel, on in-process goroutines by default
-// or across OS processes with WithMaster. The modeled per-trial work
-// charge does not apply unless WithWorkScale asks for speed emulation,
-// and results are not deterministic in time. With half-sync off the
-// search outcome is deterministic in the seed only for 1 TSW x 1 CLW:
-// with two or more TSWs or CLWs the master keeps the first-arrived of
-// equal-cost reports and CLW ties follow arrival order, so real-time
-// runs are not reproducible per seed.
+// WithRealTime runs with wall-clock timing — the same algorithm code,
+// in process by default or across OS processes with WithMaster. In
+// process, each TSW runs on a goroutine of its own and its CLWs run as
+// coroutines on that goroutine, one compound-move step per turn: TSWs
+// run in parallel, while a TSW's CLWs share one core. Running CLWs in
+// parallel is the job of the distributed transport. The modeled
+// per-trial work charge does not apply unless WithWorkScale asks for
+// speed emulation, and results are not deterministic in time. In
+// process, with adaptive scheduling off and without speed emulation,
+// 1 TSW x any number of CLWs repeats its search outcome per seed, with
+// half-sync off or on. Runs
+// with several TSWs, and distributed runs, still fold ties in arrival
+// order: the master keeps the first-arrived of equal-cost reports, and
+// a distributed TSW takes equal-delta CLW candidates as they arrive.
 func WithRealTime() Option {
 	return func(s *settings) { s.mode, s.modeSet = core.Real, true }
 }
