@@ -35,7 +35,7 @@ func clwRun(env pvm.Env, problem Problem, cfg Config) {
 	init := first.Data.(initMsg)
 	parent := first.From
 	prob := mustState(env, problem, init.Perm)
-	r := rng.New(init.Reseed)
+	r := rng.NewSplitMix64(init.Reseed)
 	params := tabu.CompoundParams{
 		Trials:  cfg.Trials,
 		Depth:   cfg.Depth,
@@ -105,7 +105,7 @@ func clwRun(env pvm.Env, problem Problem, cfg Config) {
 			if err := prob.Restore(sm.Perm); err != nil {
 				panic(fmt.Sprintf("core: clw %s: %v", env.Name(), err))
 			}
-			r = rng.New(sm.Reseed)
+			r.Reset(sm.Reseed)
 			tentative = tabu.CompoundMove{}
 			env.Work(staWork)
 
@@ -123,7 +123,7 @@ func clwRun(env pvm.Env, problem Problem, cfg Config) {
 				params.Trials = in.Trials
 				stepWork = float64(params.Trials) * cfg.WorkPerTrial
 			}
-			r = rng.New(in.Reseed)
+			r.Reset(in.Reseed)
 			tentative = tabu.CompoundMove{}
 			env.Work(staWork)
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -48,7 +47,7 @@ func (s *stubEnv) Self() pvm.TaskID         { return 1 }
 func (s *stubEnv) Name() string             { return "stub" }
 func (s *stubEnv) MachineIndex() int        { return 0 }
 func (s *stubEnv) Now() float64             { return s.now }
-func (s *stubEnv) Rand() *rand.Rand         { return rng.New(1) }
+func (s *stubEnv) Rand() *rng.SplitMix64    { return rng.NewSplitMix64(1) }
 func (s *stubEnv) Cancelled() bool          { return false }
 func (s *stubEnv) Work(seconds float64)     {}
 func (s *stubEnv) NotifyExit(id pvm.TaskID) { s.watched = append(s.watched, id) }
@@ -243,7 +242,7 @@ func TestCheckpointRoundTripAdoptsSurvivors(t *testing.T) {
 	freq.BumpSwap(3, 4)
 	var stats WorkerStats
 	stats.LocalIters = 123
-	ck := buildCheckpoint(0, prob, list, freq, rng.New(9), 80, stats, prob.Cost(), prob.Snapshot(), 5, 25, 0, cs)
+	ck := buildCheckpoint(0, prob, list, freq, rng.NewSplitMix64(9), 80, stats, prob.Cost(), prob.Snapshot(), 5, 25, 0, cs)
 
 	if len(ck.CLWs) != 3 {
 		t.Fatalf("checkpoint slots = %d, want 3", len(ck.CLWs))

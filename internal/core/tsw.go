@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"pts/internal/pvm"
@@ -56,7 +55,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	var (
 		prob     State
 		freq     *tabu.Frequency
-		tswRand  *rand.Rand
+		tswRand  rng.SplitMix64
 		iter     int64
 		stats    WorkerStats
 		best     float64
@@ -69,11 +68,11 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 
 	// checkpoint captures this TSW's recovery state and continues the
 	// random stream from the very seed it publishes: a successor
-	// restoring rng.New(RandSeed) then carries exactly this stream, so
+	// reseeded with RandSeed then carries exactly this stream, so
 	// resumed and uninterrupted runs draw identical numbers from here on.
 	checkpoint := func() tswCheckpoint {
-		ck := buildCheckpoint(cs.widx, prob, list, freq, tswRand, iter, stats, best, bestPerm, divLo, divHi, acceptedSinceRefresh, cs)
-		tswRand = rng.New(ck.RandSeed)
+		ck := buildCheckpoint(cs.widx, prob, list, freq, &tswRand, iter, stats, best, bestPerm, divLo, divHi, acceptedSinceRefresh, cs)
+		tswRand.Reset(ck.RandSeed)
 		return ck
 	}
 
@@ -81,7 +80,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 		init := env.Recv(TagInit).Data.(initMsg)
 		prob = mustState(env, problem, init.Perm)
 		freq = tabu.NewFrequency(prob.Size())
-		tswRand = env.Rand()
+		tswRand = *env.Rand() // a copy, which checkpoints reseed in place
 		best = prob.Cost()
 		bestPerm = prob.Snapshot()
 		divLo, divHi = init.RangeLo, init.RangeHi
@@ -109,7 +108,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 		// The predecessor drew RandSeed from its own stream at checkpoint
 		// time and reseeded itself from the same value, so the successor
 		// continues the very stream the predecessor carried forward.
-		tswRand = rng.New(ck.RandSeed)
+		tswRand.Reset(ck.RandSeed)
 		if ck.Restart {
 			// Master restart: the transport aborted every worker task with
 			// the old master, so there are no survivors to adopt — spawn a
@@ -179,7 +178,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 				// et al. [10]): forced swaps of the least-moved elements of the
 				// range.
 				if cfg.DiversifyDepth > 0 {
-					diversify(prob, env, tswRand, freq, list, iter, cfg, divLo, divHi, &divSc)
+					diversify(prob, env, &tswRand, freq, list, iter, cfg, divLo, divHi, &divSc)
 					stats.Diversifications++
 					refresh(prob)
 					env.Work(staWork)
@@ -329,7 +328,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 // successor's random stream. Everything is copied — the checkpoint
 // must stay valid after the TSW keeps mutating its buffers.
 func buildCheckpoint(widx int, prob State, list *tabu.List, freq *tabu.Frequency,
-	r *rand.Rand, iter int64, stats WorkerStats, best float64, bestPerm []int32,
+	r *rng.SplitMix64, iter int64, stats WorkerStats, best float64, bestPerm []int32,
 	divLo, divHi int32, acceptedRefresh int, cs *clwSet) tswCheckpoint {
 	return tswCheckpoint{
 		WorkerIdx:       widx,
@@ -821,7 +820,7 @@ type divScratch struct {
 // drifts into its own region of the solution space, but the greedy
 // partner choice bounds the damage to the incumbent. The applied
 // attributes become tabu so the jump is not immediately undone.
-func diversify(prob tabu.Problem, env pvm.Env, r *rand.Rand, freq *tabu.Frequency, list *tabu.List,
+func diversify(prob tabu.Problem, env pvm.Env, r *rng.SplitMix64, freq *tabu.Frequency, list *tabu.List,
 	iter int64, cfg Config, lo, hi int32, sc *divScratch) {
 	size := prob.Size()
 	if hi <= lo+1 || size < 2 {
@@ -831,11 +830,12 @@ func diversify(prob tabu.Problem, env pvm.Env, r *rand.Rand, freq *tabu.Frequenc
 		sc.cands = make([]tabu.SwapCand, 0, cfg.Trials)
 		sc.deltas = make([]float64, cfg.Trials)
 	}
+	span := rng.NewBound(int(hi - lo))
 	for i := 0; i < cfg.DiversifyDepth; i++ {
 		a := freq.LeastMoved(r, lo, hi)
 		cands := sc.cands[:0]
 		for t := 0; t < cfg.Trials; t++ {
-			if b := lo + int32(r.Intn(int(hi-lo))); b != a {
+			if b := lo + int32(r.IntnBound(&span)); b != a {
 				cands = append(cands, tabu.SwapCand{A: a, B: b})
 			}
 		}

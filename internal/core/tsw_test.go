@@ -62,7 +62,7 @@ func TestDiversifyMovesLeastFrequent(t *testing.T) {
 		list := tabu.NewList()
 
 		before := prob.Snapshot()
-		diversify(prob, &stubEnv{}, rng.New(seed), freq, list, iter, cfg, lo, hi, &divScratch{})
+		diversify(prob, &stubEnv{}, rng.NewSplitMix64(seed), freq, list, iter, cfg, lo, hi, &divScratch{})
 		after := prob.Snapshot()
 		var moved []int32
 		for e := range before {
@@ -90,7 +90,7 @@ func TestDiversifyMovesLeastFrequent(t *testing.T) {
 
 		total, tabuLen := freq.Total(), list.Len()
 		for _, r := range [][2]int32{{7, 7}, {7, 8}, {8, 7}} {
-			diversify(prob, &stubEnv{}, rng.New(seed), freq, list, iter, cfg, r[0], r[1], &divScratch{})
+			diversify(prob, &stubEnv{}, rng.NewSplitMix64(seed), freq, list, iter, cfg, r[0], r[1], &divScratch{})
 			if !slices.Equal(prob.Snapshot(), after) || freq.Total() != total || list.Len() != tabuLen {
 				t.Fatalf("seed %d: diversify over [%d, %d) changed the state", seed, r[0], r[1])
 			}
@@ -103,7 +103,10 @@ func TestDiversifyMovesLeastFrequent(t *testing.T) {
 // the same skipped b == a partners and the same first strict minimum,
 // so the state, frequency and tabu memories end identical — on ft10,
 // whose states have a batch kernel, over ranges down to two elements.
-// With its scratch warm, diversify allocates nothing.
+// The scalar loop draws its partners through math/rand over the very
+// source LeastMoved draws from, so it also pins diversify's hoisted
+// partner bound to math/rand's Intn. With its scratch warm, diversify
+// allocates nothing.
 func TestDiversifyBatchMatchesScalar(t *testing.T) {
 	ins, err := schedinst.JobShopByName("ft10")
 	if err != nil {
@@ -112,9 +115,10 @@ func TestDiversifyBatchMatchesScalar(t *testing.T) {
 	cfg := quickCfg()
 	cfg.DiversifyDepth, cfg.Trials = 12, 16
 	const iter = 40
-	scalar := func(prob tabu.Problem, r *rand.Rand, freq *tabu.Frequency, list *tabu.List, lo, hi int32) {
+	scalar := func(prob tabu.Problem, src *rng.SplitMix64, freq *tabu.Frequency, list *tabu.List, lo, hi int32) {
+		r := rand.New(src)
 		for i := 0; i < cfg.DiversifyDepth; i++ {
-			a := freq.LeastMoved(r, lo, hi)
+			a := freq.LeastMoved(src, lo, hi)
 			bestB, bestDelta := int32(-1), 0.0
 			for t := 0; t < cfg.Trials; t++ {
 				b := lo + int32(r.Intn(int(hi-lo)))
@@ -139,8 +143,8 @@ func TestDiversifyBatchMatchesScalar(t *testing.T) {
 			gotFreq, wantFreq := tabu.NewFrequency(100), tabu.NewFrequency(100)
 			gotList, wantList := tabu.NewList(), tabu.NewList()
 			for round := 0; round < 3; round++ {
-				diversify(got, &stubEnv{}, rng.New(seed+uint64(round)), gotFreq, gotList, iter, cfg, r[0], r[1], &sc)
-				scalar(want, rng.New(seed+uint64(round)), wantFreq, wantList, r[0], r[1])
+				diversify(got, &stubEnv{}, rng.NewSplitMix64(seed+uint64(round)), gotFreq, gotList, iter, cfg, r[0], r[1], &sc)
+				scalar(want, rng.NewSplitMix64(seed+uint64(round)), wantFreq, wantList, r[0], r[1])
 			}
 			if !slices.Equal(got.Snapshot(), want.Snapshot()) || got.Makespan() != want.Makespan() {
 				t.Fatalf("seed %d range %v: batched diversify reached another state", seed, r)
@@ -155,10 +159,47 @@ func TestDiversifyBatchMatchesScalar(t *testing.T) {
 			}
 		}
 	}
-	prob, freq, list, r, env := jobshop.NewState(ins, 1), tabu.NewFrequency(100), tabu.NewList(), rng.New(1), &stubEnv{}
+	prob, freq, list, r, env := jobshop.NewState(ins, 1), tabu.NewFrequency(100), tabu.NewList(), rng.NewSplitMix64(1), &stubEnv{}
 	if n := testing.AllocsPerRun(20, func() {
 		diversify(prob, env, r, freq, list, iter, cfg, 0, 100, &sc)
 	}); n != 0 {
 		t.Fatalf("diversify allocates %.1f per call, want 0", n)
+	}
+}
+
+// TestSearchDrawsAllocFree: the search's random draws allocate nothing.
+// A barrier reseed resets a worker's generator in place, LeastMoved and
+// diversify draw from the TSW's generator directly, and
+// BuildCompoundBatch's only allocation is the swap slice of the move it
+// returns, not its trial sampling.
+func TestSearchDrawsAllocFree(t *testing.T) {
+	var r rng.SplitMix64
+	if n := testing.AllocsPerRun(100, func() { r.Reset(r.Uint64()) }); n != 0 {
+		t.Errorf("barrier reseed allocates %.1f per call, want 0", n)
+	}
+	prob := qap.NewState(qap.Random(40, 3), 3)
+	freq := tabu.NewFrequency(prob.Size())
+	if n := testing.AllocsPerRun(100, func() { freq.LeastMoved(&r, 0, prob.Size()) }); n != 0 {
+		t.Errorf("LeastMoved allocates %.1f per call, want 0", n)
+	}
+	cfg := quickCfg()
+	list, env := tabu.NewList(), &stubEnv{}
+	var dsc divScratch
+	diversify(prob, env, &r, freq, list, 1, cfg, 0, prob.Size(), &dsc)
+	if n := testing.AllocsPerRun(100, func() { diversify(prob, env, &r, freq, list, 1, cfg, 0, prob.Size(), &dsc) }); n != 0 {
+		t.Errorf("diversify allocates %.1f per call, want 0", n)
+	}
+	params := tabu.CompoundParams{Trials: 12, Depth: 4, RangeLo: 5, RangeHi: 25}
+	var sc tabu.BatchScratch
+	warm := tabu.BuildCompoundBatch(prob, &r, params, &sc, nil)
+	warm.Undo(prob)
+	if n := testing.AllocsPerRun(100, func() {
+		m := tabu.BuildCompoundBatch(prob, &r, params, &sc, nil)
+		if m.Empty() {
+			t.Fatal("no move built")
+		}
+		m.Undo(prob)
+	}); n != 1 {
+		t.Errorf("BuildCompoundBatch allocates %.1f per call, want 1 (the move's swaps)", n)
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -17,7 +19,8 @@ import (
 // slow them down: with hold set, the first "runs/" Put closes holding
 // and waits until hold is closed; every "runs/" Put then sleeps delay
 // before it lands. The log names each landed Put by its snapshot's
-// round ("put 3") and each Delete ("delete"), in landing order.
+// round ("put 3") and each Delete ("delete"), in landing order, and
+// keeps each landed snapshot's bytes by round.
 type heldStore struct {
 	*store.MemStore
 	hold    chan struct{}
@@ -28,10 +31,11 @@ type heldStore struct {
 	held  bool
 	ops   []string
 	round []int
+	vals  map[int][]byte
 }
 
 func newHeldStore(hold bool, delay time.Duration) *heldStore {
-	h := &heldStore{MemStore: store.NewMem(), delay: delay}
+	h := &heldStore{MemStore: store.NewMem(), delay: delay, vals: map[int][]byte{}}
 	if hold {
 		h.hold, h.holding = make(chan struct{}), make(chan struct{})
 	}
@@ -59,6 +63,7 @@ func (h *heldStore) Put(key string, value []byte) error {
 	defer h.mu.Unlock()
 	h.ops = append(h.ops, fmt.Sprintf("put %d", snap.Round))
 	h.round = append(h.round, snap.Round)
+	h.vals[snap.Round] = slices.Clone(value)
 	return h.MemStore.Put(key, value)
 }
 
@@ -74,6 +79,47 @@ func (h *heldStore) log() (ops []string, rounds []int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return slices.Clone(h.ops), slices.Clone(h.round)
+}
+
+// values returns the landed snapshots' bytes by round.
+func (h *heldStore) values() map[int][]byte {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return maps.Clone(h.vals)
+}
+
+// TestRepeatedRunsStoreIdenticalSnapshots: fixed-seed virtual runs
+// repeat their trajectory, and so must the bytes they store — every
+// round two runs both wrote holds the same snapshot value. The write
+// behind coalesces rounds by timing, but the last round before the
+// final barrier always lands, so every pair of runs compares at least
+// one round.
+func TestRepeatedRunsStoreIdenticalSnapshots(t *testing.T) {
+	var first map[int][]byte
+	for run := 0; run < 3; run++ {
+		h := newHeldStore(false, 0)
+		cfg := durableCfg(h)
+		if _, err := RunProblem(context.Background(), highwayProblem(), cluster.Homogeneous(12, 1), cfg, Virtual); err != nil {
+			t.Fatal(err)
+		}
+		vals := h.values()
+		if run == 0 {
+			first = vals
+			continue
+		}
+		compared := 0
+		for round, v := range vals {
+			if w, ok := first[round]; ok {
+				compared++
+				if !bytes.Equal(v, w) {
+					t.Fatalf("run %d stored other bytes for round %d than run 0", run, round)
+				}
+			}
+		}
+		if compared == 0 {
+			t.Fatalf("runs 0 and %d stored no common round: %v and %v", run, slices.Sorted(maps.Keys(first)), slices.Sorted(maps.Keys(vals)))
+		}
+	}
 }
 
 // checkCleanLog asserts a clean run's write log: at most

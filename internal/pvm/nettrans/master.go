@@ -2,7 +2,6 @@ package nettrans
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -1421,7 +1420,7 @@ type mTask struct {
 	name    string
 	machine int
 	fn      pvm.TaskFunc
-	r       *rand.Rand
+	r       *rng.SplitMix64
 	box     mailbox
 }
 
@@ -1432,12 +1431,12 @@ func (t *mTask) run() {
 	t.j.localTaskDone(t.id)
 }
 
-func (t *mTask) Self() pvm.TaskID  { return t.id }
-func (t *mTask) Name() string      { return t.name }
-func (t *mTask) MachineIndex() int { return t.machine }
-func (t *mTask) Rand() *rand.Rand  { return t.r }
-func (t *mTask) Now() float64      { return time.Since(t.j.start).Seconds() }
-func (t *mTask) Cancelled() bool   { return t.j.isCancelled() }
+func (t *mTask) Self() pvm.TaskID      { return t.id }
+func (t *mTask) Name() string          { return t.name }
+func (t *mTask) MachineIndex() int     { return t.machine }
+func (t *mTask) Rand() *rng.SplitMix64 { return t.r }
+func (t *mTask) Now() float64          { return time.Since(t.j.start).Seconds() }
+func (t *mTask) Cancelled() bool       { return t.j.isCancelled() }
 
 // NotifyExit implements pvm.ExitNotifier against the job's watcher
 // registry.

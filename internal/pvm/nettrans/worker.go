@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	randv2 "math/rand/v2"
 	"net"
 	"sync"
@@ -440,7 +439,7 @@ type wTask struct {
 	name    string
 	machine int
 	fn      pvm.TaskFunc
-	r       *rand.Rand
+	r       *rng.SplitMix64
 	box     mailbox
 }
 
@@ -461,12 +460,12 @@ func (t *wTask) run() {
 	}
 }
 
-func (t *wTask) Self() pvm.TaskID  { return t.id }
-func (t *wTask) Name() string      { return t.name }
-func (t *wTask) MachineIndex() int { return t.machine }
-func (t *wTask) Rand() *rand.Rand  { return t.r }
-func (t *wTask) Now() float64      { return time.Since(t.j.start).Seconds() }
-func (t *wTask) Cancelled() bool   { return t.j.isCancelled() }
+func (t *wTask) Self() pvm.TaskID      { return t.id }
+func (t *wTask) Name() string          { return t.name }
+func (t *wTask) MachineIndex() int     { return t.machine }
+func (t *wTask) Rand() *rng.SplitMix64 { return t.r }
+func (t *wTask) Now() float64          { return time.Since(t.j.start).Seconds() }
+func (t *wTask) Cancelled() bool       { return t.j.isCancelled() }
 
 // MachineSpeed implements pvm.SpeedReporter from the job's slot-speed
 // table (kept in sync with elastic ring growth via fRing frames);

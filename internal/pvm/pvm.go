@@ -26,9 +26,9 @@ package pvm
 
 import (
 	"context"
-	"math/rand"
 
 	"pts/internal/cluster"
+	"pts/internal/rng"
 )
 
 // Tag labels a message's purpose; receivers select on it.
@@ -107,7 +107,7 @@ type Env interface {
 	// Now returns seconds since the run started (virtual or wall).
 	Now() float64
 	// Rand returns the task's deterministic random stream.
-	Rand() *rand.Rand
+	Rand() *rng.SplitMix64
 	// Cancelled reports whether the run's context (Options.Context) has
 	// been cancelled or has passed its deadline. Task bodies poll it at
 	// loop boundaries and wind down cooperatively: the runtimes never

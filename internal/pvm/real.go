@@ -3,7 +3,6 @@ package pvm
 import (
 	"fmt"
 	"iter"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,7 +75,7 @@ type rTask struct {
 	id      TaskID
 	name    string
 	machine int
-	r       *rand.Rand
+	r       *rng.SplitMix64
 	th      *rThread
 
 	// A coroutine task's resume and suspend functions; both are nil
@@ -93,12 +92,12 @@ type rTask struct {
 
 var _ Env = (*rTask)(nil)
 
-func (t *rTask) Self() TaskID      { return t.id }
-func (t *rTask) Name() string      { return t.name }
-func (t *rTask) MachineIndex() int { return t.machine }
-func (t *rTask) Rand() *rand.Rand  { return t.r }
-func (t *rTask) Now() float64      { return time.Since(t.rt.start).Seconds() }
-func (t *rTask) Cancelled() bool   { return cancelled(t.rt.done) }
+func (t *rTask) Self() TaskID          { return t.id }
+func (t *rTask) Name() string          { return t.name }
+func (t *rTask) MachineIndex() int     { return t.machine }
+func (t *rTask) Rand() *rng.SplitMix64 { return t.r }
+func (t *rTask) Now() float64          { return time.Since(t.rt.start).Seconds() }
+func (t *rTask) Cancelled() bool       { return cancelled(t.rt.done) }
 
 // MachineSpeed implements SpeedReporter from the cluster model,
 // wrapping the index exactly like spawn does.

@@ -2,7 +2,6 @@ package pvm
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pts/internal/cluster"
 	"pts/internal/rng"
@@ -69,7 +68,7 @@ type vTask struct {
 	inbox    []Message
 	waiting  bool
 	finished bool
-	r        *rand.Rand
+	r        *rng.SplitMix64
 	// lastTo tracks, per destination TaskID, the latest scheduled
 	// arrival of a message this task sent there: PVM (like TCP)
 	// guarantees messages between two tasks arrive in the order sent,
@@ -80,12 +79,12 @@ type vTask struct {
 
 var _ Env = (*vTask)(nil)
 
-func (t *vTask) Self() TaskID      { return t.id }
-func (t *vTask) Name() string      { return t.name }
-func (t *vTask) MachineIndex() int { return t.machine }
-func (t *vTask) Rand() *rand.Rand  { return t.r }
-func (t *vTask) Now() float64      { return float64(t.rt.k.Now()) }
-func (t *vTask) Cancelled() bool   { return cancelled(t.rt.done) }
+func (t *vTask) Self() TaskID          { return t.id }
+func (t *vTask) Name() string          { return t.name }
+func (t *vTask) MachineIndex() int     { return t.machine }
+func (t *vTask) Rand() *rng.SplitMix64 { return t.r }
+func (t *vTask) Now() float64          { return float64(t.rt.k.Now()) }
+func (t *vTask) Cancelled() bool       { return cancelled(t.rt.done) }
 
 // MachineSpeed implements SpeedReporter from the cluster model,
 // wrapping the index exactly like spawn does.

@@ -1,6 +1,6 @@
 package tabu
 
-import "math/rand"
+import "pts/internal/rng"
 
 // Batched neighborhood evaluation: the CLW hot loop generates a whole
 // candidate batch per depth step and hands it to the problem in one
@@ -61,14 +61,25 @@ func (sc *BatchScratch) grow(n int) {
 	}
 }
 
+// Intner is the random stream BuildCompoundBatch samples trials from:
+// a worker's *rng.SplitMix64, or any other source of Intn draws such as
+// a *math/rand.Rand. From the same seed both yield the same trials,
+// since SplitMix64.Intn returns math/rand's Intn value for value.
+type Intner interface {
+	Intn(n int) int
+}
+
 // BuildCompoundBatch is BuildCompound restructured around candidate
 // batches: each depth step samples all Trials candidate pairs first,
 // evaluates them in one EvalDeltaBatch call, and applies the argmin.
 // The random stream consumption, the candidate order, and the
 // strict-less first-wins argmin tie-breaking are identical to the
 // scalar BuildCompound, so fixed-seed runs are bit-identical through
-// either path. sc may be nil (a temporary scratch is allocated).
-func BuildCompoundBatch(prob Problem, r *rand.Rand, p CompoundParams, sc *BatchScratch, step func() bool) CompoundMove {
+// either path. When r is a *rng.SplitMix64 the trials are drawn from
+// it directly, through bounds computed once per call; any other
+// Intner is drawn from through the interface. sc may be nil (a
+// temporary scratch is allocated).
+func BuildCompoundBatch(prob Problem, r Intner, p CompoundParams, sc *BatchScratch, step func() bool) CompoundMove {
 	size := prob.Size()
 	p = p.normalized(size)
 	var move CompoundMove
@@ -79,20 +90,12 @@ func BuildCompoundBatch(prob Problem, r *rand.Rand, p CompoundParams, sc *BatchS
 		sc = &BatchScratch{}
 	}
 	sc.grow(p.Trials)
+	s := trialSampler{r: r, lo: p.RangeLo, span: int(p.RangeHi - p.RangeLo), size: int(size)}
+	if sm, ok := r.(*rng.SplitMix64); ok {
+		s.sm, s.spanB, s.sizeB = sm, rng.NewBound(s.span), rng.NewBound(s.size)
+	}
 	for d := 0; d < p.Depth; d++ {
-		// Sampling consumes the random stream exactly like the scalar
-		// loop: two draws per trial, degenerate a == b pairs dropped
-		// after both draws. State does not change between draws and
-		// evaluation, so deferring the evaluation preserves results.
-		cands := sc.cands[:0]
-		for t := 0; t < p.Trials; t++ {
-			a := p.RangeLo + int32(r.Intn(int(p.RangeHi-p.RangeLo)))
-			b := int32(r.Intn(int(size)))
-			if a == b {
-				continue
-			}
-			cands = append(cands, SwapCand{A: a, B: b})
-		}
+		cands := s.sample(sc.cands[:0], p.Trials)
 		if len(cands) == 0 {
 			// All trials degenerated (a == b); spend the step and go on.
 			if step != nil && step() {
@@ -128,6 +131,42 @@ func BuildCompoundBatch(prob Problem, r *rand.Rand, p CompoundParams, sc *BatchS
 		}
 	}
 	return move
+}
+
+// trialSampler draws a CLW step's trial pairs: the first element from
+// the worker's range [lo, lo+span), the second from the whole element
+// space [0, size). sm, when set, is r itself, drawn from through the
+// hoisted bounds spanB and sizeB.
+type trialSampler struct {
+	r            Intner
+	sm           *rng.SplitMix64
+	spanB, sizeB rng.Bound
+	lo           int32
+	span, size   int
+}
+
+// sample appends trials candidate pairs to dst. It consumes the random
+// stream exactly like the scalar BuildCompound loop: two draws per
+// trial, degenerate a == b pairs dropped after both draws. The problem
+// does not change between the draws and their evaluation, so deferring
+// the evaluation preserves results.
+func (s *trialSampler) sample(dst []SwapCand, trials int) []SwapCand {
+	if sm := s.sm; sm != nil {
+		for t := 0; t < trials; t++ {
+			a := s.lo + int32(sm.IntnBound(&s.spanB))
+			if b := int32(sm.IntnBound(&s.sizeB)); a != b {
+				dst = append(dst, SwapCand{A: a, B: b})
+			}
+		}
+		return dst
+	}
+	for t := 0; t < trials; t++ {
+		a := s.lo + int32(s.r.Intn(s.span))
+		if b := int32(s.r.Intn(s.size)); a != b {
+			dst = append(dst, SwapCand{A: a, B: b})
+		}
+	}
+	return dst
 }
 
 // SelectScratch holds one TSW's reusable selection buffers: candidate

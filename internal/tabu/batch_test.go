@@ -13,14 +13,28 @@ import (
 // scalar reference implementations — same moves, same deltas, same
 // random-stream consumption, same verdicts.
 
-// buildEquiv runs the scalar and batched builders on independent but
-// identically seeded problem/RNG pairs and asserts they are
+// buildEquiv runs the scalar builder on a *math/rand.Rand and the
+// batched builder on a *rng.SplitMix64 (drawn from directly) and on a
+// *math/rand.Rand (drawn from through the Intner interface), each over
+// its own identically seeded problem, and asserts all three are
 // indistinguishable, including in how much of the random stream they
 // consumed.
 func buildEquiv(t *testing.T, mk func() tabu.Problem, seed uint64, p tabu.CompoundParams, step func(calls *int) func() bool) {
 	t.Helper()
+	batchEquiv(t, mk, seed, p, step, rng.NewSplitMix64(seed))
+	batchEquiv(t, mk, seed, p, step, rng.New(seed))
+}
+
+// batchEquiv is buildEquiv for one batched builder's stream r2, seeded
+// like the scalar builder's.
+func batchEquiv(t *testing.T, mk func() tabu.Problem, seed uint64, p tabu.CompoundParams,
+	step func(calls *int) func() bool, r2 interface {
+		tabu.Intner
+		Int63() int64
+	}) {
+	t.Helper()
 	p1, p2 := mk(), mk()
-	r1, r2 := rng.New(seed), rng.New(seed)
+	r1 := rng.New(seed)
 	var sc tabu.BatchScratch
 	var c1, c2 int
 	var s1, s2 func() bool

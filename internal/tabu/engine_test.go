@@ -214,7 +214,7 @@ func TestFrequencyLeastMoved(t *testing.T) {
 	f := tabu.NewFrequency(10)
 	f.BumpSwap(1, 2)
 	f.BumpSwap(1, 3)
-	r := rng.New(2)
+	r := rng.NewSplitMix64(2)
 	// Elements 0,4..9 have count 0; LeastMoved must return one of them.
 	for i := 0; i < 20; i++ {
 		e := f.LeastMoved(r, 0, 10)

@@ -1,6 +1,6 @@
 package tabu
 
-import "math/rand"
+import "pts/internal/rng"
 
 // Frequency is the long-term memory: how often each element has been
 // moved. The Kelly et al. diversification scheme the paper uses forces
@@ -37,28 +37,30 @@ func (f *Frequency) Count(e int32) int64 { return f.count[e] }
 func (f *Frequency) Total() int64 { return f.total }
 
 // LeastMoved returns the element within [lo, hi) with the lowest move
-// count, breaking ties uniformly at random with r. The half-open range
-// is the caller's diversification range (its subset of cells). Panics if
-// the range is empty.
-func (f *Frequency) LeastMoved(r *rand.Rand, lo, hi int32) int32 {
+// count, breaking ties uniformly at random with r: the k-th element
+// tied at the running minimum makes a reservoir draw r.Intn(k) and
+// replaces the pick when it draws 0. The half-open range is the caller's diversification
+// range (its subset of cells). Panics if the range is empty.
+func (f *Frequency) LeastMoved(r *rng.SplitMix64, lo, hi int32) int32 {
 	if hi <= lo {
 		panic("tabu: empty range in LeastMoved")
 	}
-	best := lo
+	count := f.count[lo:hi]
+	best, least := 0, count[0]
 	ties := 1
-	for e := lo + 1; e < hi; e++ {
-		switch c := f.count[e]; {
-		case c < f.count[best]:
-			best = e
+	for e := 1; e < len(count); e++ {
+		switch c := count[e]; {
+		case c < least:
+			best, least = e, c
 			ties = 1
-		case c == f.count[best]:
+		case c == least:
 			ties++
 			if r.Intn(ties) == 0 {
 				best = e
 			}
 		}
 	}
-	return best
+	return lo + int32(best)
 }
 
 // Export returns a copy of the per-element move counts — the

@@ -1,5 +1,10 @@
 package tabu
 
+import (
+	"cmp"
+	"slices"
+)
+
 // List is the short-term memory: recently used move attributes and the
 // iteration until which they stay tabu. The zero value is not usable;
 // call NewList.
@@ -129,7 +134,10 @@ type Entry struct {
 	Remaining int64
 }
 
-// Export serializes the attributes still tabu at iteration now.
+// Export serializes the attributes still tabu at iteration now, sorted
+// by attribute: the map's iteration order is random, and identical
+// lists must serialize (into checkpoints and stored snapshots) to
+// identical bytes.
 func (l *List) Export(now int64) []Entry {
 	out := make([]Entry, 0, len(l.expiry))
 	for at, e := range l.expiry {
@@ -137,6 +145,12 @@ func (l *List) Export(now int64) []Entry {
 			out = append(out, Entry{At: at, Remaining: e - now})
 		}
 	}
+	slices.SortFunc(out, func(x, y Entry) int {
+		if c := cmp.Compare(x.At.A, y.At.A); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.At.B, y.At.B)
+	})
 	return out
 }
 

@@ -1,6 +1,7 @@
 package tabu
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -173,5 +174,29 @@ func TestQuickExportImportRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExportSorted: Export lists the live attributes in attribute order
+// whatever order they were added in, so equal lists export equal
+// slices.
+func TestExportSorted(t *testing.T) {
+	attrs := []Attribute{Attr(9, 3), Attr(1, 7), Attr(1, 2), Attr(4, 5), Attr(0, 8)}
+	a, b := NewList(), NewList()
+	for i, at := range attrs {
+		a.Add(at, 50+int64(i))
+		b.Add(attrs[len(attrs)-1-i], 50+int64(len(attrs)-1-i))
+	}
+	ea, eb := a.Export(10), b.Export(10)
+	if !slices.Equal(ea, eb) {
+		t.Fatalf("equal lists exported %v and %v", ea, eb)
+	}
+	if !slices.IsSortedFunc(ea, func(x, y Entry) int {
+		if x.At.A != y.At.A {
+			return int(x.At.A - y.At.A)
+		}
+		return int(x.At.B - y.At.B)
+	}) {
+		t.Fatalf("Export not in attribute order: %v", ea)
 	}
 }
