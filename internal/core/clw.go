@@ -105,7 +105,7 @@ func clwRun(env pvm.Env, problem Problem, cfg Config) {
 			if err := prob.Restore(sm.Perm); err != nil {
 				panic(fmt.Sprintf("core: clw %s: %v", env.Name(), err))
 			}
-			r.Reset(sm.Reseed)
+			r.Seed(int64(sm.Reseed))
 			tentative = tabu.CompoundMove{}
 			env.Work(staWork)
 
@@ -123,7 +123,7 @@ func clwRun(env pvm.Env, problem Problem, cfg Config) {
 				params.Trials = in.Trials
 				stepWork = float64(params.Trials) * cfg.WorkPerTrial
 			}
-			r.Reset(in.Reseed)
+			r.Seed(int64(in.Reseed))
 			tentative = tabu.CompoundMove{}
 			env.Work(staWork)
 

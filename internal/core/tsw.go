@@ -72,7 +72,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 	// resumed and uninterrupted runs draw identical numbers from here on.
 	checkpoint := func() tswCheckpoint {
 		ck := buildCheckpoint(cs.widx, prob, list, freq, &tswRand, iter, stats, best, bestPerm, divLo, divHi, acceptedSinceRefresh, cs)
-		tswRand.Reset(ck.RandSeed)
+		tswRand.Seed(int64(ck.RandSeed))
 		return ck
 	}
 
@@ -108,7 +108,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 		// The predecessor drew RandSeed from its own stream at checkpoint
 		// time and reseeded itself from the same value, so the successor
 		// continues the very stream the predecessor carried forward.
-		tswRand.Reset(ck.RandSeed)
+		tswRand.Seed(int64(ck.RandSeed))
 		if ck.Restart {
 			// Master restart: the transport aborted every worker task with
 			// the old master, so there are no survivors to adopt — spawn a

@@ -168,13 +168,13 @@ func TestDiversifyBatchMatchesScalar(t *testing.T) {
 }
 
 // TestSearchDrawsAllocFree: the search's random draws allocate nothing.
-// A barrier reseed resets a worker's generator in place, LeastMoved and
+// A barrier reseeds a worker's generator in place, LeastMoved and
 // diversify draw from the TSW's generator directly, and
 // BuildCompoundBatch's only allocation is the swap slice of the move it
 // returns, not its trial sampling.
 func TestSearchDrawsAllocFree(t *testing.T) {
 	var r rng.SplitMix64
-	if n := testing.AllocsPerRun(100, func() { r.Reset(r.Uint64()) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { r.Seed(r.Int63()) }); n != 0 {
 		t.Errorf("barrier reseed allocates %.1f per call, want 0", n)
 	}
 	prob := qap.NewState(qap.Random(40, 3), 3)

@@ -21,12 +21,12 @@
 // trajectory it followed through math/rand. IntnBound is Intn with the
 // bound's constants computed once per loop instead of once per draw.
 // Intn replays math/rand's Int31n (n < 2^31) and Int63n (n >= 2^31)
-// rejection sampling, including the power-of-two mask and the rejection
-// of the top 2^31 mod n values, but on the concrete state: no Source
-// interface call, and at most one division (none through a Bound). The
-// property test TestExactAgainstMathRand and the fuzz target
-// FuzzExactAgainstMathRand (rng_test.go) guard the contract against the
-// math/rand of the Go version that runs them.
+// rejection sampling, which rejects the top 2^31 mod n values (none for
+// a power of two, which math/rand masks instead), but on the concrete
+// state: no Source interface call, and at most one division (none
+// through a Bound). The property test TestExactAgainstMathRand and the
+// fuzz target FuzzExactAgainstMathRand (rng_test.go) guard the contract
+// against the math/rand of the Go version that runs them.
 package rng
 
 import (
@@ -66,15 +66,10 @@ func (s *SplitMix64) Int63() int64 {
 	return int64(s.Uint64() >> 1)
 }
 
-// Seed implements math/rand.Source.
+// Seed implements math/rand.Source. It reseeds the generator in place:
+// afterwards it draws the stream NewSplitMix64(uint64(seed)) would.
 func (s *SplitMix64) Seed(seed int64) {
 	s.state = uint64(seed)
-}
-
-// Reset reseeds the generator in place: afterwards it draws the stream
-// NewSplitMix64(seed) would.
-func (s *SplitMix64) Reset(seed uint64) {
-	s.state = seed
 }
 
 // int31 is math/rand's Int31: the top 31 bits of the next value.
@@ -95,11 +90,10 @@ func (s *SplitMix64) Intn(n int) int {
 	}
 	un := uint32(n)
 	v := s.int31()
-	if un&(un-1) == 0 {
-		return int(v & (un - 1))
-	}
 	// math/rand rejects the top 2^31 mod n values of [0, 2^31), all of
-	// which lie among its top n: below those no bound is needed.
+	// which lie among its top n: below those no bound is needed. It
+	// masks a power-of-two n instead, but then 2^31 mod n is 0 and
+	// v % n is the masked value.
 	if v >= 1<<31-un {
 		for limit := 1<<31 - (1<<31)%un; v >= limit; {
 			v = s.int31()
@@ -108,11 +102,9 @@ func (s *SplitMix64) Intn(n int) int {
 	return int(v % un)
 }
 
-// int63n is math/rand's Int63n for n >= 2^31.
+// int63n is math/rand's Int63n for n >= 2^31. As in Intn, a power-of-two
+// n needs no mask of its own: max is then 2^63-1 and v % n is v & (n-1).
 func (s *SplitMix64) int63n(n int64) int64 {
-	if n&(n-1) == 0 {
-		return s.Int63() & (n - 1)
-	}
 	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
 	v := s.Int63()
 	for v > max {
