@@ -90,35 +90,12 @@ func BuildCompoundBatch(prob Problem, r Intner, p CompoundParams, sc *BatchScrat
 		sc = &BatchScratch{}
 	}
 	sc.grow(p.Trials)
-	// Trials pair an element of the worker's range [lo, lo+span) with one
-	// of the whole element space [0, size).
-	lo, span := p.RangeLo, int(p.RangeHi-p.RangeLo)
-	sm, _ := r.(*rng.SplitMix64)
-	var spanB, sizeB rng.Bound
-	if sm != nil {
-		spanB, sizeB = rng.NewBound(span), rng.NewBound(int(size))
+	s := trialSampler{r: r, lo: p.RangeLo, span: int(p.RangeHi - p.RangeLo), size: int(size)}
+	if sm, ok := r.(*rng.SplitMix64); ok {
+		s.sm, s.spanB, s.sizeB = sm, rng.NewBound(s.span), rng.NewBound(s.size)
 	}
 	for d := 0; d < p.Depth; d++ {
-		// Sample as the scalar BuildCompound loop does: two draws per
-		// trial, degenerate a == b pairs dropped after both draws. The
-		// problem does not change between the draws and their
-		// evaluation, so deferring the evaluation preserves results.
-		cands := sc.cands[:0]
-		if sm != nil {
-			for t := 0; t < p.Trials; t++ {
-				a := lo + int32(sm.IntnBound(&spanB))
-				if b := int32(sm.IntnBound(&sizeB)); a != b {
-					cands = append(cands, SwapCand{A: a, B: b})
-				}
-			}
-		} else {
-			for t := 0; t < p.Trials; t++ {
-				a := lo + int32(r.Intn(span))
-				if b := int32(r.Intn(int(size))); a != b {
-					cands = append(cands, SwapCand{A: a, B: b})
-				}
-			}
-		}
+		cands := s.sample(sc.cands[:0], p.Trials)
 		if len(cands) == 0 {
 			// All trials degenerated (a == b); spend the step and go on.
 			if step != nil && step() {
@@ -154,6 +131,42 @@ func BuildCompoundBatch(prob Problem, r Intner, p CompoundParams, sc *BatchScrat
 		}
 	}
 	return move
+}
+
+// trialSampler draws a CLW step's trial pairs: the first element from
+// the worker's range [lo, lo+span), the second from the whole element
+// space [0, size). sm, when set, is r itself, drawn from through the
+// hoisted bounds spanB and sizeB.
+type trialSampler struct {
+	r            Intner
+	sm           *rng.SplitMix64
+	spanB, sizeB rng.Bound
+	lo           int32
+	span, size   int
+}
+
+// sample appends trials candidate pairs to dst. It consumes the random
+// stream exactly like the scalar BuildCompound loop: two draws per
+// trial, degenerate a == b pairs dropped after both draws. The problem
+// does not change between the draws and their evaluation, so deferring
+// the evaluation preserves results.
+func (s *trialSampler) sample(dst []SwapCand, trials int) []SwapCand {
+	if sm := s.sm; sm != nil {
+		for t := 0; t < trials; t++ {
+			a := s.lo + int32(sm.IntnBound(&s.spanB))
+			if b := int32(sm.IntnBound(&s.sizeB)); a != b {
+				dst = append(dst, SwapCand{A: a, B: b})
+			}
+		}
+		return dst
+	}
+	for t := 0; t < trials; t++ {
+		a := s.lo + int32(s.r.Intn(s.span))
+		if b := int32(s.r.Intn(s.size)); a != b {
+			dst = append(dst, SwapCand{A: a, B: b})
+		}
+	}
+	return dst
 }
 
 // SelectScratch holds one TSW's reusable selection buffers: candidate
