@@ -154,7 +154,7 @@
 //   - Trials are evaluated in candidate batches (one batch per compound
 //     move, the engine's Trials parameter wide): a batch costs one
 //     evaluator-state hoist plus the per-trial O(1) work above, so
-//     per-call overhead and tabu-ring probing amortize across the batch
+//     per-call overhead and tabu-list probing amortize across the batch
 //     (one tabu-list pass classifies a whole move set). Batch evaluation
 //     is contractually bit-identical to the per-candidate path —
 //     candidate generation order, float accumulation order and argmin

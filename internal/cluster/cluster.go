@@ -50,7 +50,7 @@ type Machine struct {
 // start, to complete `work` seconds of reference compute. With no load
 // trace this is work/Speed; with one it integrates the piecewise
 // effective speed, fast-forwarding whole load cycles.
-func (m Machine) WorkDuration(start, work float64) float64 {
+func (m *Machine) WorkDuration(start, work float64) float64 {
 	if work <= 0 {
 		return 0
 	}
@@ -63,7 +63,11 @@ func (m Machine) WorkDuration(start, work float64) float64 {
 	}
 	nLevels := int64(len(lt.Levels))
 	level := func(seg int64) float64 {
-		return lt.Levels[((seg%nLevels)+nLevels)%nLevels]
+		i := seg % nLevels
+		if i < 0 {
+			i += nLevels
+		}
+		return lt.Levels[i]
 	}
 	// Work in (segment index, offset) space: the segment counter stays
 	// integral so repeated float floors cannot misclassify boundaries.
@@ -137,7 +141,11 @@ func (c Cluster) Validate() error {
 // Machine returns machine i with round-robin wrapping, the assignment
 // policy for spawning more tasks than machines.
 func (c Cluster) Machine(i int) Machine {
-	return c.Machines[((i%len(c.Machines))+len(c.Machines))%len(c.Machines)]
+	n := len(c.Machines)
+	if i %= n; i < 0 {
+		i += n
+	}
+	return c.Machines[i]
 }
 
 // MsgDelay returns the modeled end-to-end latency of a message with n

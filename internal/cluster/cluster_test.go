@@ -123,6 +123,11 @@ func TestClusterMachineWraps(t *testing.T) {
 	if c.Machine(-1).Name == "" {
 		t.Error("negative index should wrap, not panic")
 	}
+	for i := -7; i <= 7; i++ {
+		if got, want := c.Machine(i).Name, c.Machines[((i%3)+3)%3].Name; got != want {
+			t.Errorf("Machine(%d) = %s, want %s", i, got, want)
+		}
+	}
 }
 
 func TestMsgDelay(t *testing.T) {

@@ -274,15 +274,18 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 			// Report the best to the master (solution + tabu list, §4.1) with
 			// the recovery checkpoint piggybacked. The permutation is copied
 			// because bestPerm is a reused buffer the next round keeps
-			// writing into.
+			// writing into. The checkpoint exports the tabu list at this
+			// very iteration, and every reader only reads it, so the report
+			// shares that export.
+			ck := checkpoint()
 			env.Send(master, TagBest, bestMsg{
 				Cost:       best,
 				Perm:       append([]int32(nil), bestPerm...),
-				Tabu:       list.Export(iter),
+				Tabu:       ck.Tabu,
 				Points:     pending,
 				Forced:     forcedByMaster,
 				Stats:      stats,
-				Checkpoint: checkpoint(),
+				Checkpoint: ck,
 			})
 			pending = nil
 		}

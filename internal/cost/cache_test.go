@@ -3,6 +3,7 @@ package cost
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestCloneKeepsTimingAnalysis(t *testing.T) {
 // a refreshed state holds exactly what a fresh import of its
 // permutation builds, field for field; and a Restore or NewState of that
 // permutation, both served from the cache the refreshed state's
-// Snapshot published to, hold it too.
+// Snapshot published to, hold it too and export the same permutation.
 func TestRefreshedAndCachedStatesEqualImport(t *testing.T) {
 	for _, circuit := range []string{"c532", "highway"} {
 		t.Run(circuit, func(t *testing.T) {
@@ -173,6 +174,11 @@ func TestRefreshedAndCachedStatesEqualImport(t *testing.T) {
 				}
 				if d := stateDiff(restorer.Ev, fresh); d != "" {
 					t.Fatalf("sequence %d: Restore hit differs from import in %s", seq, d)
+				}
+				// The hit copies the exported permutation with the state,
+				// so it exports what the import does: the snapshot.
+				if got, want := restorer.Ev.ExportPerm(), fresh.ExportPerm(); !slices.Equal(got, want) || !slices.Equal(got, perm) {
+					t.Fatalf("sequence %d: Restore hit exports %v, import %v, snapshot %v", seq, got, want, perm)
 				}
 				if d := stateDiff(mustNewState(t, pp, perm).Ev, fresh); d != "" {
 					t.Fatalf("sequence %d: NewState hit differs from import in %s", seq, d)

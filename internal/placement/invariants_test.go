@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pts/internal/netlist"
@@ -21,6 +22,15 @@ import (
 // checkConsistency compares all of p's maintained state against a
 // from-scratch recompute.
 func checkConsistency(p *Placement) error {
+	for c := range p.nl.NumCells() {
+		s := p.L.SlotIndex(p.pos[c])
+		if int(p.slotOf[c]) != s {
+			return fmt.Errorf("cell %d slot index drifted: have %d want %d", c, p.slotOf[c], s)
+		}
+		if p.slot[s] != netlist.CellID(c) {
+			return fmt.Errorf("slot %d holds cell %d, want %d", s, p.slot[s], c)
+		}
+	}
 	hpwl := 0.0
 	for n := 0; n < p.nl.NumNets(); n++ {
 		ref := p.scanBox(netlist.NetID(n))
@@ -162,6 +172,60 @@ func TestMoveThenSwapConsistency(t *testing.T) {
 			t.Fatal("slot table inconsistent")
 		}
 	}
+}
+
+// TestSlotIndexTracksEveryChange: the slot-index array that Export
+// copies, like every other maintained quantity, matches a recompute
+// after each way an assignment changes: New, Randomize, swaps, Import,
+// Clone and CopyFrom.
+func TestSlotIndexTracksEveryChange(t *testing.T) {
+	nl := testNetlist(t, 60, 9)
+	p, err := New(nl, AutoLayout(nl, 0.8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, q *Placement) {
+		t.Helper()
+		if err := checkConsistency(q); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		want := make([]int32, nl.NumCells())
+		for c := range want {
+			want[c] = int32(q.L.SlotIndex(q.PosOf(netlist.CellID(c))))
+		}
+		if got := q.Export(); !slices.Equal(got, want) {
+			t.Fatalf("after %s: Export = %v, want %v", what, got, want)
+		}
+	}
+	swaps := func(q *Placement, r *rand.Rand) {
+		for range 50 {
+			a, b := randomPair(r, nl.NumCells())
+			q.SwapCells(a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	check("New", p)
+	p.Randomize(r)
+	check("Randomize", p)
+	swaps(p, r)
+	check("swaps", p)
+	importRandom(t, p, r)
+	check("Import", p)
+	q := p.Clone()
+	check("Clone", q)
+	swaps(q, r)
+	importRandom(t, q, r)
+	swaps(q, r)
+	check("swaps on the clone", q)
+	check("swaps on the clone (original)", p)
+	p.CopyFrom(q)
+	check("CopyFrom", p)
+	if !slices.Equal(p.Export(), q.Export()) {
+		t.Fatal("CopyFrom exported another permutation than its source")
+	}
+	swaps(p, r)
+	check("swaps after CopyFrom", p)
+	check("swaps after CopyFrom (source)", q)
 }
 
 func TestIncrementalMatchesRecomputeUnderRandomOps(t *testing.T) {

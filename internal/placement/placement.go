@@ -24,8 +24,9 @@ type Placement struct {
 	nl *netlist.Netlist
 	L  Layout
 
-	pos  []Pos            // cell -> slot position
-	slot []netlist.CellID // linear slot index -> cell (None if empty)
+	pos    []Pos            // cell -> slot position
+	slotOf []int32          // cell -> linear slot index: the exported permutation
+	slot   []netlist.CellID // linear slot index -> cell (None if empty)
 
 	boxes []netBox // per-net counted bounding boxes
 
@@ -67,6 +68,7 @@ func New(nl *netlist.Netlist, l Layout) (*Placement, error) {
 		nl:        nl,
 		L:         l,
 		pos:       make([]Pos, nl.NumCells()),
+		slotOf:    make([]int32, nl.NumCells()),
 		slot:      make([]netlist.CellID, l.Slots()),
 		boxes:     make([]netBox, nl.NumNets()),
 		rowWidth:  make([]int, l.Rows),
@@ -79,17 +81,18 @@ func New(nl *netlist.Netlist, l Layout) (*Placement, error) {
 		p.slot[i] = netlist.None
 	}
 	for c := 0; c < nl.NumCells(); c++ {
-		p.placeInitial(netlist.CellID(c), l.SlotPos(c))
+		p.place(netlist.CellID(c), c)
 	}
 	p.recomputeAll()
 	return p, nil
 }
 
-// placeInitial puts a cell into an empty slot without cost bookkeeping;
-// used only during construction and import.
-func (p *Placement) placeInitial(c netlist.CellID, at Pos) {
-	p.pos[c] = at
-	p.slot[p.L.SlotIndex(at)] = c
+// place puts a cell into the empty slot with linear index s without
+// cost bookkeeping; used only when a whole assignment is (re)built.
+func (p *Placement) place(c netlist.CellID, s int) {
+	p.pos[c] = p.L.SlotPos(s)
+	p.slotOf[c] = int32(s)
+	p.slot[s] = c
 }
 
 // Netlist returns the placed netlist.
@@ -427,8 +430,9 @@ func (p *Placement) SwapCellsWeighted(a, b netlist.CellID, w []float64) (dLen, d
 
 	// Positions first: a large net's rescan fallback reads them.
 	p.pos[a], p.pos[b] = pb, pa
-	p.slot[p.L.SlotIndex(pa)] = b
-	p.slot[p.L.SlotIndex(pb)] = a
+	sa, sb := p.slotOf[a], p.slotOf[b]
+	p.slotOf[a], p.slotOf[b] = sb, sa
+	p.slot[sa], p.slot[sb] = b, a
 
 	// Row widths and the top-two cache.
 	if pa.Row != pb.Row {
@@ -478,8 +482,7 @@ func (p *Placement) Randomize(r *rand.Rand) {
 		p.slot[i] = netlist.None
 	}
 	for c := 0; c < n; c++ {
-		p.pos[netlist.CellID(c)] = p.L.SlotPos(perm[c])
-		p.slot[perm[c]] = netlist.CellID(c)
+		p.place(netlist.CellID(c), perm[c])
 	}
 	p.recomputeAll()
 }
@@ -493,16 +496,15 @@ func (p *Placement) Export() []int32 {
 
 // ExportInto writes the permutation into dst (reallocating only when it
 // is too small) and returns it; the allocation-free variant of Export
-// for callers that reuse a buffer across reports.
+// for callers that reuse a buffer across reports. The permutation is
+// maintained by every change of assignment, so this is a copy.
 func (p *Placement) ExportInto(dst []int32) []int32 {
-	n := p.nl.NumCells()
+	n := len(p.slotOf)
 	if cap(dst) < n {
 		dst = make([]int32, n)
 	}
 	dst = dst[:n]
-	for c := range dst {
-		dst[c] = int32(p.L.SlotIndex(p.pos[c]))
-	}
+	copy(dst, p.slotOf)
 	return dst
 }
 
@@ -533,8 +535,7 @@ func (p *Placement) Import(perm []int32) error {
 		p.slot[i] = netlist.None
 	}
 	for c, s := range perm {
-		p.pos[c] = p.L.SlotPos(int(s))
-		p.slot[s] = netlist.CellID(c)
+		p.place(netlist.CellID(c), int(s))
 	}
 	p.recomputeAll()
 	return nil
@@ -547,6 +548,7 @@ func (p *Placement) Clone() *Placement {
 		nl:        p.nl,
 		L:         p.L,
 		pos:       append([]Pos(nil), p.pos...),
+		slotOf:    append([]int32(nil), p.slotOf...),
 		slot:      append([]netlist.CellID(nil), p.slot...),
 		boxes:     append([]netBox(nil), p.boxes...),
 		hpwl:      p.hpwl,
@@ -568,6 +570,7 @@ func (p *Placement) CopyFrom(src *Placement) {
 		panic("placement: CopyFrom between placements of different circuits or layouts")
 	}
 	copy(p.pos, src.pos)
+	copy(p.slotOf, src.slotOf)
 	copy(p.slot, src.slot)
 	copy(p.boxes, src.boxes)
 	p.hpwl = src.hpwl

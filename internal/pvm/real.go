@@ -99,11 +99,9 @@ func (t *rTask) Rand() *rng.SplitMix64 { return t.r }
 func (t *rTask) Now() float64          { return time.Since(t.rt.start).Seconds() }
 func (t *rTask) Cancelled() bool       { return cancelled(t.rt.done) }
 
-// MachineSpeed implements SpeedReporter from the cluster model,
-// wrapping the index exactly like spawn does.
+// MachineSpeed implements SpeedReporter from the cluster model, whose
+// Machine wraps the index exactly like spawn does.
 func (t *rTask) MachineSpeed(machine int) float64 {
-	n := len(t.rt.c.Machines)
-	machine = ((machine % n) + n) % n
 	return t.rt.c.Machine(machine).Speed
 }
 
@@ -231,7 +229,7 @@ func (t *rTask) Work(seconds float64) {
 	var d time.Duration
 	if seconds > 0 && t.rt.workScale > 0 {
 		// Real mode models speed only (loads would just add sleep noise).
-		d = time.Duration(seconds * t.rt.workScale / t.rt.c.Machine(t.machine).Speed * float64(time.Second))
+		d = time.Duration(seconds * t.rt.workScale / t.rt.c.Machines[t.machine].Speed * float64(time.Second))
 	}
 	if d <= 0 && t.next == nil {
 		return

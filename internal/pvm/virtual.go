@@ -64,6 +64,7 @@ type vTask struct {
 	id       TaskID
 	name     string
 	machine  int
+	m        *cluster.Machine // rt.c.Machines[machine], resolved at spawn
 	proc     *vtime.Proc
 	inbox    []Message
 	waiting  bool
@@ -86,11 +87,9 @@ func (t *vTask) Rand() *rng.SplitMix64 { return t.r }
 func (t *vTask) Now() float64          { return float64(t.rt.k.Now()) }
 func (t *vTask) Cancelled() bool       { return cancelled(t.rt.done) }
 
-// MachineSpeed implements SpeedReporter from the cluster model,
-// wrapping the index exactly like spawn does.
+// MachineSpeed implements SpeedReporter from the cluster model, whose
+// Machine wraps the index exactly like spawn does.
 func (t *vTask) MachineSpeed(machine int) float64 {
-	n := len(t.rt.c.Machines)
-	machine = ((machine % n) + n) % n
 	return t.rt.c.Machine(machine).Speed
 }
 
@@ -110,6 +109,7 @@ func (rt *vRuntime) spawn(fullName string, machine int, fn TaskFunc) TaskID {
 		id:      TaskID(len(rt.task)),
 		name:    fullName,
 		machine: machine,
+		m:       &rt.c.Machines[machine],
 		r:       rng.NewChild(rt.seed, "pvm.task", fullName),
 	}
 	rt.task = append(rt.task, child)
@@ -169,8 +169,7 @@ func (t *vTask) Work(seconds float64) {
 	if seconds <= 0 {
 		return
 	}
-	m := t.rt.c.Machine(t.machine)
-	d := m.WorkDuration(float64(t.rt.k.Now()), seconds)
+	d := t.m.WorkDuration(float64(t.rt.k.Now()), seconds)
 	t.proc.Sleep(vtime.Time(d))
 }
 

@@ -98,21 +98,28 @@ func TestExportImport(t *testing.T) {
 	}
 }
 
+// TestListPruneBoundsGrowth: a search that adds one short-lived
+// attribute per iteration through AddAt keeps a list bounded by its
+// live entries, however many attributes it has seen. With tenure 5 at
+// most 5 entries are live, and the table holds those live at its last
+// rebuild plus the ones added since, a small multiple of them.
 func TestListPruneBoundsGrowth(t *testing.T) {
+	const tenure = 5
 	l := NewList()
-	// Insert far more short-lived attributes than the prune threshold.
+	maxLen := 0
 	for i := int64(0); i < 100000; i++ {
-		l.AddAt(Attr(int32(i%1000), int32(i%1000)+1+int32(i/1000)), i, i+5)
+		l.AddAt(Attr(int32(i%1000), int32(i%1000)+1+int32(i/1000)), i, i+tenure)
+		maxLen = max(maxLen, l.Len())
 	}
-	if l.Len() > 50000 {
-		t.Fatalf("tabu list grew unboundedly: %d entries", l.Len())
+	if maxLen > 8*(tenure+1) {
+		t.Fatalf("tabu list grew to %d entries with at most %d live", maxLen, tenure)
 	}
 }
 
-// TestListSweepKeepsLiveEntries: a sweep during AddAt drops only what
+// TestListSweepKeepsLiveEntries: a rebuild during AddAt drops only what
 // has expired by the caller's iteration. Adding one attribute per
-// iteration with tenure 7 pushes the list past its sweep threshold, and
-// the attribute added 6 iterations earlier must still be tabu. A sweep
+// iteration with tenure 7 fills the table many times over, and the
+// attribute added 6 iterations earlier must still be tabu. A sweep
 // against the new entry's expiry instead of the current iteration
 // dropped it 12 times in this loop.
 func TestListSweepKeepsLiveEntries(t *testing.T) {
@@ -130,7 +137,7 @@ func TestListSweepKeepsLiveEntries(t *testing.T) {
 }
 
 // TestAddNeverSweeps: Add knows no current iteration, so it keeps every
-// entry however large the list grows.
+// entry however large the list grows, and each stays tabu.
 func TestAddNeverSweeps(t *testing.T) {
 	l := NewList()
 	for i := int64(0); i < 3000; i++ {
@@ -138,6 +145,11 @@ func TestAddNeverSweeps(t *testing.T) {
 	}
 	if l.Len() != 3000 {
 		t.Fatalf("Len = %d after 3000 distinct Adds, want 3000", l.Len())
+	}
+	for i := int64(0); i < 3000; i++ {
+		if !l.IsTabu(Attr(int32(i), int32(i)+1), i+6) {
+			t.Fatalf("attribute %d dropped before its expiry", i)
+		}
 	}
 }
 
@@ -198,5 +210,55 @@ func TestExportSorted(t *testing.T) {
 		return int(x.At.B - y.At.B)
 	}) {
 		t.Fatalf("Export not in attribute order: %v", ea)
+	}
+}
+
+// TestTabuListAllocFree: a TSW's per-iteration use of its short-term
+// memory allocates nothing once the list has reached its steady size.
+// AddAt at every iteration (the table rebuilds into the two tables it
+// alternates between), TabuStateSwaps on every candidate, and the
+// barrier's Reset and Import of the winner's list allocate 0; Export
+// allocates only its result, and ExportInto a large enough buffer
+// nothing.
+func TestTabuListAllocFree(t *testing.T) {
+	const tenure = 10
+	l := NewList()
+	iter := int64(0)
+	step := func() {
+		iter++
+		for k := int32(0); k < 4; k++ {
+			a := int32(iter*7+int64(k)*13) % 200
+			l.AddAt(Attr(a, a+1+k), iter, iter+tenure)
+		}
+	}
+	for range 1000 {
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Errorf("AddAt: %v allocs per iteration, want 0", n)
+	}
+	swaps := []Swap{{A: 3, B: 9}, {A: 50, B: 7}, {A: 120, B: 121}}
+	if n := testing.AllocsPerRun(1000, func() { l.TabuStateSwaps(swaps, iter) }); n != 0 {
+		t.Errorf("TabuStateSwaps: %v allocs, want 0", n)
+	}
+	winner := l.Export(iter)
+	if len(winner) == 0 {
+		t.Fatal("nothing live to export")
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		l.Reset()
+		l.Import(winner, iter)
+	}); n != 0 {
+		t.Errorf("Reset+Import: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { l.Export(iter) }); n != 1 {
+		t.Errorf("Export: %v allocs, want 1 (its result)", n)
+	}
+	buf := make([]Entry, 0, len(winner))
+	if n := testing.AllocsPerRun(1000, func() { buf = l.ExportInto(buf, iter) }); n != 0 {
+		t.Errorf("ExportInto a large enough buffer: %v allocs, want 0", n)
+	}
+	if !slices.Equal(buf, winner) {
+		t.Errorf("ExportInto = %v, Export = %v", buf, winner)
 	}
 }
