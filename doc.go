@@ -80,8 +80,9 @@
 // master spawns it onto live capacity (absorbed elastic spare slots
 // first, else the least-loaded surviving node), re-seeded from the
 // TSW's current solution at the next synchronization barrier. A lost
-// TSW is resurrected from its last checkpoint with its surviving CLWs
-// re-attached. No single worker process is fatal to a run;
+// TSW is resurrected from its last checkpoint onto a fresh CLW set,
+// and the master stops the CLWs it left behind. No single worker
+// process is fatal to a run;
 // Result.Stats reports WorkersLost and WorkersRespawned.
 // WithRespawn(false) restores the fold-only degradation (and makes a
 // TSW loss abort again); static runs abort on any loss, the paper's

@@ -15,13 +15,12 @@ import (
 // the probabilistic domain decomposition of §4.1 — and the second from
 // the whole element space.
 //
-// The parent is whoever sent the last TagInit: at spawn that is the
-// TSW that created the CLW, a replacement CLW is seeded by the TSW
-// that requested it, and a CLW surviving its TSW's death is
-// re-parented by the resurrected TSW's TagInit mid-run. A TagStop
-// arriving before any TagInit retires a surplus replacement that was
-// never seeded — it exits without a stats report, since no parent
-// ever accounted for it.
+// The parent is the sender of its one TagInit: the TSW that spawned
+// the CLW, or for a replacement the TSW that requested it. A TagStop
+// arriving before any TagInit retires a replacement that was never
+// seeded — it exits without a stats report, since no parent ever
+// accounted for it. A CLW whose TSW died is stopped by the master; its
+// stats report goes to the dead parent, and the transport drops it.
 //
 // The worker's random stream is whatever its parent last dealt it:
 // the Reseed of a TagInit or TagNewState. Every round's search starts
@@ -106,24 +105,6 @@ func clwRun(env pvm.Env, problem Problem, cfg Config) {
 				panic(fmt.Sprintf("core: clw %s: %v", env.Name(), err))
 			}
 			r.Seed(int64(sm.Reseed))
-			tentative = tabu.CompoundMove{}
-			env.Work(staWork)
-
-		case TagInit:
-			// Mid-run re-initialization: a resurrected TSW adopting this
-			// survivor. Adopt it back as the parent, take its solution and
-			// range, and drop whatever was tentative against the old world.
-			in := m.Data.(initMsg)
-			if err := prob.Restore(in.Perm); err != nil {
-				panic(fmt.Sprintf("core: clw %s: %v", env.Name(), err))
-			}
-			parent = m.From
-			params.RangeLo, params.RangeHi = in.RangeLo, in.RangeHi
-			if in.Trials > 0 {
-				params.Trials = in.Trials
-				stepWork = float64(params.Trials) * cfg.WorkPerTrial
-			}
-			r.Seed(int64(in.Reseed))
 			tentative = tabu.CompoundMove{}
 			env.Work(staWork)
 

@@ -59,19 +59,25 @@ type snapCheckpoint struct {
 	CK tswCheckpoint
 }
 
-// usable reports whether every range the snapshot hands a TSW lies
-// within [0, Size], checkpoint i is TSW i's own, and prob accepts every
-// solution in it as a state: what NewState refuses here, a worker
-// would otherwise panic on (mustState).
+// usable reports whether every range the snapshot hands a TSW or CLW
+// lies within [0, Size], checkpoint i is TSW i's own, and prob accepts
+// every solution in it as a state: what NewState refuses here, a
+// worker would otherwise panic on (mustState).
 func (s *masterSnapshot) usable(prob Problem) bool {
+	inRange := func(lo, hi int32) bool { return lo >= 0 && lo <= hi && hi <= s.Size }
 	perms := [][]int32{s.BestPerm}
 	for i, c := range s.Checkpoints {
 		if !c.OK {
 			continue
 		}
 		ck := c.CK
-		if ck.WorkerIdx != i || ck.DivLo < 0 || ck.DivLo > ck.DivHi || ck.DivHi > s.Size {
+		if ck.WorkerIdx != i || !inRange(ck.DivLo, ck.DivHi) {
 			return false
+		}
+		for _, sl := range ck.CLWs {
+			if !inRange(sl.RangeLo, sl.RangeHi) {
+				return false
+			}
 		}
 		perms = append(perms, ck.Perm, ck.BestPerm)
 	}
@@ -189,8 +195,9 @@ func (w *snapshotWriter) flush() {
 // the master is also the cluster's undertaker: it spawns replacement
 // CLWs on live capacity when a TSW reports a loss (TagRespawn),
 // watches the TSWs themselves, and resurrects a lost TSW from its
-// checkpoint — re-attaching its surviving CLWs — so no single worker
-// process is fatal to the run.
+// checkpoint — stopping the dead TSW's CLWs, while the successor
+// spawns a fresh set — so no single worker process is fatal to the
+// run.
 func masterRun(env pvm.Env, prob Problem, cfg Config,
 	initPerm []int32, initCost float64, snap *masterSnapshot, out *masterState) {
 
@@ -230,17 +237,9 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		rec:    newRecovery(env, prob, cfg),
 	}
 	if snap != nil {
-		// Seed the recovery ledger from the snapshot — marked Restart,
-		// because the checkpointed CLW task IDs died with the old run: a
-		// resumed TSW dying again before its first fresh checkpoint is
-		// resurrected onto a fresh CLW set, never onto stale IDs.
-		for i := range snap.Checkpoints {
-			if i < len(ts.rec.cks) && snap.Checkpoints[i].OK {
-				c := snap.Checkpoints[i].CK
-				c.Restart = true
-				ts.rec.cks[i] = &c
-			}
-		}
+		// The recovery ledger starts empty: the snapshot's CLW task IDs
+		// died with the old run, so each resumed TSW's own announcement
+		// is its first checkpoint here.
 		ts.rec.lost = snap.Lost
 		ts.rec.respawned = snap.Respawned
 	}
@@ -249,11 +248,10 @@ func masterRun(env pvm.Env, prob Problem, cfg Config,
 		var resume *tswCheckpoint
 		if snap != nil && i < len(snap.Checkpoints) && snap.Checkpoints[i].OK {
 			// This TSW restarts from its persisted checkpoint: fresh CLWs
-			// (the old ones died with the old master), straight to the
-			// verdict wait — its checkpointed round is already in the
-			// snapshot's round count.
+			// like every resumed TSW, then straight to the verdict wait —
+			// its checkpointed round is already in the snapshot's round
+			// count.
 			ck := snap.Checkpoints[i].CK
-			ck.Restart = true
 			ck.SkipRound = true
 			resume = &ck
 			resumed[i] = true
@@ -535,7 +533,7 @@ func (ts *tswSet) collect(halfSync bool) bestReports {
 			case TagCheckpoint:
 				if i, ok := ts.idx[m.From]; ok {
 					ck := m.Data.(tswCheckpoint)
-					ts.rec.noteCheckpoint(i, &ck)
+					ts.rec.cks[i] = &ck
 				}
 				continue
 			case pvm.TagExit:
@@ -546,7 +544,7 @@ func (ts *tswSet) collect(halfSync bool) bestReports {
 			b := m.Data.(bestMsg)
 			slot, ok := ts.idx[m.From]
 			if ok {
-				ts.rec.noteCheckpoint(slot, &b.Checkpoint)
+				ts.rec.cks[slot] = &b.Checkpoint
 			} else {
 				slot = -1
 			}
@@ -599,14 +597,15 @@ func (ts *tswSet) onTSWExit(from pvm.TaskID) {
 }
 
 // recovery is the master-side respawn bookkeeping: the latest
-// checkpoint per TSW index, and the ledger of replacement CLWs spawned
-// whose acknowledgement may have died with the TSW it was sent to.
+// checkpoint per TSW index, and per TSW the replacement CLWs spawned
+// for its current incarnation — the workers besides its checkpoint's
+// that are left to retire should it die.
 type recovery struct {
 	env       pvm.Env
 	prob      Problem
 	cfg       Config
 	cks       []*tswCheckpoint
-	log       [][]respawnEntry
+	spawned   [][]pvm.TaskID
 	seq       int
 	lost      int64
 	respawned int64
@@ -615,11 +614,11 @@ type recovery struct {
 
 func newRecovery(env pvm.Env, prob Problem, cfg Config) *recovery {
 	return &recovery{
-		env:  env,
-		prob: prob,
-		cfg:  cfg,
-		cks:  make([]*tswCheckpoint, cfg.TSWs),
-		log:  make([][]respawnEntry, cfg.TSWs),
+		env:     env,
+		prob:    prob,
+		cfg:     cfg,
+		cks:     make([]*tswCheckpoint, cfg.TSWs),
+		spawned: make([][]pvm.TaskID, cfg.TSWs),
 	}
 }
 
@@ -642,58 +641,33 @@ func (r *recovery) handleRespawn(from pvm.TaskID, i int, rm respawnMsg) {
 			clwRun(e, r.prob, r.cfg)
 		},
 	})
-	if i >= 0 && i < len(r.log) {
-		r.log[i] = append(r.log[i], respawnEntry{CLWIdx: rm.CLWIdx, ID: id})
-	}
+	r.spawned[i] = append(r.spawned[i], id)
 	r.respawned++
 	r.env.Send(from, TagRespawnAck, respawnAckMsg{CLWIdx: rm.CLWIdx, ID: id})
 }
 
-// noteCheckpoint records TSW i's latest checkpoint and prunes the
-// replacement ledger of entries the checkpoint already accounts for
-// (the TSW has attached or parked them), so a later hand-over carries
-// only the replacements the TSW never learned about.
-func (r *recovery) noteCheckpoint(i int, ck *tswCheckpoint) {
-	if i < 0 || i >= len(r.cks) {
-		return
-	}
-	r.cks[i] = ck
-	if len(r.log[i]) == 0 {
-		return
-	}
-	known := make(map[pvm.TaskID]bool, len(ck.CLWs))
-	for _, s := range ck.CLWs {
-		if s.State != clwSlotDead {
-			known[s.ID] = true
-		}
-	}
-	kept := r.log[i][:0]
-	for _, e := range r.log[i] {
-		if !known[e.ID] {
-			kept = append(kept, e)
-		}
-	}
-	r.log[i] = kept
-}
-
 // respawnTSW resurrects TSW i from its last checkpoint on live
-// capacity, handing over the outstanding-replacement ledger so no
-// spawned CLW is ever orphaned. The ledger is handed over by copy,
-// not cleared: entries leave it only when a checkpoint acknowledges
-// them (noteCheckpoint), so a successor that itself dies before
-// checkpointing hands the same replacements to the next successor
-// instead of stranding them (re-adoption is idempotent — a
-// replacement already attached is simply re-seeded by the TagInit).
-// The successor is watched like the original.
+// capacity. First it stops every CLW the dead TSW may have left
+// running: the checkpoint's live workers and every replacement spawned
+// for this incarnation, attached or not (stopping a worker twice, or
+// one that already died, is harmless). The successor spawns a fresh
+// CLW set and is watched like the original.
 func (r *recovery) respawnTSW(i int) (pvm.TaskID, error) {
 	if i < 0 || i >= len(r.cks) || r.cks[i] == nil {
 		return 0, fmt.Errorf("core: tsw %d lost before its first checkpoint; unrecoverable", i)
 	}
-	ck := *r.cks[i]
-	ck.Extra = append([]respawnEntry(nil), r.log[i]...)
+	resume := r.cks[i]
+	for _, s := range resume.CLWs {
+		if s.State == clwSlotLive {
+			r.env.Send(s.ID, TagStop, nil)
+		}
+	}
+	for _, id := range r.spawned[i] {
+		r.env.Send(id, TagStop, nil)
+	}
+	r.spawned[i] = nil
 	r.seq++
 	machine := pvm.RespawnSlotOf(r.env, r.cfg.tswMachine(i))
-	resume := &ck
 	master := r.env.Self()
 	id := r.env.SpawnSpec(fmt.Sprintf("tsw%d-r%d", i, r.seq), machine, pvm.Spec{
 		Kind: taskKindTSW,

@@ -8,7 +8,8 @@ import (
 // Message tags of the PTS protocol.
 const (
 	// TagInit carries the initial solution and worker range
-	// (master→TSW, TSW→CLW).
+	// (master→TSW, TSW→CLW). A CLW receives exactly one, from the TSW
+	// that becomes its parent.
 	TagInit pvm.Tag = iota + 1
 	// TagSearch asks a CLW to build one compound move (TSW→CLW).
 	TagSearch
@@ -52,9 +53,10 @@ const (
 	// TagInit at its next resync barrier.
 	TagRespawnAck
 	// TagCheckpoint carries a TSW's recovery checkpoint out of band
-	// (TSW→master): sent once right after the TSW spawned its CLWs, so
-	// the master can resurrect a TSW lost before its first report.
-	// Subsequent checkpoints piggyback on TagBest instead.
+	// (TSW→master): sent once right after the TSW spawned its CLWs —
+	// fresh or resumed — so the master can resurrect a TSW lost before
+	// its first report and retire the CLWs it leaves behind. Subsequent
+	// checkpoints piggyback on TagBest instead.
 	TagCheckpoint
 )
 
@@ -62,7 +64,7 @@ const (
 // variadic call through the pvm.Env interface heap-allocates its tag
 // slice; passing a shared slice does not.
 var (
-	clwLoopTags   = []pvm.Tag{TagSearch, TagSync, TagNewState, TagStop, TagReportNow, TagRebalance, TagInit}
+	clwLoopTags   = []pvm.Tag{TagSearch, TagSync, TagNewState, TagStop, TagReportNow, TagRebalance}
 	reportNowTags = []pvm.Tag{TagReportNow}
 	candidateTags = []pvm.Tag{TagCandidate, pvm.TagExit}
 )
@@ -72,9 +74,9 @@ var (
 // share-proportional budget); 0 keeps Config.Trials. Reseed
 // replaces the receiving CLW's random stream: a replacement attached
 // after the barrier's TagNewState went out gets the same per-slot
-// barrier draw it would have received there. At spawn and on adoption
-// by a resurrected TSW it is 0 and never drawn from — the next barrier
-// reseeds the worker before it searches. TSWs ignore it.
+// barrier draw it would have received there. At spawn it is 0 and
+// never drawn from — the next barrier reseeds the worker before it
+// searches. TSWs ignore it.
 type initMsg struct {
 	Perm             []int32
 	RangeLo, RangeHi int32
@@ -139,23 +141,23 @@ type respawnAckMsg struct {
 
 func (m respawnAckMsg) PVMItems() int { return 2 }
 
-// clwSlotState is one CLW's standing in a checkpoint.
+// clwSlotState is one CLW's standing in a checkpoint. The values are
+// persisted in run snapshots, so they never change; a value a resumed
+// TSW does not know (an unseeded replacement, in older snapshots) reads
+// as dead.
 type clwSlotState int
 
 const (
-	// clwSlotDead: the slot's worker died and no replacement is
-	// attached yet.
+	// clwSlotDead: the slot has no attached worker — it died, or its
+	// replacement is not seeded yet.
 	clwSlotDead clwSlotState = iota
 	// clwSlotLive: the slot's worker is attached and searching.
 	clwSlotLive
-	// clwSlotPending: a replacement was spawned but not yet seeded (it
-	// is parked awaiting TagInit).
-	clwSlotPending
 )
 
-// clwSlot is one CLW's record in a checkpoint: enough for a resumed
-// TSW to re-attach the survivor (or re-adopt a pending replacement)
-// exactly where the dead TSW left it.
+// clwSlot is one CLW's record in a checkpoint: its range and budget,
+// which a resumed TSW spawns a fresh worker over, and the task ID the
+// master stops when it retires the dead TSW's workers.
 type clwSlot struct {
 	ID               pvm.TaskID
 	State            clwSlotState
@@ -163,19 +165,11 @@ type clwSlot struct {
 	Trials           int
 }
 
-// respawnEntry is one replacement CLW the master spawned for a TSW —
-// the master's ledger of replacements whose ack may have died with the
-// TSW it was sent to. Handed to a resumed TSW so no replacement is
-// ever orphaned.
-type respawnEntry struct {
-	CLWIdx int
-	ID     pvm.TaskID
-}
-
 // tswCheckpoint is a TSW's recovery state: everything a replacement
 // TSW needs to continue the search where the dead one left off. It
-// rides on every bestMsg and once, at spawn, as a bare TagCheckpoint —
-// so the master can always resurrect a lost TSW that had live CLWs.
+// rides on every bestMsg and once, as soon as the TSW has spawned its
+// CLWs, as a bare TagCheckpoint — so the master can always resurrect a
+// lost TSW and knows every CLW to retire with it.
 //
 // RandSeed is a fresh draw from the checkpointing TSW's own stream,
 // which the TSW then continues from itself: a resumed TSW deriving its
@@ -201,24 +195,13 @@ type tswCheckpoint struct {
 	// a refresh flushes the incremental evaluator's float accumulation)
 	// fork a resume off the uninterrupted trajectory.
 	AcceptedRefresh int
-	// Extra lists replacements the master spawned for this TSW whose
-	// acks are not reflected in the checkpoint (set only by the master
-	// when handing the checkpoint to a resumed TSW).
-	Extra []respawnEntry
-	// Restart marks a checkpoint that crossed a master restart: the
-	// CLW task IDs in it are stale (the transport aborted every worker
-	// task when the old master died), so the resumed TSW spawns a
-	// fresh CLW set instead of adopting, and skips the re-announce
-	// checkpoint (which would advance its restored random stream).
-	// Set only by the master when resuming from a persisted snapshot.
-	Restart bool
-	// SkipRound additionally marks that the checkpointed round is
-	// already complete and folded into the master's snapshot: the
-	// resumed TSW skips straight to the verdict wait for the master's
-	// kick-off broadcast instead of re-running (and re-reporting) it.
-	// Set only on the checkpoints handed to TSWs spawned at master
-	// resume — a TSW lost *during* the resumed run re-runs its
-	// checkpointed round like any mid-run resurrection.
+	// SkipRound marks that the checkpointed round is already complete
+	// and folded into the master's snapshot: the resumed TSW skips
+	// straight to the verdict wait for the master's kick-off broadcast
+	// instead of re-running (and re-reporting) it. Set only on the
+	// checkpoints handed to TSWs spawned at master resume — a TSW lost
+	// *during* the resumed run re-runs its checkpointed round like any
+	// mid-run resurrection.
 	SkipRound bool
 }
 

@@ -27,9 +27,9 @@ const (
 )
 
 // tswSpec rebuilds a TSW body on whichever process hosts it. Resume,
-// when non-nil, is the checkpoint a replacement TSW continues from
-// instead of awaiting a fresh TagInit — the master sets it when
-// resurrecting a lost TSW.
+// when non-nil, is the checkpoint a TSW continues from instead of
+// awaiting a fresh TagInit — the master sets it when resurrecting a
+// lost TSW and when resuming a run from its snapshot.
 type tswSpec struct {
 	Master pvm.TaskID
 	Resume *tswCheckpoint

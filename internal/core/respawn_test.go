@@ -26,10 +26,11 @@ type stubEnv struct {
 	watched []pvm.TaskID
 	// inbox is what Recv returns, in order; each message moves the
 	// clock to its At. spawned counts SpawnSpec calls, which mint task
-	// IDs 100, 101, ...
+	// IDs 100, 101, ... recvAt records len(sent) at each Recv call.
 	inbox   []stubRecv
 	now     float64
 	spawned int
+	recvAt  []int
 }
 
 type stubSend struct {
@@ -55,6 +56,7 @@ func (s *stubEnv) Send(to pvm.TaskID, tag pvm.Tag, data any) {
 	s.sent = append(s.sent, stubSend{To: to, Tag: tag, Data: data})
 }
 func (s *stubEnv) Recv(tags ...pvm.Tag) pvm.Message {
+	s.recvAt = append(s.recvAt, len(s.sent))
 	if len(s.inbox) == 0 {
 		panic("stub: Recv past the end of the script")
 	}
@@ -188,8 +190,8 @@ func TestRespawnedCLWInheritsExactPartition(t *testing.T) {
 	}
 	assertExactPartition(t, cs)
 
-	// The replacement was seeded exactly once, with its adopted range
-	// and a positive share-scaled trial budget.
+	// The replacement was seeded exactly once, with its range from the
+	// barrier's partition and a positive share-scaled trial budget.
 	var seeded []initMsg
 	for _, m := range env.sends(TagInit) {
 		if m.To == 42 {
@@ -202,35 +204,21 @@ func TestRespawnedCLWInheritsExactPartition(t *testing.T) {
 	if got := seeded[0]; got.RangeLo != cs.rng[1][0] || got.RangeHi != cs.rng[1][1] || got.Trials < 1 {
 		t.Fatalf("replacement seeded with %+v, want range %v and a positive budget", got, cs.rng[1])
 	}
-
-	// A surplus ack for an already-live slot is retired unseeded.
-	cs.onAck(env, respawnAckMsg{CLWIdx: 1, ID: 77})
-	var stopped bool
-	for _, m := range env.sends(TagStop) {
-		if m.To == 77 {
-			stopped = true
-		}
-	}
-	if !stopped {
-		t.Fatal("surplus replacement was not retired with TagStop")
-	}
-	if _, ok := cs.byID[77]; ok {
-		t.Fatal("surplus replacement leaked into the id map")
-	}
 }
 
-// TestCheckpointRoundTripAdoptsSurvivors pins the checkpoint format: a
-// resumed TSW rebuilt from buildCheckpoint's output re-attaches live
-// survivors (fresh TagInit + re-armed watch), re-adopts pending
-// replacements, and re-requests respawns for dead slots — and the
-// restored tabu/frequency memory matches the original.
-func TestCheckpointRoundTripAdoptsSurvivors(t *testing.T) {
+// TestCheckpointRoundTripSpawnsFreshSet pins the checkpoint format: a
+// resumed TSW's CLW set, rebuilt by newCLWSet from buildCheckpoint's
+// slots, spawns a fresh watched worker over each live slot's range
+// (none of the old task IDs is reused), asks the master to replace
+// the dead slot, and checkpoints the same ranges and trial budgets —
+// and the restored tabu/frequency memory matches the original.
+func TestCheckpointRoundTripSpawnsFreshSet(t *testing.T) {
 	env := &stubEnv{}
 	const master = pvm.TaskID(1)
 	cs := stubCLWSet(env, 30, master)
 	var ws WorkerStats
 	cs.onExit(env, 12, &ws)                         // slot 2 dead, respawn requested
-	cs.onAck(env, respawnAckMsg{CLWIdx: 2, ID: 55}) // parked pending
+	cs.onAck(env, respawnAckMsg{CLWIdx: 2, ID: 55}) // parked, not seeded
 
 	prob, err := (&qapTestProblem{ins: qap.Random(30, 5)}).Initial(7)
 	if err != nil {
@@ -247,41 +235,54 @@ func TestCheckpointRoundTripAdoptsSurvivors(t *testing.T) {
 	if len(ck.CLWs) != 3 {
 		t.Fatalf("checkpoint slots = %d, want 3", len(ck.CLWs))
 	}
-	if ck.CLWs[0].State != clwSlotLive || ck.CLWs[1].State != clwSlotLive {
-		t.Fatalf("slots 0/1 not live in checkpoint: %+v", ck.CLWs)
+	if ck.CLWs[0].State != clwSlotLive || ck.CLWs[0].ID != 10 || ck.CLWs[1].State != clwSlotLive || ck.CLWs[1].ID != 11 {
+		t.Fatalf("slots 0/1 not live 10/11 in checkpoint: %+v", ck.CLWs)
 	}
-	if ck.CLWs[2].State != clwSlotPending || ck.CLWs[2].ID != 55 {
-		t.Fatalf("slot 2 not pending 55 in checkpoint: %+v", ck.CLWs[2])
+	if ck.CLWs[2].State != clwSlotDead {
+		t.Fatalf("slot 2 with an unseeded replacement not dead in checkpoint: %+v", ck.CLWs[2])
 	}
 
 	env2 := &stubEnv{}
-	cfg := cs.cfg
-	cs2 := adoptCLWSet(env2, cfg, &ck, master)
-	if cs2.alive != 2 || !cs2.live[0] || !cs2.live[1] || cs2.live[2] {
-		t.Fatalf("adopted liveness wrong: alive %d, live %v", cs2.alive, cs2.live)
+	cs2 := newCLWSet(env2, &qapTestProblem{ins: qap.Random(30, 5)}, cs.cfg, ck.Perm, ck.WorkerIdx, master, ck.CLWs)
+	if cs2.alive != 2 || !cs2.live[0] || !cs2.live[1] || cs2.live[2] || len(cs2.pend) != 0 {
+		t.Fatalf("resumed liveness wrong: alive %d, live %v, pending %v", cs2.alive, cs2.live, cs2.pend)
 	}
-	if cs2.pend[2] != 55 {
-		t.Fatalf("pending replacement not re-adopted: %v", cs2.pend)
+	if env2.spawned != 2 || cs2.ids[0] != 100 || cs2.ids[1] != 101 {
+		t.Fatalf("resumed set spawned %d workers with ids %v, want fresh 100 and 101", env2.spawned, cs2.ids)
 	}
-	// Survivors re-parented (TagInit) and re-watched; the pending one
-	// re-watched only.
+	if !slices.Equal(env2.watched, []pvm.TaskID{100, 101}) {
+		t.Fatalf("watched %v, want the fresh workers 100 and 101", env2.watched)
+	}
 	inits := env2.sends(TagInit)
 	if len(inits) != 2 {
-		t.Fatalf("adoption sent %d TagInits, want 2 (one per survivor)", len(inits))
+		t.Fatalf("resumed set sent %d TagInits, want 2 (one per fresh worker)", len(inits))
 	}
-	watched := map[pvm.TaskID]bool{}
-	for _, id := range env2.watched {
-		watched[id] = true
-	}
-	for _, id := range []pvm.TaskID{10, 11, 55} {
-		if !watched[id] {
-			t.Fatalf("task %d not re-watched after adoption (watched %v)", id, env2.watched)
+	for j, m := range inits {
+		in := m.Data.(initMsg)
+		if m.To != cs2.ids[j] || in.RangeLo != ck.CLWs[j].RangeLo || in.RangeHi != ck.CLWs[j].RangeHi ||
+			in.Trials != ck.CLWs[j].Trials || !slices.Equal(in.Perm, ck.Perm) {
+			t.Fatalf("worker %d seeded with %+v, want the checkpointed slot %+v", j, in, ck.CLWs[j])
 		}
 	}
-	// Attach the pending replacement and re-check exact ownership. The
-	// rebalance may legitimately decline here: the replacement inherits
-	// the dead worker's never-folded range, which already tiles the
-	// space exactly.
+	req := env2.sends(TagRespawn)
+	if len(req) != 1 || req[0].To != master || req[0].Data.(respawnMsg).CLWIdx != 2 {
+		t.Fatalf("respawn requests = %+v, want one TagRespawn{CLWIdx:2} to the master", req)
+	}
+	// Ranges and trial budgets round-trip; only the IDs are new.
+	again := cs2.slots()
+	for j := range again {
+		want := ck.CLWs[j]
+		if want.State == clwSlotLive {
+			want.ID = cs2.ids[j]
+		}
+		if again[j] != want {
+			t.Fatalf("slot %d round-tripped to %+v, want %+v", j, again[j], want)
+		}
+	}
+
+	// The replacement attaches at the barrier, and the live workers
+	// again own the space exactly.
+	cs2.onAck(env2, respawnAckMsg{CLWIdx: 2, ID: 56})
 	newly := cs2.revivePending()
 	cs2.rebalance(env2)
 	cs2.attach(env2, newly, ck.Perm, make([]uint64, len(cs2.ids)))
@@ -300,6 +301,145 @@ func TestCheckpointRoundTripAdoptsSurvivors(t *testing.T) {
 	}
 	if ck.Stats.LocalIters != 123 {
 		t.Error("counters lost in the checkpoint round-trip")
+	}
+}
+
+// TestRespawnTSWRetiresOrphans: resurrecting a TSW stops exactly the
+// CLWs its dead incarnation may have left running — the live workers
+// of its checkpoint and every replacement the master spawned for it —
+// and nothing of another TSW's. The record of replacements starts over
+// with the successor.
+func TestRespawnTSWRetiresOrphans(t *testing.T) {
+	cfg := quickCfg()
+	cfg.TSWs, cfg.CLWs = 2, 3
+	cfg.Adaptive = true
+	env := &stubEnv{}
+	r := newRecovery(env, &qapTestProblem{ins: qap.Random(20, 3)}, cfg)
+	r.cks[0] = &tswCheckpoint{WorkerIdx: 0, CLWs: []clwSlot{
+		{ID: 10, State: clwSlotLive},
+		{ID: 11, State: clwSlotDead}, // stale: its worker died
+		{ID: 12, State: clwSlotLive},
+	}}
+	r.cks[1] = &tswCheckpoint{WorkerIdx: 1, CLWs: []clwSlot{{ID: 20, State: clwSlotLive}}}
+	r.handleRespawn(5, 0, respawnMsg{CLWIdx: 1}) // TSW 0's replacement: task 100
+	r.handleRespawn(6, 1, respawnMsg{CLWIdx: 0}) // TSW 1's replacement: task 101
+
+	stopped := func(from int) []pvm.TaskID {
+		var ids []pvm.TaskID
+		for _, m := range env.sent[from:] {
+			if m.Tag == TagStop {
+				ids = append(ids, m.To)
+			}
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	if _, err := r.respawnTSW(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := stopped(0); !slices.Equal(got, []pvm.TaskID{10, 12, 100}) {
+		t.Fatalf("first resurrection stopped %v, want [10 12 100]", got)
+	}
+	if len(r.spawned[0]) != 0 || !slices.Equal(r.spawned[1], []pvm.TaskID{101}) {
+		t.Fatalf("replacement record after resurrection = %v, want TSW 0's cleared and TSW 1's kept", r.spawned)
+	}
+	// The successor (task 102) dies before its announcement lands: its
+	// predecessor's checkpoint is retired again, the cleared record not.
+	n := len(env.sent)
+	if _, err := r.respawnTSW(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := stopped(n); !slices.Equal(got, []pvm.TaskID{10, 12}) {
+		t.Fatalf("second resurrection stopped %v, want [10 12]", got)
+	}
+	if r.lost != 2 || r.respawned != 4 {
+		t.Fatalf("lost %d respawned %d, want 2 and 4 (two TSWs, two CLW replacements)", r.lost, r.respawned)
+	}
+}
+
+// TestResumedTSWAnnouncesFreshSet drives tswRun from a checkpoint, once
+// as after a master restart (SkipRound) and once as after a mid-run
+// loss. Either way the TSW spawns fresh CLWs over the live slots, asks
+// for a replacement for the dead one, and announces the new IDs in a
+// TagCheckpoint before its first TagSearch or verdict wait — carrying
+// the resume checkpoint's own RandSeed, so its stream is not advanced.
+func TestResumedTSWAnnouncesFreshSet(t *testing.T) {
+	prob := &qapTestProblem{ins: qap.Random(20, 3)}
+	cfg := quickCfg()
+	cfg.TSWs, cfg.CLWs = 1, 3
+	cfg.LocalIters = 1
+	cfg.Adaptive = true
+	st, err := prob.Initial(cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const master = pvm.TaskID(1)
+	for _, skip := range []bool{true, false} {
+		t.Run(fmt.Sprintf("SkipRound=%v", skip), func(t *testing.T) {
+			ck := &tswCheckpoint{
+				Perm: st.Snapshot(), BestPerm: st.Snapshot(), Best: st.Cost(),
+				Freq: make([]int64, prob.Size()), RandSeed: 4242, DivLo: 0, DivHi: prob.Size(),
+				CLWs: []clwSlot{
+					{ID: 10, State: clwSlotLive, RangeLo: 0, RangeHi: 7},
+					{ID: 11, State: clwSlotDead, RangeLo: 7, RangeHi: 14},
+					{ID: 12, State: clwSlotLive, RangeLo: 14, RangeHi: 20},
+				},
+				SkipRound: skip,
+			}
+			// The fresh CLWs are tasks 100 and 101.
+			var inbox []stubRecv
+			if !skip {
+				for _, id := range []pvm.TaskID{100, 101} {
+					inbox = append(inbox, stubRecv{0, pvm.Message{From: id, Tag: TagCandidate, Data: candMsg{}}})
+				}
+			}
+			inbox = append(inbox,
+				stubRecv{1, pvm.Message{From: master, Tag: TagStop}},
+				stubRecv{1, pvm.Message{From: 100, Tag: TagStats, Data: WorkerStats{}}},
+				stubRecv{1, pvm.Message{From: 101, Tag: TagStats, Data: WorkerStats{}}},
+			)
+			env := &stubEnv{inbox: inbox}
+			tswRun(env, prob, cfg, master, ck)
+
+			if len(env.inbox) != 0 || env.spawned != 2 {
+				t.Fatalf("TSW left %d scripted messages unread after %d spawns, want 0 after 2", len(env.inbox), env.spawned)
+			}
+			announce, search := -1, -1
+			for k, m := range env.sent {
+				if m.Tag == TagCheckpoint && announce < 0 {
+					announce = k
+				}
+				if m.Tag == TagSearch && search < 0 {
+					search = k
+				}
+			}
+			if announce < 0 {
+				t.Fatal("resumed TSW never announced its CLW set")
+			}
+			if announce >= env.recvAt[0] || (search >= 0 && announce >= search) {
+				t.Fatalf("announcement at send %d, after the first receive (%d) or TagSearch (%d)", announce, env.recvAt[0], search)
+			}
+			if skip != (search < 0) {
+				t.Fatalf("SkipRound=%v but first TagSearch at send %d", skip, search)
+			}
+			ann := env.sent[announce].Data.(tswCheckpoint)
+			if env.sent[announce].To != master || ann.RandSeed != ck.RandSeed || ann.SkipRound {
+				t.Fatalf("announcement to %d with RandSeed %d, SkipRound %v; want to the master with the resume seed %d and no SkipRound",
+					env.sent[announce].To, ann.RandSeed, ann.SkipRound, ck.RandSeed)
+			}
+			if ann.CLWs[0].ID != 100 || ann.CLWs[0].State != clwSlotLive || ann.CLWs[1].State != clwSlotDead ||
+				ann.CLWs[2].ID != 101 || ann.CLWs[2].State != clwSlotLive {
+				t.Fatalf("announced slots %+v, want fresh 100 and 101 live and slot 1 dead", ann.CLWs)
+			}
+			if req := env.sends(TagRespawn); len(req) != 1 || req[0].Data.(respawnMsg).CLWIdx != 1 {
+				t.Fatalf("respawn requests = %+v, want one for the dead slot 1", req)
+			}
+			for _, m := range env.sent {
+				if m.To == 10 || m.To == 11 || m.To == 12 {
+					t.Fatalf("resumed TSW sent tag %d to its predecessor's CLW %d", m.Tag, m.To)
+				}
+			}
+		})
 	}
 }
 
@@ -457,8 +597,9 @@ func runKillWorkerScenario(t *testing.T, killAt int, disableRespawn bool) *Resul
 
 // TestTSWLossResurrectsFromCheckpoint is the second recovery gate: the
 // worker hosting the TSW itself is killed mid-run. The master must
-// resurrect the TSW from its piggybacked checkpoint, re-attach the
-// surviving CLWs, and still complete the full budget un-Interrupted.
+// stop the dead TSW's CLWs, resurrect the TSW from its piggybacked
+// checkpoint onto a fresh CLW set on live capacity, and still complete
+// the full budget un-Interrupted, with every loss repaired.
 func TestTSWLossResurrectsFromCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed loopback run")
@@ -469,8 +610,9 @@ func TestTSWLossResurrectsFromCheckpoint(t *testing.T) {
 	master, addr := listenLoopback(t, 3)
 	defer master.Close()
 
-	// Worker 1 hosts the TSW (slot 1); killing it tests the
-	// checkpoint-resurrection path with all three CLWs surviving.
+	// Worker 1 hosts the TSW (slot 1) and, with the slot ring wrapping,
+	// CLW 2; killing it tests the checkpoint-resurrection path with two
+	// of the three CLWs surviving as orphans to retire.
 	doomedCtx, killDoomed := context.WithCancel(ctx)
 	defer killDoomed()
 	w1 := startWorkerDaemon(t, doomedCtx, newProblem(), addr, "w1", 1)
@@ -511,6 +653,10 @@ func TestTSWLossResurrectsFromCheckpoint(t *testing.T) {
 	if res.Stats.WorkersRespawned < 1 {
 		t.Errorf("WorkersRespawned = %d, want >= 1 (the resurrected TSW)", res.Stats.WorkersRespawned)
 	}
+	if res.Stats.WorkersLost != res.Stats.WorkersRespawned {
+		t.Errorf("WorkersLost = %d but WorkersRespawned = %d; every loss must be repaired",
+			res.Stats.WorkersLost, res.Stats.WorkersRespawned)
+	}
 	if res.BestCost > res.InitialCost {
 		t.Errorf("no improvement: %v -> %v", res.InitialCost, res.BestCost)
 	}
@@ -528,6 +674,78 @@ func TestTSWLossResurrectsFromCheckpoint(t *testing.T) {
 	case <-w1:
 	case <-time.After(30 * time.Second):
 		t.Fatal("doomed worker never returned")
+	}
+}
+
+// TestResurrectedTSWOnWorkerPlacesCLWsOnLiveCapacity kills the worker
+// hosting the TSW and, by the ring wrap, its first CLW, while another
+// worker has a slot with nothing on it: the master resurrects the TSW
+// on that spare worker slot, and the successor, now a worker-hosted
+// task, must still place the fresh CLW for the dead slot on live
+// capacity rather than on its dead preferred machine.
+func TestResurrectedTSWOnWorkerPlacesCLWsOnLiveCapacity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed loopback run")
+	}
+	ctx := context.Background()
+	newProblem := func() Problem { return &qapTestProblem{ins: qap.Random(30, 11)} }
+	master, addr := listenLoopback(t, 3)
+	defer master.Close()
+
+	serve := func(ctx context.Context, name string, capacity int) chan error {
+		ch := make(chan error, 1)
+		go func() {
+			ch <- ServeWorker(ctx, newProblem(), WorkerOptions{
+				Addr: addr, Name: name, Speed: 1, Capacity: capacity, Jobs: 1,
+			}, nil)
+		}()
+		return ch
+	}
+	// Slots: w1 holds 1 (the TSW) and 2 (CLW 0), w2 holds 3 (CLW 1),
+	// w3 holds 4 (CLW 2) and the spare 5.
+	doomedCtx, killDoomed := context.WithCancel(ctx)
+	defer killDoomed()
+	w1 := serve(doomedCtx, "w1", 2)
+	waitWorkers(t, master, 1)
+	w2 := serve(ctx, "w2", 1)
+	waitWorkers(t, master, 2)
+	w3 := serve(ctx, "w3", 2)
+	waitWorkers(t, master, 3)
+
+	cfg := quickCfg()
+	cfg.TSWs, cfg.CLWs = 1, 3
+	cfg.GlobalIters, cfg.LocalIters = 6, 15
+	cfg.HalfSync = false
+	cfg.Adaptive = true
+	cfg.WorkScale = 2
+	cfg.Transport = master
+	killed := false
+	cfg.Progress = func(s Snapshot) {
+		if s.Round == 2 && !killed {
+			killed = true
+			killDoomed()
+		}
+	}
+	res, err := RunProblem(ctx, newProblem(), clusterForNet(), cfg, Real)
+	if err != nil {
+		t.Fatalf("adaptive run with a killed TSW host: %v", err)
+	}
+	if res.Interrupted || res.Rounds != cfg.GlobalIters {
+		t.Fatalf("run Interrupted=%v after %d of %d rounds; want it complete", res.Interrupted, res.Rounds, cfg.GlobalIters)
+	}
+	if res.Stats.WorkersLost != 1 || res.Stats.WorkersRespawned != 1 {
+		t.Errorf("WorkersLost = %d, WorkersRespawned = %d; want 1 and 1 (the TSW)",
+			res.Stats.WorkersLost, res.Stats.WorkersRespawned)
+	}
+	for name, ch := range map[string]chan error{"w2": w2, "w3": w3, "w1": w1} {
+		select {
+		case err := <-ch:
+			if err != nil && name != "w1" {
+				t.Errorf("worker %s: %v", name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("worker %s never finished", name)
+		}
 	}
 }
 

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
 	"pts/internal/cluster"
+	"pts/internal/pvm"
 	"pts/internal/store"
+	"pts/internal/tabu"
 )
 
 // snapCfg is a small store-backed run for snapshot tests: two TSWs of
@@ -80,6 +84,7 @@ func TestDurableCorruptSnapshotRunsFresh(t *testing.T) {
 	corruptions := map[string]func(*masterSnapshot){
 		"best perm":       func(s *masterSnapshot) { s.BestPerm[1] = s.BestPerm[0] },
 		"checkpoint perm": func(s *masterSnapshot) { s.Checkpoints[0].CK.Perm[1] = s.Checkpoints[0].CK.Perm[0] },
+		"clw range":       func(s *masterSnapshot) { s.Checkpoints[0].CK.CLWs[0].RangeHi = s.Size + 5 },
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -96,6 +101,138 @@ func TestDurableCorruptSnapshotRunsFresh(t *testing.T) {
 	}
 }
 
+// The checkpoint layout of snapshots stored before every resumed TSW
+// spawned a fresh CLW set: a third slot state (2, a replacement parked
+// unseeded), the master's hand-over of replacements (Extra) and the
+// master-restart mark (Restart).
+type (
+	oldCLWSlot struct {
+		ID               pvm.TaskID
+		State            int
+		RangeLo, RangeHi int32
+		Trials           int
+	}
+	oldRespawnEntry struct {
+		CLWIdx int
+		ID     pvm.TaskID
+	}
+	oldTSWCheckpoint struct {
+		WorkerIdx       int
+		Iter            int64
+		Best            float64
+		BestPerm        []int32
+		Perm            []int32
+		Tabu            []tabu.Entry
+		Freq            []int64
+		RandSeed        uint64
+		Stats           WorkerStats
+		DivLo           int32
+		DivHi           int32
+		CLWs            []oldCLWSlot
+		AcceptedRefresh int
+		Extra           []oldRespawnEntry
+		Restart         bool
+		SkipRound       bool
+	}
+	oldSnapCheckpoint struct {
+		OK bool
+		CK oldTSWCheckpoint
+	}
+	oldMasterSnapshot struct {
+		Problem         string
+		Size            int32
+		Seed            uint64
+		Round           int
+		BestCost        float64
+		BestPerm        []int32
+		BestTabu        []tabu.Entry
+		Checkpoints     []oldSnapCheckpoint
+		Latest          []WorkerStats
+		Lost, Respawned int64
+	}
+)
+
+// oldLayout re-encodes snapshot bytes b in the old checkpoint layout,
+// with every checkpoint marked Restart and handed one replacement in
+// Extra. With pending set, TSW 0's first CLW slot is the parked
+// replacement.
+func oldLayout(t testing.TB, b []byte, pending bool) []byte {
+	t.Helper()
+	snap, err := decodeSnapshot(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := oldMasterSnapshot{
+		Problem: snap.Problem, Size: snap.Size, Seed: snap.Seed, Round: snap.Round,
+		BestCost: snap.BestCost, BestPerm: snap.BestPerm, BestTabu: snap.BestTabu,
+		Latest: snap.Latest, Lost: snap.Lost, Respawned: snap.Respawned,
+	}
+	for _, c := range snap.Checkpoints {
+		ck := c.CK
+		oc := oldTSWCheckpoint{
+			WorkerIdx: ck.WorkerIdx, Iter: ck.Iter, Best: ck.Best, BestPerm: ck.BestPerm, Perm: ck.Perm,
+			Tabu: ck.Tabu, Freq: ck.Freq, RandSeed: ck.RandSeed, Stats: ck.Stats, DivLo: ck.DivLo, DivHi: ck.DivHi,
+			AcceptedRefresh: ck.AcceptedRefresh, SkipRound: ck.SkipRound,
+			Extra: []oldRespawnEntry{{CLWIdx: 0, ID: 77}}, Restart: true,
+		}
+		for _, s := range ck.CLWs {
+			oc.CLWs = append(oc.CLWs, oldCLWSlot{ID: s.ID, State: int(s.State), RangeLo: s.RangeLo, RangeHi: s.RangeHi, Trials: s.Trials})
+		}
+		old.Checkpoints = append(old.Checkpoints, oldSnapCheckpoint{OK: c.OK, CK: oc})
+	}
+	if pending {
+		old.Checkpoints[0].CK.CLWs[0].State, old.Checkpoints[0].CK.CLWs[0].ID = 2, 77
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOldSnapshotLayoutResumes: a snapshot stored in the old checkpoint
+// layout still decodes and resumes. Without a parked replacement it
+// resumes exactly like the same snapshot in the current layout; a
+// parked replacement's slot reads as dead, and the run still completes.
+func TestOldSnapshotLayoutResumes(t *testing.T) {
+	b := barrierSnapshot(t)
+	want, err := decodeSnapshot(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Checkpoints) == 0 || !want.Checkpoints[0].OK || len(want.Checkpoints[0].CK.CLWs) == 0 {
+		t.Fatal("barrier snapshot carries no CLW slot to mark pending")
+	}
+	old := oldLayout(t, b, false)
+	got, err := decodeSnapshot(old)
+	if err != nil {
+		t.Fatalf("old layout no longer decodes: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("old layout decodes to\n%+v\nwant\n%+v", got, want)
+	}
+	if res, ref := runOverSnapshot(t, old), runOverSnapshot(t, b); !reflect.DeepEqual(res, ref) {
+		t.Fatalf("run over the old layout differs from the current one:\ngot  %+v\nwant %+v", res, ref)
+	}
+
+	withPending := oldLayout(t, b, true)
+	snap, err := decodeSnapshot(withPending)
+	if err != nil {
+		t.Fatalf("old layout with a pending slot no longer decodes: %v", err)
+	}
+	if sl := snap.Checkpoints[0].CK.CLWs[0]; sl.State == clwSlotLive || sl.State == clwSlotDead {
+		t.Fatalf("pending slot decoded as state %d, want the old value 2 kept", sl.State)
+	}
+	res := runOverSnapshot(t, withPending)
+	if reflect.DeepEqual(res, runOverSnapshot(t, nil)) {
+		t.Fatal("old layout with a pending slot was refused: the run equals a fresh one")
+	}
+	if rounds := snapCfg(nil).GlobalIters; res.Interrupted || res.Rounds != rounds {
+		t.Fatalf("run over the old layout with a pending slot: Interrupted=%v after %d of %d rounds",
+			res.Interrupted, res.Rounds, rounds)
+	}
+}
+
 // FuzzLoadSnapshot: no stored bytes make loadSnapshot, or a run over
 // the store, panic, and a snapshot loadSnapshot refuses leaves the run
 // exactly a fresh one. Bytes that do not decode skip the run: nothing
@@ -106,6 +243,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, n := range []int{0, 1, 16, len(b) / 2, len(b) - 1} {
 		f.Add(b[:n])
 	}
+	f.Add(oldLayout(f, b, true))
 	fresh := runOverSnapshot(f, nil)
 	prob := highwayProblem()
 	if _, err := prob.Initial(snapCfg(nil).Seed); err != nil {

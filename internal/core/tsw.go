@@ -41,15 +41,14 @@ const refreshEvery = 64
 // master resurrect a lost TSW (respawn) or resume a whole run from a
 // persisted snapshot (Config.Store) onto the uninterrupted trajectory.
 //
-// resume, when non-nil, is the checkpoint this TSW continues from: it
-// skips the TagInit handshake, restores the dead predecessor's search
-// state, re-attaches the surviving CLWs (re-parenting them with a
-// fresh TagInit) and re-arms their exit watches before entering the
-// round loop. A checkpoint marked Restart crossed a master restart:
-// its CLW task IDs died with the old master's run, so a fresh CLW set
-// is spawned instead, and with SkipRound also set the TSW skips
-// straight to the verdict wait — the checkpointed round is already in
-// the master's snapshot.
+// resume, when non-nil, is the checkpoint this TSW continues from,
+// after a mid-run loss or a master restart alike: it skips the TagInit
+// handshake, restores the predecessor's search state and spawns a
+// fresh CLW set over the checkpointed ranges (the master has stopped
+// the predecessor's CLWs). It announces the new set in a TagCheckpoint
+// before entering the round loop. With SkipRound set (master restart)
+// the TSW skips straight to the verdict wait — the checkpointed round
+// is already in the master's snapshot.
 func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume *tswCheckpoint) {
 	list := tabu.NewList()
 	var (
@@ -87,7 +86,7 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 
 		// Spawn this worker's CLWs once; they live for the whole run and
 		// sit on their round-robin machines (cfg.clwMachine).
-		cs = newCLWSet(env, problem, cfg, init, prob.Size(), master)
+		cs = newCLWSet(env, problem, cfg, init.Perm, init.WorkerIdx, master, nil)
 		// The spawn-time checkpoint closes the recovery gap before the
 		// first report: the master can resurrect this TSW (and find its
 		// CLWs) from the instant they exist. Sent on the same channel
@@ -109,27 +108,15 @@ func tswRun(env pvm.Env, problem Problem, cfg Config, master pvm.TaskID, resume 
 		// time and reseeded itself from the same value, so the successor
 		// continues the very stream the predecessor carried forward.
 		tswRand.Seed(int64(ck.RandSeed))
-		if ck.Restart {
-			// Master restart: the transport aborted every worker task with
-			// the old master, so there are no survivors to adopt — spawn a
-			// fresh CLW set over the checkpointed solution and range. No
-			// re-announce either: the master's ledger was seeded from the
-			// same snapshot this checkpoint came out of, and building one
-			// here would advance the restored random stream.
-			cs = newCLWSet(env, problem, cfg, initMsg{
-				Perm:      ck.Perm,
-				RangeLo:   ck.DivLo,
-				RangeHi:   ck.DivHi,
-				WorkerIdx: ck.WorkerIdx,
-			}, prob.Size(), master)
-		} else {
-			cs = adoptCLWSet(env, cfg, ck, master)
-			// Re-announce the adopted state immediately, like the fresh-spawn
-			// checkpoint: the master's ledger of handed-over replacements is
-			// pruned by it, and a successor dying straight away resumes from
-			// this attachment table instead of the predecessor's stale one.
-			env.Send(master, TagCheckpoint, checkpoint())
-		}
+		cs = newCLWSet(env, problem, cfg, ck.Perm, ck.WorkerIdx, master, ck.CLWs)
+		// Announce the fresh CLW set like the spawn-time checkpoint, so
+		// the master can retire it should this TSW die too. It is the
+		// resume checkpoint with the new IDs: this TSW has drawn nothing
+		// from its stream yet, so the resume seed still describes it, and
+		// drawing a new one would fork off the uninterrupted trajectory.
+		ann := *ck
+		ann.CLWs, ann.SkipRound = cs.slots(), false
+		env.Send(master, TagCheckpoint, ann)
 	}
 	staWork := workSTA(cfg, prob.Size())
 
@@ -369,19 +356,25 @@ type clwSet struct {
 	track   *sched.Tracker     // nil in static mode
 }
 
-// newCLWSet spawns the TSW's CLWs and initializes them. Element ranges
-// are the static equal split by default, or speed-proportional shares
-// (seeded from the declared machine speeds) in adaptive mode. CLWs
-// whose range is empty — more workers than elements — are not spawned
-// at all. The CLWs work in lockstep with the TSW, so the in-process
-// transport runs them as coroutines on the TSW's thread
+// newCLWSet spawns the TSW's CLWs over perm and initializes them.
+// Element ranges are the static equal split by default, or
+// speed-proportional shares (seeded from the declared machine speeds)
+// in adaptive mode. A resumed TSW passes its checkpoint's slots
+// instead: each slot live there gets a fresh CLW over its checkpointed
+// range, placed on live capacity (pvm.RespawnSlotOf — the slot's
+// preferred machine may have died with the predecessor), and each slot
+// dead there asks the master for a replacement, attached at a resync
+// barrier. CLWs whose range is empty — more workers than elements —
+// are not spawned at all. The CLWs work in lockstep with the TSW, so
+// the in-process transport runs them as coroutines on the TSW's thread
 // (pvm.Spec.Colocate): a TSW/CLW handoff is then a coroutine switch,
 // and the CLWs take their turns in a fixed order.
-func newCLWSet(env pvm.Env, problem Problem, cfg Config, init initMsg, n int32, master pvm.TaskID) *clwSet {
+func newCLWSet(env pvm.Env, problem Problem, cfg Config, perm []int32, widx int, master pvm.TaskID, resume []clwSlot) *clwSet {
+	n := int32(len(perm))
 	cs := &clwSet{
 		cfg:     cfg,
 		n:       n,
-		widx:    init.WorkerIdx,
+		widx:    widx,
 		master:  master,
 		respawn: cfg.respawn(),
 		ids:     make([]pvm.TaskID, cfg.CLWs),
@@ -392,18 +385,35 @@ func newCLWSet(env pvm.Env, problem Problem, cfg Config, init initMsg, n int32, 
 	cs.rng = ranges(n, cfg.CLWs)
 	if cfg.Adaptive {
 		cs.track = seededTracker(env, n, cfg.CLWs, func(j int) int {
-			return cfg.clwMachine(init.WorkerIdx, j)
+			return cfg.clwMachine(widx, j)
 		})
 		cs.rng = cs.track.Partition()
 	}
 
 	for j := 0; j < cfg.CLWs; j++ {
+		machine := cfg.clwMachine(widx, j)
+		if resume != nil {
+			cs.rng[j] = [2]int32{n, n}
+			if j < len(resume) {
+				cs.rng[j] = [2]int32{resume[j].RangeLo, resume[j].RangeHi}
+			}
+			if j >= len(resume) || resume[j].State != clwSlotLive {
+				if cs.track != nil {
+					cs.track.Kill(j)
+				}
+				if j < int(n) { // slots past the element count never had a worker
+					cs.requestRespawn(env, j)
+				}
+				continue
+			}
+			machine = pvm.RespawnSlotOf(env, machine)
+		}
 		if cs.rng[j][1] <= cs.rng[j][0] {
 			continue // empty range: nothing for this worker to search
 		}
 		cs.live[j] = true
 		cs.alive++
-		cs.ids[j] = env.SpawnSpec(fmt.Sprintf("clw%d", j), cfg.clwMachine(init.WorkerIdx, j), pvm.Spec{
+		cs.ids[j] = env.SpawnSpec(fmt.Sprintf("clw%d", j), machine, pvm.Spec{
 			Kind: taskKindCLW,
 			Data: clwSpec{},
 			Fn: func(e pvm.Env) {
@@ -425,81 +435,12 @@ func newCLWSet(env pvm.Env, problem Problem, cfg Config, init initMsg, n int32, 
 			pvm.NotifyExit(env, id)
 		}
 		env.Send(id, TagInit, initMsg{
-			Perm:      init.Perm,
+			Perm:      perm,
 			RangeLo:   cs.rng[j][0],
 			RangeHi:   cs.rng[j][1],
 			WorkerIdx: j,
 			Trials:    cs.trialsFor(j),
 		})
-	}
-	return cs
-}
-
-// adoptCLWSet rebuilds a resumed TSW's worker set from a checkpoint:
-// surviving CLWs are re-parented with a fresh TagInit carrying the
-// checkpointed solution and their recorded range, their exit watches
-// are re-armed (the transport answers immediately for workers that
-// died in the unwatched gap, so none is silently stuck dead), and
-// replacements the master spawned whose acks died with the
-// predecessor (ck.Extra) are re-adopted as pending.
-func adoptCLWSet(env pvm.Env, cfg Config, ck *tswCheckpoint, master pvm.TaskID) *clwSet {
-	cs := &clwSet{
-		cfg:     cfg,
-		n:       int32(len(ck.Perm)),
-		widx:    ck.WorkerIdx,
-		master:  master,
-		respawn: cfg.respawn(),
-		ids:     make([]pvm.TaskID, cfg.CLWs),
-		byID:    make(map[pvm.TaskID]int, cfg.CLWs),
-		live:    make([]bool, cfg.CLWs),
-		pend:    make(map[int]pvm.TaskID),
-		rng:     make([][2]int32, cfg.CLWs),
-	}
-	cs.track = seededTracker(env, cs.n, cfg.CLWs, func(j int) int {
-		return cfg.clwMachine(ck.WorkerIdx, j)
-	})
-	for j := range cs.rng {
-		cs.rng[j] = [2]int32{cs.n, cs.n} // empty until the slot attaches
-	}
-	for j, s := range ck.CLWs {
-		if j >= cfg.CLWs {
-			break
-		}
-		cs.rng[j] = [2]int32{s.RangeLo, s.RangeHi}
-		switch s.State {
-		case clwSlotLive:
-			cs.ids[j] = s.ID
-			cs.byID[s.ID] = j
-			cs.live[j] = true
-			cs.alive++
-			pvm.NotifyExit(env, s.ID)
-			env.Send(s.ID, TagInit, initMsg{
-				Perm:      ck.Perm,
-				RangeLo:   s.RangeLo,
-				RangeHi:   s.RangeHi,
-				WorkerIdx: j,
-				Trials:    s.Trials,
-			})
-		case clwSlotPending:
-			cs.pend[j] = s.ID
-			cs.byID[s.ID] = j
-			pvm.NotifyExit(env, s.ID)
-		case clwSlotDead:
-			cs.track.Kill(j)
-			if cs.respawn {
-				// The predecessor's respawn request (or its ack) may have
-				// died with it; ask again. A duplicate replacement is
-				// retired unseeded by onAck.
-				env.Send(master, TagRespawn, respawnMsg{CLWIdx: j})
-			}
-		}
-	}
-	for j := len(ck.CLWs); j < cfg.CLWs; j++ {
-		cs.track.Kill(j) // never-spawned slots (empty initial range)
-	}
-	// Replacements in flight at checkpoint time: adopt like a fresh ack.
-	for _, e := range ck.Extra {
-		cs.onAck(env, respawnAckMsg{CLWIdx: e.CLWIdx, ID: e.ID})
 	}
 	return cs
 }
@@ -541,22 +482,16 @@ func (cs *clwSet) trialsFor(j int) int {
 	return t
 }
 
-// slots serializes the attachment table for a checkpoint.
+// slots serializes the attachment table for a checkpoint. A slot
+// whose replacement is parked but not yet seeded is dead: the master
+// retires that replacement from its own record if this TSW dies.
 func (cs *clwSet) slots() []clwSlot {
 	out := make([]clwSlot, len(cs.ids))
 	for j := range cs.ids {
-		s := clwSlot{RangeLo: cs.rng[j][0], RangeHi: cs.rng[j][1], Trials: cs.trialsFor(j)}
-		switch {
-		case cs.live[j]:
-			s.State, s.ID = clwSlotLive, cs.ids[j]
-		default:
-			if id, ok := cs.pend[j]; ok {
-				s.State, s.ID = clwSlotPending, id
-			} else {
-				s.State = clwSlotDead
-			}
+		out[j] = clwSlot{RangeLo: cs.rng[j][0], RangeHi: cs.rng[j][1], Trials: cs.trialsFor(j)}
+		if cs.live[j] {
+			out[j].State, out[j].ID = clwSlotLive, cs.ids[j]
 		}
-		out[j] = s
 	}
 	return out
 }
@@ -635,17 +570,13 @@ func (cs *clwSet) requestRespawn(env pvm.Env, j int) {
 
 // onAck adopts a replacement the master spawned: it is parked as
 // pending (watched, but unscheduled and unseeded) until the next
-// resync barrier attaches it. A surplus replacement — the slot is
-// already live or already has a pending one — is retired unseeded
-// with an immediate TagStop. A negative ID is the master declining
-// (the run is shutting down).
+// resync barrier attaches it. A slot has at most one request in
+// flight — the next is sent only when the worker this ack names dies
+// — so an ack never finds its slot taken. A negative ID is the master
+// declining (the run is shutting down).
 func (cs *clwSet) onAck(env pvm.Env, a respawnAckMsg) {
 	j := a.CLWIdx
 	if a.ID < 0 || j < 0 || j >= len(cs.ids) {
-		return
-	}
-	if _, dup := cs.pend[j]; dup || cs.live[j] {
-		env.Send(a.ID, TagStop, nil)
 		return
 	}
 	cs.pend[j] = a.ID

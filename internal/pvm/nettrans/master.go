@@ -1103,6 +1103,11 @@ func (j *job) handleFrame(n *node, f *frame) bool {
 			j.nodeLost(n, err)
 			return false
 		}
+	case fSlotReq:
+		if err := n.c.write(&frame{Type: fSlotAck, Seq: f.Seq, Machine: j.respawnSlot(f.Machine)}); err != nil {
+			j.nodeLost(n, err)
+			return false
+		}
 	case fMsg:
 		j.route(n, f)
 	case fNotify:
@@ -1288,9 +1293,9 @@ func (j *job) nodeLost(n *node, cause error) {
 
 // addWatcher registers watcher for a TagExit notification on watched.
 // Like PVM's pvm_notify, a watch on a task that was already written
-// off with its dying node is answered immediately — the respawn
-// protocol re-arms watches on tasks adopted from a checkpoint, and a
-// task that died in the unwatched gap must still be noticed.
+// off with its dying node is answered immediately: a task can die
+// between its spawn and the watch its parent registers, and that loss
+// must still be noticed.
 func (j *job) addWatcher(watched, watcher pvm.TaskID) {
 	j.mu.Lock()
 	already := int(watched) >= 0 && int(watched) < len(j.owners) && j.owners[watched].lost

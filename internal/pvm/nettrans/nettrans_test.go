@@ -855,9 +855,9 @@ func pollFactory(kind string, data any) (pvm.TaskFunc, error) {
 
 // TestRetroactiveExitWatchAndRespawnSlot covers the respawn substrate:
 // (1) a watch registered on a task already written off with its dying
-// node is answered immediately, PVM pvm_notify style — the recovery
-// protocol re-arms watches on tasks adopted from a checkpoint and must
-// not silently miss ones that died in the unwatched gap; (2) the
+// node is answered immediately, PVM pvm_notify style — a task can die
+// between its spawn and the watch its parent registers, and that loss
+// must not be silently missed; (2) the
 // respawn placement capability resolves to a slot backed by a live
 // process, so the replacement spawn cannot land on the dead node and
 // abort the run.

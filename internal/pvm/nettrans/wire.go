@@ -99,6 +99,13 @@ const (
 	// pvm.TagExit delivered to their watchers, exactly like a loss but
 	// orderly — and closes the connection (worker→master).
 	fLeave
+	// fSlotReq asks where a replacement task should be spawned — the
+	// pvm.RespawnPlacer query of a worker-hosted task, with the
+	// preferred slot in Machine (worker→master).
+	fSlotReq
+	// fSlotAck answers an fSlotReq with a live slot in Machine
+	// (master→worker).
+	fSlotAck
 )
 
 // frame is the single wire message; which fields are meaningful depends
@@ -127,7 +134,7 @@ type frame struct {
 	TotalSlots int
 	Speeds     []float64
 
-	// Spawn / SpawnReq / SpawnAck / TaskDone.
+	// Spawn / SpawnReq / SpawnAck / SlotReq / SlotAck / TaskDone.
 	Task    pvm.TaskID
 	Name    string
 	Machine int

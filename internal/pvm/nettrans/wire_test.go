@@ -157,6 +157,8 @@ func FuzzConnRead(f *testing.F) {
 		{Type: fNotify, Task: 4, From: 3},
 		{Type: fRing, TotalSlots: 4, Speeds: []float64{1, 1, 1, 2}},
 		{Type: fLeave},
+		{Type: fSlotReq, Seq: 2, Machine: 1},
+		{Type: fSlotAck, Seq: 2, Machine: 3},
 	}
 	for _, fr := range every {
 		f.Add(encodeStream(f, fr))

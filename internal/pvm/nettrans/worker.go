@@ -258,7 +258,7 @@ type wjob struct {
 	live      int
 	sends     int64
 	seq       uint64
-	spawnAcks map[uint64]chan pvm.TaskID
+	replies   map[uint64]chan *frame // outstanding requests to the master, by Seq
 	aborted   bool
 	cancelled bool
 	idle      *sync.Cond // signalled when live drops to 0
@@ -278,8 +278,8 @@ func serveJob(ctx context.Context, cfg WorkerConfig, c *conn, h Handler, f *fram
 		seed: f.Seed, scale: f.WorkScale, speed: cfg.Speed,
 		slots: f.TotalSlots, speeds: f.Speeds,
 		start: time.Now(), ctx: ctx,
-		local:     make(map[pvm.TaskID]*wTask),
-		spawnAcks: make(map[uint64]chan pvm.TaskID),
+		local:   make(map[pvm.TaskID]*wTask),
+		replies: make(map[uint64]chan *frame),
 	}
 	j.idle = sync.NewCond(&j.mu)
 
@@ -298,11 +298,11 @@ func serveJob(ctx context.Context, cfg WorkerConfig, c *conn, h Handler, f *fram
 				c.write(&frame{Type: fJobErr, Err: err.Error()})
 				return err
 			}
-		case fSpawnAck:
+		case fSpawnAck, fSlotAck:
 			j.mu.Lock()
-			if ch, ok := j.spawnAcks[f.Seq]; ok {
-				delete(j.spawnAcks, f.Seq)
-				ch <- f.Task
+			if ch, ok := j.replies[f.Seq]; ok {
+				delete(j.replies, f.Seq)
+				ch <- f
 			}
 			j.mu.Unlock()
 		case fMsg:
@@ -396,8 +396,8 @@ func (j *wjob) abort() {
 	for _, t := range j.local {
 		wake = append(wake, t)
 	}
-	acks := j.spawnAcks
-	j.spawnAcks = make(map[uint64]chan pvm.TaskID)
+	acks := j.replies
+	j.replies = make(map[uint64]chan *frame)
 	j.mu.Unlock()
 	for _, ch := range acks {
 		close(ch)
@@ -503,29 +503,40 @@ func (t *wTask) SpawnSpec(name string, machine int, spec pvm.Spec) pvm.TaskID {
 	if spec.Kind == "" {
 		panic(fmt.Sprintf("nettrans: task %q spawned a non-portable task %q from a worker node", t.name, name))
 	}
-	j := t.j
-	ch := make(chan pvm.TaskID, 1)
+	return t.j.request(&frame{
+		Type: fSpawnReq, Name: t.name + "/" + name,
+		Machine: machine, Kind: spec.Kind, Data: spec.Data,
+	}).Task
+}
+
+// RespawnSlot implements pvm.RespawnPlacer by asking the master, which
+// owns node liveness, blocking on the round-trip like SpawnSpec.
+func (t *wTask) RespawnSlot(preferred int) int {
+	return t.j.request(&frame{Type: fSlotReq, Machine: preferred}).Machine
+}
+
+// request sends f to the master under a fresh Seq and returns the
+// master's reply. A run aborting or a broken connection unwinds the
+// calling task instead.
+func (j *wjob) request(f *frame) *frame {
+	ch := make(chan *frame, 1)
 	j.mu.Lock()
 	if j.aborted {
 		j.mu.Unlock()
 		pvm.AbortTask()
 	}
 	j.seq++
-	seq := j.seq
-	j.spawnAcks[seq] = ch
+	f.Seq = j.seq
+	j.replies[f.Seq] = ch
 	j.mu.Unlock()
-	err := j.c.write(&frame{
-		Type: fSpawnReq, Seq: seq, Name: t.name + "/" + name,
-		Machine: machine, Kind: spec.Kind, Data: spec.Data,
-	})
-	if err != nil {
+	if err := j.c.write(f); err != nil {
 		pvm.AbortTask() // connection gone: the session is tearing down
 	}
-	id, ok := <-ch
+	reply, ok := <-ch
 	if !ok {
 		pvm.AbortTask()
 	}
-	return id
+	return reply
 }
 
 func (t *wTask) Send(to pvm.TaskID, tag pvm.Tag, data any) {

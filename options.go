@@ -110,8 +110,8 @@ func WithAdaptive(on bool) Option {
 // Every TSW piggybacks a recovery checkpoint (incumbent solution, tabu
 // memory, iteration counters, random-stream seed, CLW attachment
 // table) on each report, so a lost TSW is resurrected from its last
-// checkpoint with its surviving CLWs re-attached — no single worker
-// process is fatal. Result.Stats counts both sides as
+// checkpoint onto a fresh CLW set, its old CLWs stopped by the master
+// — no single worker process is fatal. Result.Stats counts both sides as
 // WorkersLost and WorkersRespawned.
 //
 // WithRespawn(false) restores the fold-only degradation: CLW losses

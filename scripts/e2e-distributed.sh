@@ -216,10 +216,13 @@ echo "PASS: adaptive run survived the worker kill with parallelism restored (Wor
 # ---------------------------------------------------------------------------
 # TSW-kill variant: same topology, but the FIRST worker — the one
 # hosting the TSW itself, and with it the third CLW — is killed -9
-# mid-run. The master must resurrect the TSW from its piggybacked
-# checkpoint on surviving capacity, re-attach the two surviving CLWs,
-# replace the CLW that died with the TSW, and still complete the full
-# budget un-Interrupted.
+# mid-run. The master must stop the two surviving CLWs (orphans of the
+# dead TSW) and resurrect the TSW from its piggybacked checkpoint on
+# surviving capacity, where it spawns a fresh set of three CLWs on live
+# slots. The run must complete the full budget un-Interrupted with
+# every loss repaired (WorkersLost == WorkersRespawned), and every
+# surviving worker must finish its job: an orphan left running would
+# keep the job open.
 echo "== adaptive distributed run: kill the TSW-hosting worker mid-run"
 ADDR3="127.0.0.1:$((PORT + 2))"
 
@@ -268,9 +271,14 @@ grep -Eq "WorkersLost:[1-9]" "$OUT/tmaster.log" || {
 grep -Eq "WorkersRespawned:[1-9]" "$OUT/tmaster.log" || {
   echo "FAIL: master stats do not record the resurrected TSW"; cat "$OUT/tmaster.log"; exit 1
 }
+TLOST=$(grep -Eo "WorkersLost:[0-9]+" "$OUT/tmaster.log" | tail -1 | cut -d: -f2)
+TRESP=$(grep -Eo "WorkersRespawned:[0-9]+" "$OUT/tmaster.log" | tail -1 | cut -d: -f2)
+if [ "$TLOST" != "$TRESP" ]; then
+  echo "FAIL: TSW-kill run lost $TLOST workers but respawned $TRESP"; cat "$OUT/tmaster.log"; exit 1
+fi
 for i in 2 3; do
   grep -q "job completed" "$OUT/tworker$i.log" || {
     echo "FAIL: surviving worker t$i did not report a completed job"; cat "$OUT/tworker$i.log"; exit 1
   }
 done
-echo "PASS: TSW kill resurrected from checkpoint, run completed un-Interrupted"
+echo "PASS: TSW kill resurrected from checkpoint, run completed un-Interrupted (WorkersLost:$TLOST, WorkersRespawned:$TRESP)"
